@@ -1,35 +1,16 @@
 //! Offline stand-in for the subset of `parking_lot` this workspace uses:
-//! [`Mutex`], [`RwLock`] and [`Condvar`] with panic-free (non-`Result`)
-//! lock methods. Backed by `std::sync`; a poisoned lock recovers the
-//! inner value, matching parking_lot's behavior of not tracking poison
-//! at all (our simulation workers never hold locks across panics on the
-//! happy path).
+//! [`Mutex`] and [`RwLock`] with panic-free (non-`Result`) lock methods.
+//! Backed by `std::sync`; a poisoned lock recovers the inner value,
+//! matching parking_lot's behavior of not tracking poison at all (our
+//! simulation workers never hold locks across panics on the happy path).
 
-use std::ops::{Deref, DerefMut};
 use std::sync::{self, RwLockReadGuard, RwLockWriteGuard};
+
+pub use std::sync::MutexGuard;
 
 /// A mutual-exclusion lock whose `lock` returns the guard directly.
 #[derive(Debug, Default)]
 pub struct Mutex<T: ?Sized>(sync::Mutex<T>);
-
-/// RAII guard for [`Mutex`]. Wraps the std guard in an `Option` so
-/// [`Condvar::wait`] can move it through `std`'s by-value wait without
-/// unsafe code; it is `None` only while a wait is in flight.
-#[derive(Debug)]
-pub struct MutexGuard<'a, T: ?Sized>(Option<sync::MutexGuard<'a, T>>);
-
-impl<T: ?Sized> Deref for MutexGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.0.as_deref().expect("guard present outside wait")
-    }
-}
-
-impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        self.0.as_deref_mut().expect("guard present outside wait")
-    }
-}
 
 impl<T> Mutex<T> {
     /// Creates a new mutex protecting `value`.
@@ -46,42 +27,12 @@ impl<T> Mutex<T> {
 impl<T: ?Sized> Mutex<T> {
     /// Acquires the lock, blocking until available.
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        MutexGuard(Some(self.0.lock().unwrap_or_else(|e| e.into_inner())))
+        self.0.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Mutable access without locking (requires exclusive borrow).
     pub fn get_mut(&mut self) -> &mut T {
         self.0.get_mut().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-/// A condition variable paired with [`Mutex`], parking_lot-style: `wait`
-/// borrows the guard mutably instead of consuming it.
-#[derive(Debug, Default)]
-pub struct Condvar(sync::Condvar);
-
-impl Condvar {
-    /// Creates a new condition variable.
-    pub fn new() -> Self {
-        Condvar(sync::Condvar::new())
-    }
-
-    /// Atomically releases the guard's lock and blocks until notified;
-    /// the lock is re-acquired before returning. Subject to spurious
-    /// wakeups, so callers re-check their predicate in a loop.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let inner = guard.0.take().expect("guard present outside wait");
-        guard.0 = Some(self.0.wait(inner).unwrap_or_else(|e| e.into_inner()));
-    }
-
-    /// Wakes one waiter.
-    pub fn notify_one(&self) {
-        self.0.notify_one();
-    }
-
-    /// Wakes every waiter.
-    pub fn notify_all(&self) {
-        self.0.notify_all();
     }
 }
 
@@ -127,29 +78,6 @@ mod tests {
         let m = Mutex::new(1);
         *m.lock() += 1;
         assert_eq!(m.into_inner(), 2);
-    }
-
-    #[test]
-    fn condvar_wakes_waiter() {
-        use std::sync::Arc;
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let worker = {
-            let pair = Arc::clone(&pair);
-            std::thread::spawn(move || {
-                let (lock, cvar) = &*pair;
-                let mut ready = lock.lock();
-                while !*ready {
-                    cvar.wait(&mut ready);
-                }
-                *ready
-            })
-        };
-        {
-            let (lock, cvar) = &*pair;
-            *lock.lock() = true;
-            cvar.notify_all();
-        }
-        assert!(worker.join().unwrap());
     }
 
     #[test]

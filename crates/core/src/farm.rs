@@ -15,11 +15,14 @@
 //!    index — a streaming merge, with no `Vec<RunResult>` barrier and no
 //!    lock around the aggregate.
 //!
-//! Work distribution is chunked self-scheduling: idle workers claim the
-//! next fixed-size chunk of indices from a shared atomic cursor, so a
-//! worker that lands a cheap chunk immediately steals more work instead
-//! of idling behind a static partition. Chunk boundaries depend only on
-//! the item count, never on the worker count.
+//! Work distribution is one ready-set scheduler: an idle worker claims
+//! the next item from the set of items whose dependencies have all
+//! completed — the lowest index, or the highest-ranked one when the
+//! caller supplies a rank ([`Farm::run_recorded_scheduled`]). Plain
+//! `run`/`run_fold`/`run_recorded` calls pass no dependencies and no
+//! rank, so every item is ready at once and claims go in index order.
+//! Scheduling decides only *when* an item runs; seeds and fold order
+//! never depend on it.
 //!
 //! ```
 //! use windtunnel::farm::Farm;
@@ -29,10 +32,15 @@
 //! assert_eq!(squares, vec![1, 4, 9, 16, 25]);
 //! ```
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::{mpsc, Condvar, Mutex, MutexGuard, PoisonError};
 use wt_store::{SharedStore, StoreShard};
+
+/// A scheduling rank over item indices: among ready items the farm
+/// claims the highest-ranked (ties, by `f64::total_cmp`, go to the
+/// lowest index). Consulted at every claim, so a rank that changes as
+/// results land steers the remaining work immediately.
+pub type Rank<'a> = &'a (dyn Fn(usize) -> f64 + Sync);
 
 /// Per-run context handed to the work closure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,13 +128,6 @@ impl Farm {
         self.workers
     }
 
-    /// Whether the stderr progress heartbeat is enabled. Execution paths
-    /// that schedule work themselves (the guided sweep runner) read this
-    /// to decide whether to drive their own [`wt_obs::Heartbeat`].
-    pub fn heartbeat_enabled(&self) -> bool {
-        self.heartbeat
-    }
-
     /// Runs `work` over every item and collects the results in item order.
     ///
     /// `root_seed` seeds each run's [`RunCtx::seed`] substream. The output
@@ -182,10 +183,43 @@ impl Farm {
         R: Send,
         F: Fn(&T, RunCtx, &StoreShard) -> R + Sync,
     {
+        self.run_recorded_scheduled(root_seed, items, store, &[], None, work)
+    }
+
+    /// [`Farm::run_recorded`] with an execution order chosen at run time.
+    ///
+    /// `deps` is empty (no constraints) or holds one list per item:
+    /// `deps[i]` names the items that must complete before item `i` may
+    /// start, each **strictly smaller** than `i` (asserted). That keeps
+    /// the dependency graph acyclic, so some ready item always exists
+    /// while work remains. Among ready items the farm claims the lowest
+    /// index, or with a [`Rank`] the highest-ranked one.
+    ///
+    /// Order is a performance lever, never a correctness one: seeds come
+    /// from the item index and shards merge in index order, so results
+    /// and store bytes are identical at any worker count and under any
+    /// rank. A closure that reads earlier items' outcomes — dominance
+    /// pruning — is what `deps` sequences.
+    pub fn run_recorded_scheduled<T, R, F>(
+        &self,
+        root_seed: u64,
+        items: &[T],
+        store: &SharedStore,
+        deps: &[Vec<usize>],
+        rank: Option<Rank<'_>>,
+        work: F,
+    ) -> Vec<R>
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(&T, RunCtx, &StoreShard) -> R + Sync,
+    {
         let results = Vec::with_capacity(items.len());
         self.run_fold_with(
             root_seed,
             items,
+            deps,
+            rank,
             |item, ctx| {
                 let shard = StoreShard::new();
                 let result = work(item, ctx, &shard);
@@ -235,18 +269,23 @@ impl Farm {
         F: Fn(&T, RunCtx) -> R + Sync,
         G: FnMut(A, usize, R) -> A,
     {
-        self.run_fold_with(root_seed, items, work, init, fold, |_, _| {})
+        self.run_fold_with(root_seed, items, &[], None, work, init, fold, |_, _| {})
     }
 
-    /// [`Farm::run_fold`] with a heartbeat observer: when the heartbeat
-    /// is enabled, `observe` sees each result on the fold thread (in
-    /// item order, just before `fold` consumes it) and can feed run
-    /// telemetry into the [`wt_obs::Heartbeat`]. With the heartbeat off,
-    /// `observe` is never called.
+    /// The farm's one executor: [`Farm::run_fold`] under the ready-set
+    /// scheduler (see [`Farm::run_recorded_scheduled`] for `deps` and
+    /// `rank`), with a heartbeat observer: when the heartbeat is enabled,
+    /// `observe` sees each result on the fold thread (in item order, just
+    /// before `fold` consumes it) and can feed run telemetry into the
+    /// [`wt_obs::Heartbeat`]. With the heartbeat off, `observe` is never
+    /// called.
+    #[allow(clippy::too_many_arguments)]
     fn run_fold_with<T, R, A, F, G, O>(
         &self,
         root_seed: u64,
         items: &[T],
+        deps: &[Vec<usize>],
+        rank: Option<Rank<'_>>,
         work: F,
         init: A,
         mut fold: G,
@@ -260,6 +299,7 @@ impl Farm {
         O: FnMut(&R, &mut wt_obs::Heartbeat),
     {
         let n = items.len();
+        let mut ready = Ready::new(n, deps);
         let ctx = |index: usize| RunCtx {
             index,
             seed: substream_seed(root_seed, index as u64),
@@ -275,65 +315,169 @@ impl Farm {
                 }
             }
         };
-        if self.workers == 1 || n <= 1 {
-            let mut acc = init;
-            for (i, item) in items.iter().enumerate() {
-                let result = work(item, ctx(i));
-                pulse(&result);
-                acc = fold(acc, i, result);
-            }
-            return acc;
-        }
-
-        let chunk = chunk_size(n);
-        let cursor = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, R)>();
-        // `Option` dance: the scope closure mutably captures the
-        // accumulator but must move it through the fold callback.
+        // Ordered streaming fold: result `i` is folded as soon as every
+        // lower index has been, whatever order the items ran in.
         let mut acc = Some(init);
-        std::thread::scope(|scope| {
-            for _ in 0..self.workers.min(n) {
-                let tx = tx.clone();
-                let cursor = &cursor;
-                let work = &work;
-                scope.spawn(move || loop {
-                    let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= n {
-                        return;
-                    }
-                    let end = (start + chunk).min(n);
-                    for (i, item) in items.iter().enumerate().take(end).skip(start) {
-                        let result = work(item, ctx(i));
-                        if tx.send((i, result)).is_err() {
-                            return; // receiver gone: caller is unwinding
-                        }
-                    }
-                });
+        let mut pending: BTreeMap<usize, R> = BTreeMap::new();
+        let mut next = 0usize;
+        let mut deliver = |i: usize, result: R| {
+            pending.insert(i, result);
+            while let Some(ready) = pending.remove(&next) {
+                pulse(&ready);
+                acc = acc.take().map(|a| fold(a, next, ready));
+                next += 1;
             }
-            drop(tx); // the receive loop ends when the last worker exits
+        };
 
-            let mut pending: BTreeMap<usize, R> = BTreeMap::new();
-            let mut next = 0usize;
-            for (i, result) in rx {
-                pending.insert(i, result);
-                while let Some(ready) = pending.remove(&next) {
-                    pulse(&ready);
-                    let a = acc.take().expect("accumulator in flight");
-                    acc = Some(fold(a, next, ready));
-                    next += 1;
-                }
+        if self.workers == 1 || n <= 1 {
+            while let Some(i) = ready.claim(rank) {
+                let result = work(&items[i], ctx(i));
+                ready.complete(i);
+                deliver(i, result);
             }
-            assert_eq!(next, n, "farm lost {} result(s)", n - next);
-        });
-        acc.expect("accumulator present after scope")
+        } else {
+            let state = Mutex::new(ready);
+            let wake = Condvar::new();
+            let (tx, rx) = mpsc::channel::<(usize, R)>();
+            std::thread::scope(|scope| {
+                for _ in 0..self.workers.min(n) {
+                    let tx = tx.clone();
+                    let (state, wake, work) = (&state, &wake, &work);
+                    scope.spawn(move || {
+                        let _unwind = WakeOnUnwind(state, wake);
+                        loop {
+                            let i = {
+                                let mut s = lock(state);
+                                loop {
+                                    if s.claimed == n {
+                                        return;
+                                    }
+                                    if let Some(i) = s.claim(rank) {
+                                        break i;
+                                    }
+                                    // Nothing ready: a running item is one
+                                    // of the lowest unclaimed item's deps,
+                                    // and its completion wakes us.
+                                    s = wake.wait(s).unwrap_or_else(PoisonError::into_inner);
+                                }
+                            };
+                            let result = work(&items[i], ctx(i));
+                            if lock(state).complete(i) {
+                                wake.notify_all();
+                            }
+                            if tx.send((i, result)).is_err() {
+                                return; // receiver gone: caller is unwinding
+                            }
+                        }
+                    });
+                }
+                drop(tx); // the receive loop ends when the last worker exits
+                for (i, result) in rx {
+                    deliver(i, result);
+                }
+            });
+        }
+        assert_eq!(next, n, "farm lost {} result(s)", n - next);
+        acc.expect("accumulator present after the fold")
     }
 }
 
-/// Chunk size for self-scheduling: a pure function of the item count so
-/// chunk boundaries never depend on worker count. Small enough to balance
-/// uneven run times, large enough to keep cursor traffic negligible.
-fn chunk_size(n: usize) -> usize {
-    (n / 64).clamp(1, 32)
+/// Locks the scheduler state, recovering it from a worker that panicked
+/// while holding it: `Ready`'s updates cannot stop halfway (a rank is
+/// scored before anything changes), so the state is valid either way.
+fn lock(state: &Mutex<Ready>) -> MutexGuard<'_, Ready> {
+    state.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The ready-set scheduler's state; under a mutex when workers share it.
+struct Ready {
+    /// Unclaimed items whose dependencies have all completed.
+    set: BTreeSet<usize>,
+    /// Uncompleted dependencies per item (empty without deps).
+    remaining: Vec<usize>,
+    /// The items each item gates (empty without deps).
+    dependents: Vec<Vec<usize>>,
+    /// Items claimed so far; idle workers exit once it reaches the count.
+    claimed: usize,
+    n: usize,
+}
+
+impl Ready {
+    fn new(n: usize, deps: &[Vec<usize>]) -> Ready {
+        assert!(
+            deps.is_empty() || deps.len() == n,
+            "one dependency list per item"
+        );
+        let mut dependents = vec![Vec::new(); deps.len()];
+        let remaining: Vec<usize> = deps.iter().map(Vec::len).collect();
+        for (i, ds) in deps.iter().enumerate() {
+            for &d in ds {
+                assert!(d < i, "dep {d} of item {i} is not strictly earlier");
+                dependents[d].push(i);
+            }
+        }
+        let set = (0..n)
+            .filter(|&i| remaining.get(i).is_none_or(|&r| r == 0))
+            .collect();
+        Ready {
+            set,
+            remaining,
+            dependents,
+            claimed: 0,
+            n,
+        }
+    }
+
+    /// Takes the lowest ready index, or the highest-ranked one (ties to
+    /// the lowest index: the set iterates in ascending order and only a
+    /// strictly greater score displaces the incumbent).
+    fn claim(&mut self, rank: Option<Rank<'_>>) -> Option<usize> {
+        let i = match rank {
+            None => *self.set.first()?,
+            Some(rank) => {
+                let mut best: Option<(usize, f64)> = None;
+                for &i in &self.set {
+                    let score = rank(i);
+                    if best.is_none_or(|(_, b)| score.total_cmp(&b).is_gt()) {
+                        best = Some((i, score));
+                    }
+                }
+                best?.0
+            }
+        };
+        self.set.remove(&i);
+        self.claimed += 1;
+        Some(i)
+    }
+
+    /// Marks item `i` done and readies the dependents it was the last
+    /// dependency of. True when idle workers should wake: something
+    /// became ready, or every item is claimed and they can exit.
+    fn complete(&mut self, i: usize) -> bool {
+        let mut readied = false;
+        for &j in self.dependents.get(i).into_iter().flatten() {
+            self.remaining[j] -= 1;
+            if self.remaining[j] == 0 {
+                readied |= self.set.insert(j);
+            }
+        }
+        readied || self.claimed == self.n
+    }
+}
+
+/// Held by each worker: if its item panics, every remaining item counts
+/// as claimed and idle workers wake and exit, so the panic surfaces from
+/// the call instead of stranding workers that wait on the failed item.
+struct WakeOnUnwind<'a>(&'a Mutex<Ready>, &'a Condvar);
+
+impl Drop for WakeOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let mut s = lock(self.0);
+            s.claimed = s.n;
+            self.1.notify_all();
+        }
+    }
 }
 
 /// Feeds a partitioned run's `partition/<i>` telemetry marks into the
@@ -363,7 +507,7 @@ fn observe_partition_marks(beat: &mut wt_obs::Heartbeat, marks: &BTreeMap<String
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn collects_in_item_order() {
@@ -469,6 +613,12 @@ mod tests {
         let empty: Vec<u64> = Vec::new();
         assert!(farm.run(0, &empty, |&x, _| x).is_empty());
         assert_eq!(farm.run(0, &[5u64], |&x, _| x + 1), vec![6]);
+        // Scheduling options on an empty item list are fine too.
+        let store = SharedStore::new();
+        let out: Vec<u64> =
+            farm.run_recorded_scheduled(0, &empty, &store, &[], Some(&|_| 0.0), |&x, _, _| x);
+        assert!(out.is_empty());
+        assert_eq!(store.len(), 0);
     }
 
     #[test]
@@ -604,13 +754,23 @@ mod tests {
     }
 
     #[test]
-    fn chunking_is_worker_independent() {
-        // Indirectly covered by identical_results_for_any_worker_count;
-        // here pin the function itself so a refactor can't silently make
-        // it depend on anything but n.
-        assert_eq!(chunk_size(1), 1);
-        assert_eq!(chunk_size(64), 1);
-        assert_eq!(chunk_size(640), 10);
-        assert_eq!(chunk_size(1 << 20), 32);
+    #[should_panic]
+    fn panicking_item_fails_the_call_instead_of_stranding_its_dependents() {
+        // Every item waits on item 0, which panics: idle workers must
+        // exit rather than wait for a completion that never comes.
+        let items: Vec<u64> = (0..8).collect();
+        let deps: Vec<Vec<usize>> = (0..8)
+            .map(|i| if i == 0 { vec![] } else { vec![0] })
+            .collect();
+        Farm::new(4).run_recorded_scheduled(
+            0,
+            &items,
+            &SharedStore::new(),
+            &deps,
+            None,
+            |&x, _, _| {
+                assert!(x != 0, "item 0 fails");
+            },
+        );
     }
 }

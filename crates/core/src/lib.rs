@@ -56,7 +56,7 @@ pub use farm::{Farm, RunCtx};
 pub use runner::{t_quantile_975, Assessment, MeanInterval, ReplicatedAvailability, WindTunnel};
 pub use sla::{Sla, SlaSet};
 pub use surrogate::Surrogate;
-pub use sweep::{GuidedCounters, SweepOutcome, SweepReport, SweepRunner, SweepSpec};
+pub use sweep::{SweepOutcome, SweepReport, SweepRunner, SweepSpec};
 
 // Re-export the subsystem crates under stable names so downstream users
 // depend on `windtunnel` alone.

@@ -22,8 +22,10 @@
 //!   [`Table`] the experiment binaries print.
 //!
 //! The WTQL executor (`wt-wtql`) runs its `EXPLORE` grids through
-//! [`SweepRunner::run_points`] — the query language and the `e*`
-//! binaries share this one execution path.
+//! [`SweepRunner::run_points`], handing the farm its dominance edges as
+//! dependencies and, in guided mode, a surrogate rank — the query
+//! language and the `e*` binaries share this one execution path and the
+//! farm's one scheduler.
 //!
 //! ```
 //! use std::collections::BTreeMap;
@@ -46,14 +48,12 @@
 //! ```
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Condvar, Mutex};
 use std::time::Instant;
 
-use crate::farm::{substream_seed, Farm, RunCtx};
+use crate::farm::{substream_seed, Farm, Rank, RunCtx};
 use crate::report::Table;
 use wt_des::{QuantileSketch, Tally};
-use wt_store::{ParamValue, RecordSink, RunRecord, SharedStore, StoreShard};
+use wt_store::{ParamValue, RecordSink, RunRecord, SharedStore};
 
 /// One grid point's configuration: `(axis name, value)` pairs.
 pub type Assignment = Vec<(String, ParamValue)>;
@@ -491,89 +491,6 @@ impl SweepOutcome {
     }
 }
 
-/// Live counters for a guided sweep's planner decisions (DESIGN.md §12).
-///
-/// The evaluation closure increments them as the planner resolves points
-/// without full simulation; the guided runner reads them into the stderr
-/// heartbeat, and callers read the totals for their summary lines. Purely
-/// observational — nothing in the execution path branches on them.
-#[derive(Debug, Default)]
-pub struct GuidedCounters {
-    screened: AtomicU64,
-    aborted: AtomicU64,
-    early_stopped: AtomicU64,
-}
-
-impl GuidedCounters {
-    /// Fresh counters, all zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records a point resolved by an analytic screen (no DES run).
-    pub fn note_screened(&self) {
-        self.screened.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a run aborted early at the sketch probe horizon.
-    pub fn note_aborted(&self) {
-        self.aborted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a point whose replications stopped early on a confident
-    /// interval.
-    pub fn note_early_stopped(&self) {
-        self.early_stopped.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Points resolved by analytic screening.
-    pub fn screened(&self) -> u64 {
-        self.screened.load(Ordering::Relaxed)
-    }
-
-    /// Runs aborted at the sketch probe horizon.
-    pub fn aborted(&self) -> u64 {
-        self.aborted.load(Ordering::Relaxed)
-    }
-
-    /// Points whose replications early-stopped.
-    pub fn early_stopped(&self) -> u64 {
-        self.early_stopped.load(Ordering::Relaxed)
-    }
-}
-
-/// Mutable scheduler state for the guided runner, held under one mutex.
-struct GuidedSched {
-    /// Eligible, unclaimed point indices.
-    ready: Vec<usize>,
-    /// Unfinished-dependency count per point.
-    remaining: Vec<usize>,
-    /// Points claimed by a worker so far (issued ⇒ eventually completes).
-    issued: usize,
-}
-
-/// Picks the position in `ready` of the point maximizing `rank`, breaking
-/// ties toward the lowest index (`f64::total_cmp`, so a NaN-scoring rank
-/// is still deterministic). `None` on an empty ready set.
-fn pick_ready(ready: &[usize], rank: &(dyn Fn(usize) -> f64 + Sync)) -> Option<usize> {
-    let mut best: Option<(usize, f64)> = None;
-    for (pos, &i) in ready.iter().enumerate() {
-        let score = rank(i);
-        let better = match best {
-            None => true,
-            Some((bpos, bscore)) => match score.total_cmp(&bscore) {
-                std::cmp::Ordering::Greater => true,
-                std::cmp::Ordering::Equal => i < ready[bpos],
-                std::cmp::Ordering::Less => false,
-            },
-        };
-        if better {
-            best = Some((pos, score));
-        }
-    }
-    best.map(|(pos, _)| pos)
-}
-
 /// Executes sweep grids on a [`Farm`].
 ///
 /// Every (point × replication) pair is one farm item; the farm's
@@ -696,176 +613,32 @@ impl SweepRunner {
     /// (no replication fan-out, no aggregation), returning whatever the
     /// closure returns, in grid order. WTQL's executor runs its planned
     /// configuration order through this.
-    pub fn run_points<R, F>(&self, grid: &SweepGrid, store: &SharedStore, eval: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(&SweepPoint, RunCtx, &dyn RecordSink) -> R + Sync,
-    {
-        self.farm
-            .run_recorded(grid.root_seed, &grid.points, store, |point, ctx, shard| {
-                eval(point, ctx, shard)
-            })
-    }
-
-    /// The guided recorded path: [`SweepRunner::run_points`] with a
-    /// runtime-chosen execution order (DESIGN.md §12).
     ///
-    /// `deps[i]` lists point indices that must complete before point `i`
-    /// may start — each must be **strictly smaller** than `i` (asserted),
-    /// which makes the dependency graph acyclic and the scheduler
-    /// stall-free. Among eligible points, the one maximizing `rank(index)`
-    /// runs next (ties break toward the lowest index); `rank` is consulted
-    /// at every claim, so a surrogate that re-ranks as results land steers
-    /// the frontier immediately.
-    ///
-    /// Ordering is a *performance* lever, never a correctness one: every
-    /// point's seed derives from its grid index exactly as in
-    /// [`SweepRunner::run_points`], each point records into a private
-    /// [`StoreShard`], and shards merge into `store` in grid-index order
-    /// after all points finish — so for a fixed evaluation closure the
-    /// returned vector and the store bytes are identical to the exhaustive
-    /// path at any worker count and under any rank function. (A closure
-    /// that consults earlier verdicts — dominance pruning — is exactly
-    /// what `deps` sequences.)
-    ///
-    /// `counters` feed the stderr heartbeat (when the farm has one) with
-    /// screened/aborted/early-stopped totals; pass a fresh
-    /// [`GuidedCounters`] if the closure never increments any.
-    pub fn run_points_guided<R, F>(
+    /// `deps` and `rank` pass straight to
+    /// [`Farm::run_recorded_scheduled`]: a point starts only after its
+    /// dependencies finished, and among ready points the highest-ranked
+    /// (or, without a rank, the lowest index) runs next. Results and
+    /// store bytes do not depend on either.
+    pub fn run_points<R, F>(
         &self,
         grid: &SweepGrid,
         store: &SharedStore,
         deps: &[Vec<usize>],
-        rank: &(dyn Fn(usize) -> f64 + Sync),
-        counters: &GuidedCounters,
+        rank: Option<Rank<'_>>,
         eval: F,
     ) -> Vec<R>
     where
         R: Send,
         F: Fn(&SweepPoint, RunCtx, &dyn RecordSink) -> R + Sync,
     {
-        let n = grid.points.len();
-        assert_eq!(deps.len(), n, "one dependency list per grid point");
-        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut remaining: Vec<usize> = vec![0; n];
-        for (i, ds) in deps.iter().enumerate() {
-            remaining[i] = ds.len();
-            for &d in ds {
-                assert!(d < i, "guided dep {d} of point {i} is not strictly earlier");
-                dependents[d].push(i);
-            }
-        }
-        let ready: Vec<usize> = (0..n).filter(|&i| remaining[i] == 0).collect();
-        let root = grid.root_seed;
-        let ctx = |index: usize| RunCtx {
-            index,
-            seed: substream_seed(root, index as u64),
-        };
-        let mut beat = self
-            .farm
-            .heartbeat_enabled()
-            .then(|| wt_obs::Heartbeat::start(n));
-        let pulse = |shard: &StoreShard, beat: &mut Option<wt_obs::Heartbeat>| {
-            if let Some(b) = beat.as_mut() {
-                shard.peek(|rec| {
-                    if let Some(t) = &rec.telemetry {
-                        b.observe_run(t.events, t.wall.wall_us);
-                    }
-                });
-                b.observe_guided(
-                    counters.screened(),
-                    counters.aborted(),
-                    counters.early_stopped(),
-                );
-                if let Some(line) = b.tick() {
-                    eprintln!("{line}");
-                }
-            }
-        };
-
-        let mut slots: Vec<Option<(R, StoreShard)>> = (0..n).map(|_| None).collect();
-        if self.farm.workers() == 1 || n <= 1 {
-            let mut ready = ready;
-            let mut remaining = remaining;
-            for _ in 0..n {
-                let pos = pick_ready(&ready, rank).expect("guided scheduler stalled");
-                let i = ready.swap_remove(pos);
-                let shard = StoreShard::new();
-                let r = eval(&grid.points[i], ctx(i), &shard);
-                pulse(&shard, &mut beat);
-                slots[i] = Some((r, shard));
-                for &j in &dependents[i] {
-                    remaining[j] -= 1;
-                    if remaining[j] == 0 {
-                        ready.push(j);
-                    }
-                }
-            }
-        } else {
-            let state = Mutex::new(GuidedSched {
-                ready,
-                remaining,
-                issued: 0,
-            });
-            let cv = Condvar::new();
-            let (tx, rx) = mpsc::channel::<(usize, R, StoreShard)>();
-            std::thread::scope(|scope| {
-                for _ in 0..self.farm.workers().min(n) {
-                    let tx = tx.clone();
-                    let (state, cv) = (&state, &cv);
-                    let (eval, dependents) = (&eval, &dependents);
-                    scope.spawn(move || loop {
-                        let i = {
-                            let mut s = state.lock().unwrap();
-                            loop {
-                                if s.issued == n {
-                                    return;
-                                }
-                                if let Some(pos) = pick_ready(&s.ready, rank) {
-                                    s.issued += 1;
-                                    break s.ready.swap_remove(pos);
-                                }
-                                // Ready set is empty but points remain:
-                                // some issued point is still running (deps
-                                // chain down to an initially-ready point)
-                                // and will notify on completion.
-                                s = cv.wait(s).unwrap();
-                            }
-                        };
-                        let shard = StoreShard::new();
-                        let r = eval(&grid.points[i], ctx(i), &shard);
-                        {
-                            let mut s = state.lock().unwrap();
-                            for &j in &dependents[i] {
-                                s.remaining[j] -= 1;
-                                if s.remaining[j] == 0 {
-                                    s.ready.push(j);
-                                }
-                            }
-                        }
-                        cv.notify_all();
-                        if tx.send((i, r, shard)).is_err() {
-                            return; // receiver gone: caller is unwinding
-                        }
-                    });
-                }
-                drop(tx); // the receive loop ends when the last worker exits
-                for (i, r, shard) in rx {
-                    pulse(&shard, &mut beat);
-                    slots[i] = Some((r, shard));
-                }
-            });
-        }
-
-        // Merge in grid-index order: record ids and snapshot order match
-        // the exhaustive path bitwise, whatever order execution took.
-        let mut results = Vec::with_capacity(n);
-        for slot in slots {
-            let (r, shard) = slot.expect("guided scheduler lost a point");
-            store.merge_shard(shard);
-            results.push(r);
-        }
-        results
+        self.farm.run_recorded_scheduled(
+            grid.root_seed,
+            &grid.points,
+            store,
+            deps,
+            rank,
+            |point, ctx, shard| eval(point, ctx, shard),
+        )
     }
 
     /// The unrecorded path: one closure call per grid point with no
@@ -1184,35 +957,53 @@ mod tests {
     #[test]
     fn guided_matches_exhaustive_for_any_workers_and_rank() {
         let grid = guided_demo_grid(20);
-        let deps = vec![Vec::new(); grid.len()];
+        // The oracle: a plain index-order loop, merging as it goes.
         let gold_store = SharedStore::new();
-        let gold = SweepRunner::serial().run_points(&grid, &gold_store, guided_eval);
-        // Rank functions that reverse, scramble, and degenerate (NaN):
-        // none may perturb results or record bytes, at any worker count.
+        let gold: Vec<u64> = grid
+            .points
+            .iter()
+            .map(|point| {
+                let shard = wt_store::StoreShard::new();
+                let ctx = RunCtx {
+                    index: point.index,
+                    seed: substream_seed(grid.root_seed, point.index as u64),
+                };
+                let v = guided_eval(point, ctx, &shard);
+                gold_store.merge_shard(shard);
+                v
+            })
+            .collect();
+        // Ranks that reverse, scramble and degenerate (NaN), with and
+        // without dependencies: none may perturb results or record
+        // bytes, at any worker count.
         let ranks: Vec<Box<dyn Fn(usize) -> f64 + Sync>> = vec![
             Box::new(|i| i as f64),
             Box::new(|i| -(i as f64)),
             Box::new(|i| ((i * 7919) % 13) as f64),
             Box::new(|_| f64::NAN),
         ];
+        let chain: Vec<Vec<usize>> = (0..grid.len())
+            .map(|i| (0..i).step_by(3).collect())
+            .collect();
         for workers in [1, 4] {
-            for rank in &ranks {
-                let store = SharedStore::new();
-                let counters = GuidedCounters::new();
-                let out = SweepRunner::new(Farm::new(workers)).run_points_guided(
-                    &grid,
-                    &store,
-                    &deps,
-                    rank.as_ref(),
-                    &counters,
-                    guided_eval,
-                );
-                assert_eq!(out, gold, "results diverged at {workers} workers");
-                assert_eq!(
-                    store.snapshot(),
-                    gold_store.snapshot(),
-                    "records diverged at {workers} workers"
-                );
+            for deps in [&[][..], &chain[..]] {
+                let ranked = ranks.iter().map(|r| Some(r.as_ref() as Rank<'_>));
+                for rank in std::iter::once(None).chain(ranked) {
+                    let store = SharedStore::new();
+                    let out = SweepRunner::new(Farm::new(workers)).run_points(
+                        &grid,
+                        &store,
+                        deps,
+                        rank,
+                        guided_eval,
+                    );
+                    assert_eq!(out, gold, "results diverged at {workers} workers");
+                    assert_eq!(
+                        store.snapshot(),
+                        gold_store.snapshot(),
+                        "records diverged at {workers} workers"
+                    );
+                }
             }
         }
     }
@@ -1220,35 +1011,28 @@ mod tests {
     #[test]
     fn guided_rank_steers_serial_execution_order() {
         let grid = guided_demo_grid(6);
-        let deps = vec![Vec::new(); grid.len()];
-        let order = Mutex::new(Vec::new());
-        let store = SharedStore::new();
-        SweepRunner::serial().run_points_guided(
-            &grid,
-            &store,
-            &deps,
-            &|i| i as f64,
-            &GuidedCounters::new(),
-            |point, _ctx, _sink| order.lock().unwrap().push(point.index),
-        );
+        let order_under = |rank: Option<Rank<'_>>| {
+            let order = std::sync::Mutex::new(Vec::new());
+            SweepRunner::serial().run_points(
+                &grid,
+                &SharedStore::new(),
+                &[],
+                rank,
+                |point, _ctx, _sink| order.lock().unwrap().push(point.index),
+            );
+            order.into_inner().unwrap()
+        };
         // Highest rank first: descending index order.
-        assert_eq!(*order.lock().unwrap(), vec![5, 4, 3, 2, 1, 0]);
-        // A constant rank breaks ties toward the lowest index.
-        let order = Mutex::new(Vec::new());
-        SweepRunner::serial().run_points_guided(
-            &grid,
-            &store,
-            &deps,
-            &|_| 0.0,
-            &GuidedCounters::new(),
-            |point, _ctx, _sink| order.lock().unwrap().push(point.index),
-        );
-        assert_eq!(*order.lock().unwrap(), vec![0, 1, 2, 3, 4, 5]);
+        assert_eq!(order_under(Some(&|i| i as f64)), vec![5, 4, 3, 2, 1, 0]);
+        // A constant rank breaks ties toward the lowest index, which is
+        // also the order without a rank.
+        assert_eq!(order_under(Some(&|_| 0.0)), vec![0, 1, 2, 3, 4, 5]);
+        assert_eq!(order_under(None), vec![0, 1, 2, 3, 4, 5]);
     }
 
     #[test]
     fn guided_deps_gate_execution() {
-        use std::sync::atomic::AtomicBool;
+        use std::sync::atomic::{AtomicBool, Ordering};
         let grid = guided_demo_grid(12);
         // Even points are free; each odd point depends on every earlier
         // even point. Rank pushes dependents first, so the scheduler must
@@ -1267,13 +1051,11 @@ mod tests {
             for f in &finished {
                 f.store(false, Ordering::SeqCst);
             }
-            let store = SharedStore::new();
-            SweepRunner::new(Farm::new(workers)).run_points_guided(
+            SweepRunner::new(Farm::new(workers)).run_points(
                 &grid,
-                &store,
+                &SharedStore::new(),
                 &deps,
-                &|i| if i % 2 == 1 { 1.0 } else { 0.0 },
-                &GuidedCounters::new(),
+                Some(&|i| if i % 2 == 1 { 1.0 } else { 0.0 }),
                 |point, _ctx, _sink| {
                     for &d in &deps[point.index] {
                         assert!(
@@ -1293,39 +1075,6 @@ mod tests {
     fn guided_rejects_forward_deps() {
         let grid = guided_demo_grid(2);
         let deps = vec![vec![1], Vec::new()];
-        let store = SharedStore::new();
-        SweepRunner::serial().run_points_guided(
-            &grid,
-            &store,
-            &deps,
-            &|_| 0.0,
-            &GuidedCounters::new(),
-            |_p, _c, _s| (),
-        );
-    }
-
-    #[test]
-    fn guided_counters_accumulate_and_empty_grid_is_fine() {
-        let counters = GuidedCounters::new();
-        counters.note_screened();
-        counters.note_screened();
-        counters.note_aborted();
-        counters.note_early_stopped();
-        assert_eq!(counters.screened(), 2);
-        assert_eq!(counters.aborted(), 1);
-        assert_eq!(counters.early_stopped(), 1);
-
-        let grid = guided_demo_grid(0);
-        let store = SharedStore::new();
-        let out: Vec<()> = SweepRunner::new(Farm::new(4)).run_points_guided(
-            &grid,
-            &store,
-            &[],
-            &|_| 0.0,
-            &counters,
-            |_p, _c, _s| (),
-        );
-        assert!(out.is_empty());
-        assert_eq!(store.len(), 0);
+        SweepRunner::serial().run_points(&grid, &SharedStore::new(), &deps, None, |_p, _c, _s| ());
     }
 }

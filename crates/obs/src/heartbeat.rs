@@ -32,10 +32,6 @@ pub struct Heartbeat {
     /// partitioned (see [`Heartbeat::observe_partitions`]). Empty — and
     /// the line unchanged — for unpartitioned sweeps.
     partition_events: Vec<u64>,
-    /// Guided-planner totals `(screened, aborted, early-stopped)`, when a
-    /// guided sweep feeds them (see [`Heartbeat::observe_guided`]).
-    /// `None` — and the line unchanged — for exhaustive sweeps.
-    guided: Option<(u64, u64, u64)>,
 }
 
 impl Heartbeat {
@@ -55,7 +51,6 @@ impl Heartbeat {
             events: 0,
             wall_us: QuantileSketch::new(),
             partition_events: Vec::new(),
-            guided: None,
         }
     }
 
@@ -83,16 +78,6 @@ impl Heartbeat {
         for (acc, ev) in self.partition_events.iter_mut().zip(part_events) {
             *acc += ev;
         }
-    }
-
-    /// Feeds the guided planner's running totals — points screened out
-    /// analytically, runs aborted at the probe horizon, points whose
-    /// replications early-stopped. Once fed, progress lines gain a
-    /// `guided scr/abr/stop` segment (totals, not deltas: callers pass
-    /// their counters' current values and the latest call wins).
-    /// Stderr-only like everything else here; result bytes untouched.
-    pub fn observe_guided(&mut self, screened: u64, aborted: u64, early_stopped: u64) {
-        self.guided = Some((screened, aborted, early_stopped));
     }
 
     /// The emission interval in seconds.
@@ -170,9 +155,6 @@ impl Heartbeat {
                 self.partition_events.len(),
                 per_part.join(" ")
             ));
-        }
-        if let Some((scr, abr, stop)) = self.guided {
-            line.push_str(&format!(" · guided {scr}scr/{abr}abr/{stop}stop"));
         }
         line
     }
@@ -290,19 +272,6 @@ mod tests {
         hb.tick_at(2.0);
         let line = hb.tick_at(3.0).expect("final line");
         assert!(line.contains("parts=2 [2.5k 3.5k]"), "{line}");
-    }
-
-    #[test]
-    fn guided_totals_append_a_segment() {
-        let mut hb = Heartbeat::with_interval(3, 0.0);
-        // Exhaustive sweeps never show the segment.
-        let line = hb.tick_at(1.0).expect("interval 0 always emits");
-        assert!(!line.contains("guided"), "{line}");
-        // Totals replace, not accumulate: callers pass counter snapshots.
-        hb.observe_guided(2, 0, 1);
-        hb.observe_guided(5, 1, 2);
-        let line = hb.tick_at(2.0).expect("line due");
-        assert!(line.contains("guided 5scr/1abr/2stop"), "{line}");
     }
 
     #[test]

@@ -1,27 +1,29 @@
 //! The query executor: parallel run dispatch, dominance pruning, early
-//! abort (§4.2), and the guided execution mode (DESIGN.md §12).
+//! abort (§4.2), and the guided execution mode (DESIGN.md §13).
 //!
-//! Since the declarative-sweep refactor, dispatch is not bespoke: the
-//! planned configuration order becomes an explicit
-//! [`windtunnel::sweep::SweepGrid`] and runs through
-//! [`windtunnel::sweep::SweepRunner`] — the same engine the experiment
-//! binaries use. This module adds only what queries need on top:
-//! dominance pruning, probe-and-abort, replication averaging, and the
-//! constraint/objective verdicts.
+//! Dispatch is not bespoke: the planned configuration order becomes an
+//! explicit [`windtunnel::sweep::SweepGrid`] and runs through
+//! [`windtunnel::sweep::SweepRunner::run_points`] on the farm's one
+//! ready-set scheduler — the same engine the experiment binaries use.
+//! Dominance pruning hands the scheduler dependency edges: a
+//! configuration starts only after every earlier-planned configuration
+//! that could prune it has a verdict, so its prune check is a plain read.
+//! This module adds only what queries need on top: the dominance edges,
+//! probe-and-abort, replication averaging, and the constraint/objective
+//! verdicts.
 //!
-//! The `GUIDED` clause (or `OPTIONS guided = TRUE`) switches dispatch to
-//! [`windtunnel::sweep::SweepRunner::run_points_guided`] and arms three
-//! cooperating stages, each individually toggleable and each off by
-//! default:
+//! The `GUIDED` clause (or `OPTIONS guided = TRUE`) arms three
+//! cooperating stages on that same path, each individually toggleable
+//! and each off by default:
 //!
 //! 1. **Analytic screening** — conservative closed-form bounds
 //!    (`wt-analytic` via `wt-cluster`'s extraction) resolve a point's
 //!    verdict without simulating it; such rows are marked `screened` and
 //!    record a synthetic `verdict_source = "screened"` provenance record.
 //! 2. **Surrogate ranking** — a ridge-regression surrogate over the
-//!    numeric axes re-ranks the unexecuted frontier toward
-//!    likely-infeasible points so dominance pruning fires sooner.
-//!    Ranking only reorders work; it never touches a verdict.
+//!    numeric axes becomes the scheduler's rank, steering the unexecuted
+//!    frontier toward likely-infeasible points so dominance pruning fires
+//!    sooner. Ranking only reorders work; it never touches a verdict.
 //! 3. **Early stopping** — a short sketch probe aborts hopeless perf
 //!    runs at the probe horizon, and per-constraint confidence intervals
 //!    stop replication loops once the verdict is already confident
@@ -31,15 +33,16 @@ use crate::ast::{Comparison, Constraint, Query};
 use crate::bind::{apply_assignment, is_known_axis, resolve_injection};
 use crate::error::WtqlError;
 use crate::plan::{Assignment, Plan};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use windtunnel::analytic::screen::{Rel, ScreenVerdict};
 use windtunnel::cluster::screen::{availability_screen, perf_screen};
 use windtunnel::cluster::Scenario;
 use windtunnel::des::time::SimDuration;
 use windtunnel::des::Tally;
-use windtunnel::farm::Farm;
-use windtunnel::sweep::{GuidedCounters, SweepGrid, SweepRunner};
+use windtunnel::farm::{Farm, Rank};
+use windtunnel::sweep::{SweepGrid, SweepPoint, SweepRunner};
 use windtunnel::{MeanInterval, Surrogate, WindTunnel};
 use wt_store::{ParamValue, RecordSink};
 
@@ -61,9 +64,10 @@ pub struct ExecOptions {
     /// averaged over seeds (variance reduction for the bursty availability
     /// metrics). 1 = single run.
     pub replications: usize,
-    /// Guided execution: dispatch through the guided sweep runner. Set
-    /// by the `GUIDED` clause, which also arms the four stage toggles
-    /// below; each can then be disabled individually via OPTIONS.
+    /// Guided execution: the master switch for screening and surrogate
+    /// ranking. Set by the `GUIDED` clause, which also arms the four
+    /// stage toggles below; each can then be disabled individually via
+    /// OPTIONS.
     pub guided: bool,
     /// Analytic screening (guided stage 1): resolve points whose verdict
     /// a conservative closed-form bound already decides, without DES.
@@ -412,105 +416,207 @@ fn needed_engines(query: &Query) -> (bool, bool) {
 
 /// Executes a query against a base scenario through a wind tunnel.
 ///
-/// Every fully-simulated run also lands in the tunnel's result store.
-/// With `opts.guided` set (the `GUIDED` clause), dispatch goes through
-/// the guided runner instead — same verdicts, fewer simulated events.
+/// Every simulated run lands in the tunnel's result store. Guided stages
+/// (`opts.guided` with `screen`/`rank`) change how much simulation runs,
+/// never the verdicts: screens are conservative (they only decide what
+/// the DES would also decide), ranking only reorders execution, and a
+/// screened pass is accepted only when the objective needs no simulated
+/// metric.
 pub fn run_query(
     query: &Query,
     base: &Scenario,
     tunnel: &WindTunnel,
     opts: &ExecOptions,
 ) -> Result<QueryOutcome, WtqlError> {
-    if opts.guided {
-        return run_query_guided(query, base, tunnel, opts);
-    }
     validate_metrics(query)?;
     let plan = Plan::build(query)?;
     let n = plan.len();
 
-    let (needs_avail, needs_perf) = needed_engines(query);
+    // Pruning is deterministic: configuration `i` depends on every
+    // earlier-planned configuration whose failure would prune it. The
+    // farm starts `i` only after all of them finished, then `i` prunes
+    // iff one of them failed — so verdicts depend only on plan order,
+    // never on worker count, scheduling or rank. Dependencies are
+    // strictly earlier by plan construction (the plan sorts best-first
+    // on the monotone axes, and domination points "down" that order),
+    // which is what the scheduler requires. A pruned configuration
+    // deliberately does not count as failed: whatever failure dominated
+    // it also dominates (by transitivity) everything it dominates.
+    let deps: Vec<Vec<usize>> = if opts.prune {
+        (0..n)
+            .map(|i| {
+                (0..i)
+                    .filter(|&j| plan.dominated_by_failure(&plan.configs[i], &plan.configs[j]))
+                    .collect()
+            })
+            .collect()
+    } else {
+        Vec::new()
+    };
+    // Written before a configuration's item completes and read only by
+    // its dependents, which the scheduler's lock orders after it.
+    let failed: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
+    let ranker = (opts.guided && opts.rank)
+        .then(|| Ranker::new(&plan))
+        .flatten();
+    let rank = |i: usize| ranker.as_ref().map_or(0.0, |r| r.rank(i));
 
-    // EXPLORE grids execute through the same declarative sweep engine
-    // as the experiment binaries: the planned configuration order
-    // becomes an explicit `SweepGrid` (execution order is the
-    // optimizer's, not the canonical enumeration), and `SweepRunner`
-    // handles dispatch, in-order collection, and sharded recording —
-    // each configuration's runs land in a private `StoreShard` that is
-    // merged into the tunnel's store in plan order, so record ids are
+    // The planned configuration order becomes an explicit `SweepGrid`
+    // (execution order is the optimizer's, not the canonical
+    // enumeration). Each configuration records into a private shard that
+    // merges into the tunnel's store in plan order, so record ids are
     // deterministic for any thread count.
-    //
-    // Pruning is *deterministic*: every configuration gets a verdict
-    // (passed / failed / pruned) in a shared table, and a configuration
-    // blocks until all dominating configurations *earlier in plan order*
-    // have verdicts, then prunes iff one of them failed. Verdicts
-    // therefore depend only on the plan order, never on worker count or
-    // scheduling. The wait cannot deadlock: dependencies have strictly
-    // smaller plan indices, and the farm claims index ranges as an
-    // ascending prefix and walks each range in ascending order, so the
-    // minimal undecided index is always being executed and its
-    // dependencies are all decided. A pruned configuration deliberately
-    // gets a non-failed verdict: whatever failure dominated it also
-    // dominates (by transitivity) everything it dominates.
-    let verdicts: Mutex<Vec<Option<Verdict>>> = Mutex::new(vec![None; n]);
-    let decided = Condvar::new();
     let grid = SweepGrid::explicit("wtql-explore", base.seed, plan.configs.clone());
-    debug_assert_eq!(grid.len(), n);
     let runner = SweepRunner::new(Farm::new(opts.threads));
-    let rows: Vec<RunRow> = runner.run_points(&grid, tunnel.store(), |point, _ctx, sink| {
-        let assignment = &point.assignment;
-
-        // Dominance check against every earlier-planned configuration.
-        if opts.prune {
-            let deps: Vec<usize> = (0..point.index)
-                .filter(|&j| plan.dominated_by_failure(assignment, &plan.configs[j]))
-                .collect();
-            let mut table = verdicts.lock();
-            let dominated = loop {
-                if deps.iter().any(|&j| table[j] == Some(Verdict::Failed)) {
-                    break true;
-                }
-                if deps.iter().all(|&j| table[j].is_some()) {
-                    break false;
-                }
-                decided.wait(&mut table);
-            };
+    let rows: Vec<RunRow> = runner.run_points(
+        &grid,
+        tunnel.store(),
+        &deps,
+        ranker.is_some().then_some(&rank as Rank<'_>),
+        |point, _ctx, sink| {
+            let dominated = deps
+                .get(point.index)
+                .is_some_and(|ds| ds.iter().any(|&j| failed[j].load(Ordering::Relaxed)));
             if dominated {
-                table[point.index] = Some(Verdict::Pruned);
-                decided.notify_all();
-                drop(table);
-                return pruned_row(assignment);
+                return unsimulated_row(&point.assignment, true);
             }
-        }
-
-        let row = evaluate(
-            query,
-            base,
-            tunnel,
-            assignment,
-            needs_avail,
-            needs_perf,
-            opts,
-            sink,
-        );
-        let row = row.unwrap_or_else(|_| failed_row(assignment));
-        if opts.prune {
-            let verdict = if !row.passes && !query.constraints.is_empty() {
-                Verdict::Failed
-            } else {
-                Verdict::Passed
-            };
-            let mut table = verdicts.lock();
-            table[point.index] = Some(verdict);
-            decided.notify_all();
-        }
-        row
-    });
+            let row = evaluate_point(query, base, tunnel, opts, point, sink);
+            if !row.passes && !query.constraints.is_empty() {
+                failed[point.index].store(true, Ordering::Relaxed);
+            }
+            if let Some(r) = &ranker {
+                r.observe(query, point.index, &row);
+            }
+            row
+        },
+    );
     Ok(summarize(query, rows))
 }
 
+/// One unpruned configuration: build its scenario once, let an armed
+/// analytic screen settle the verdict when it can, and simulate it
+/// otherwise. A configuration whose scenario cannot be built gets an
+/// [`unsimulated_row`].
+fn evaluate_point(
+    query: &Query,
+    base: &Scenario,
+    tunnel: &WindTunnel,
+    opts: &ExecOptions,
+    point: &SweepPoint,
+    sink: &dyn RecordSink,
+) -> RunRow {
+    let assignment = &point.assignment;
+    let Ok(scenario) = build_scenario(query, base, assignment) else {
+        return unsimulated_row(assignment, false);
+    };
+    let screened = if opts.guided && opts.screen && !query.constraints.is_empty() {
+        screen_point(query, &scenario, opts)
+    } else {
+        None
+    };
+    match screened {
+        // A screen may settle "pass" only when the objective needs no
+        // simulated metric — otherwise the row could never win and the
+        // best row would diverge from the exhaustive run's.
+        Some(passes) if !passes || objective_is_exact(query) => {
+            let metrics = cost_metrics(tunnel, &scenario);
+            let mut rec = point
+                .record("screened", scenario.seed)
+                .param("verdict_source", "screened");
+            for (k, v) in &metrics {
+                rec = rec.metric(k.clone(), *v);
+            }
+            sink.record(rec);
+            RunRow {
+                assignment: assignment.clone(),
+                metrics,
+                passes,
+                pruned: false,
+                aborted: false,
+                screened: true,
+                early_stopped: false,
+                sim_events_executed: 0,
+            }
+        }
+        _ => evaluate(query, tunnel, &scenario, assignment, opts, sink),
+    }
+}
+
+/// Guided surrogate ranking: a ridge regression over the axes that are
+/// numeric across the whole grid, refit on every decided row's
+/// constraint risk. Categorical axes are invisible to the model —
+/// acceptable, since a bad fit only costs ordering, never verdicts.
+struct Ranker {
+    /// Each configuration's numeric axis values: the model's inputs.
+    features: Vec<Vec<f64>>,
+    state: Mutex<RankState>,
+}
+
+#[derive(Default)]
+struct RankState {
+    /// `(configuration, risk)` per decided row, in completion order.
+    samples: Vec<(usize, f64)>,
+    model: Option<Surrogate>,
+}
+
+impl Ranker {
+    /// `None` when no axis is numeric: there is nothing to rank on.
+    fn new(plan: &Plan) -> Option<Ranker> {
+        let axes = plan.configs.first().map_or(0, |c| c.len());
+        let numeric: Vec<usize> = (0..axes)
+            .filter(|&k| {
+                plan.configs
+                    .iter()
+                    .all(|c| matches!(c[k].1, ParamValue::Num(_)))
+            })
+            .collect();
+        let features = plan
+            .configs
+            .iter()
+            .map(|c| numeric.iter().filter_map(|&k| c[k].1.as_num()).collect())
+            .collect();
+        (!numeric.is_empty()).then(|| Ranker {
+            features,
+            state: Mutex::default(),
+        })
+    }
+
+    /// Predicted constraint risk; the highest runs first. Until a model
+    /// exists, `-index` preserves plan order.
+    fn rank(&self, i: usize) -> f64 {
+        match &self.state.lock().model {
+            Some(model) => model.predict(&self.features[i]),
+            None => -(i as f64),
+        }
+    }
+
+    /// Feeds one decided row back into the surrogate: the response is
+    /// the worst signed constraint violation, normalized per-constraint
+    /// so availability gaps and latency overshoots share a scale.
+    /// Screened failures and aborts count as full violations.
+    fn observe(&self, query: &Query, i: usize, row: &RunRow) {
+        if row.pruned {
+            return;
+        }
+        let y = if row.aborted || (row.screened && !row.passes) {
+            1.0
+        } else {
+            guided_risk(query, row)
+        };
+        let mut st = self.state.lock();
+        st.samples.push((i, y));
+        let xs: Vec<&[f64]> = st
+            .samples
+            .iter()
+            .map(|&(j, _)| &self.features[j][..])
+            .collect();
+        let ys: Vec<f64> = st.samples.iter().map(|&(_, y)| y).collect();
+        st.model = Surrogate::fit(&xs, &ys, 1e-3);
+    }
+}
+
 /// Folds per-configuration rows into the query outcome: counters,
-/// event totals, and the objective-best passing row. Shared verbatim by
-/// the exhaustive and guided paths so their summaries cannot diverge.
+/// event totals, and the objective-best passing row.
 fn summarize(query: &Query, rows: Vec<RunRow>) -> QueryOutcome {
     let executed = rows
         .iter()
@@ -550,246 +656,20 @@ fn summarize(query: &Query, rows: Vec<RunRow>) -> QueryOutcome {
     }
 }
 
-/// A row for a configuration skipped by dominance pruning.
-fn pruned_row(assignment: &Assignment) -> RunRow {
+/// A row without metrics or a pass: a configuration skipped by dominance
+/// pruning, or (`pruned` false) one whose scenario could not be built,
+/// which still shows in the table.
+fn unsimulated_row(assignment: &Assignment, pruned: bool) -> RunRow {
     RunRow {
         assignment: assignment.clone(),
         metrics: BTreeMap::new(),
         passes: false,
-        pruned: true,
+        pruned,
         aborted: false,
         screened: false,
         early_stopped: false,
         sim_events_executed: 0,
     }
-}
-
-/// A row for a configuration whose evaluation errored: no metrics, no
-/// pass — but not pruned, so it still shows in the table.
-fn failed_row(assignment: &Assignment) -> RunRow {
-    RunRow {
-        assignment: assignment.clone(),
-        metrics: BTreeMap::new(),
-        passes: false,
-        pruned: false,
-        aborted: false,
-        screened: false,
-        early_stopped: false,
-        sim_events_executed: 0,
-    }
-}
-
-/// A configuration's pruning verdict. `Passed` covers any fully-evaluated
-/// run that doesn't fail its constraints (including constraint-free
-/// queries); only `Failed` triggers downstream pruning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Verdict {
-    Passed,
-    Failed,
-    Pruned,
-}
-
-/// The guided executor (DESIGN.md §12): same verdicts as [`run_query`],
-/// fewer simulated events.
-///
-/// Dispatch goes through
-/// [`run_points_guided`](SweepRunner::run_points_guided) with the
-/// dominance relation as explicit dependency edges: a point starts only
-/// after every configuration that could prune it has a verdict, so the
-/// prune check is a plain table read — no waiting, no ordering races —
-/// and the runner is free to execute the rest of the frontier in any
-/// order. That freedom is what the surrogate spends: it re-ranks
-/// eligible points toward likely constraint violators so failures (and
-/// the prunes they unlock) surface early. Screening resolves points
-/// analytically before any DES runs; the per-point evaluation is the
-/// shared [`evaluate`], so sketch aborts and replication early-stop
-/// behave identically to the exhaustive path with the same options.
-///
-/// Verdict equivalence: per-point pass/fail/prune flags and the winning
-/// row match the exhaustive run on the same options, because screens are
-/// conservative (they only decide what the DES would also decide),
-/// ranking only reorders, and pass-screening is restricted to queries
-/// whose objective needs no simulated metric.
-fn run_query_guided(
-    query: &Query,
-    base: &Scenario,
-    tunnel: &WindTunnel,
-    opts: &ExecOptions,
-) -> Result<QueryOutcome, WtqlError> {
-    validate_metrics(query)?;
-    let plan = Plan::build(query)?;
-    let n = plan.len();
-    let (needs_avail, needs_perf) = needed_engines(query);
-
-    // Dominance edges: point i waits on every earlier-planned point that
-    // could prune it. Strictly-earlier by plan construction (the plan
-    // sorts best-first on the monotone axes, and domination points
-    // "down" that order), which is exactly what the runner requires.
-    let deps: Vec<Vec<usize>> = if opts.prune {
-        (0..n)
-            .map(|i| {
-                (0..i)
-                    .filter(|&j| plan.dominated_by_failure(&plan.configs[i], &plan.configs[j]))
-                    .collect()
-            })
-            .collect()
-    } else {
-        vec![Vec::new(); n]
-    };
-    let verdicts: Mutex<Vec<Option<Verdict>>> = Mutex::new(vec![None; n]);
-    let counters = GuidedCounters::new();
-
-    // Surrogate features: the axes that are numeric across the whole
-    // grid. Categorical axes are invisible to the model — acceptable,
-    // since a bad fit only costs ordering, never verdicts.
-    let axes = plan.configs.first().map_or(0, |c| c.len());
-    let feat_idx: Vec<usize> = (0..axes)
-        .filter(|&k| {
-            plan.configs
-                .iter()
-                .all(|c| matches!(c[k].1, ParamValue::Num(_)))
-        })
-        .collect();
-    let features = |i: usize| -> Vec<f64> {
-        feat_idx
-            .iter()
-            .map(|&k| plan.configs[i][k].1.as_num().expect("numeric axis"))
-            .collect()
-    };
-    struct RankState {
-        samples: Vec<(Vec<f64>, f64)>,
-        model: Option<Surrogate>,
-    }
-    let rank_state: Mutex<RankState> = Mutex::new(RankState {
-        samples: Vec::new(),
-        model: None,
-    });
-    // Rank = predicted constraint risk; highest runs first. Until a
-    // model exists (or with ranking off), `-index` preserves plan order.
-    let rank = |i: usize| -> f64 {
-        if opts.rank && !feat_idx.is_empty() {
-            if let Some(model) = &rank_state.lock().model {
-                return model.predict(&features(i));
-            }
-        }
-        -(i as f64)
-    };
-    // Feed one decided row back into the surrogate: the response is the
-    // worst signed constraint violation, normalized per-constraint so
-    // availability gaps and latency overshoots share a scale. Screened
-    // failures and aborts count as full violations.
-    let observe = |i: usize, row: &RunRow| {
-        if !opts.rank || feat_idx.is_empty() || row.pruned {
-            return;
-        }
-        let y = if row.aborted || (row.screened && !row.passes) {
-            1.0
-        } else {
-            guided_risk(query, row)
-        };
-        let mut st = rank_state.lock();
-        st.samples.push((features(i), y));
-        let xs: Vec<&[f64]> = st.samples.iter().map(|(x, _)| &x[..]).collect();
-        let ys: Vec<f64> = st.samples.iter().map(|(_, y)| *y).collect();
-        st.model = Surrogate::fit(&xs, &ys, 1e-3);
-    };
-
-    let grid = SweepGrid::explicit("wtql-explore", base.seed, plan.configs.clone());
-    debug_assert_eq!(grid.len(), n);
-    let runner = SweepRunner::new(Farm::new(opts.threads));
-    let rows: Vec<RunRow> = runner.run_points_guided(
-        &grid,
-        tunnel.store(),
-        &deps,
-        &rank,
-        &counters,
-        |point, _ctx, sink| {
-            let assignment = &point.assignment;
-
-            // Dominance check. Every dependency finished before this
-            // point was released, so its verdict is present — no wait.
-            if opts.prune {
-                let dominated = {
-                    let table = verdicts.lock();
-                    deps[point.index]
-                        .iter()
-                        .any(|&j| table[j] == Some(Verdict::Failed))
-                };
-                if dominated {
-                    verdicts.lock()[point.index] = Some(Verdict::Pruned);
-                    return pruned_row(assignment);
-                }
-            }
-
-            let row = match build_scenario(query, base, assignment) {
-                Ok(scenario) => {
-                    let screened = if opts.screen && !query.constraints.is_empty() {
-                        screen_point(query, &scenario, opts)
-                    } else {
-                        None
-                    };
-                    match screened {
-                        // A screen may settle "pass" only when the
-                        // objective needs no simulated metric — otherwise
-                        // the row could never win and the best row would
-                        // diverge from the exhaustive run's.
-                        Some(passes) if !passes || objective_is_exact(query) => {
-                            let metrics = cost_metrics(tunnel, &scenario);
-                            let mut rec = point
-                                .record("screened", scenario.seed)
-                                .param("verdict_source", "screened");
-                            for (k, v) in &metrics {
-                                rec = rec.metric(k.clone(), *v);
-                            }
-                            sink.record(rec);
-                            RunRow {
-                                assignment: assignment.clone(),
-                                metrics,
-                                passes,
-                                pruned: false,
-                                aborted: false,
-                                screened: true,
-                                early_stopped: false,
-                                sim_events_executed: 0,
-                            }
-                        }
-                        _ => evaluate(
-                            query,
-                            base,
-                            tunnel,
-                            assignment,
-                            needs_avail,
-                            needs_perf,
-                            opts,
-                            sink,
-                        )
-                        .unwrap_or_else(|_| failed_row(assignment)),
-                    }
-                }
-                Err(_) => failed_row(assignment),
-            };
-
-            let verdict = if !row.passes && !query.constraints.is_empty() {
-                Verdict::Failed
-            } else {
-                Verdict::Passed
-            };
-            verdicts.lock()[point.index] = Some(verdict);
-            if row.screened {
-                counters.note_screened();
-            }
-            if row.aborted {
-                counters.note_aborted();
-            }
-            if row.early_stopped {
-                counters.note_early_stopped();
-            }
-            observe(point.index, &row);
-            row
-        },
-    );
-
-    Ok(summarize(query, rows))
 }
 
 /// True when the query's objective can be computed without simulation
@@ -930,34 +810,33 @@ fn cost_metrics(tunnel: &WindTunnel, scenario: &Scenario) -> BTreeMap<String, f6
 
 /// Simulates one configuration and evaluates the constraints. Every
 /// fully-simulated run records into `sink` — the caller's per-config
-/// shard during parallel execution.
-#[allow(clippy::too_many_arguments)]
+/// shard during parallel execution. `sim_events_executed` counts every
+/// engine event the row cost: probes (aborting or not) and every
+/// replication of either engine.
 fn evaluate(
     query: &Query,
-    base: &Scenario,
     tunnel: &WindTunnel,
+    scenario: &Scenario,
     assignment: &Assignment,
-    needs_avail: bool,
-    needs_perf: bool,
     opts: &ExecOptions,
     sink: &dyn RecordSink,
-) -> Result<RunRow, WtqlError> {
-    let scenario = build_scenario(query, base, assignment)?;
-    let mut metrics = cost_metrics(tunnel, &scenario);
+) -> RunRow {
+    let (needs_avail, needs_perf) = needed_engines(query);
+    let mut metrics = cost_metrics(tunnel, scenario);
 
     let mut aborted = false;
     let mut events_executed: u64 = 0;
     // Probe phase (first replication only): abort hopeless runs early.
     if needs_avail && opts.early_abort {
-        let model = WindTunnel::availability_model(&scenario);
+        let model = WindTunnel::availability_model(scenario);
         let probe_horizon = SimDuration::from_years(scenario.horizon_years * opts.probe_fraction);
         let probe = model.run(scenario.seed, probe_horizon);
+        events_executed += probe.sim_events;
         let hopeless = query.constraints.iter().any(|c| {
             probe_violates_surely(c, &probe) || probe_violates_heuristically(c, &probe, opts)
         });
         if hopeless {
             record_avail_metrics(&mut metrics, &probe);
-            events_executed += probe.sim_events;
             aborted = true;
         }
     }
@@ -965,7 +844,9 @@ fn evaluate(
     // of the horizon and abort when a streaming-sketch latency quantile
     // already violates a latency ceiling by more than the margin.
     if !aborted && needs_perf && opts.sketch_abort {
-        aborted = sketch_probe_aborts(query, &scenario, opts, sink);
+        let (hopeless, probe_events) = sketch_probe(query, scenario, opts, sink);
+        events_executed += probe_events;
+        aborted = hopeless;
     }
     let mut early_stopped = false;
     if !aborted {
@@ -996,7 +877,9 @@ fn evaluate(
                 rep_metrics.insert("mean_queue_depth".into(), telemetry.mean_queue_depth);
             }
             if needs_perf && !rep_scenario.tenants.is_empty() {
-                let result = tunnel.run_perf_into(&rep_scenario, false, sink);
+                let (result, telemetry) =
+                    tunnel.run_perf_observed_into(&rep_scenario, false, sink, None);
+                events_executed += telemetry.events;
                 for t in &result.tenants {
                     rep_metrics.insert(format!("{}_p50_s", t.name), t.p50_s);
                     rep_metrics.insert(format!("{}_p95_s", t.name), t.p95_s);
@@ -1033,7 +916,7 @@ fn evaluate(
             .iter()
             .all(|c| metrics.get(&c.metric).is_some_and(|&v| c.satisfied(v)));
 
-    Ok(RunRow {
+    RunRow {
         assignment: assignment.clone(),
         metrics,
         passes,
@@ -1042,7 +925,7 @@ fn evaluate(
         screened: false,
         early_stopped,
         sim_events_executed: events_executed,
-    })
+    }
 }
 
 /// True when every constraint's verdict is already confident: either
@@ -1096,16 +979,17 @@ fn verdict_confident(
 }
 
 /// Runs the perf model over `probe_fraction` of its horizon and returns
-/// true when some streaming-sketch latency quantile already violates a
-/// `≤`/`<` constraint by more than `abort_margin`. On abort, the probe
-/// is recorded with `verdict_source = "aborted"` provenance and an
-/// `abort_sketch_p99` telemetry mark; a clean probe leaves no trace.
-fn sketch_probe_aborts(
+/// whether some streaming-sketch latency quantile already violates a
+/// `≤`/`<` constraint by more than `abort_margin`, plus the events the
+/// probe executed. On abort, the probe is recorded with
+/// `verdict_source = "aborted"` provenance and an `abort_sketch_p99`
+/// telemetry mark; a clean probe leaves no record.
+fn sketch_probe(
     query: &Query,
     scenario: &Scenario,
     opts: &ExecOptions,
     sink: &dyn RecordSink,
-) -> bool {
+) -> (bool, u64) {
     // Latency ceilings on quantiles of tenants this scenario actually
     // runs; anything else the probe cannot judge.
     let ceilings: Vec<(&Constraint, &str, f64)> = query
@@ -1116,11 +1000,12 @@ fn sketch_probe_aborts(
         .filter(|(_, tenant, _)| scenario.tenants.iter().any(|t| t.name == *tenant))
         .collect();
     if ceilings.is_empty() || scenario.tenants.is_empty() {
-        return false;
+        return (false, 0);
     }
     let mut model = WindTunnel::perf_model(scenario, false);
     model.horizon_s *= opts.probe_fraction;
     let (probe, mut telemetry) = model.run_observed(scenario.seed, None);
+    let probe_events = telemetry.events;
     let hopeless = ceilings.iter().any(|(c, tenant, q)| {
         probe
             .tenant(tenant)
@@ -1148,7 +1033,7 @@ fn sketch_probe_aborts(
         }
         sink.record(rec.telemetry(telemetry));
     }
-    hopeless
+    (hopeless, probe_events)
 }
 
 /// Parses `<tenant>_pXX_s` into the tenant name and quantile.
@@ -1914,5 +1799,104 @@ mod tests {
                 .metrics["shop_p95_s"]
         };
         assert!(p95_of("ssd") < p95_of("hdd"));
+    }
+
+    /// Engine events over every record the store holds.
+    fn stored_events(tunnel: &WindTunnel) -> u64 {
+        tunnel.store().with(|s| {
+            s.records()
+                .filter_map(|r| r.telemetry.as_ref())
+                .map(|t| t.events)
+                .sum()
+        })
+    }
+
+    #[test]
+    fn perf_only_total_counts_every_stored_engine_event() {
+        let q =
+            parse("EXPLORE shop_p95_s SWEEP disk IN [\"ssd\", \"hdd\"] OPTIONS replications = 2")
+                .unwrap();
+        let tunnel = WindTunnel::new();
+        let mut sc = ScenarioBuilder::new("perf-base")
+            .racks(1)
+            .nodes_per_rack(10)
+            .disks_per_node(4)
+            .tenant(windtunnel::workload::TenantWorkload::oltp(
+                "shop", 100.0, 1_000,
+            ))
+            .build();
+        sc.horizon_years = 0.00001;
+        let out = run_query(&q, &sc, &tunnel, &ExecOptions::from_query(&q)).unwrap();
+        assert_eq!(tunnel.store().len(), 4);
+        let stored = stored_events(&tunnel);
+        assert!(stored > 0);
+        assert_eq!(out.total_sim_events, stored);
+    }
+
+    #[test]
+    fn early_abort_probe_counts_even_when_it_does_not_abort() {
+        // A floor nothing can miss: the probe runs, finds nothing
+        // hopeless, and the full run follows. The row costs both.
+        let q = parse(
+            "EXPLORE availability SWEEP replication IN [3] \
+             SUBJECT TO availability >= 0.0 \
+             OPTIONS early_abort = TRUE, probe_fraction = 0.05",
+        )
+        .unwrap();
+        let mut sc = base();
+        sc.topology.node.ttf = windtunnel::dist::Dist::exponential_mean(30.0 * 86_400.0);
+        let opts = ExecOptions::from_query(&q);
+        let tunnel = WindTunnel::new();
+        let out = run_query(&q, &sc, &tunnel, &opts).unwrap();
+        assert_eq!(out.aborted, 0, "{out:?}");
+        let scenario = build_scenario(&q, &sc, &out.rows[0].assignment).unwrap();
+        let probe = WindTunnel::availability_model(&scenario).run(
+            scenario.seed,
+            SimDuration::from_years(scenario.horizon_years * opts.probe_fraction),
+        );
+        assert!(probe.sim_events > 0);
+        assert_eq!(
+            out.rows[0].sim_events_executed,
+            stored_events(&tunnel) + probe.sim_events
+        );
+    }
+
+    #[test]
+    fn guided_with_every_stage_off_matches_default_execution() {
+        // GUIDED with every stage disabled is plain pruned execution: the
+        // same rows and the same store bytes, at any worker count.
+        let text = "EXPLORE availability \
+                    SWEEP replication IN [1, 2, 3], repair_parallel IN [1, 2] \
+                    SUBJECT TO availability >= 1.0 AND unavailability_events <= 0";
+        let guided = format!(
+            "{text} GUIDED OPTIONS screen = FALSE, rank = FALSE, \
+             early_stop = FALSE, sketch_abort = FALSE"
+        );
+        let mut sc = base();
+        sc.topology.node.ttf = windtunnel::dist::Dist::exponential_mean(10.0 * 86_400.0);
+        sc.repair.detection_delay_s = 24.0 * 3600.0;
+        let run = |text: &str, threads: usize| {
+            let q = parse(text).unwrap();
+            let mut opts = ExecOptions::from_query(&q);
+            opts.threads = threads;
+            let tunnel = WindTunnel::new();
+            let out = run_query(&q, &sc, &tunnel, &opts).unwrap();
+            let mut records = tunnel.store().snapshot();
+            for r in &mut records {
+                if let Some(t) = r.telemetry.as_mut() {
+                    t.mask_wall();
+                }
+            }
+            (opts, out.rows, records)
+        };
+        for threads in [1, 4] {
+            let (default_opts, rows, records) = run(text, threads);
+            let (guided_opts, guided_rows, guided_records) = run(&guided, threads);
+            assert!(default_opts.prune && !default_opts.guided);
+            assert!(guided_opts.prune && guided_opts.guided);
+            assert!(rows.iter().any(|r| r.pruned), "fixture should prune");
+            assert_eq!(rows, guided_rows, "threads = {threads}");
+            assert_eq!(records, guided_records, "threads = {threads}");
+        }
     }
 }
