@@ -380,6 +380,29 @@ fn run_child_arm(spec: &str) -> ScaleStats {
 
 // --- harness -------------------------------------------------------------
 
+/// The measured source: `git rev-parse HEAD`, suffixed `-dirty` when
+/// tracked files differ from it (as `git describe --dirty` marks it), or
+/// `unknown` outside a git checkout.
+fn source_commit() -> String {
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .current_dir(env!("CARGO_MANIFEST_DIR"))
+            .output()
+            .ok()
+    };
+    let Some(head) = git(&["rev-parse", "HEAD"]).filter(|o| o.status.success()) else {
+        return "unknown".to_string();
+    };
+    let head = String::from_utf8_lossy(&head.stdout).trim().to_string();
+    let clean = git(&["diff", "--quiet", "HEAD"]).is_some_and(|o| o.status.success());
+    if clean {
+        head
+    } else {
+        format!("{head}-dirty")
+    }
+}
+
 fn best(v: &[f64]) -> f64 {
     v.iter().cloned().fold(f64::INFINITY, f64::min)
 }
@@ -439,8 +462,16 @@ fn main() {
     ];
     let mmc_times = time_arms(&mmc_arms);
 
+    let host_cpus = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"bench\": \"kernel_engine\",");
+    let _ = writeln!(
+        json,
+        "  \"host\": {{\"cpus\": {host_cpus}, \"commit\": \"{}\"}},",
+        source_commit()
+    );
     let _ = writeln!(
         json,
         "  \"metric\": \"full Simulation runs (engine loop + handlers + RNG) per queue backend; identical event streams asserted before timing\","
@@ -522,9 +553,6 @@ fn main() {
     // parallelism is *inside* one run. Fingerprints across arms pin the
     // tentpole claim (partitioning bitwise-invisible to results) before
     // any timing is reported.
-    let host_cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
     println!();
     println!(
         "partitioned single-run arms: 1M failure domains \

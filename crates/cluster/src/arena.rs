@@ -12,6 +12,11 @@
 //! exact **insertion order**, and draining re-yields that order — the
 //! same order the old `Vec` push/take produced. Event scheduling order,
 //! and therefore every downstream RNG draw, hangs off this.
+//!
+//! `NodeSet` is the companion index over node *membership* (the engine
+//! keeps reachability in it): a Fenwick tree of member counts, so the
+//! k-th member outside a few excluded node ranges — a rebuild target —
+//! is found in O(ranges · log n) instead of a scan of every node.
 
 /// Entries per chunk. 32 × `u32` = 128 B — two cache lines, so a node
 /// with a handful of objects touches one or two lines instead of a
@@ -147,6 +152,137 @@ impl NodeLists {
     }
 }
 
+/// A set of node ids with O(log n) rank and select: per-node membership
+/// plus a Fenwick (binary indexed) tree of `u32` member counts.
+///
+/// Excluded ranges passed to [`count_outside`](Self::count_outside) and
+/// [`select_outside`](Self::select_outside) are half-open `(lo, hi)` node
+/// ranges, sorted ascending and pairwise disjoint.
+#[derive(Debug)]
+pub(crate) struct NodeSet {
+    /// Per-node membership.
+    member: Vec<bool>,
+    /// 1-based Fenwick tree: `tree[i]` counts the members among nodes
+    /// `i - lowbit(i) .. i` (0-based); `tree[0]` is unused.
+    tree: Vec<u32>,
+    /// Total members.
+    len: usize,
+}
+
+/// Lowest set bit of `i` (the span a Fenwick cell covers).
+#[inline]
+fn lowbit(i: usize) -> usize {
+    i & i.wrapping_neg()
+}
+
+impl NodeSet {
+    /// The set holding all of nodes `0..n`.
+    pub fn full(n: usize) -> Self {
+        // Every node a member: each cell counts its whole span.
+        NodeSet {
+            member: vec![true; n],
+            tree: (0..=n).map(|i| lowbit(i) as u32).collect(),
+            len: n,
+        }
+    }
+
+    /// True when `node` is a member.
+    #[inline]
+    pub fn contains(&self, node: usize) -> bool {
+        self.member[node]
+    }
+
+    /// Number of members.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Adds (`member = true`) or removes `node`; a no-op when its
+    /// membership is already `member`.
+    pub fn set(&mut self, node: usize, member: bool) {
+        if self.member[node] == member {
+            return;
+        }
+        self.member[node] = member;
+        let mut i = node + 1;
+        if member {
+            self.len += 1;
+            while i < self.tree.len() {
+                self.tree[i] += 1;
+                i += lowbit(i);
+            }
+        } else {
+            self.len -= 1;
+            while i < self.tree.len() {
+                self.tree[i] -= 1;
+                i += lowbit(i);
+            }
+        }
+    }
+
+    /// Members among nodes `0..node`.
+    pub fn rank(&self, node: usize) -> usize {
+        let mut i = node;
+        let mut count = 0u32;
+        while i > 0 {
+            count += self.tree[i];
+            i &= i - 1;
+        }
+        count as usize
+    }
+
+    /// The `k`-th member (0-based) in ascending node order.
+    ///
+    /// # Panics
+    /// If `k >= self.len()`.
+    pub fn select(&self, k: usize) -> usize {
+        assert!(
+            k < self.len(),
+            "select({k}) on a set of {} members",
+            self.len()
+        );
+        // Binary descent: the largest `pos` with `rank(pos) <= k`, so
+        // node `pos` is the k-th member.
+        let mut k = k as u32;
+        let mut pos = 0;
+        let mut step = (self.tree.len() - 1).checked_ilog2().map_or(0, |b| 1 << b);
+        while step > 0 {
+            let next = pos + step;
+            if next < self.tree.len() && self.tree[next] <= k {
+                pos = next;
+                k -= self.tree[next];
+            }
+            step >>= 1;
+        }
+        pos
+    }
+
+    /// Members outside every range in `excluded`.
+    pub fn count_outside(&self, excluded: &[(usize, usize)]) -> usize {
+        excluded.iter().fold(self.len(), |count, &(lo, hi)| {
+            count - (self.rank(hi) - self.rank(lo))
+        })
+    }
+
+    /// The `k`-th member (0-based, ascending) outside every range in
+    /// `excluded`.
+    ///
+    /// # Panics
+    /// If `k >= self.count_outside(excluded)`.
+    pub fn select_outside(&self, mut k: usize, excluded: &[(usize, usize)]) -> usize {
+        // Walk the ranges in order, turning `k` into an index over all
+        // members: every excluded member before the answer shifts it by one.
+        for &(lo, hi) in excluded {
+            let before = self.rank(lo);
+            if k < before {
+                break;
+            }
+            k += self.rank(hi) - before;
+        }
+        self.select(k)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,6 +364,59 @@ mod tests {
             assert_eq!(arena.len(node), want.len());
         }
     }
+
+    /// Checks every rank, select and membership query of `set` against
+    /// naive counting over `bits`.
+    fn assert_matches_bits(set: &NodeSet, bits: &[bool]) {
+        let members: Vec<usize> = (0..bits.len()).filter(|&i| bits[i]).collect();
+        assert_eq!(set.len(), members.len());
+        for node in 0..=bits.len() {
+            let want = members.iter().filter(|&&m| m < node).count();
+            assert_eq!(set.rank(node), want, "rank({node})");
+        }
+        for (k, &m) in members.iter().enumerate() {
+            assert_eq!(set.select(k), m, "select({k})");
+        }
+        for (node, &b) in bits.iter().enumerate() {
+            assert_eq!(set.contains(node), b);
+        }
+    }
+
+    #[test]
+    fn node_set_rank_and_select_match_naive_counting_after_flips() {
+        for n in [1usize, 2, 3, 5, 7, 8, 13, 16, 33, 100] {
+            let mut set = NodeSet::full(n);
+            let mut bits = vec![true; n];
+            assert_matches_bits(&set, &bits);
+            let mut x = 0x2545_f491u32 ^ n as u32;
+            for _ in 0..(6 * n) {
+                x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                let node = (x >> 8) as usize % n;
+                let member = x >> 31 == 1;
+                set.set(node, member);
+                bits[node] = member;
+                assert_matches_bits(&set, &bits);
+            }
+        }
+    }
+
+    #[test]
+    fn empty_node_set_counts_zero() {
+        let set = NodeSet::full(0);
+        assert_eq!(set.len(), 0);
+        assert_eq!(set.rank(0), 0);
+        assert_eq!(set.count_outside(&[]), 0);
+        let mut one = NodeSet::full(1);
+        one.set(0, false);
+        assert_eq!(one.len(), 0);
+        assert_eq!(one.rank(1), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "select(0) on a set of 0 members")]
+    fn select_past_the_end_panics() {
+        NodeSet::full(0).select(0);
+    }
 }
 
 #[cfg(test)]
@@ -285,6 +474,45 @@ mod proptests {
                 let mut got = Vec::new();
                 arena.extend_into(n, &mut got);
                 prop_assert_eq!(&got, want);
+            }
+        }
+
+        /// After arbitrary flips, counting and selecting outside arbitrary
+        /// sorted disjoint ranges agrees with filtering the members.
+        #[test]
+        fn node_set_outside_agrees_with_filter(
+            n in 1usize..300,
+            flips in proptest::collection::vec((any::<u16>(), any::<bool>()), 0..200),
+            cuts in proptest::collection::vec((any::<u16>(), any::<u16>()), 0..6),
+        ) {
+            let mut set = NodeSet::full(n);
+            let mut bits = vec![true; n];
+            for (node, member) in flips {
+                let node = node as usize % n;
+                set.set(node, member);
+                bits[node] = member;
+            }
+            // Normalize the raw cuts into sorted, disjoint, non-empty ranges.
+            let mut raw: Vec<(usize, usize)> = cuts
+                .iter()
+                .map(|&(a, b)| {
+                    let (a, b) = (a as usize % (n + 1), b as usize % (n + 1));
+                    (a.min(b), a.max(b))
+                })
+                .collect();
+            raw.sort_unstable();
+            let mut excluded: Vec<(usize, usize)> = Vec::new();
+            for (lo, hi) in raw {
+                if lo < hi && excluded.last().is_none_or(|&(_, prev_hi)| lo >= prev_hi) {
+                    excluded.push((lo, hi));
+                }
+            }
+            let want: Vec<usize> = (0..n)
+                .filter(|&i| bits[i] && !excluded.iter().any(|&(lo, hi)| (lo..hi).contains(&i)))
+                .collect();
+            prop_assert_eq!(set.count_outside(&excluded), want.len());
+            for (k, &node) in want.iter().enumerate() {
+                prop_assert_eq!(set.select_outside(k, &excluded), node);
             }
         }
     }

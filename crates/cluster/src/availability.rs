@@ -14,13 +14,16 @@
 //! * Failures are permanent for data: a replaced node returns empty. The
 //!   transient-reboot case is representable with a `Timed` rebuild of the
 //!   node-replace distribution.
-//! * Rebuild targets are drawn uniformly from live nodes not already
-//!   holding the object.
-//! * Whole-node failure is the unit of data loss (per-disk failures are a
-//!   straightforward extension; node granularity is what Figure 1 and the
-//!   §1 example reason about).
+//! * Rebuild targets are drawn uniformly from the *reachable* nodes that
+//!   do not already hold the object. Under RackAware placement the draw
+//!   prefers nodes in racks that hold no replica yet, and falls back to
+//!   any candidate only when no such rack has a reachable node.
+//! * A node failure destroys every replica on the node; with a
+//!   [`DiskFailureModel`], a disk failure destroys only the replicas in
+//!   that disk's slot. Switch outages and chaos windows make replicas
+//!   unreachable but destroy nothing.
 
-use crate::arena::NodeLists;
+use crate::arena::{NodeLists, NodeSet};
 use crate::chaos::{ChaosConfig, CompiledFault, FaultEffect};
 use crate::results::AvailabilityResult;
 use std::collections::VecDeque;
@@ -382,8 +385,9 @@ struct AvailState<'a> {
     /// window`. Kept in lockstep with its inputs by the handlers (every
     /// site that flips a `node_up`/`rack_up`/chaos counter refreshes the
     /// affected span), so the hot paths read one bool per node instead
-    /// of re-deriving the predicate.
-    reachable: Vec<bool>,
+    /// of re-deriving the predicate — and rebuild-target draws select
+    /// from its rank index instead of scanning every node.
+    reachable: NodeSet,
     node_objects: NodeLists,
     // --- per-object state, struct-of-arrays -----------------------------
     /// Fixed-stride holder arena: object `o`'s live holders are
@@ -421,8 +425,8 @@ struct AvailState<'a> {
     scratch_touched: Vec<u32>,
     /// Node spans assembled for chaos rack windows.
     scratch_nodes: Vec<usize>,
-    /// Rebuild-target candidates.
-    scratch_candidates: Vec<u16>,
+    /// Node ranges a rebuild-target draw excludes (sorted, disjoint).
+    scratch_excluded: Vec<(usize, usize)>,
     // counters
     node_failures: u64,
     switch_failures: u64,
@@ -493,7 +497,7 @@ impl<'a> AvailState<'a> {
             switch_npr,
             node_up: vec![true; cfg.n_nodes],
             rack_up: vec![true; racks],
-            reachable: vec![true; cfg.n_nodes],
+            reachable: NodeSet::full(cfg.n_nodes),
             node_objects,
             holders_pool,
             holder_len,
@@ -513,7 +517,7 @@ impl<'a> AvailState<'a> {
             scratch_hosted: Vec::new(),
             scratch_touched: Vec::new(),
             scratch_nodes: Vec::new(),
-            scratch_candidates: Vec::new(),
+            scratch_excluded: Vec::new(),
             node_failures: 0,
             switch_failures: 0,
             disk_failures: 0,
@@ -576,7 +580,8 @@ impl<'a> AvailState<'a> {
 
     #[inline]
     fn refresh_reachable(&mut self, node: usize) {
-        self.reachable[node] = self.compute_reachable(node);
+        let reachable = self.compute_reachable(node);
+        self.reachable.set(node, reachable);
     }
 
     /// Re-evaluates operability/durability of `object` after a change.
@@ -593,7 +598,7 @@ impl<'a> AvailState<'a> {
         let width = self.width;
         let mut up = 0usize;
         for &h in self.holders(object) {
-            if self.reachable[h as usize] {
+            if self.reachable.contains(h as usize) {
                 up += 1;
             }
         }
@@ -688,55 +693,42 @@ impl<'a> AvailState<'a> {
         }
     }
 
-    /// Picks a live node not already holding `object`. Under rack-aware
-    /// placement, rebuilds also prefer racks that hold no replica yet —
-    /// otherwise every repair would quietly erode the rack diversity the
-    /// policy bought (a hardware/software interaction the wind tunnel
-    /// surfaces; see experiment E11).
+    /// Picks a reachable node not already holding `object`. Under
+    /// rack-aware placement, rebuilds also prefer racks that hold no
+    /// replica yet — otherwise every repair would quietly erode the rack
+    /// diversity the policy bought (a hardware/software interaction the
+    /// wind tunnel surfaces; see experiment E11).
     fn pick_target(&mut self, object: u32) -> Option<u16> {
-        // Borrow-juggle: the candidate buffer is a reusable field, so take
-        // it out while we scan (the scan borrows `self` immutably).
-        let mut candidates = std::mem::take(&mut self.scratch_candidates);
-        candidates.clear();
-        {
-            let base = object as usize * self.width;
-            let holders =
-                &self.holders_pool[base..base + self.holder_len[object as usize] as usize];
-            for n in 0..self.cfg.n_nodes as u16 {
-                if self.reachable[n as usize] && !holders.contains(&n) {
-                    candidates.push(n);
-                }
-            }
-        }
-        if candidates.is_empty() {
-            self.scratch_candidates = candidates;
-            return None;
-        }
         if let Placement::RackAware { nodes_per_rack } = self.cfg.placement {
-            let base = object as usize * self.width;
-            let holders =
-                &self.holders_pool[base..base + self.holder_len[object as usize] as usize];
-            let diverse = |n: u16| {
-                !holders
-                    .iter()
-                    .any(|&h| h as usize / nodes_per_rack == n as usize / nodes_per_rack)
-            };
-            let count = candidates.iter().filter(|&&n| diverse(n)).count();
-            if count > 0 {
-                let k = self.rng.index(count);
-                let pick = candidates
-                    .iter()
-                    .copied()
-                    .filter(|&n| diverse(n))
-                    .nth(k)
-                    .expect("k < diverse count");
-                self.scratch_candidates = candidates;
-                return Some(pick);
+            if let Some(node) = self.draw_outside_holders(object, nodes_per_rack) {
+                return Some(node);
             }
         }
-        let pick = candidates[self.rng.index(candidates.len())];
-        self.scratch_candidates = candidates;
-        Some(pick)
+        self.draw_outside_holders(object, 1)
+    }
+
+    /// Draws uniformly (one `rng.index` call) from the reachable nodes
+    /// outside every holder's aligned block of `block` nodes — the holders
+    /// themselves for `block = 1`, their whole racks for the rack size.
+    /// Holders count whether reachable or not. With no such node it draws
+    /// nothing and returns `None`. O(width · log n): the excluded blocks
+    /// are at most `width` sorted ranges skipped in the rank index.
+    fn draw_outside_holders(&mut self, object: u32, block: usize) -> Option<u16> {
+        let mut excluded = std::mem::take(&mut self.scratch_excluded);
+        excluded.clear();
+        excluded.extend(self.holders(object).iter().map(|&h| {
+            let lo = h as usize / block * block;
+            (lo, lo + block)
+        }));
+        excluded.sort_unstable();
+        excluded.dedup();
+        let count = self.reachable.count_outside(&excluded);
+        let pick = (count > 0).then(|| {
+            let k = self.rng.index(count);
+            self.reachable.select_outside(k, &excluded) as u16
+        });
+        self.scratch_excluded = excluded;
+        pick
     }
 
     fn finish(mut self, end: SimTime, sim_events: u64) -> AvailabilityResult {
@@ -1736,6 +1728,113 @@ mod tests {
         let c = cal.run(9, SimDuration::from_years(1.0));
         assert_eq!(a, c, "chaos results must not depend on the queue backend");
     }
+
+    /// The linear scan `pick_target` used before the rank index, kept as
+    /// its oracle: every reachable non-holder in ascending order (the
+    /// reachability predicate recomputed from first principles), then,
+    /// under RackAware, the subset in racks holding no replica.
+    pub(super) fn pick_target_scan(st: &mut AvailState<'_>, object: u32) -> Option<u16> {
+        let holders = st.holders(object).to_vec();
+        let candidates: Vec<u16> = (0..st.cfg.n_nodes)
+            .filter(|&n| st.compute_reachable(n) && !holders.contains(&(n as u16)))
+            .map(|n| n as u16)
+            .collect();
+        if candidates.is_empty() {
+            return None;
+        }
+        if let Placement::RackAware { nodes_per_rack } = st.cfg.placement {
+            let diverse: Vec<u16> = candidates
+                .iter()
+                .copied()
+                .filter(|&n| {
+                    !holders
+                        .iter()
+                        .any(|&h| h as usize / nodes_per_rack == n as usize / nodes_per_rack)
+                })
+                .collect();
+            if !diverse.is_empty() {
+                return Some(diverse[st.rng.index(diverse.len())]);
+            }
+        }
+        Some(candidates[st.rng.index(candidates.len())])
+    }
+
+    /// `racks × nodes_per_rack` nodes with a switch model (so whole racks
+    /// can go unreachable), one object of `width` replicas.
+    pub(super) fn pick_model(
+        racks: usize,
+        nodes_per_rack: usize,
+        width: usize,
+        rack_aware: bool,
+    ) -> AvailabilityModel {
+        let mut m = base_model();
+        m.n_nodes = racks * nodes_per_rack;
+        m.redundancy = RedundancyScheme::replication(width);
+        m.objects = 1;
+        m.placement = if rack_aware {
+            Placement::RackAware { nodes_per_rack }
+        } else {
+            Placement::Random
+        };
+        m.switches = Some(SwitchFailureModel {
+            nodes_per_rack,
+            ttf: Dist::exponential_mean(YEAR),
+            repair: Dist::deterministic(DAY),
+        });
+        m
+    }
+
+    /// Overwrites object 0's holder set.
+    pub(super) fn set_holders(st: &mut AvailState<'_>, holders: &[u16]) {
+        st.holders_pool[..holders.len()].copy_from_slice(holders);
+        st.holder_len[0] = holders.len() as u8;
+    }
+
+    /// Runs `pick_target` and the scan oracle on object 0 from the same
+    /// RNG state; returns each pick with the RNG's next draw after it.
+    pub(super) fn pick_both(st: &mut AvailState<'_>) -> [(Option<u16>, u64); 2] {
+        let start = st.rng.clone();
+        let fast = st.pick_target(0);
+        let fast_next = st.rng.next();
+        st.rng = start;
+        let slow = pick_target_scan(st, 0);
+        let slow_next = st.rng.next();
+        [(fast, fast_next), (slow, slow_next)]
+    }
+
+    #[test]
+    fn rack_aware_pick_falls_back_when_every_rack_holds_a_replica() {
+        // Rack 2 is dark, so the only replica-free rack has no candidate.
+        let m = pick_model(3, 3, 2, true);
+        let mut st = AvailState::new(&m, 2, Vec::new());
+        set_holders(&mut st, &[0, 4]);
+        st.rack_up[2] = false;
+        for n in 6..9 {
+            st.refresh_reachable(n);
+        }
+        let [fast, slow] = pick_both(&mut st);
+        assert_eq!(fast, slow);
+        assert!(matches!(fast.0, Some(1 | 2 | 3 | 5)), "pick {:?}", fast.0);
+    }
+
+    #[test]
+    fn pick_without_candidates_returns_none_and_draws_nothing() {
+        // Every reachable node already holds the object; the unreachable
+        // holder 2 is no candidate either.
+        for rack_aware in [false, true] {
+            let m = pick_model(2, 2, 3, rack_aware);
+            let mut st = AvailState::new(&m, 3, Vec::new());
+            set_holders(&mut st, &[0, 1, 2]);
+            for n in [2, 3] {
+                st.node_up[n] = false;
+                st.refresh_reachable(n);
+            }
+            let untouched = st.rng.clone().next();
+            let [fast, slow] = pick_both(&mut st);
+            assert_eq!(fast, (None, untouched));
+            assert_eq!(slow, (None, untouched));
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1872,6 +1971,82 @@ mod proptests {
                 let mut got = Vec::new();
                 st.node_objects.extend_into(n, &mut got);
                 prop_assert_eq!(&got, want);
+            }
+        }
+    }
+
+    /// One step of the pick-target equivalence check.
+    #[derive(Debug, Clone)]
+    enum PickOp {
+        /// Toggle a node's liveness (index taken modulo the node count).
+        FlipNode(u16),
+        /// Toggle a rack's switch (index taken modulo the rack count).
+        FlipRack(u16),
+        /// Set object 0's holders (deduplicated, truncated to the width;
+        /// unreachable nodes included) and pick a rebuild target.
+        Pick(Vec<u16>),
+    }
+
+    fn arb_pick_op() -> impl Strategy<Value = PickOp> {
+        prop_oneof![
+            any::<u16>().prop_map(PickOp::FlipNode),
+            any::<u16>().prop_map(PickOp::FlipNode),
+            any::<u16>().prop_map(PickOp::FlipRack),
+            proptest::collection::vec(any::<u16>(), 0..6).prop_map(PickOp::Pick),
+            proptest::collection::vec(any::<u16>(), 0..6).prop_map(PickOp::Pick),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The rank-index `pick_target` draws exactly what the old linear
+        /// scan drew — same node, same RNG state afterwards — over random
+        /// geometries (1 to 48 nodes, several rack sizes), reachability
+        /// flipped through `refresh_reachable`, holder sets with
+        /// unreachable holders, both placements, the RackAware fallback
+        /// and the no-candidate case.
+        #[test]
+        fn pick_target_matches_linear_scan(
+            racks in 1usize..9,
+            nodes_per_rack in 1usize..7,
+            width in 1usize..5,
+            rack_aware in any::<bool>(),
+            seed in any::<u64>(),
+            ops in proptest::collection::vec(arb_pick_op(), 1..60),
+        ) {
+            let n = racks * nodes_per_rack;
+            let width = width.min(n);
+            let m = super::tests::pick_model(racks, nodes_per_rack, width, rack_aware);
+            let mut st = AvailState::new(&m, seed, Vec::new());
+            for op in ops {
+                match op {
+                    PickOp::FlipNode(i) => {
+                        let node = i as usize % n;
+                        st.node_up[node] = !st.node_up[node];
+                        st.refresh_reachable(node);
+                    }
+                    PickOp::FlipRack(i) => {
+                        let rack = i as usize % racks;
+                        st.rack_up[rack] = !st.rack_up[rack];
+                        for node in rack * nodes_per_rack..(rack + 1) * nodes_per_rack {
+                            st.refresh_reachable(node);
+                        }
+                    }
+                    PickOp::Pick(raw) => {
+                        let mut holders: Vec<u16> = Vec::new();
+                        for h in raw.iter().map(|&h| (h as usize % n) as u16) {
+                            if !holders.contains(&h) && holders.len() < width {
+                                holders.push(h);
+                            }
+                        }
+                        super::tests::set_holders(&mut st, &holders);
+                        let [fast, slow] = super::tests::pick_both(&mut st);
+                        prop_assert_eq!(fast, slow, "holders {:?}", holders);
+                    }
+                }
+                let reachable = (0..n).filter(|&node| st.compute_reachable(node)).count();
+                prop_assert_eq!(st.reachable.len(), reachable);
             }
         }
     }
