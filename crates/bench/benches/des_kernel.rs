@@ -1,6 +1,6 @@
 //! DES kernel micro-benchmarks: event queue throughput (the DESIGN.md §8
-//! heap-vs-baseline ablation), engine-in-the-loop workloads on both queue
-//! backends, resource-pool cycling, and RNG streams.
+//! heap-vs-baseline ablation), engine-in-the-loop workloads, resource-pool
+//! cycling, and RNG streams.
 //!
 //! The engine group here is the Criterion-tracked twin of the
 //! `kernel_engine` bench (which emits `BENCH_kernel.json`): same two
@@ -12,7 +12,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 use wt_des::prelude::*;
 use wt_des::rng::{RngFactory, Stream};
-use wt_des::{CalendarQueue, EventQueue, ServerPool, SimTime};
+use wt_des::{EventQueue, ServerPool, SimTime};
 use wt_dist::Dist;
 
 fn bench_event_queue(c: &mut Criterion) {
@@ -23,22 +23,6 @@ fn bench_event_queue(c: &mut Criterion) {
             let times: Vec<f64> = (0..n).map(|_| rng.uniform() * 1e6).collect();
             b.iter_batched(
                 EventQueue::new,
-                |mut q| {
-                    for (i, &t) in times.iter().enumerate() {
-                        q.push(SimTime::from_secs(t), i);
-                    }
-                    while let Some(ev) = q.pop() {
-                        black_box(ev);
-                    }
-                },
-                BatchSize::SmallInput,
-            );
-        });
-        g.bench_function(format!("calendar_queue_{n}"), |b| {
-            let mut rng = Stream::from_seed(1);
-            let times: Vec<f64> = (0..n).map(|_| rng.uniform() * 1e6).collect();
-            b.iter_batched(
-                CalendarQueue::new,
                 |mut q| {
                     for (i, &t) in times.iter().enumerate() {
                         q.push(SimTime::from_secs(t), i);
@@ -68,7 +52,7 @@ fn bench_event_queue(c: &mut Criterion) {
     g.finish();
 }
 
-// --- engine-in-the-loop: Simulation driving each queue backend ----------
+// --- engine-in-the-loop: Simulation driving the event queue -------------
 
 enum ChurnEv {
     Fail(u32),
@@ -106,7 +90,7 @@ impl Model for Churn {
 }
 
 /// Churn with `components` always-pending timers for `events` events.
-fn run_churn<Q: PendingEvents<ChurnEv> + Default>(components: usize, events: u64) -> u64 {
+fn run_churn(components: usize, events: u64) -> u64 {
     let factory = RngFactory::new(1);
     let model = Churn {
         rng: factory.stream("churn"),
@@ -114,7 +98,7 @@ fn run_churn<Q: PendingEvents<ChurnEv> + Default>(components: usize, events: u64
         mean_down: Dist::exponential_mean(0.05),
         failures: 0,
     };
-    let mut sim = Simulation::with_queue(model, 1, Q::default());
+    let mut sim = Simulation::new(model, 1);
     sim.reserve_events(components);
     let mut seed_rng = factory.stream("phases");
     for c in 0..components {
@@ -168,7 +152,7 @@ impl Model for Mmc {
 }
 
 /// M/M/4 at rho = 0.9 for `events` events; tiny pending set.
-fn run_mmc<Q: PendingEvents<MmcEv> + Default>(events: u64) -> u64 {
+fn run_mmc(events: u64) -> u64 {
     let factory = RngFactory::new(1);
     let model = Mmc {
         interarrival: Dist::exponential_mean(1.0),
@@ -176,28 +160,22 @@ fn run_mmc<Q: PendingEvents<MmcEv> + Default>(events: u64) -> u64 {
         pool: ServerPool::new(4, SimTime::ZERO),
         rng: factory.stream("mmc"),
     };
-    let mut sim = Simulation::with_queue(model, 1, Q::default());
+    let mut sim = Simulation::new(model, 1);
     sim.schedule_at(SimTime::ZERO, MmcEv::Arrival);
     sim.set_event_budget(events);
     sim.run();
     sim.model().pool.completions()
 }
 
-fn bench_engine_backends(c: &mut Criterion) {
+fn bench_engine(c: &mut Criterion) {
     const COMPONENTS: usize = 2_048;
     const EVENTS: u64 = 200_000;
     let mut g = c.benchmark_group("engine");
     g.bench_function("churn_heap", |b| {
-        b.iter(|| black_box(run_churn::<EventQueue<ChurnEv>>(COMPONENTS, EVENTS)));
-    });
-    g.bench_function("churn_calendar", |b| {
-        b.iter(|| black_box(run_churn::<CalendarQueue<ChurnEv>>(COMPONENTS, EVENTS)));
+        b.iter(|| black_box(run_churn(COMPONENTS, EVENTS)));
     });
     g.bench_function("mmc_heap", |b| {
-        b.iter(|| black_box(run_mmc::<EventQueue<MmcEv>>(EVENTS)));
-    });
-    g.bench_function("mmc_calendar", |b| {
-        b.iter(|| black_box(run_mmc::<CalendarQueue<MmcEv>>(EVENTS)));
+        b.iter(|| black_box(run_mmc(EVENTS)));
     });
     g.finish();
 }
@@ -242,6 +220,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_event_queue, bench_engine_backends, bench_server_pool, bench_rng
+    targets = bench_event_queue, bench_engine, bench_server_pool, bench_rng
 }
 criterion_main!(benches);

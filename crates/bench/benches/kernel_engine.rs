@@ -9,18 +9,12 @@
 //!   is the availability engine's steady-state shape at cluster scale.
 //! * `mmc` — an M/M/c station: a handful of pending events (one arrival,
 //!   c departures), handler and RNG cost dominate. This is the perf
-//!   engine's shape, and the regime where a fancy event list cannot win —
-//!   it is here to prove the backend abstraction costs nothing.
+//!   engine's shape.
 //!
 //! Arms are interleaved sample by sample with the order rotated so slow
 //! drift penalizes each alike; best-of strips scheduler noise and the
 //! median is reported alongside. Writes `BENCH_kernel.json` at the
 //! workspace root (override with `BENCH_KERNEL_OUT=...`).
-//!
-//! Both backends execute the identical event stream — the engine's
-//! `(time, seq)` contract pins event order, so RNG draws and model end
-//! state are bitwise-equal across arms; the bench asserts this before
-//! timing anything.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -28,7 +22,7 @@ use wt_cluster::availability::{AvailabilityModel, DiskFailureModel, RebuildModel
 use wt_cluster::PartitionedAvailability;
 use wt_des::prelude::*;
 use wt_des::rng::RngFactory;
-use wt_des::{CalendarQueue, EventQueue, ServerPool};
+use wt_des::ServerPool;
 use wt_dist::Dist;
 use wt_sw::{Placement, RedundancyScheme, RepairPolicy};
 
@@ -78,10 +72,9 @@ impl Model for Churn {
     }
 }
 
-/// Runs the churn workload for `CHURN_EVENTS` events on queue backend
-/// `Q`; returns a state fingerprint (events, final clock, failure count)
-/// for the cross-arm identity assertion.
-fn run_churn<Q: PendingEvents<ChurnEv> + Default>(seed: u64) -> (u64, SimTime, u64) {
+/// Runs the churn workload for `CHURN_EVENTS` events; returns a state
+/// fingerprint (events, final clock, failure count).
+fn run_churn(seed: u64) -> (u64, SimTime, u64) {
     let factory = RngFactory::new(seed);
     let model = Churn {
         rng: factory.stream("churn"),
@@ -89,7 +82,7 @@ fn run_churn<Q: PendingEvents<ChurnEv> + Default>(seed: u64) -> (u64, SimTime, u
         mean_down: Dist::exponential_mean(0.05),
         failures: 0,
     };
-    let mut sim = Simulation::with_queue(model, seed, Q::default());
+    let mut sim = Simulation::new(model, seed);
     sim.reserve_events(COMPONENTS);
     let mut seed_rng = factory.stream("phases");
     for c in 0..COMPONENTS {
@@ -144,7 +137,7 @@ impl Model for Mmc {
     }
 }
 
-fn run_mmc<Q: PendingEvents<MmcEv> + Default>(seed: u64) -> (u64, SimTime, u64) {
+fn run_mmc(seed: u64) -> (u64, SimTime, u64) {
     let factory = RngFactory::new(seed);
     let model = Mmc {
         interarrival: Dist::exponential_mean(1.0),
@@ -152,7 +145,7 @@ fn run_mmc<Q: PendingEvents<MmcEv> + Default>(seed: u64) -> (u64, SimTime, u64) 
         pool: ServerPool::new(4, SimTime::ZERO),
         rng: factory.stream("mmc"),
     };
-    let mut sim = Simulation::with_queue(model, seed, Q::default());
+    let mut sim = Simulation::new(model, seed);
     sim.schedule_at(SimTime::ZERO, MmcEv::Arrival);
     sim.set_event_budget(MMC_EVENTS);
     sim.run();
@@ -183,7 +176,7 @@ const SCALE_SAMPLES: usize = 3;
 const SCALE_HORIZON_YEARS: f64 = 0.1;
 const SCALE_SEED: u64 = 1;
 
-fn scale_model(nodes: usize, queue: QueueBackend) -> AvailabilityModel {
+fn scale_model(nodes: usize) -> AvailabilityModel {
     const DAY: f64 = 86_400.0;
     const YEAR: f64 = 365.0 * DAY;
     AvailabilityModel {
@@ -208,7 +201,6 @@ fn scale_model(nodes: usize, queue: QueueBackend) -> AvailabilityModel {
             ttf: Dist::exponential_mean(2.0 * YEAR),
             replace: Dist::lognormal_mean_cv(4.0 * 3600.0, 1.0),
         }),
-        queue,
         chaos: None,
     }
 }
@@ -246,7 +238,6 @@ fn part_model() -> PartitionedAvailability {
             detection_delay_s: 300.0,
         },
         wire_latency_s: 1e-4,
-        queue: QueueBackend::Heap,
         chaos: None,
     }
 }
@@ -270,8 +261,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// One end-to-end scale run; returns (events executed, result hash).
-fn run_scale(nodes: usize, queue: QueueBackend) -> (u64, u64) {
-    let m = scale_model(nodes, queue);
+fn run_scale(nodes: usize) -> (u64, u64) {
+    let m = scale_model(nodes);
     let r = m.run(SCALE_SEED, SimDuration::from_years(SCALE_HORIZON_YEARS));
     let json = serde_json::to_string(&r).expect("result serializes");
     (r.sim_events, fnv1a(json.as_bytes()))
@@ -305,10 +296,7 @@ fn scale_child(spec: &str) -> ! {
             threads.parse().expect("child threads"),
         )
     } else {
-        let (nodes, queue) = spec.split_once(',').expect("child spec: <nodes>,<queue>");
-        let nodes: usize = nodes.parse().expect("child nodes");
-        let queue = QueueBackend::parse(queue).expect("child queue");
-        run_scale(nodes, queue)
+        run_scale(spec.parse().expect("child spec: <nodes>"))
     };
     let elapsed = t0.elapsed().as_secs_f64();
     println!(
@@ -325,8 +313,8 @@ struct ScaleStats {
     fp: String,
 }
 
-fn run_scale_arm(nodes: usize, queue: QueueBackend) -> ScaleStats {
-    run_child_arm(&format!("{nodes},{}", queue.as_str()))
+fn run_scale_arm(nodes: usize) -> ScaleStats {
+    run_child_arm(&nodes.to_string())
 }
 
 fn run_part_arm(partitions: usize, threads: usize) -> ScaleStats {
@@ -434,33 +422,16 @@ fn main() {
     if let Ok(spec) = std::env::var(SCALE_CHILD_ENV) {
         scale_child(&spec);
     }
-    // Warm-up + determinism gate: both backends must execute the full
-    // budget AND land on the same fingerprint — same events, same final
-    // clock, same model state — before anything is timed. This is the
-    // (time, seq) contract observed end to end.
-    let churn_heap = run_churn::<EventQueue<ChurnEv>>(1);
-    let churn_cal = run_churn::<CalendarQueue<ChurnEv>>(1);
-    assert_eq!(churn_heap.0, CHURN_EVENTS, "churn drained early");
-    assert_eq!(churn_heap, churn_cal, "backends diverged on churn");
-    let mmc_heap = run_mmc::<EventQueue<MmcEv>>(1);
-    let mmc_cal = run_mmc::<CalendarQueue<MmcEv>>(1);
-    assert_eq!(mmc_heap.0, MMC_EVENTS, "mmc drained early");
-    assert_eq!(mmc_heap, mmc_cal, "backends diverged on mmc");
+    // Warm-up, and a gate that each workload executes its full budget.
+    assert_eq!(run_churn(1).0, CHURN_EVENTS, "churn drained early");
+    assert_eq!(run_mmc(1).0, MMC_EVENTS, "mmc drained early");
 
     println!(
         "kernel_engine: {COMPONENTS} components, {CHURN_EVENTS} churn + {MMC_EVENTS} mmc events/sample, {SAMPLES} samples"
     );
 
-    let churn_arms: Vec<Arm<'_>> = vec![
-        ("churn/heap", &|| run_churn::<EventQueue<ChurnEv>>(1)),
-        ("churn/calendar", &|| run_churn::<CalendarQueue<ChurnEv>>(1)),
-    ];
-    let churn_times = time_arms(&churn_arms);
-    let mmc_arms: Vec<Arm<'_>> = vec![
-        ("mmc/heap", &|| run_mmc::<EventQueue<MmcEv>>(1)),
-        ("mmc/calendar", &|| run_mmc::<CalendarQueue<MmcEv>>(1)),
-    ];
-    let mmc_times = time_arms(&mmc_arms);
+    let arms: Vec<Arm<'_>> = vec![("churn", &|| run_churn(1)), ("mmc", &|| run_mmc(1))];
+    let times = time_arms(&arms);
 
     let host_cpus = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -474,20 +445,17 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "  \"metric\": \"full Simulation runs (engine loop + handlers + RNG) per queue backend; identical event streams asserted before timing\","
+        "  \"metric\": \"full Simulation runs (engine loop + handlers + RNG) on the binary-heap event list\","
     );
-    for (arms, times, events) in [
-        (&churn_arms, &churn_times, CHURN_EVENTS),
-        (&mmc_arms, &mmc_times, MMC_EVENTS),
-    ] {
-        for (k, (name, _)) in arms.iter().enumerate() {
-            let b = events as f64 / best(&times[k]);
-            let m = events as f64 / median(&times[k]);
-            println!("{name}: best {b:.0} ev/s, median {m:.0} ev/s");
-            let slug = name.replace('/', "_");
-            let _ = writeln!(json, "  \"{slug}_events_per_s_best\": {b:.0},");
-            let _ = writeln!(json, "  \"{slug}_events_per_s_median\": {m:.0},");
-        }
+    for ((name, _), (t, events)) in arms
+        .iter()
+        .zip(times.iter().zip([CHURN_EVENTS, MMC_EVENTS]))
+    {
+        let b = events as f64 / best(t);
+        let m = events as f64 / median(t);
+        println!("{name}: best {b:.0} ev/s, median {m:.0} ev/s");
+        let _ = writeln!(json, "  \"{name}_events_per_s_best\": {b:.0},");
+        let _ = writeln!(json, "  \"{name}_events_per_s_median\": {m:.0},");
     }
     // Availability engine at scale, one re-exec'd child per sample.
     println!();
@@ -497,56 +465,19 @@ fn main() {
         SCALE_SAMPLES
     );
     for (label, nodes) in [("100k", SCALE_100K_NODES), ("1m", SCALE_1M_NODES)] {
-        let heap = run_scale_arm(nodes, QueueBackend::Heap);
-        let cal = run_scale_arm(nodes, QueueBackend::Calendar);
-        assert_eq!(
-            heap.fp, cal.fp,
-            "avail/{label}: backends diverged (events {} vs {})",
-            heap.events, cal.events
+        let s = run_scale_arm(nodes);
+        let b = s.events as f64 / best(&s.elapsed);
+        let m = s.events as f64 / median(&s.elapsed);
+        let rss_mb = s.peak_rss_kb as f64 / 1024.0;
+        println!(
+            "avail_{label}: {} events, best {b:.0} ev/s, median {m:.0} ev/s, \
+             peak RSS {rss_mb:.0} MiB",
+            s.events
         );
-        for (qname, s) in [("heap", &heap), ("calendar", &cal)] {
-            let b = s.events as f64 / best(&s.elapsed);
-            let m = s.events as f64 / median(&s.elapsed);
-            let rss_mb = s.peak_rss_kb as f64 / 1024.0;
-            println!(
-                "avail_{label}/{qname}: {} events, best {b:.0} ev/s, median {m:.0} ev/s, \
-                 peak RSS {rss_mb:.0} MiB",
-                s.events
-            );
-            let _ = writeln!(json, "  \"avail_{label}_{qname}_events\": {},", s.events);
-            let _ = writeln!(
-                json,
-                "  \"avail_{label}_{qname}_events_per_s_best\": {b:.0},"
-            );
-            let _ = writeln!(
-                json,
-                "  \"avail_{label}_{qname}_events_per_s_median\": {m:.0},"
-            );
-            let _ = writeln!(
-                json,
-                "  \"avail_{label}_{qname}_peak_rss_mb\": {rss_mb:.0},"
-            );
-        }
-        // Pre-refactor (AoS `Vec<Vec<_>>` layout) numbers, measured on the
-        // same host with identical arm code before the SoA refactor landed
-        // — recorded so the JSON documents the layout win.
-        let env_key = format!("BENCH_KERNEL_PRE_SOA_{}", label.to_uppercase());
-        if let Ok(pre) = std::env::var(&env_key) {
-            // value format: "<events_per_s_best>,<peak_rss_mb>"
-            if let Some((evs, rss)) = pre.split_once(',') {
-                let _ = writeln!(
-                    json,
-                    "  \"avail_{label}_pre_soa_events_per_s_best\": {evs},"
-                );
-                let _ = writeln!(json, "  \"avail_{label}_pre_soa_peak_rss_mb\": {rss},");
-                let post = heap.events as f64 / best(&heap.elapsed);
-                if let Ok(pre_evs) = evs.parse::<f64>() {
-                    let ratio = post / pre_evs;
-                    println!("avail_{label}: {ratio:.2}x ev/s vs pre-SoA layout");
-                    let _ = writeln!(json, "  \"avail_{label}_soa_speedup_best\": {ratio:.2},");
-                }
-            }
-        }
+        let _ = writeln!(json, "  \"avail_{label}_events\": {},", s.events);
+        let _ = writeln!(json, "  \"avail_{label}_events_per_s_best\": {b:.0},");
+        let _ = writeln!(json, "  \"avail_{label}_events_per_s_median\": {m:.0},");
+        let _ = writeln!(json, "  \"avail_{label}_peak_rss_mb\": {rss_mb:.0},");
     }
 
     // Partitioned single-run arms: the same 1M-component regime, but the
@@ -591,24 +522,6 @@ fn main() {
         "  \"part_1m_caveat\": \"4-thread arm measured on a {host_cpus}-core host; speedup reflects available cores, results asserted identical to the serial oracle\","
     );
 
-    let churn_speedup = best(&churn_times[0]) / best(&churn_times[1]);
-    let mmc_ratio = best(&mmc_times[0]) / best(&mmc_times[1]);
-    println!();
-    println!("churn: calendar/heap speedup {churn_speedup:.2}x (best-sample)");
-    println!(
-        "mmc:   calendar/heap ratio   {mmc_ratio:.2}x (small pending set; heap expected to hold)"
-    );
-    let _ = writeln!(
-        json,
-        "  \"churn_calendar_speedup_best\": {churn_speedup:.2},"
-    );
-    let _ = writeln!(json, "  \"mmc_calendar_ratio_best\": {mmc_ratio:.2},");
-    if let Ok(pre) = std::env::var("BENCH_KERNEL_PRE_PR_CHURN_HEAP") {
-        // The pre-refactor heap loop's ev/s, measured on the same host
-        // before the backend abstraction landed — recorded so the JSON
-        // documents the no-regression claim.
-        let _ = writeln!(json, "  \"churn_heap_pre_pr_events_per_s_best\": {pre},");
-    }
     let _ = writeln!(json, "  \"samples\": {SAMPLES}");
     json.push_str("}\n");
 

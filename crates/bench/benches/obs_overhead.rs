@@ -24,7 +24,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 use wt_cluster::{AvailabilityModel, RebuildModel};
 use wt_des::time::SimDuration;
-use wt_des::{Hll, QuantileSketch, QueueBackend};
+use wt_des::{Hll, QuantileSketch};
 use wt_dist::Dist;
 use wt_sw::{Placement, RedundancyScheme, RepairPolicy};
 
@@ -52,7 +52,6 @@ fn model() -> AvailabilityModel {
         },
         switches: None,
         disks: None,
-        queue: QueueBackend::Heap,
         chaos: None,
     }
 }

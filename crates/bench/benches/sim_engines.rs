@@ -6,7 +6,6 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use wt_cluster::{AvailabilityModel, PerfModel, RebuildModel};
 use wt_des::time::SimDuration;
-use wt_des::QueueBackend;
 use wt_dist::Dist;
 use wt_hw::{catalog, TopologySpec};
 use wt_sw::{Placement, RedundancyScheme, RepairPolicy};
@@ -34,7 +33,6 @@ fn avail_model(parallel: usize) -> AvailabilityModel {
         },
         switches: None,
         disks: None,
-        queue: QueueBackend::Heap,
         chaos: None,
     }
 }
@@ -67,7 +65,6 @@ fn bench_perf(c: &mut Criterion) {
         inject_failures: false,
         node_ttf: None,
         horizon_s: 60.0,
-        queue: QueueBackend::Heap,
         chaos: None,
     };
     c.bench_function("perf_engine_60s_500rps", |b| {

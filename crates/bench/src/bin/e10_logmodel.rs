@@ -38,7 +38,6 @@ fn avail_model(ttf: Dist, repair_time: Dist) -> AvailabilityModel {
         },
         switches: None,
         disks: None,
-        queue: QueueBackend::Heap,
         chaos: None,
     }
 }

@@ -48,7 +48,6 @@ fn model(placement: Placement, with_switch_failures: bool) -> AvailabilityModel 
             repair: Dist::lognormal_mean_cv(3600.0, 1.0),
         }),
         disks: None,
-        queue: QueueBackend::Heap,
         chaos: None,
     }
 }

@@ -54,7 +54,6 @@ fn model(disks: bool, switches: bool) -> AvailabilityModel {
             ttf: Dist::weibull_mean(0.8, 15.0 * YEAR),
             replace: Dist::lognormal_mean_cv(4.0 * 3600.0, 1.5),
         }),
-        queue: QueueBackend::Heap,
         chaos: None,
     }
 }

@@ -11,12 +11,12 @@
 //! The three arms run as a declarative [`SweepSpec`] with 3 CRN
 //! replications, so every arm faces the same organic failure trace and
 //! the measured gap is the injection schedule alone. `--workers N` sizes
-//! the pool and `--queue heap|calendar` picks the event-list backend;
-//! stdout is byte-identical for any combination (timing goes to stderr).
+//! the pool; stdout is byte-identical for any worker count (timing goes
+//! to stderr).
 //! `--smoke` shrinks the horizon and object count for CI.
 
 use windtunnel::prelude::*;
-use wt_bench::{banner, queue_from_args, runner_from_args};
+use wt_bench::{banner, runner_from_args};
 use wt_cluster::chaos::ChaosConfig;
 use wt_cluster::{AvailabilityModel, FaultKind, FaultSchedule, RebuildModel};
 use wt_des::time::SimDuration;
@@ -74,7 +74,7 @@ fn schedule(arm: &str, horizon_s: f64) -> FaultSchedule {
     }
 }
 
-fn model(arm: &str, horizon_s: f64, objects: u64, queue: QueueBackend) -> AvailabilityModel {
+fn model(arm: &str, horizon_s: f64, objects: u64) -> AvailabilityModel {
     AvailabilityModel {
         n_nodes: 60,
         redundancy: RedundancyScheme::replication(3),
@@ -94,7 +94,6 @@ fn model(arm: &str, horizon_s: f64, objects: u64, queue: QueueBackend) -> Availa
         },
         switches: None,
         disks: None,
-        queue,
         chaos: Some(ChaosConfig {
             schedule: schedule(arm, horizon_s),
             nodes_per_rack: NODES_PER_RACK,
@@ -114,7 +113,6 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let runner = runner_from_args(&args);
-    let queue = queue_from_args(&args);
     let store = SharedStore::new();
 
     let (horizon_years, objects) = if smoke { (0.25, 500) } else { (1.0, 2_000) };
@@ -129,7 +127,7 @@ fn main() {
         .aggregate("objects_lost", MetricAgg::Sum);
 
     let out = runner.run(&spec, &store, |point, rep, sink| {
-        let m = model(&point.axis_str("failure_mode"), horizon_s, objects, queue);
+        let m = model(&point.axis_str("failure_mode"), horizon_s, objects);
         let (r, telemetry) = m.run_observed(rep.seed, SimDuration::from_years(horizon_years), None);
         sink.record(
             point

@@ -4,20 +4,15 @@
 //! every component is a failure domain with its own pending timer. This
 //! is the paper's "wind tunnel" sizing question asked at full build-out
 //! instead of on a toy slice, and it is the workload the SoA/arena state
-//! layout and the adaptive queue-backend selection exist for.
+//! layout exists for: the binary-heap event list holds ~1M pending
+//! timers here.
 //!
-//! The queue backend is *inferred* unless `--queue heap|calendar` is
-//! given: the scenario's estimated pending set (~1M timers here) is far
-//! past the adaptive threshold, so the calendar queue is selected — the
-//! chosen backend goes to stderr, and stdout is byte-identical across
-//! `--workers`, both backends, and the adaptive default (timing and
-//! provenance never touch stdout). `--smoke` shrinks the build-out to
-//! a ≥100k-component slice for CI.
+//! Stdout is byte-identical across `--workers` (timing never touches
+//! stdout). `--smoke` shrinks the build-out to a ≥100k-component slice
+//! for CI.
 
 use windtunnel::prelude::*;
-use wt_bench::{
-    banner, farm_from_args, flag_value, partitions_from_args, queue_opt_from_args, runner_from_args,
-};
+use wt_bench::{banner, farm_from_args, flag_value, partitions_from_args, runner_from_args};
 use wt_des::time::SimDuration;
 use wt_store::SharedStore;
 
@@ -53,44 +48,28 @@ fn main() {
         "E14 — simulation at scale: a million-component availability run",
         "every disk, NIC, node and switch of a 500-rack build-out is a \
          live failure domain; the pending-event set sits around a million \
-         timers, which is the regime the arena state layout and adaptive \
-         queue-backend selection target",
+         timers, which is the regime the arena state layout targets",
     );
 
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let runner = runner_from_args(&args);
-    let queue = queue_opt_from_args(&args);
     let store = SharedStore::new();
 
-    let mut base = scenario(smoke);
-    base.queue = queue;
+    let base = scenario(smoke);
     let components = base.topology.build().components_iter().count();
     let floor = if smoke { 100_000 } else { 1_000_000 };
     assert!(
         components >= floor,
         "build-out shrank below the scale floor: {components} < {floor}"
     );
-    // Provenance, not results: the backend affects wall-clock only, so it
-    // stays off stdout (CI diffs stdout across backends and worker counts).
-    let backend = WindTunnel::availability_model(&base).queue;
-    eprintln!(
-        "queue backend: {backend} ({}; estimated pending set {})",
-        if queue.is_some() {
-            "explicit --queue"
-        } else {
-            "adaptive"
-        },
-        base.availability_pending_estimate()
-    );
 
     // Partitioned mode: `--partitions N` (or WT_PARTITIONS) runs one
     // simulation through the rack-sharded engine instead of the sweep —
     // node failure domains only, which is what that engine models. All
-    // stdout below the branch is partition-count- and backend-invariant,
-    // so CI can diff it across `--partitions 1/2/4` × `--queue
-    // heap/calendar`; wall time, thread count and queue depths (which do
-    // depend on partitioning) go to stderr.
+    // stdout below the branch is partition-count-invariant, so CI can
+    // diff it across `--partitions 1/2/4`; wall time, thread count and
+    // queue depths (which do depend on partitioning) go to stderr.
     if flag_value(&args, "--partitions").is_some() || std::env::var("WT_PARTITIONS").is_ok() {
         let partitions = partitions_from_args(&args);
         let threads = farm_from_args(&args).workers();
@@ -116,8 +95,8 @@ fn main() {
         println!("  node failures   {}", r.node_failures);
         println!("  events          {}", t.events);
         println!(
-            "check: results above are bitwise-identical at any partition count, \
-             thread count, or queue backend"
+            "check: results above are bitwise-identical at any partition count \
+             or thread count"
         );
         return;
     }
@@ -199,13 +178,13 @@ fn main() {
             .unwrap_or(0)
     });
     println!(
-        "check: peak pending-event set {peak} — the regime the adaptive \
-         queue-backend selection targets"
+        "check: peak pending-event set {peak} — the million-timer regime \
+         the arena state layout targets"
     );
     let events: u64 = out.rows[0].metric("sim_events") as u64;
     println!(
         "check: {events} discrete events executed across {} replication(s) \
-         with bitwise-identical results on either queue backend",
+         with bitwise-identical results at any worker count",
         2
     );
 }

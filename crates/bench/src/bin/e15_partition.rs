@@ -17,17 +17,16 @@
 //! number for that host (see EXPERIMENTS.md E15).
 //!
 //! `--smoke` shrinks the build-out to a 200k-component slice for quick
-//! validation; `--queue heap|calendar` picks the per-partition backend
-//! (results are bitwise-identical either way).
+//! validation.
 
 use windtunnel::prelude::*;
-use wt_bench::{banner, flag_value, queue_from_args};
+use wt_bench::{banner, flag_value};
 use wt_cluster::{PartitionedAvailability, RebuildModel};
 use wt_dist::Dist;
 
 const NODES_PER_RACK: usize = 64;
 
-fn model(smoke: bool, queue: QueueBackend) -> (PartitionedAvailability, f64) {
+fn model(smoke: bool) -> (PartitionedAvailability, f64) {
     const DAY: f64 = 86_400.0;
     const YEAR: f64 = 365.0 * DAY;
     // Full: 156,250 racks × 64 nodes = 10,000,000 failure domains.
@@ -53,7 +52,6 @@ fn model(smoke: bool, queue: QueueBackend) -> (PartitionedAvailability, f64) {
             detection_delay_s: 300.0,
         },
         wire_latency_s: 1e-4,
-        queue,
         chaos: None,
     };
     (m, horizon_years * YEAR)
@@ -70,13 +68,12 @@ fn main() {
 
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let queue = queue_from_args(&args);
     let seed = match flag_value(&args, "--seed") {
         Some(v) => v.parse().expect("--seed expects a number"),
         None => 15,
     };
 
-    let (m, horizon_s) = model(smoke, queue);
+    let (m, horizon_s) = model(smoke);
     let components = m.racks * m.nodes_per_rack;
     let floor = if smoke { 200_000 } else { 10_000_000 };
     assert!(
@@ -85,7 +82,7 @@ fn main() {
     );
     println!(
         "build-out: {} racks x {} nodes = {components} failure domains, \
-         {} objects, horizon {:.3}y, lookahead {:.1}s, queue {queue}",
+         {} objects, horizon {:.3}y, lookahead {:.1}s",
         m.racks,
         m.nodes_per_rack,
         m.objects,

@@ -42,7 +42,6 @@ fn arm(n: usize, gbps: f64, parallel: usize) -> AvailabilityModel {
         },
         switches: None,
         disks: None,
-        queue: QueueBackend::Heap,
         chaos: None,
     }
 }

@@ -16,9 +16,8 @@
 
 use windtunnel::obs::TraceProbe;
 use windtunnel::prelude::*;
-use wt_bench::{banner, export_trace, flag_value, fmt_secs, queue_from_args, runner_from_args};
+use wt_bench::{banner, export_trace, flag_value, fmt_secs, runner_from_args};
 use wt_cluster::PerfModel;
-use wt_des::QueueBackend;
 use wt_hw::{catalog, TopologySpec};
 use wt_store::SharedStore;
 
@@ -33,7 +32,7 @@ fn topo() -> TopologySpec {
     }
 }
 
-fn model(tenants: Vec<TenantWorkload>, queue: QueueBackend) -> PerfModel {
+fn model(tenants: Vec<TenantWorkload>) -> PerfModel {
     PerfModel {
         topology: topo(),
         redundancy: RedundancyScheme::replication(3),
@@ -43,19 +42,16 @@ fn model(tenants: Vec<TenantWorkload>, queue: QueueBackend) -> PerfModel {
         inject_failures: false,
         node_ttf: None,
         horizon_s: 180.0,
-        queue,
         chaos: None,
     }
 }
 
-fn arm_model(arm: &str, queue: QueueBackend) -> PerfModel {
+fn arm_model(arm: &str) -> PerfModel {
     let oltp = || TenantWorkload::oltp("shop", 300.0, 100_000);
     let analytics = || TenantWorkload::analytics("reports", 8.0, 1_000);
     let mut m = match arm {
-        "shop alone" | "shop + failures" => model(vec![oltp()], queue),
-        "shop + analytics" | "shop + analytics + failures" => {
-            model(vec![oltp(), analytics()], queue)
-        }
+        "shop alone" | "shop + failures" => model(vec![oltp()]),
+        "shop + analytics" | "shop + analytics + failures" => model(vec![oltp(), analytics()]),
         other => panic!("unknown arm '{other}'"),
     };
     if arm.ends_with("failures") {
@@ -75,7 +71,6 @@ fn main() {
 
     let args: Vec<String> = std::env::args().collect();
     let runner = runner_from_args(&args);
-    let queue = queue_from_args(&args);
     let store = SharedStore::new();
 
     // The arms are the comparison, not seed replication: one CRN
@@ -94,7 +89,7 @@ fn main() {
         .common_random_numbers();
 
     let out = runner.run(&spec, &store, |point, rep, sink| {
-        let m = arm_model(&point.axis_str("arm"), queue);
+        let m = arm_model(&point.axis_str("arm"));
         let r = m.run(rep.seed);
         let shop = r.tenant("shop").expect("shop tenant present");
         // The reported percentiles come from the constant-memory sketch
@@ -178,7 +173,7 @@ fn main() {
         let grid = spec.grid();
         let seed = grid.rep_seed(&grid.points[0], 0);
         let mut probe = TraceProbe::new();
-        let (_, telemetry) = arm_model(arm, queue).run_observed(seed, Some(&mut probe));
+        let (_, telemetry) = arm_model(arm).run_observed(seed, Some(&mut probe));
         eprintln!("[trace] arm '{arm}': {} sim event(s)", telemetry.events);
         export_trace(path, &mut probe, &telemetry);
     }

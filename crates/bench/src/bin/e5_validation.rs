@@ -17,7 +17,6 @@ use wt_bench::queuesim::QueueSim;
 use wt_bench::{banner, flag_value, runner_from_args, Table};
 use wt_cluster::{AvailabilityModel, RebuildModel};
 use wt_des::time::SimDuration;
-use wt_des::QueueBackend;
 use wt_dist::Dist;
 use wt_store::SharedStore;
 use wt_sw::{Placement, RedundancyScheme, RepairPolicy};
@@ -137,7 +136,6 @@ fn main() {
         },
         switches: None,
         disks: None,
-        queue: QueueBackend::Heap,
         chaos: None,
     };
     // 8 CRN replications per failure law: both laws face the same seeds,

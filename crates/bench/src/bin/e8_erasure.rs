@@ -48,7 +48,6 @@ fn mk(scheme: RedundancyScheme) -> AvailabilityModel {
         },
         switches: None,
         disks: None,
-        queue: QueueBackend::Heap,
         chaos: None,
     }
 }

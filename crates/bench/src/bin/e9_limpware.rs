@@ -30,7 +30,6 @@ fn model() -> PerfModel {
         inject_failures: false,
         node_ttf: None,
         horizon_s: 180.0,
-        queue: QueueBackend::Heap,
         chaos: None,
     }
 }

@@ -12,9 +12,6 @@
 //! * `--smoke` — the smallest series at reduced trial count (the CI
 //!   configuration), skipping the full-figure qualitative checks and
 //!   appending a deterministic DES digest line (see below),
-//! * `--queue heap|calendar` — future-event-list backend for the DES
-//!   runs (the digest and `--trace`); stdout is byte-identical across
-//!   backends, which CI's kernel-smoke job diffs,
 //! * `--trace <path>` — additionally run one representative DES
 //!   availability run with the probe stack attached and write it as
 //!   Chrome trace-event JSON (open in Perfetto / `about:tracing`),
@@ -22,15 +19,15 @@
 //! * `--metrics <path>` — run a small farm-recorded availability sweep
 //!   through the observed (sketch-recording) path and write the merged
 //!   store's [`MetricsSnapshot`] as Prometheus-style text exposition.
-//!   The exposition is bitwise-identical for any `--workers` count and
-//!   either `--queue` backend, which CI's obs-smoke job diffs.
+//!   The exposition is bitwise-identical for any `--workers` count,
+//!   which CI's obs-smoke job diffs.
 //!
 //! [`MetricsSnapshot`]: windtunnel::obs::MetricsSnapshot
 
 use windtunnel::obs::TraceProbe;
 use windtunnel::prelude::*;
 use wt_bench::fig1::{compute, Fig1Config};
-use wt_bench::{banner, export_trace, flag_value, fmt_p, queue_from_args, runner_from_args};
+use wt_bench::{banner, export_trace, flag_value, fmt_p, runner_from_args};
 use wt_des::SimDuration;
 use wt_store::SharedStore;
 
@@ -39,7 +36,7 @@ use wt_store::SharedStore;
 /// 30-node storage cluster under failure pressure high enough to
 /// exercise the full event vocabulary (failures, rebuild queueing,
 /// repair completion).
-fn trace_representative_run(path: &str, queue: QueueBackend) {
+fn trace_representative_run(path: &str) {
     let mut scenario = ScenarioBuilder::new("fig1-trace")
         .racks(3)
         .nodes_per_rack(10)
@@ -47,7 +44,6 @@ fn trace_representative_run(path: &str, queue: QueueBackend) {
         .object_gb(4.0)
         .horizon_years(0.25)
         .seed(2014)
-        .queue(queue)
         .build();
     scenario.topology.node.ttf = Dist::weibull_mean(0.8, 40.0 * 86_400.0);
 
@@ -72,7 +68,6 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let runner = runner_from_args(&args);
-    let queue = queue_from_args(&args);
 
     let config = if smoke {
         Fig1Config::smallest()
@@ -98,14 +93,14 @@ fn main() {
     }
 
     if let Some(path) = flag_value(&args, "--trace") {
-        trace_representative_run(path, queue);
+        trace_representative_run(path);
     }
 
     // `--metrics`: a small sketch-bearing sweep (observed availability
     // runs on the farm, shards merged in item order) folded into one
     // MetricsSnapshot. Every byte of the exposition is derived from
     // simulation-determined state, so the file is identical for any
-    // worker count and either queue backend.
+    // worker count.
     if let Some(path) = flag_value(&args, "--metrics") {
         let store = SharedStore::new();
         let spec = SweepSpec::new("fig1-metrics")
@@ -120,7 +115,6 @@ fn main() {
                 .object_gb(4.0)
                 .horizon_years(0.25)
                 .seed(rep.seed)
-                .queue(queue)
                 .build();
             sc.topology.node.ttf = Dist::weibull_mean(0.8, point.axis_num("ttf_days") * 86_400.0);
             let tunnel = WindTunnel::new();
@@ -136,12 +130,9 @@ fn main() {
 
     if smoke {
         // The figure itself is a Monte-Carlo quorum computation that never
-        // touches the event queue, so `--queue` needs a run with teeth: one
-        // deterministic DES availability run on the selected backend, its
-        // digest printed to stdout. The backend name is deliberately
-        // absent from the line — CI diffs the heap and calendar stdout
-        // byte for byte, and this digest is the part a nonconforming
-        // backend would corrupt.
+        // touches the event queue, so the smoke run adds one with teeth:
+        // a deterministic DES availability run, its digest printed to
+        // stdout and pinned by `tests/golden/fig1_smoke.txt`.
         let mut scenario = ScenarioBuilder::new("fig1-smoke-des")
             .racks(1)
             .nodes_per_rack(10)
@@ -149,7 +140,6 @@ fn main() {
             .object_gb(4.0)
             .horizon_years(0.25)
             .seed(2014)
-            .queue(queue)
             .build();
         scenario.topology.node.ttf = Dist::weibull_mean(0.8, 40.0 * 86_400.0);
         let model = WindTunnel::availability_model(&scenario);

@@ -47,28 +47,6 @@ pub fn runner_from_args(args: &[String]) -> SweepRunner {
     SweepRunner::new(farm_from_args(args))
 }
 
-/// The shared `--queue heap|calendar` flag selecting the engines'
-/// future-event-list backend (default heap). Exits with a usage error on
-/// an unknown backend name. The choice affects wall-clock time only —
-/// experiment output is byte-identical either way, which the CI
-/// kernel-smoke job diffs.
-pub fn queue_from_args(args: &[String]) -> wt_des::QueueBackend {
-    queue_opt_from_args(args).unwrap_or_default()
-}
-
-/// [`queue_from_args`] preserving "no flag given" as `None`, for binaries
-/// that let scenario-level adaptive selection pick the backend when the
-/// user expresses no preference (see `Scenario::queue_backend_for`).
-pub fn queue_opt_from_args(args: &[String]) -> Option<wt_des::QueueBackend> {
-    flag_value(args, "--queue").map(|v| match wt_des::QueueBackend::parse(v) {
-        Some(q) => q,
-        None => {
-            eprintln!("error: --queue expects 'heap' or 'calendar', got '{v}'");
-            std::process::exit(2);
-        }
-    })
-}
-
 /// The shared `--partitions N` flag: how many conservative-lookahead
 /// partitions a single simulation run is sharded across. An explicit
 /// flag wins; otherwise the `WT_PARTITIONS` environment knob applies

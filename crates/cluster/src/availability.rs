@@ -30,7 +30,6 @@ use std::collections::VecDeque;
 use wt_des::obs::{Hll, QuantileSketch, SketchSet};
 use wt_des::prelude::*;
 use wt_des::rng::RngFactory;
-use wt_des::{CalendarQueue, EventQueue};
 use wt_dist::Dist;
 use wt_sw::repair::{RepairQueue, RepairTask};
 use wt_sw::{Placement, Placer, RedundancyScheme, RepairPolicy};
@@ -171,11 +170,6 @@ pub struct AvailabilityModel {
     pub switches: Option<SwitchFailureModel>,
     /// Optional per-disk failures (finer failure granularity than nodes).
     pub disks: Option<DiskFailureModel>,
-    /// Future-event-list backend. Both choices produce bitwise-identical
-    /// results (the engine's `(time, seq)` contract); `Calendar` is faster
-    /// once the steady-state pending set reaches cluster scale — one timer
-    /// per node, switch and disk. See DESIGN.md §8.
-    pub queue: QueueBackend,
     /// Optional declarative chaos: the fault schedule is compiled at setup
     /// (per run seed) into deterministic scheduled events. Chaos downtime
     /// makes nodes/racks *unreachable* (data intact, no repair traffic);
@@ -187,19 +181,7 @@ pub struct AvailabilityModel {
 impl AvailabilityModel {
     /// Runs the simulation for `horizon` and summarizes.
     pub fn run(&self, seed: u64, horizon: SimDuration) -> AvailabilityResult {
-        match self.queue {
-            QueueBackend::Heap => self.run_on::<EventQueue<Ev>>(seed, horizon),
-            QueueBackend::Calendar => self.run_on::<CalendarQueue<Ev>>(seed, horizon),
-        }
-    }
-
-    /// [`run`](Self::run), monomorphized for one queue backend.
-    fn run_on<Q: PendingEvents<Ev> + Default>(
-        &self,
-        seed: u64,
-        horizon: SimDuration,
-    ) -> AvailabilityResult {
-        let mut sim = self.seeded_sim::<Q>(seed);
+        let mut sim = self.seeded_sim(seed);
         let end = SimTime::ZERO + horizon;
         sim.run_until(end);
         let events = sim.events_executed();
@@ -216,22 +198,7 @@ impl AvailabilityModel {
         horizon: SimDuration,
         extra: Option<&mut dyn wt_des::obs::Probe>,
     ) -> (AvailabilityResult, wt_des::obs::RunTelemetry) {
-        match self.queue {
-            QueueBackend::Heap => self.run_observed_on::<EventQueue<Ev>>(seed, horizon, extra),
-            QueueBackend::Calendar => {
-                self.run_observed_on::<CalendarQueue<Ev>>(seed, horizon, extra)
-            }
-        }
-    }
-
-    /// [`run_observed`](Self::run_observed), monomorphized for one backend.
-    fn run_observed_on<Q: PendingEvents<Ev> + Default>(
-        &self,
-        seed: u64,
-        horizon: SimDuration,
-        extra: Option<&mut dyn wt_des::obs::Probe>,
-    ) -> (AvailabilityResult, wt_des::obs::RunTelemetry) {
-        let mut sim = self.seeded_sim::<Q>(seed);
+        let mut sim = self.seeded_sim(seed);
         sim.model_mut().sketches = Some(Box::default());
         let end = SimTime::ZERO + horizon;
         let mut sp = wt_des::obs::SimProbe::new();
@@ -243,7 +210,7 @@ impl AvailabilityModel {
             None => sim.run_until_probed(end, &mut sp),
         };
         let mut telemetry = sp.finish(sim.now().as_secs(), reason.as_str());
-        telemetry.queue = Some(self.queue.as_str().to_string());
+        telemetry.queue = Some("heap".to_string());
         let events = sim.events_executed();
         let mut model = sim.into_model();
         if let Some(s) = model.sketches.take() {
@@ -257,10 +224,7 @@ impl AvailabilityModel {
     /// Builds the simulation and seeds the initial failure events — the
     /// shared front half of [`run`](Self::run) and
     /// [`run_observed`](Self::run_observed), so the two paths cannot drift.
-    fn seeded_sim<Q: PendingEvents<Ev> + Default>(
-        &self,
-        seed: u64,
-    ) -> Simulation<AvailState<'_>, Q> {
+    fn seeded_sim(&self, seed: u64) -> Simulation<AvailState<'_>> {
         // Compile the fault schedule once per run: the per-rule streams
         // derive from this run's seed, so replications re-sample storms.
         let chaos_faults: Vec<CompiledFault> = self
@@ -269,11 +233,7 @@ impl AvailabilityModel {
             .map(|c| c.compile(self.n_nodes, seed))
             .unwrap_or_default();
         let n_chaos = chaos_faults.len();
-        let mut sim = Simulation::with_queue(
-            AvailState::new(self, seed, chaos_faults),
-            seed,
-            Q::default(),
-        );
+        let mut sim = Simulation::new(AvailState::new(self, seed, chaos_faults), seed);
         // The steady state keeps one pending timer per failure-capable
         // component (node, switch, disk slot) plus the in-flight rebuild
         // streams; pre-size the queue so it never regrows mid-run.
@@ -1137,7 +1097,6 @@ mod tests {
             repair: RepairPolicy::parallel(16),
             switches: None,
             disks: None,
-            queue: QueueBackend::Heap,
             chaos: None,
         }
     }
@@ -1360,7 +1319,6 @@ mod tests {
             },
             switches: None,
             disks: None,
-            queue: QueueBackend::Heap,
             chaos: None,
         };
         // Average multiple long replications for a tight estimate.
@@ -1406,7 +1364,6 @@ mod tests {
                 repair: Dist::lognormal_mean_cv(4.0 * 3600.0, 1.0),
             }),
             disks: None,
-            queue: QueueBackend::Heap,
             chaos: None,
         };
         let random = mk(Placement::Random).run(3, SimDuration::from_years(2.0));
@@ -1461,7 +1418,6 @@ mod tests {
                 ttf: Dist::weibull_mean(0.8, 60.0 * DAY),
                 replace: Dist::lognormal_mean_cv(4.0 * 3600.0, 1.0),
             }),
-            queue: QueueBackend::Heap,
             chaos: None,
         };
         let r = m.run(21, SimDuration::from_years(1.0));
@@ -1502,7 +1458,6 @@ mod tests {
                 ttf: Dist::weibull_mean(0.8, 90.0 * DAY),
                 replace: Dist::lognormal_mean_cv(4.0 * 3600.0, 1.0),
             }),
-            queue: QueueBackend::Heap,
             chaos: None,
         };
         let r = m.run(22, SimDuration::from_years(1.0));
@@ -1531,7 +1486,6 @@ mod tests {
                 repair: Dist::deterministic(1.0 * DAY),
             }),
             disks: None,
-            queue: QueueBackend::Heap,
             chaos: None,
         };
         let r = m.run(4, SimDuration::from_days(11.0));
@@ -1567,7 +1521,6 @@ mod tests {
             },
             switches: None,
             disks: None,
-            queue: QueueBackend::Heap,
             chaos: None,
         };
         let mut exp_avail = 0.0;
@@ -1695,7 +1648,7 @@ mod tests {
     }
 
     #[test]
-    fn chaos_is_deterministic_and_backend_invariant() {
+    fn chaos_is_deterministic() {
         use crate::chaos::{FaultKind, FaultSchedule};
         let mut m = base_model();
         m.node_ttf = Dist::exponential_mean(20.0 * DAY);
@@ -1723,10 +1676,6 @@ mod tests {
         let a = m.run(9, SimDuration::from_years(1.0));
         let b = m.run(9, SimDuration::from_years(1.0));
         assert_eq!(a, b, "same seed must replay identically under chaos");
-        let mut cal = m.clone();
-        cal.queue = QueueBackend::Calendar;
-        let c = cal.run(9, SimDuration::from_years(1.0));
-        assert_eq!(a, c, "chaos results must not depend on the queue backend");
     }
 
     /// The linear scan `pick_target` used before the rank index, kept as
@@ -1870,7 +1819,6 @@ mod proptests {
             },
             switches: None,
             disks: None,
-            queue: QueueBackend::Heap,
             chaos: None,
         }
     }
@@ -1947,8 +1895,7 @@ mod proptests {
                 repair: RepairPolicy::parallel(8),
                 switches: None,
                 disks: None,
-                queue: QueueBackend::Heap,
-                chaos: None,
+                    chaos: None,
             };
             let st = AvailState::new(&m, seed, Vec::new());
             // Naive reference layout from an identically-seeded placer.

@@ -51,7 +51,7 @@ use std::sync::Arc;
 use wt_des::obs::{RunTelemetry, SimProbe};
 use wt_des::prelude::*;
 use wt_des::rng::RngFactory;
-use wt_des::{CalendarQueue, EventQueue, ServerPool};
+use wt_des::ServerPool;
 use wt_dist::Dist;
 use wt_hw::{PartitionGranularity, TopologySpec};
 use wt_sw::repair::{RepairQueue, RepairTask};
@@ -110,8 +110,6 @@ pub struct PartitionedAvailability {
     /// message costs at least this; it is the network half of the
     /// lookahead.
     pub wire_latency_s: f64,
-    /// Future-event-list backend for every partition's queue.
-    pub queue: QueueBackend,
     /// Optional chaos schedule, routed to owning racks at setup.
     pub chaos: Option<ChaosConfig>,
 }
@@ -130,7 +128,6 @@ impl PartitionedAvailability {
             rebuild: RebuildModel::Timed(Dist::exponential_mean(1_800.0)),
             repair: RepairPolicy::parallel(4),
             wire_latency_s: 1e-4,
-            queue: QueueBackend::Heap,
             chaos: None,
         }
     }
@@ -169,14 +166,9 @@ impl PartitionedAvailability {
         partitions: usize,
         threads: usize,
     ) -> AvailabilityResult {
-        match self.queue {
-            QueueBackend::Heap => {
-                self.run_on::<EventQueue<AvailEv>>(seed, horizon_s, partitions, threads)
-            }
-            QueueBackend::Calendar => {
-                self.run_on::<CalendarQueue<AvailEv>>(seed, horizon_s, partitions, threads)
-            }
-        }
+        let mut sim = self.build(seed, partitions);
+        sim.run_until_threaded(SimTime::from_secs(horizon_s), threads);
+        self.finish(&sim)
     }
 
     /// [`PartitionedAvailability::run`] with per-partition probes folded
@@ -189,36 +181,7 @@ impl PartitionedAvailability {
         partitions: usize,
         threads: usize,
     ) -> (AvailabilityResult, RunTelemetry) {
-        match self.queue {
-            QueueBackend::Heap => {
-                self.run_observed_on::<EventQueue<AvailEv>>(seed, horizon_s, partitions, threads)
-            }
-            QueueBackend::Calendar => {
-                self.run_observed_on::<CalendarQueue<AvailEv>>(seed, horizon_s, partitions, threads)
-            }
-        }
-    }
-
-    fn run_on<Q: PendingEvents<AvailEv> + Default + Send>(
-        &self,
-        seed: u64,
-        horizon_s: f64,
-        partitions: usize,
-        threads: usize,
-    ) -> AvailabilityResult {
-        let mut sim = self.build::<Q>(seed, partitions);
-        sim.run_until_threaded(SimTime::from_secs(horizon_s), threads);
-        self.finish(&sim)
-    }
-
-    fn run_observed_on<Q: PendingEvents<AvailEv> + Default + Send>(
-        &self,
-        seed: u64,
-        horizon_s: f64,
-        partitions: usize,
-        threads: usize,
-    ) -> (AvailabilityResult, RunTelemetry) {
-        let mut sim = self.build::<Q>(seed, partitions);
+        let mut sim = self.build(seed, partitions);
         let mut probes: Vec<SimProbe> = (0..sim.parts()).map(|_| SimProbe::new()).collect();
         let reason = sim.run_until_probed(SimTime::from_secs(horizon_s), threads, &mut probes);
         let telemetry = fold_partition_telemetry(
@@ -226,18 +189,13 @@ impl PartitionedAvailability {
             &sim.part_events(),
             sim.now().as_secs(),
             reason.as_str(),
-            self.queue,
         );
         (self.finish(&sim), telemetry)
     }
 
     /// Builds the sharded simulation: rack cells with placement, boot
     /// failure timers, and chaos faults routed to their owning racks.
-    fn build<Q: PendingEvents<AvailEv> + Default + Send>(
-        &self,
-        seed: u64,
-        partitions: usize,
-    ) -> PartitionedSimulation<AvailShard, Q> {
+    fn build(&self, seed: u64, partitions: usize) -> PartitionedSimulation<AvailShard> {
         assert!(self.racks > 0 && self.nodes_per_rack > 0, "empty topology");
         assert!(self.replication >= 1, "replication >= 1");
         assert!(self.objects < u32::MAX as u64, "object ids must fit in u32");
@@ -439,10 +397,7 @@ impl PartitionedAvailability {
     }
 
     /// Folds shard state into one result, racks in global order.
-    fn finish<Q: PendingEvents<AvailEv> + Default + Send>(
-        &self,
-        sim: &PartitionedSimulation<AvailShard, Q>,
-    ) -> AvailabilityResult {
+    fn finish(&self, sim: &PartitionedSimulation<AvailShard>) -> AvailabilityResult {
         let end = sim.now();
         let horizon_s = end.since(SimTime::ZERO).as_secs();
         let mut total_unavail = 0.0f64;
@@ -533,13 +488,12 @@ fn push_fault(
 
 /// Folds per-partition probes into one telemetry record: partition-order
 /// deterministic, with `partition/<i>` marks for the heartbeat's skew
-/// readout and the queue backend stamped for provenance.
+/// readout and the event list stamped for provenance.
 fn fold_partition_telemetry(
     probes: &[SimProbe],
     part_events: &[u64],
     end_s: f64,
     stop_reason: &str,
-    queue: QueueBackend,
 ) -> RunTelemetry {
     let mut telemetry = RunTelemetry::default();
     for probe in probes {
@@ -548,7 +502,7 @@ fn fold_partition_telemetry(
     for (i, &ev) in part_events.iter().enumerate() {
         telemetry.marks.insert(format!("partition/{i}"), ev);
     }
-    telemetry.queue = Some(queue.as_str().to_string());
+    telemetry.queue = Some("heap".to_string());
     telemetry
 }
 
@@ -1181,22 +1135,15 @@ pub struct PartitionedPerf {
     pub tenants: Vec<TenantWorkload>,
     /// Fraction of reads served from the buddy rack.
     pub remote_read_fraction: f64,
-    /// Future-event-list backend for every partition's queue.
-    pub queue: QueueBackend,
 }
 
 impl PartitionedPerf {
     /// Runs and returns per-tenant latency/throughput plus cluster
     /// utilizations. `partitions == 1` is the serial oracle.
     pub fn run(&self, seed: u64, horizon_s: f64, partitions: usize, threads: usize) -> PerfResult {
-        match self.queue {
-            QueueBackend::Heap => {
-                self.run_on::<EventQueue<PerfEv>>(seed, horizon_s, partitions, threads)
-            }
-            QueueBackend::Calendar => {
-                self.run_on::<CalendarQueue<PerfEv>>(seed, horizon_s, partitions, threads)
-            }
-        }
+        let mut sim = self.build(seed, partitions);
+        sim.run_until_threaded(SimTime::from_secs(horizon_s), threads);
+        self.finish(&sim)
     }
 
     /// [`PartitionedPerf::run`] with folded per-partition telemetry.
@@ -1207,36 +1154,7 @@ impl PartitionedPerf {
         partitions: usize,
         threads: usize,
     ) -> (PerfResult, RunTelemetry) {
-        match self.queue {
-            QueueBackend::Heap => {
-                self.run_observed_on::<EventQueue<PerfEv>>(seed, horizon_s, partitions, threads)
-            }
-            QueueBackend::Calendar => {
-                self.run_observed_on::<CalendarQueue<PerfEv>>(seed, horizon_s, partitions, threads)
-            }
-        }
-    }
-
-    fn run_on<Q: PendingEvents<PerfEv> + Default + Send>(
-        &self,
-        seed: u64,
-        horizon_s: f64,
-        partitions: usize,
-        threads: usize,
-    ) -> PerfResult {
-        let mut sim = self.build::<Q>(seed, partitions);
-        sim.run_until_threaded(SimTime::from_secs(horizon_s), threads);
-        self.finish(&sim)
-    }
-
-    fn run_observed_on<Q: PendingEvents<PerfEv> + Default + Send>(
-        &self,
-        seed: u64,
-        horizon_s: f64,
-        partitions: usize,
-        threads: usize,
-    ) -> (PerfResult, RunTelemetry) {
-        let mut sim = self.build::<Q>(seed, partitions);
+        let mut sim = self.build(seed, partitions);
         let mut probes: Vec<SimProbe> = (0..sim.parts()).map(|_| SimProbe::new()).collect();
         let reason = sim.run_until_probed(SimTime::from_secs(horizon_s), threads, &mut probes);
         let telemetry = fold_partition_telemetry(
@@ -1244,16 +1162,11 @@ impl PartitionedPerf {
             &sim.part_events(),
             sim.now().as_secs(),
             reason.as_str(),
-            self.queue,
         );
         (self.finish(&sim), telemetry)
     }
 
-    fn build<Q: PendingEvents<PerfEv> + Default + Send>(
-        &self,
-        seed: u64,
-        partitions: usize,
-    ) -> PartitionedSimulation<PerfShard, Q> {
+    fn build(&self, seed: u64, partitions: usize) -> PartitionedSimulation<PerfShard> {
         let racks = self.topology.racks;
         let npr = self.topology.nodes_per_rack;
         assert!(racks > 0 && npr > 0, "empty topology");
@@ -1328,10 +1241,7 @@ impl PartitionedPerf {
         sim
     }
 
-    fn finish<Q: PendingEvents<PerfEv> + Default + Send>(
-        &self,
-        sim: &PartitionedSimulation<PerfShard, Q>,
-    ) -> PerfResult {
+    fn finish(&self, sim: &PartitionedSimulation<PerfShard>) -> PerfResult {
         let end = sim.now();
         let horizon_s = end.since(SimTime::ZERO).as_secs();
         // Tenant cells in original scenario order: tenant t is local
@@ -1697,21 +1607,17 @@ mod tests {
     }
 
     #[test]
-    fn availability_backends_agree_and_mirrors_flow() {
-        let mut m = avail_model();
-        let (heap, t) = m.run_observed(3, HORIZON, 3, 2);
-        m.queue = QueueBackend::Calendar;
-        let (cal, tc) = m.run_observed(3, HORIZON, 3, 2);
-        assert_eq!(heap, cal);
-        assert_eq!(t.masked().events_by_label, tc.masked().events_by_label);
+    fn availability_mirrors_flow() {
+        let m = avail_model();
+        let (r, t) = m.run_observed(3, HORIZON, 3, 2);
         // The cross-partition protocol actually ran.
         assert!(t.events_by_label["mirror_lost"] > 0);
         assert!(t.events_by_label["mirror_placed"] > 0);
         // Per-partition totals cover the whole run.
         let part_total: u64 = (0..3).map(|i| t.marks[&format!("partition/{i}")]).sum();
         assert_eq!(part_total, t.events);
-        assert!(heap.availability > 0.0 && heap.availability <= 1.0);
-        assert_eq!(t.events, heap.sim_events);
+        assert!(r.availability > 0.0 && r.availability <= 1.0);
+        assert_eq!(t.events, r.sim_events);
     }
 
     #[test]
@@ -1804,7 +1710,6 @@ mod tests {
                 TenantWorkload::oltp("kv", 25.0, 50_000),
             ],
             remote_read_fraction: 0.3,
-            queue: QueueBackend::Heap,
         }
     }
 

@@ -24,7 +24,7 @@ use crate::results::{PerfResult, TenantPerf};
 use std::collections::HashMap;
 use wt_des::prelude::*;
 use wt_des::rng::RngFactory;
-use wt_des::{CalendarQueue, EventQueue, ServerPool};
+use wt_des::ServerPool;
 use wt_dist::Dist;
 use wt_hw::limpware::{LimpState, LimpTarget};
 use wt_hw::{LimpwareSpec, NodeId, Topology, TopologySpec};
@@ -56,11 +56,6 @@ pub struct PerfModel {
     pub node_ttf: Option<Dist>,
     /// Simulated duration, seconds.
     pub horizon_s: f64,
-    /// Future-event-list backend. Results are bitwise-identical either
-    /// way (the engine's `(time, seq)` contract); the perf model's pending
-    /// set is small — one arrival per tenant plus in-flight stages — so
-    /// the default heap is usually right here. See DESIGN.md §8.
-    pub queue: QueueBackend,
     /// Optional declarative chaos (see [`crate::chaos`]). Node-scoped
     /// faults mark nodes unreachable without spawning repair traffic
     /// (planned windows / power loss leave data intact); gray storms limp
@@ -72,15 +67,7 @@ pub struct PerfModel {
 impl PerfModel {
     /// Runs the simulation and summarizes per-tenant latency.
     pub fn run(&self, seed: u64) -> PerfResult {
-        match self.queue {
-            QueueBackend::Heap => self.run_on::<EventQueue<Ev>>(seed),
-            QueueBackend::Calendar => self.run_on::<CalendarQueue<Ev>>(seed),
-        }
-    }
-
-    /// [`run`](Self::run), monomorphized for one queue backend.
-    fn run_on<Q: PendingEvents<Ev> + Default>(&self, seed: u64) -> PerfResult {
-        let mut sim = self.seeded_sim::<Q>(seed);
+        let mut sim = self.seeded_sim(seed);
         let end = SimTime::ZERO + SimDuration::from_secs(self.horizon_s);
         sim.run_until(end);
         sim.into_model().finish(end)
@@ -95,19 +82,7 @@ impl PerfModel {
         seed: u64,
         extra: Option<&mut dyn wt_des::obs::Probe>,
     ) -> (PerfResult, wt_des::obs::RunTelemetry) {
-        match self.queue {
-            QueueBackend::Heap => self.run_observed_on::<EventQueue<Ev>>(seed, extra),
-            QueueBackend::Calendar => self.run_observed_on::<CalendarQueue<Ev>>(seed, extra),
-        }
-    }
-
-    /// [`run_observed`](Self::run_observed), monomorphized for one backend.
-    fn run_observed_on<Q: PendingEvents<Ev> + Default>(
-        &self,
-        seed: u64,
-        extra: Option<&mut dyn wt_des::obs::Probe>,
-    ) -> (PerfResult, wt_des::obs::RunTelemetry) {
-        let mut sim = self.seeded_sim::<Q>(seed);
+        let mut sim = self.seeded_sim(seed);
         let end = SimTime::ZERO + SimDuration::from_secs(self.horizon_s);
         let mut sp = wt_des::obs::SimProbe::new();
         let reason = match extra {
@@ -118,17 +93,14 @@ impl PerfModel {
             None => sim.run_until_probed(end, &mut sp),
         };
         let mut telemetry = sp.finish(sim.now().as_secs(), reason.as_str());
-        telemetry.queue = Some(self.queue.as_str().to_string());
+        telemetry.queue = Some("heap".to_string());
         (sim.into_model().finish(end), telemetry)
     }
 
     /// Builds the simulation and seeds initial arrivals/failures — the
     /// shared front half of [`run`](Self::run) and
     /// [`run_observed`](Self::run_observed), so the two paths cannot drift.
-    fn seeded_sim<Q: PendingEvents<Ev> + Default>(
-        &self,
-        seed: u64,
-    ) -> Simulation<PerfState<'_>, Q> {
+    fn seeded_sim(&self, seed: u64) -> Simulation<PerfState<'_>> {
         assert!(
             !self.tenants.is_empty(),
             "perf run needs at least one tenant"
@@ -141,8 +113,7 @@ impl PerfModel {
             .map(|c| c.compile(self.topology.node_count(), seed))
             .unwrap_or_default();
         let n_chaos = chaos_faults.len();
-        let mut sim =
-            Simulation::with_queue(PerfState::new(self, seed, chaos_faults), seed, Q::default());
+        let mut sim = Simulation::new(PerfState::new(self, seed, chaos_faults), seed);
         // One pending arrival per tenant, one failure timer per node when
         // injection is on, start/end per chaos fault, plus in-flight
         // request stages.
@@ -863,7 +834,6 @@ mod tests {
             inject_failures: false,
             node_ttf: None,
             horizon_s: 120.0,
-            queue: QueueBackend::Heap,
             chaos: None,
         }
     }
@@ -1061,7 +1031,6 @@ mod tests {
                 inject_failures: false,
                 node_ttf: None,
                 horizon_s: 60.0,
-                queue: QueueBackend::Heap,
                 chaos: None,
             }
         };
@@ -1155,7 +1124,7 @@ mod tests {
     }
 
     #[test]
-    fn chaos_is_deterministic_and_backend_invariant() {
+    fn chaos_is_deterministic() {
         use crate::chaos::{FaultKind, FaultSchedule};
         let mut m = base(vec![TenantWorkload::oltp("shop", 150.0, 5_000)]);
         m.chaos = chaos(
@@ -1182,9 +1151,6 @@ mod tests {
         let a = m.run(24);
         let b = m.run(24);
         assert_eq!(a, b, "same seed must replay identically under chaos");
-        let mut cal = m.clone();
-        cal.queue = QueueBackend::Calendar;
-        assert_eq!(a, cal.run(24), "chaos must not depend on the queue backend");
     }
 }
 
@@ -1218,7 +1184,6 @@ mod proptests {
             inject_failures: false,
             node_ttf: None,
             horizon_s,
-            queue: QueueBackend::Heap,
             chaos: None,
         }
     }

@@ -119,7 +119,6 @@ pub fn perf_screen(scenario: &Scenario) -> Option<PerfScreen> {
 mod tests {
     use super::*;
     use wt_analytic::screen::{Rel, ScreenVerdict};
-    use wt_des::QueueBackend;
     use wt_hw::{catalog, TopologySpec};
     use wt_sw::{Placement, RepairPolicy};
     use wt_workload::TenantWorkload;
@@ -155,7 +154,6 @@ mod tests {
             disk_failures: false,
             horizon_years: 0.25,
             seed: 42,
-            queue: Some(QueueBackend::Heap),
             faults: None,
         }
     }

@@ -78,7 +78,6 @@ pub mod prelude {
     pub use crate::sla::{Sla, SlaSet};
     pub use crate::sweep::{MetricAgg, SweepRunner, SweepSpec};
     pub use wt_cluster::{AvailabilityResult, PerfResult, Scenario, UnavailabilityExperiment};
-    pub use wt_des::QueueBackend;
     pub use wt_dist::Dist;
     pub use wt_hw::catalog;
     pub use wt_hw::{CostModel, LimpwareSpec};

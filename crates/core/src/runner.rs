@@ -219,7 +219,6 @@ impl WindTunnel {
                 ttf: scenario.topology.node.disks[0].ttf.clone(),
                 replace: scenario.topology.node.disks[0].repair.clone(),
             }),
-            queue: scenario.queue_backend_for(scenario.availability_pending_estimate()),
             chaos: Self::chaos_config(scenario),
         }
     }
@@ -235,7 +234,6 @@ impl WindTunnel {
             inject_failures,
             node_ttf: None,
             horizon_s: (scenario.horizon_years * 365.0 * 86_400.0).min(600.0),
-            queue: scenario.queue_backend_for(scenario.perf_pending_estimate()),
             chaos: Self::chaos_config(scenario),
         }
     }
@@ -331,7 +329,6 @@ impl WindTunnel {
             },
             repair: scenario.repair,
             wire_latency_s: scenario.topology.min_cross_latency_s(),
-            queue: scenario.queue_backend_for(scenario.availability_pending_estimate()),
             chaos: Self::chaos_config(scenario),
         }
     }
@@ -845,36 +842,29 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_backend_reaches_the_derived_models() {
-        use wt_des::QueueBackend;
-        // Small scenario, no explicit queue: both engines keep the heap.
-        let sc = small();
-        assert_eq!(sc.queue, None);
-        assert_eq!(
-            WindTunnel::availability_model(&sc).queue,
-            QueueBackend::Heap
-        );
-        assert_eq!(WindTunnel::perf_model(&sc, false).queue, QueueBackend::Heap);
-
-        // Scale past the adaptive threshold: the inferred calendar backend
-        // lands in the derived model (and from there into telemetry).
-        let mut big = small();
-        big.topology.racks = 600;
-        assert_eq!(
-            WindTunnel::availability_model(&big).queue,
-            QueueBackend::Calendar
-        );
-        assert_eq!(
-            WindTunnel::perf_model(&big, false).queue,
-            QueueBackend::Calendar
-        );
-
-        // An explicit choice is never overridden.
-        big.queue = Some(QueueBackend::Heap);
-        assert_eq!(
-            WindTunnel::availability_model(&big).queue,
-            QueueBackend::Heap
-        );
+    fn legacy_queue_key_in_scenario_json_loads_and_runs_identically() {
+        // Scenario files written while the event list was selectable carry
+        // a "queue" key (null, "Heap" or "Calendar"). It is ignored on
+        // load: such a file runs exactly like the same scenario without it.
+        let mut sc = small();
+        sc.tenants = vec![TenantWorkload::oltp("shop", 50.0, 10_000)];
+        let plain = serde_json::to_string(&sc).unwrap();
+        assert!(!plain.contains("\"queue\""), "no queue key is written");
+        let tunnel = WindTunnel::new();
+        let avail = tunnel.run_availability(&sc);
+        let perf = tunnel.run_perf(&sc, true);
+        for legacy in ["null", "\"Heap\"", "\"Calendar\""] {
+            let json = plain.replacen(
+                ",\"faults\":",
+                &format!(",\"queue\":{legacy},\"faults\":"),
+                1,
+            );
+            assert_ne!(json, plain, "legacy key inserted");
+            let back: Scenario = serde_json::from_str(&json).unwrap();
+            assert_eq!(serde_json::to_string(&back).unwrap(), plain);
+            assert_eq!(tunnel.run_availability(&back), avail, "queue: {legacy}");
+            assert_eq!(tunnel.run_perf(&back, true), perf, "queue: {legacy}");
+        }
     }
 
     #[test]
@@ -929,7 +919,6 @@ mod tests {
         assert_eq!(m.replication, serial.redundancy.width());
         assert_eq!(m.objects, serial.objects);
         assert_eq!(m.rebuild, serial.rebuild);
-        assert_eq!(m.queue, serial.queue);
         assert_eq!(m.wire_latency_s, sc.topology.min_cross_latency_s());
         assert!(m.lookahead_s() >= m.wire_latency_s);
     }

@@ -7,7 +7,6 @@
 //! simpler and — for the replications-of-independent-runs workloads the
 //! paper targets — faster than intra-run parallel DES.
 
-use crate::pending::PendingEvents;
 use crate::queue::EventQueue;
 use crate::rng::RngFactory;
 use crate::time::{SimDuration, SimTime};
@@ -61,14 +60,9 @@ impl StopReason {
 
 /// Scheduling context passed to [`Model::handle`]: the clock, the event
 /// queue, the RNG factory and the stop flag.
-///
-/// The queue is held as `&mut dyn PendingEvents<E>` so that
-/// [`Model::handle`]'s signature is independent of the engine's backend
-/// choice: models compile once, scheduling pays one indirect call, and
-/// the engine's pop/peek loop stays fully monomorphized.
 pub struct Ctx<'a, E> {
     now: SimTime,
-    queue: &'a mut dyn PendingEvents<E>,
+    queue: &'a mut EventQueue<E>,
     rng: &'a mut RngFactory,
     stop: &'a mut bool,
     executed: u64,
@@ -161,16 +155,11 @@ impl<E> Ctx<'_, E> {
     }
 }
 
-/// A single simulation run: a [`Model`], its future-event list, clock,
-/// RNG factory and execution counters.
-///
-/// Generic over the future-event list `Q` (default: the binary-heap
-/// [`EventQueue`]). Because every [`PendingEvents`] backend honors the
-/// same `(time, seq)` pop order, the backend choice affects wall-clock
-/// time only — event order, RNG draws and results are identical.
-pub struct Simulation<M: Model, Q: PendingEvents<M::Event> = EventQueue<<M as Model>::Event>> {
+/// A single simulation run: a [`Model`], its future-event list (the
+/// binary-heap [`EventQueue`]), clock, RNG factory and execution counters.
+pub struct Simulation<M: Model> {
     model: M,
-    queue: Q,
+    queue: EventQueue<M::Event>,
     rng: RngFactory,
     now: SimTime,
     executed: u64,
@@ -178,22 +167,12 @@ pub struct Simulation<M: Model, Q: PendingEvents<M::Event> = EventQueue<<M as Mo
 }
 
 impl<M: Model> Simulation<M> {
-    /// Creates a run over `model` with the default binary-heap event
-    /// queue, all randomness derived from `seed`.
+    /// Creates a run over `model` with an empty event queue, all
+    /// randomness derived from `seed`.
     pub fn new(model: M, seed: u64) -> Self {
-        Self::with_queue(model, seed, EventQueue::new())
-    }
-}
-
-impl<M: Model, Q: PendingEvents<M::Event>> Simulation<M, Q> {
-    /// Creates a run over `model` using `queue` as the future-event list
-    /// (e.g. a [`CalendarQueue`](crate::CalendarQueue)); all randomness
-    /// derived from `seed`. The queue must be empty.
-    pub fn with_queue(model: M, seed: u64, queue: Q) -> Self {
-        debug_assert!(queue.is_empty(), "backend queue must start empty");
         Simulation {
             model,
-            queue,
+            queue: EventQueue::new(),
             rng: RngFactory::new(seed),
             now: SimTime::ZERO,
             executed: 0,
@@ -201,10 +180,10 @@ impl<M: Model, Q: PendingEvents<M::Event>> Simulation<M, Q> {
         }
     }
 
-    /// Pre-allocates queue room for at least `additional` pending events
-    /// (a hint; see [`PendingEvents::reserve`]). Engines that know their
-    /// steady-state pending-set size — e.g. one timer per component —
-    /// call this once at setup so the hot loop never regrows the list.
+    /// Pre-allocates queue room for at least `additional` pending events.
+    /// Engines that know their steady-state pending-set size — e.g. one
+    /// timer per component — call this once at setup so the hot loop
+    /// never regrows the list.
     pub fn reserve_events(&mut self, additional: usize) {
         self.queue.reserve(additional);
     }
@@ -294,10 +273,9 @@ impl<M: Model, Q: PendingEvents<M::Event>> Simulation<M, Q> {
     /// pending and the clock is left at `horizon`), the queue drains, the
     /// model stops, or the budget runs out.
     ///
-    /// This is the probe-free loop, monomorphized per backend with no
-    /// probe checks inside — attaching observability costs nothing when
-    /// it is not used ([`run_until_probed`](Self::run_until_probed) is a
-    /// separate loop).
+    /// This is the probe-free loop, with no probe checks inside —
+    /// attaching observability costs nothing when it is not used
+    /// ([`run_until_probed`](Self::run_until_probed) is a separate loop).
     pub fn run_until(&mut self, horizon: SimTime) -> StopReason {
         loop {
             if let Some(budget) = self.event_budget {
@@ -707,45 +685,8 @@ mod tests {
         assert_eq!(probe.events(), 4);
     }
 
-    // --- Backend genericity ----------------------------------------------
-
-    /// One full engine run (reason, counters, clock, model trace) on the
-    /// given queue backend.
-    fn ticker_run<Q: crate::PendingEvents<()>>(
-        queue: Q,
-        probed: bool,
-    ) -> (StopReason, u64, SimTime, Vec<SimTime>) {
-        let mut sim = Simulation::with_queue(ticker(0.5, 50), 11, queue);
-        sim.reserve_events(8);
-        sim.schedule_at(SimTime::ZERO, ());
-        let horizon = SimTime::from_secs(20.0);
-        let reason = if probed {
-            let mut p = wt_obs::SimProbe::new();
-            sim.run_until_probed(horizon, &mut p)
-        } else {
-            sim.run_until(horizon)
-        };
-        (
-            reason,
-            sim.events_executed(),
-            sim.now(),
-            sim.into_model().fire_times,
-        )
-    }
-
     #[test]
-    fn calendar_backend_runs_identically_to_heap() {
-        let heap = ticker_run(crate::EventQueue::new(), false);
-        let cal = ticker_run(crate::CalendarQueue::new(), false);
-        assert_eq!(heap, cal);
-        // And probed runs agree with both, across backends.
-        assert_eq!(ticker_run(crate::CalendarQueue::new(), true), heap);
-    }
-
-    #[test]
-    fn ctx_schedules_through_the_backend_trait() {
-        // A model whose handler inspects Ctx queue state exercises the
-        // dyn-dispatched path on a non-default backend.
+    fn ctx_sees_pending_events_inside_handlers() {
         struct Inspector {
             depths: Vec<usize>,
         }
@@ -758,14 +699,12 @@ mod tests {
                 }
             }
         }
-        let mut sim = Simulation::with_queue(
-            Inspector { depths: Vec::new() },
-            3,
-            crate::CalendarQueue::new(),
-        );
+        let mut sim = Simulation::new(Inspector { depths: Vec::new() }, 3);
         sim.schedule_at(SimTime::ZERO, 0);
+        sim.schedule_at(SimTime::from_secs(10.0), 9);
         assert_eq!(sim.run(), StopReason::QueueEmpty);
-        assert_eq!(sim.model().depths, vec![0; 6]);
+        // The far event waits behind the chain until the chain is done.
+        assert_eq!(sim.model().depths, vec![1, 1, 1, 1, 1, 1, 0]);
     }
 
     #[test]

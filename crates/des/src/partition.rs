@@ -1,7 +1,7 @@
 //! Conservative partitioned (parallel) discrete-event execution.
 //!
 //! One simulation run split across `P` partitions, each with its own
-//! [`PendingEvents`] queue, RNG substream and model shard, synchronized
+//! [`EventQueue`], RNG substream and model shard, synchronized
 //! with the classic conservative-window algorithm: every round, all
 //! partitions agree on the global minimum pending timestamp `T`, execute
 //! every local event with `time < T + lookahead`, then exchange
@@ -37,7 +37,7 @@
 //! by the executed event count, not `horizon / lookahead`.
 
 use crate::engine::StopReason;
-use crate::pending::PendingEvents;
+use crate::queue::EventQueue;
 use crate::rng::RngFactory;
 use crate::time::{SimDuration, SimTime};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -110,7 +110,7 @@ pub struct PartCtx<'a, E> {
     part: usize,
     parts: usize,
     lookahead: SimDuration,
-    queue: &'a mut dyn PendingEvents<E>,
+    queue: &'a mut EventQueue<E>,
     outbox: &'a mut Vec<(usize, Mail<E>)>,
     rng: &'a mut RngFactory,
     stop: &'a mut bool,
@@ -213,9 +213,9 @@ impl<E> PartCtx<'_, E> {
 }
 
 /// One partition's execution state.
-struct Cell<M: PartitionModel, Q> {
+struct Cell<M: PartitionModel> {
     model: M,
-    queue: Q,
+    queue: EventQueue<M::Event>,
     rng: RngFactory,
     outbox: Vec<(usize, Mail<M::Event>)>,
     executed: u64,
@@ -226,7 +226,7 @@ struct Cell<M: PartitionModel, Q> {
     touches: Vec<(&'static str, u64)>,
 }
 
-impl<M: PartitionModel, Q: PendingEvents<M::Event>> Cell<M, Q> {
+impl<M: PartitionModel> Cell<M> {
     /// Executes every local event with `time < w_end && time <= horizon`,
     /// feeding `probe`. Cross-partition sends accumulate in the outbox.
     fn execute_window<P: Probe>(
@@ -319,17 +319,13 @@ impl Probe for NoProbe {
 /// bitwise-determinism oracle — while `run_until_threaded` fans the
 /// partitions across worker threads with barrier synchronization; both
 /// produce identical results (see module docs).
-pub struct PartitionedSimulation<M: PartitionModel, Q: PendingEvents<M::Event>> {
-    cells: Vec<Cell<M, Q>>,
+pub struct PartitionedSimulation<M: PartitionModel> {
+    cells: Vec<Cell<M>>,
     lookahead: SimDuration,
     now: SimTime,
 }
 
-impl<M, Q> PartitionedSimulation<M, Q>
-where
-    M: PartitionModel,
-    Q: PendingEvents<M::Event> + Default + Send,
-{
+impl<M: PartitionModel> PartitionedSimulation<M> {
     /// A partitioned simulation over `models` (one per partition), seeded
     /// from `seed`: partition `i`'s [`RngFactory`] is
     /// `RngFactory::new(seed).subfactory("partition", i)` — the same
@@ -342,7 +338,7 @@ where
             .enumerate()
             .map(|(i, model)| Cell {
                 model,
-                queue: Q::default(),
+                queue: EventQueue::new(),
                 rng: root.subfactory("partition", i as u64),
                 outbox: Vec::new(),
                 executed: 0,
@@ -528,7 +524,7 @@ where
         let stop_flag = AtomicBool::new(false);
         let barrier = Barrier::new(workers);
 
-        let worker = |k: usize, cells: &mut [Cell<M, Q>], mut probes: Option<&mut [P]>| {
+        let worker = |k: usize, cells: &mut [Cell<M>], mut probes: Option<&mut [P]>| {
             let base = k * chunk;
             loop {
                 // Phase 0: publish this worker's window minimum; after the
@@ -594,7 +590,7 @@ where
             }
         };
 
-        let mut cell_chunks: Vec<&mut [Cell<M, Q>]> = self.cells.chunks_mut(chunk).collect();
+        let mut cell_chunks: Vec<&mut [Cell<M>]> = self.cells.chunks_mut(chunk).collect();
         let mut probe_chunks: Vec<Option<&mut [P]>> = match probes {
             Some(p) => p.chunks_mut(chunk).map(Some).collect(),
             None => (0..workers).map(|_| None).collect(),
@@ -625,7 +621,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue::EventQueue;
     use wt_obs::SimProbe;
 
     /// A shard-decomposed ping model: each partition owns a set of shard
@@ -714,11 +709,7 @@ mod tests {
 
     /// Builds a run with `total_shards` shards grouped into `parts`
     /// contiguous partitions; returns the sim ready to run.
-    fn build(
-        total_shards: u64,
-        parts: usize,
-        seed: u64,
-    ) -> PartitionedSimulation<PingModel, EventQueue<Ev>> {
+    fn build(total_shards: u64, parts: usize, seed: u64) -> PartitionedSimulation<PingModel> {
         let owner: std::sync::Arc<Vec<usize>> = std::sync::Arc::new(
             (0..total_shards)
                 .map(|s| (s as usize * parts) / total_shards as usize)
@@ -756,9 +747,7 @@ mod tests {
     }
 
     /// Global fingerprint in shard order: invariant to partitioning.
-    fn fingerprint(
-        sim: &PartitionedSimulation<PingModel, EventQueue<Ev>>,
-    ) -> Vec<(u64, u64, u64, u64)> {
+    fn fingerprint(sim: &PartitionedSimulation<PingModel>) -> Vec<(u64, u64, u64, u64)> {
         let mut shards: Vec<_> = sim
             .models()
             .flat_map(|m| m.shards.iter())
@@ -859,7 +848,7 @@ mod tests {
                 }
             }
         }
-        let mut sim: PartitionedSimulation<Stopper, EventQueue<u32>> =
+        let mut sim: PartitionedSimulation<Stopper> =
             PartitionedSimulation::new(vec![Stopper, Stopper], 1, Lookahead::from_secs(1.0));
         sim.schedule_at(0, SimTime::ZERO, 0);
         let r = sim.run_until(SimTime::from_secs(100.0));
@@ -872,7 +861,7 @@ mod tests {
             type Event = ();
             fn handle(&mut self, _ev: (), _ctx: &mut PartCtx<'_, ()>) {}
         }
-        let mut sim: PartitionedSimulation<OneShot, EventQueue<()>> =
+        let mut sim: PartitionedSimulation<OneShot> =
             PartitionedSimulation::new(vec![OneShot, OneShot], 1, Lookahead::from_secs(1.0));
         sim.schedule_at(1, SimTime::from_secs(2.0), ());
         let r = sim.run_until(SimTime::from_secs(100.0));
@@ -891,7 +880,7 @@ mod tests {
                 ctx.send(0, SimDuration::from_secs(0.5), 0, ());
             }
         }
-        let mut sim: PartitionedSimulation<Bad, EventQueue<()>> =
+        let mut sim: PartitionedSimulation<Bad> =
             PartitionedSimulation::new(vec![Bad], 1, Lookahead::from_secs(1.0));
         sim.schedule_at(0, SimTime::ZERO, ());
         sim.run_until(SimTime::from_secs(10.0));

@@ -1,10 +1,18 @@
-//! The pending-event set.
+//! The pending-event set: the engine's only future-event list.
 //!
-//! A binary heap keyed on `(time, sequence)`. The sequence number makes the
-//! ordering of simultaneous events deterministic (FIFO in scheduling order),
-//! which is what makes whole simulations reproducible.
+//! A binary heap keyed on `(time, sequence)`, O(log n) per operation.
+//!
+//! # The `(time, seq)` contract
+//!
+//! Determinism rests on one rule: **events pop in ascending `(time, seq)`
+//! order**, where `seq` is the value returned by [`EventQueue::push`] — a
+//! counter that increments by one per push over the queue's lifetime.
+//! Equal-time events therefore pop FIFO in scheduling order, and *never*
+//! in an order derived from the heap's layout. The same push sequence
+//! always produces the same pop sequence, which is what makes simulation
+//! results — every RNG draw, every statistic, every byte — reproducible.
+//! The FIFO proptests at the bottom of this file pin the contract.
 
-use crate::pending::PendingEvents;
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -70,8 +78,9 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Schedules `event` to fire at `time`. Returns a monotonically
-    /// increasing sequence number that identifies the entry.
+    /// Schedules `event` to fire at `time`. Returns the entry's sequence
+    /// number: starts at 0, increments by one per push, never resets (a
+    /// `u64` outlives any feasible run).
     pub fn push(&mut self, time: SimTime, event: E) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -79,7 +88,8 @@ impl<E> EventQueue<E> {
         seq
     }
 
-    /// Removes and returns the earliest pending event.
+    /// Removes and returns the pending event with the smallest
+    /// `(time, seq)`, or `None` when empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.heap.pop().map(|e| (e.time, e.event))
     }
@@ -108,27 +118,6 @@ impl<E> EventQueue<E> {
     /// steady-state pending set never regrows the heap mid-run.
     pub fn reserve(&mut self, additional: usize) {
         self.heap.reserve(additional);
-    }
-}
-
-impl<E> PendingEvents<E> for EventQueue<E> {
-    fn push(&mut self, time: SimTime, event: E) -> u64 {
-        EventQueue::push(self, time, event)
-    }
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        EventQueue::pop(self)
-    }
-    fn peek_time(&mut self) -> Option<SimTime> {
-        EventQueue::peek_time(self)
-    }
-    fn len(&self) -> usize {
-        EventQueue::len(self)
-    }
-    fn is_empty(&self) -> bool {
-        EventQueue::is_empty(self)
-    }
-    fn reserve(&mut self, additional: usize) {
-        EventQueue::reserve(self, additional);
     }
 }
 

@@ -55,8 +55,8 @@ impl WallHist {
 /// Everything here is a pure function of the simulated event sequence
 /// (the sketches' bucket/register state is order-independent, and each
 /// run records its observations in event order), so sketch-bearing
-/// telemetry stays bitwise-identical across worker counts and queue
-/// backends. Merging across runs happens in the farm's ordered fold.
+/// telemetry stays bitwise-identical across worker counts. Merging
+/// across runs happens in the farm's ordered fold.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SketchSet {
     /// Quantile sketches by observation label.
@@ -128,11 +128,11 @@ pub struct RunTelemetry {
     pub events_by_label: BTreeMap<String, u64>,
     /// Model-emitted custom marks (see the engine's `Ctx::mark`).
     pub marks: BTreeMap<String, u64>,
-    /// Future-event-list backend the run used (`"heap"`, `"calendar"`),
-    /// recorded as provenance. `None` on records written before the
-    /// backend became selectable. Purely informational: both backends
-    /// produce bitwise-identical event streams, so this never affects
-    /// any simulation-derived field.
+    /// Future-event list the run used, recorded as provenance: always
+    /// `"heap"` now that the binary heap is the only one. Older records
+    /// may read `"calendar"` (a backend since removed) or `None` (written
+    /// before the field existed). Never affects any simulation-derived
+    /// field.
     pub queue: Option<String>,
     /// Mergeable per-label sketches (quantiles of `Ctx::observe` values,
     /// HLL cardinalities of `Ctx::touch` keys). `None` on records

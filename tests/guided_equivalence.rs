@@ -1,8 +1,7 @@
 //! Guided execution equivalence: the guided planner (analytic screening,
 //! surrogate ranking, early-stop) must reproduce the exhaustive sweep's
-//! verdict table exactly — at any worker count and on either DES queue
-//! backend. Guided mode may only change *how much* simulation runs, never
-//! *what* the sweep concludes.
+//! verdict table exactly — at any worker count. Guided mode may only
+//! change *how much* simulation runs, never *what* the sweep concludes.
 
 use windtunnel::prelude::*;
 use wt_wtql::{parse, run_query, ExecOptions, QueryOutcome};
@@ -10,7 +9,7 @@ use wt_wtql::{parse, run_query, ExecOptions, QueryOutcome};
 /// The failure-heavy cluster the analytic screens can bite on: ~40-day
 /// node lifetimes and a 5-day detection delay give ≈ 68 expected failures
 /// over the quarter, so weak replication provably misses tight floors.
-fn stress_base(queue: QueueBackend) -> Scenario {
+fn stress_base() -> Scenario {
     let mut sc = ScenarioBuilder::new("guided-eq")
         .racks(3)
         .nodes_per_rack(10)
@@ -18,7 +17,6 @@ fn stress_base(queue: QueueBackend) -> Scenario {
         .object_gb(4.0)
         .horizon_years(0.25)
         .seed(42)
-        .queue(queue)
         .build();
     sc.topology.node.ttf = Dist::weibull_mean(0.8, 40.0 * 86_400.0);
     sc.repair.detection_delay_s = 5.0 * 86_400.0;
@@ -69,7 +67,7 @@ fn run(query_text: &str, sc: &Scenario, guided: bool, threads: usize) -> QueryOu
 }
 
 #[test]
-fn guided_matches_exhaustive_across_workers_and_backends() {
+fn guided_matches_exhaustive_across_workers() {
     // E4/E6-style sweep: redundancy × repair speed under a tight floor
     // with a cost objective. Pruning off so every point is individually
     // comparable.
@@ -78,22 +76,20 @@ fn guided_matches_exhaustive_across_workers_and_backends() {
                 SUBJECT TO availability >= 0.99985 \
                 MINIMIZE tco_usd_per_year \
                 OPTIONS prune = FALSE";
-    for queue in [QueueBackend::Heap, QueueBackend::Calendar] {
-        let sc = stress_base(queue);
-        let exhaustive = run(text, &sc, false, 1);
-        assert_eq!(exhaustive.screened, 0);
-        for workers in [1, 4] {
-            let guided = run(text, &sc, true, workers);
-            assert_eq!(
-                verdicts(&exhaustive),
-                verdicts(&guided),
-                "queue {queue:?}, workers {workers}"
-            );
-            assert_eq!(winning_row(&exhaustive), winning_row(&guided));
-            // The screens actually fired and actually saved simulation.
-            assert!(guided.screened >= 2, "queue {queue:?}: {guided:?}");
-            assert!(guided.total_sim_events < exhaustive.total_sim_events);
-        }
+    let sc = stress_base();
+    let exhaustive = run(text, &sc, false, 1);
+    assert_eq!(exhaustive.screened, 0);
+    for workers in [1, 4] {
+        let guided = run(text, &sc, true, workers);
+        assert_eq!(
+            verdicts(&exhaustive),
+            verdicts(&guided),
+            "workers {workers}"
+        );
+        assert_eq!(winning_row(&exhaustive), winning_row(&guided));
+        // The screens actually fired and actually saved simulation.
+        assert!(guided.screened >= 2, "workers {workers}: {guided:?}");
+        assert!(guided.total_sim_events < exhaustive.total_sim_events);
     }
 }
 
@@ -105,7 +101,7 @@ fn guided_preserves_dominance_pruning() {
     let text = "EXPLORE availability \
                 SWEEP replication IN [2, 3, 5], repair_parallel IN [1, 4] \
                 SUBJECT TO availability >= 0.99985";
-    let sc = stress_base(QueueBackend::Heap);
+    let sc = stress_base();
     let exhaustive = run(text, &sc, false, 1);
     assert!(
         exhaustive.pruned > 0,

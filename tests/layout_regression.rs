@@ -2,8 +2,8 @@
 //! engines must be invisible in every observable byte. Three locks:
 //!
 //! * `fig1 --smoke` stdout, pinned against a committed fixture at
-//!   workers 1/4 × heap/calendar (the fixture was captured on the
-//!   pre-refactor `Vec<Vec<_>>` layout).
+//!   workers 1/4 (the fixture was captured on the pre-refactor
+//!   `Vec<Vec<_>>` layout).
 //! * `e13_chaos --smoke` stdout, same grid — chaos handlers ride the
 //!   same hot path and must not drift either.
 //! * `RunRecord` JSON bytes for a mixed scenario batch (switch + disk
@@ -29,15 +29,13 @@ fn read_golden(name: &str) -> String {
         .unwrap_or_else(|e| panic!("missing golden fixture {name}: {e}"))
 }
 
-/// Runs `bin --smoke` with the given worker count and backend flag,
-/// returning stdout. Stderr (timing lines) is intentionally dropped.
-fn smoke_stdout(bin: &str, workers: &str, queue: Option<&str>) -> String {
-    let mut cmd = Command::new(bin);
-    cmd.args(["--smoke", "--workers", workers]);
-    if let Some(q) = queue {
-        cmd.args(["--queue", q]);
-    }
-    let out = cmd.output().unwrap_or_else(|e| panic!("spawn {bin}: {e}"));
+/// Runs `bin --smoke` with the given worker count, returning stdout.
+/// Stderr (timing lines) is intentionally dropped.
+fn smoke_stdout(bin: &str, workers: &str) -> String {
+    let out = Command::new(bin)
+        .args(["--smoke", "--workers", workers])
+        .output()
+        .unwrap_or_else(|e| panic!("spawn {bin}: {e}"));
     assert!(out.status.success(), "{bin} failed: {:?}", out.status);
     String::from_utf8(out.stdout).expect("smoke stdout is UTF-8")
 }
@@ -45,13 +43,11 @@ fn smoke_stdout(bin: &str, workers: &str, queue: Option<&str>) -> String {
 fn assert_smoke_pinned(bin: &str, fixture: &str) {
     let want = read_golden(fixture);
     for workers in ["1", "4"] {
-        for queue in [None, Some("heap"), Some("calendar")] {
-            let got = smoke_stdout(bin, workers, queue);
-            assert_eq!(
-                got, want,
-                "stdout drifted from {fixture} at workers={workers} queue={queue:?}"
-            );
-        }
+        let got = smoke_stdout(bin, workers);
+        assert_eq!(
+            got, want,
+            "stdout drifted from {fixture} at workers={workers}"
+        );
     }
 }
 

@@ -1,6 +1,6 @@
 //! Integration: partitioned parallel execution end to end. A single run
 //! sharded across conservative-lookahead partitions must be invisible in
-//! results, the way `queue_backends.rs` pins the queue backends:
+//! results:
 //!
 //! * **Thread counts** (fixed partitioning) are fully bitwise-invisible:
 //!   same `RunRecord` bytes, telemetry and sketches included (only
@@ -151,7 +151,6 @@ fn perf_engine_is_partition_and_thread_invisible() {
             TenantWorkload::analytics("scan", 4.0, 200),
         ],
         remote_read_fraction: 0.3,
-        queue: wt_des::QueueBackend::Heap,
     };
     let (gold, gold_t) = m.run_observed(71, 240.0, 1, 1);
     assert!(gold_t.events > 1_000, "run must do real work");
@@ -241,7 +240,7 @@ mod proptests {
 
         /// Arbitrary small configs: the partitioned availability engine's
         /// result (every field) is identical across partition and thread
-        /// counts, on both queue backends.
+        /// counts.
         #[test]
         fn partitioned_runs_equivalent(
             racks in 1usize..7,
@@ -251,12 +250,8 @@ mod proptests {
             objects in 50u64..300,
             seed in 0u64..1_000,
             horizon_days in 10u64..60,
-            calendar in any::<bool>(),
         ) {
             let mut m = PartitionedAvailability::example(racks, per_rack, objects);
-            if calendar {
-                m.queue = wt_des::QueueBackend::Calendar;
-            }
             m.node_ttf = wt_dist::Dist::exponential_mean(8.0 * 86_400.0);
             let horizon = horizon_days as f64 * 86_400.0;
             let gold = m.run(seed, horizon, 1, 1);

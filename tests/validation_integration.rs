@@ -5,7 +5,6 @@ use wt_analytic::{Mg1, Mm1, RepairableReplicas};
 use wt_bench::queuesim::QueueSim;
 use wt_cluster::{AvailabilityModel, RebuildModel};
 use wt_des::time::SimDuration;
-use wt_des::QueueBackend;
 use wt_dist::Dist;
 use wt_sw::{Placement, RedundancyScheme, RepairPolicy};
 
@@ -69,7 +68,6 @@ fn availability_engine_brackets_markov_prediction() {
         },
         switches: None,
         disks: None,
-        queue: QueueBackend::Heap,
         chaos: None,
     };
     let mut avail = 0.0;
