@@ -287,6 +287,21 @@ mod tests {
     }
 
     #[test]
+    fn queue_backend_defaults_to_heap() {
+        // A built scenario has no event-list knob: both engines derived
+        // from it run on the binary heap and record it as provenance.
+        let s = ScenarioBuilder::new("q")
+            .horizon_years(0.05)
+            .tenant(TenantWorkload::oltp("a", 10.0, 100))
+            .build();
+        let horizon = wt_des::time::SimDuration::from_years(s.horizon_years);
+        let (_, t) = crate::WindTunnel::availability_model(&s).run_observed(s.seed, horizon, None);
+        assert_eq!(t.queue.as_deref(), Some("heap"));
+        let (_, t) = crate::WindTunnel::perf_model(&s, false).run_observed(s.seed, None);
+        assert_eq!(t.queue.as_deref(), Some("heap"));
+    }
+
+    #[test]
     #[should_panic(expected = "exceeds cluster size")]
     fn overwide_redundancy_rejected() {
         let _ = ScenarioBuilder::new("bad")
