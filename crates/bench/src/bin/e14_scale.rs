@@ -64,13 +64,13 @@ fn main() {
         "build-out shrank below the scale floor: {components} < {floor}"
     );
 
-    // Partitioned mode: `--partitions N` (or WT_PARTITIONS) runs one
-    // simulation through the rack-sharded engine instead of the sweep —
-    // node failure domains only, which is what that engine models. All
-    // stdout below the branch is partition-count-invariant, so CI can
-    // diff it across `--partitions 1/2/4`; wall time, thread count and
-    // queue depths (which do depend on partitioning) go to stderr.
-    if flag_value(&args, "--partitions").is_some() || std::env::var("WT_PARTITIONS").is_ok() {
+    // Partitioned mode: `--partitions N` runs one simulation through the
+    // rack-sharded engine instead of the sweep — node failure domains
+    // only, which is what that engine models. All stdout below the branch
+    // is partition-count-invariant, so CI can diff it across
+    // `--partitions 1/2/4`; wall time, thread count and queue depths
+    // (which do depend on partitioning) go to stderr.
+    if flag_value(&args, "--partitions").is_some() {
         let partitions = partitions_from_args(&args);
         let threads = farm_from_args(&args).workers();
         let m = WindTunnel::partitioned_availability_model(&base);

@@ -48,23 +48,20 @@ pub fn runner_from_args(args: &[String]) -> SweepRunner {
 }
 
 /// The shared `--partitions N` flag: how many conservative-lookahead
-/// partitions a single simulation run is sharded across. An explicit
-/// flag wins; otherwise the `WT_PARTITIONS` environment knob applies
-/// (parsed by the same helper as `WT_WORKERS`, warn-once on garbage);
-/// the default is 1 — the serial oracle. Exits with a usage error on a
-/// non-positive or non-numeric flag value. Partitioning affects
-/// wall-clock time only: results are bitwise-identical at any partition
-/// count, which the CI partition-smoke job diffs.
+/// partitions a single simulation run is sharded across (parsed by the
+/// same helper as `WT_WORKERS`). The default is 1 — the serial oracle.
+/// Exits with a usage error on a non-positive or non-numeric value.
+/// The partition count affects wall-clock time only: results are
+/// bitwise-identical at any partition count, which the CI
+/// partition-smoke job diffs.
 pub fn partitions_from_args(args: &[String]) -> usize {
-    match flag_value(args, "--partitions") {
-        Some(v) => match windtunnel::knobs::parse_count("--partitions", "partition", Some(v)) {
-            Ok(n) => n.unwrap_or(1),
-            Err(reason) => {
-                eprintln!("error: {reason}");
-                std::process::exit(2);
-            }
-        },
-        None => windtunnel::knobs::partitions_from_env(),
+    let flag = flag_value(args, "--partitions").map(String::as_str);
+    match windtunnel::knobs::parse_count("--partitions", "partition", flag) {
+        Ok(n) => n.unwrap_or(1),
+        Err(reason) => {
+            eprintln!("error: {reason}");
+            std::process::exit(2);
+        }
     }
 }
 
@@ -111,7 +108,7 @@ mod tests {
     fn partitions_flag_wins_and_defaults_to_serial() {
         let args: Vec<String> = vec!["prog".into(), "--partitions".into(), "4".into()];
         assert_eq!(partitions_from_args(&args), 4);
-        // No flag and no WT_PARTITIONS in the test environment: serial.
+        // No flag: serial.
         let bare: Vec<String> = vec!["prog".into()];
         assert_eq!(partitions_from_args(&bare), 1);
     }

@@ -145,10 +145,15 @@ pub struct DiskFailureModel {
     pub replace: Dist,
 }
 
+/// The most nodes one availability run can model: holder sets store node
+/// ids as `u16`. Callers that take node counts from user input check
+/// against this before building a run.
+pub const MAX_NODES: usize = u16::MAX as usize + 1;
+
 /// Configuration for one availability run.
 #[derive(Debug, Clone)]
 pub struct AvailabilityModel {
-    /// Number of nodes.
+    /// Number of nodes, at most [`MAX_NODES`].
     pub n_nodes: usize,
     /// Redundancy scheme.
     pub redundancy: RedundancyScheme,
@@ -403,9 +408,8 @@ impl<'a> AvailState<'a> {
     fn new(cfg: &'a AvailabilityModel, seed: u64, chaos_faults: Vec<CompiledFault>) -> Self {
         let width = cfg.redundancy.width();
         assert!(
-            cfg.n_nodes <= u16::MAX as usize + 1,
-            "node ids are u16: n_nodes must be ≤ {}",
-            u16::MAX as usize + 1
+            cfg.n_nodes <= MAX_NODES,
+            "node ids are u16: n_nodes must be ≤ {MAX_NODES}"
         );
         assert!(width <= u8::MAX as usize, "holder counts are u8");
         let factory = RngFactory::new(seed);

@@ -36,7 +36,7 @@ pub mod unavailability;
 pub use arena::NodeLists;
 pub use availability::{AvailabilityModel, RebuildModel};
 pub use chaos::{ChaosGeometry, FaultKind, FaultSchedule, InjectionRule};
-pub use partitioned::{PartitionedAvailability, PartitionedPerf};
+pub use partitioned::PartitionedAvailability;
 pub use perf::PerfModel;
 pub use results::{AvailabilityResult, PerfResult, TenantPerf, UnavailabilityPoint};
 pub use scenario::Scenario;

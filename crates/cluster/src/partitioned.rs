@@ -1,66 +1,56 @@
-//! Topology-sharded engines for partitioned parallel execution.
+//! A topology-sharded availability engine for partitioned parallel
+//! execution.
 //!
-//! One simulation run, many partitions: the cluster is sharded along the
-//! hardware topology (contiguous rack ranges, the shape
-//! [`wt_hw::Topology::partition_by`] produces for racks, pods and power
-//! domains alike), each shard owns its racks' state and random streams
-//! outright, and the only traffic between shards is what would cross the
-//! aggregation layer in the real datacenter: replica-loss notifications,
-//! re-replication placements, and remote reads. Those all ride network
-//! and detection latencies, which is exactly the conservative lookahead
-//! [`wt_des::PartitionedSimulation`] synchronizes on.
+//! One simulation run, many partitions: the cluster is sharded into
+//! balanced contiguous rack spans, each shard owns its racks' state and
+//! random streams outright, and the only traffic between shards is what
+//! would cross the aggregation layer in the real datacenter:
+//! replica-loss notifications and re-replication placements. Those all
+//! ride network and detection latencies, which is exactly the
+//! conservative lookahead [`wt_des::PartitionedSimulation`] synchronizes
+//! on.
 //!
-//! **Partition-count invariance.** Both engines here are written so the
-//! number of partitions is semantically invisible: every piece of
-//! mutable state and every RNG stream is keyed by *rack* (derived by
-//! content hash from the run seed, never from the partition index), all
-//! cross-rack messages go through [`wt_des::PartCtx::send`] even when
-//! sender and receiver land in the same partition, and every message
-//! carries the sender's rack id as its delivery tag. `--partitions 1` is
-//! therefore the bitwise-determinism oracle for any partition/thread
-//! count — results and merged telemetry agree byte-for-byte.
+//! **Partition-count invariance.** The engine is written so the number
+//! of partitions is semantically invisible: every piece of mutable state
+//! and every RNG stream is keyed by *rack* (derived by content hash from
+//! the run seed, never from the partition index), all cross-rack
+//! messages go through [`wt_des::PartCtx::send`] even when sender and
+//! receiver land in the same partition, and every message carries the
+//! sender's rack id as its delivery tag. `--partitions 1` is therefore
+//! the bitwise-determinism oracle for any partition/thread count —
+//! results and merged telemetry agree byte-for-byte.
 //!
-//! **The availability shard model.** Objects are homed round-robin
-//! across racks (`home = object % racks`); an object keeps `w - 1`
-//! replicas on distinct nodes of its home rack plus one *mirror* replica
-//! in the buddy rack `(home + 1) % racks`. All placement and repair of
-//! home replicas is rack-local (same dynamics as
-//! [`crate::availability`]); losing the mirror triggers the
-//! cross-partition protocol: `MirrorLost` → home decides → buddy places
-//! a fresh mirror (`MirrorPlaceReq`/`MirrorPlaced`), with retry backoff
-//! when the buddy has no live node. Rack-wide chaos windows additionally
-//! publish `BuddyDark`/`BuddyLit` so homes count an unreachable buddy
-//! against operability. Mirror reachability is tracked at rack
-//! granularity (a full-rack outage darkens hosted mirrors; a single
-//! node's chaos window does not) — the fidelity note for this engine.
-//!
-//! **The perf shard model.** Tenants are homed round-robin across racks;
-//! a request queues at a home-rack disk, streams through the node NIC,
-//! and with probability `remote_read_fraction` takes a cross-rack leg to
-//! the buddy rack (disk read there, transfer back). The lookahead is the
-//! minimum inter-rack path latency straight from
-//! [`wt_hw::Topology::partition_by`].
+//! **The shard model.** Objects are homed round-robin across racks
+//! (`home = object % racks`); an object keeps `w - 1` replicas on
+//! distinct nodes of its home rack plus one *mirror* replica in the buddy
+//! rack `(home + 1) % racks`. All placement and repair of home replicas
+//! is rack-local (same dynamics as [`crate::availability`]); losing the
+//! mirror triggers the cross-partition protocol: `MirrorLost` → home
+//! decides → buddy places a fresh mirror (`MirrorPlaceReq`/
+//! `MirrorPlaced`), with retry backoff when the buddy has no live node.
+//! Rack-wide chaos windows additionally publish `BuddyDark`/`BuddyLit` so
+//! homes count an unreachable buddy against operability. Mirror
+//! reachability is tracked at rack granularity (a full-rack outage
+//! darkens hosted mirrors; a single node's chaos window does not) — the
+//! fidelity note for this engine.
 
 use crate::arena::NodeLists;
 use crate::availability::RebuildModel;
 use crate::chaos::{ChaosConfig, FaultEffect};
-use crate::results::{AvailabilityResult, PerfResult, TenantPerf};
-use std::collections::{HashMap, VecDeque};
+use crate::results::AvailabilityResult;
+use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::Arc;
 use wt_des::obs::{RunTelemetry, SimProbe};
 use wt_des::prelude::*;
 use wt_des::rng::RngFactory;
-use wt_des::ServerPool;
 use wt_dist::Dist;
-use wt_hw::{PartitionGranularity, TopologySpec};
 use wt_sw::repair::{RepairQueue, RepairTask};
 use wt_sw::{RedundancyScheme, RepairPolicy};
-use wt_workload::{TenantWorkload, Zipf};
 
-/// Balanced contiguous rack ranges: rack `r` belongs to partition
-/// `part_of[r]`. Same split as [`PartitionGranularity::Count`], kept
-/// callable without a full `Topology` in hand.
+/// Balanced contiguous rack spans: partition `i` owns racks
+/// `[i*racks/n, (i+1)*racks/n)`, with `n` clamped to `1..=racks` so no
+/// span is empty and span sizes differ by at most one rack.
 fn balanced_ranges(racks: usize, partitions: usize) -> Vec<Range<usize>> {
     let n = partitions.clamp(1, racks.max(1));
     (0..n)
@@ -68,6 +58,8 @@ fn balanced_ranges(racks: usize, partitions: usize) -> Vec<Range<usize>> {
         .collect()
 }
 
+/// The owner table of `ranges`: rack `r` belongs to partition
+/// `table[r]`.
 fn part_of_rack_table(ranges: &[Range<usize>], racks: usize) -> Vec<u32> {
     let mut table = vec![0u32; racks];
     for (p, range) in ranges.iter().enumerate() {
@@ -77,10 +69,6 @@ fn part_of_rack_table(ranges: &[Range<usize>], racks: usize) -> Vec<u32> {
     }
     table
 }
-
-// ---------------------------------------------------------------------------
-// Availability engine
-// ---------------------------------------------------------------------------
 
 /// Time-domain availability with rack-sharded state: the partitioned
 /// counterpart of [`crate::AvailabilityModel`]. See the module docs for
@@ -487,8 +475,9 @@ fn push_fault(
 }
 
 /// Folds per-partition probes into one telemetry record: partition-order
-/// deterministic, with `partition/<i>` marks for the heartbeat's skew
-/// readout and the event list stamped for provenance.
+/// deterministic, with `partition/<i>` marks carrying each partition's
+/// event total (the skew readout) and the event list stamped for
+/// provenance.
 fn fold_partition_telemetry(
     probes: &[SimProbe],
     part_events: &[u64],
@@ -1117,463 +1106,10 @@ fn reassess_nodes(sh: &AvailShared, cell: &mut RackCell, nodes: &[u16], now: Sim
     cell.scratch = affected;
 }
 
-// ---------------------------------------------------------------------------
-// Performance engine
-// ---------------------------------------------------------------------------
-
-/// Request-level performance with rack-sharded state: the partitioned
-/// counterpart of [`crate::PerfModel`]. Tenants are homed round-robin on
-/// racks; a configurable fraction of reads takes a cross-rack leg
-/// (remote disk read in the buddy rack plus the transfer back), which is
-/// the only cross-partition traffic. Lookahead comes straight from
-/// [`wt_hw::Topology::partition_by`]'s minimum inter-rack path latency.
-#[derive(Debug, Clone)]
-pub struct PartitionedPerf {
-    /// Hardware build-out (racks are the sharding unit).
-    pub topology: TopologySpec,
-    /// Tenant workloads, homed round-robin across racks.
-    pub tenants: Vec<TenantWorkload>,
-    /// Fraction of reads served from the buddy rack.
-    pub remote_read_fraction: f64,
-}
-
-impl PartitionedPerf {
-    /// Runs and returns per-tenant latency/throughput plus cluster
-    /// utilizations. `partitions == 1` is the serial oracle.
-    pub fn run(&self, seed: u64, horizon_s: f64, partitions: usize, threads: usize) -> PerfResult {
-        let mut sim = self.build(seed, partitions);
-        sim.run_until_threaded(SimTime::from_secs(horizon_s), threads);
-        self.finish(&sim)
-    }
-
-    /// [`PartitionedPerf::run`] with folded per-partition telemetry.
-    pub fn run_observed(
-        &self,
-        seed: u64,
-        horizon_s: f64,
-        partitions: usize,
-        threads: usize,
-    ) -> (PerfResult, RunTelemetry) {
-        let mut sim = self.build(seed, partitions);
-        let mut probes: Vec<SimProbe> = (0..sim.parts()).map(|_| SimProbe::new()).collect();
-        let reason = sim.run_until_probed(SimTime::from_secs(horizon_s), threads, &mut probes);
-        let telemetry = fold_partition_telemetry(
-            &probes,
-            &sim.part_events(),
-            sim.now().as_secs(),
-            reason.as_str(),
-        );
-        (self.finish(&sim), telemetry)
-    }
-
-    fn build(&self, seed: u64, partitions: usize) -> PartitionedSimulation<PerfShard> {
-        let racks = self.topology.racks;
-        let npr = self.topology.nodes_per_rack;
-        assert!(racks > 0 && npr > 0, "empty topology");
-        let topo = self.topology.build();
-        let parting = topo.partition_by(PartitionGranularity::Count(partitions));
-        let shared = Arc::new(PerfShared {
-            racks,
-            nodes_per_rack: npr,
-            topology: self.topology.clone(),
-            remote_read_fraction: self.remote_read_fraction,
-            tenants: self.tenants.clone(),
-            d_wire: SimDuration::from_secs(parting.min_cross_latency_s),
-            part_of_rack: part_of_rack_table(&parting.rack_ranges, racks),
-        });
-        let mut boot: Vec<(usize, SimTime, PerfEv)> = Vec::new();
-        let mut cells: Vec<PerfCell> = (0..racks)
-            .map(|r| {
-                let factory = RngFactory::new(seed).subfactory("rack", r as u64);
-                PerfCell {
-                    rack: r as u32,
-                    disk: (0..npr)
-                        .map(|_| {
-                            ServerPool::new(self.topology.node.disks.len().max(1), SimTime::ZERO)
-                        })
-                        .collect(),
-                    nic: (0..npr)
-                        .map(|_| ServerPool::new(1, SimTime::ZERO))
-                        .collect(),
-                    reqs: HashMap::new(),
-                    remote: HashMap::new(),
-                    tenants: Vec::new(),
-                    rng: factory.stream("dynamics"),
-                    next_rid: 0,
-                }
-            })
-            .collect();
-        // Tenants homed round-robin; first arrival drawn from the home
-        // rack's stream so partitioning never reorders draws.
-        for (t, tw) in self.tenants.iter().enumerate() {
-            let home = t % racks;
-            let cell = &mut cells[home];
-            cell.tenants.push(TenantCell {
-                zipf: tw.mix.make_zipf(),
-                lat: Histogram::new(),
-                sketch: QuantileSketch::new(),
-                completed: 0,
-            });
-            let gap = tw.arrivals.next_gap(&mut cell.rng);
-            boot.push((
-                shared.part_of(home),
-                SimTime::from_secs(gap),
-                PerfEv::Arrival { tenant: t as u32 },
-            ));
-        }
-        let shards: Vec<PerfShard> = parting
-            .rack_ranges
-            .iter()
-            .map(|range| PerfShard {
-                shared: Arc::clone(&shared),
-                first_rack: range.start,
-                cells: cells.drain(..range.len()).collect(),
-            })
-            .collect();
-        let mut sim = PartitionedSimulation::new(
-            shards,
-            seed,
-            Lookahead::from_secs(parting.min_cross_latency_s),
-        );
-        for (part, at, ev) in boot {
-            sim.schedule_at(part, at, ev);
-        }
-        sim
-    }
-
-    fn finish(&self, sim: &PartitionedSimulation<PerfShard>) -> PerfResult {
-        let end = sim.now();
-        let horizon_s = end.since(SimTime::ZERO).as_secs();
-        // Tenant cells in original scenario order: tenant t is local
-        // tenant t / racks in rack t % racks.
-        let cells: Vec<&PerfCell> = sim.models().flat_map(|s| s.cells.iter()).collect();
-        let racks = self.topology.racks;
-        let tenants = self
-            .tenants
-            .iter()
-            .enumerate()
-            .map(|(t, tw)| {
-                let tc = &cells[t % racks].tenants[t / racks];
-                let (q, _) = tw.latency_sla.unwrap_or((0.95, f64::INFINITY));
-                TenantPerf {
-                    name: tw.name.clone(),
-                    completed: tc.completed,
-                    failed: 0,
-                    mean_s: tc.lat.mean(),
-                    p50_s: tc.lat.p50(),
-                    p95_s: tc.lat.p95(),
-                    p99_s: tc.lat.p99(),
-                    sketch_p50_s: Some(tc.sketch.p50()),
-                    sketch_p95_s: Some(tc.sketch.p95()),
-                    sketch_p99_s: Some(tc.sketch.p99()),
-                    sketch_sla_met: tw.latency_sla.map(|_| tw.sla_met(tc.sketch.quantile(q))),
-                    throughput: if horizon_s > 0.0 {
-                        tc.completed as f64 / horizon_s
-                    } else {
-                        0.0
-                    },
-                    sla_met: tw.latency_sla.map(|_| tw.sla_met(tc.lat.quantile(q))),
-                }
-            })
-            .collect();
-        let n = (racks * self.topology.nodes_per_rack) as f64;
-        let disk_util: f64 = cells
-            .iter()
-            .flat_map(|c| c.disk.iter())
-            .map(|p| p.utilization(end))
-            .sum();
-        let nic_util: f64 = cells
-            .iter()
-            .flat_map(|c| c.nic.iter())
-            .map(|p| p.utilization(end))
-            .sum();
-        PerfResult {
-            tenants,
-            node_failures: 0,
-            mean_disk_utilization: disk_util / n,
-            mean_nic_utilization: nic_util / n,
-            horizon_s,
-        }
-    }
-}
-
-#[derive(Debug)]
-struct PerfShared {
-    racks: usize,
-    nodes_per_rack: usize,
-    topology: TopologySpec,
-    remote_read_fraction: f64,
-    tenants: Vec<TenantWorkload>,
-    /// Minimum inter-rack path latency — both the message floor and the
-    /// lookahead.
-    d_wire: SimDuration,
-    part_of_rack: Vec<u32>,
-}
-
-impl PerfShared {
-    fn part_of(&self, rack: usize) -> usize {
-        self.part_of_rack[rack] as usize
-    }
-    fn buddy(&self, rack: usize) -> usize {
-        (rack + 1) % self.racks
-    }
-    fn home_of(rid: u64) -> usize {
-        (rid >> 40) as usize
-    }
-    fn disk_service(&self, bytes: u64, sequential: bool, write: bool) -> SimDuration {
-        let disk = &self.topology.node.disks[0];
-        SimDuration::from_secs(disk.service_time(bytes, sequential, write))
-    }
-    fn nic_service(&self, bytes: u64) -> SimDuration {
-        SimDuration::from_secs(self.topology.node.nic.transfer_time(bytes))
-    }
-    /// Cross-rack leg: wire floor plus the NIC-rate transfer.
-    fn remote_delay(&self, bytes: u64) -> SimDuration {
-        SimDuration::from_secs(self.d_wire.as_secs() + self.topology.node.nic.transfer_time(bytes))
-    }
-}
-
-/// Performance events; `rid`'s upper bits carry the home rack.
-#[derive(Debug, Clone)]
-pub enum PerfEv {
-    /// Next open-loop arrival for a tenant (dest: tenant's home rack).
-    Arrival { tenant: u32 },
-    /// A disk job completed at `(rack, node)`.
-    DiskDone { rack: u32, node: u16, rid: u64 },
-    /// A NIC transfer completed at the request's home rack.
-    NicDone { rack: u32, rid: u64 },
-    /// Home → buddy: serve this read remotely.
-    RemoteRead { rid: u64, bytes: u64 },
-    /// Buddy → home: remote leg finished, complete the request.
-    RemoteDone { rid: u64 },
-}
-
-#[derive(Debug)]
-struct PReq {
-    /// Local tenant index in the home rack.
-    tenant: u16,
-    start: SimTime,
-    bytes: u64,
-    write: bool,
-    sequential: bool,
-    remote: bool,
-    /// Serving node (local index) for the disk and NIC stages.
-    node: u16,
-}
-
-#[derive(Debug)]
-struct TenantCell {
-    zipf: Zipf,
-    lat: Histogram,
-    sketch: QuantileSketch,
-    completed: u64,
-}
-
-#[derive(Debug)]
-struct PerfCell {
-    rack: u32,
-    /// Per-node disk array (c-server FIFO) and NIC (1-server FIFO).
-    disk: Vec<ServerPool<u64>>,
-    nic: Vec<ServerPool<u64>>,
-    /// In-flight home requests by rid.
-    reqs: HashMap<u64, PReq>,
-    /// Hosted foreign (remote-read) jobs: rid → bytes.
-    remote: HashMap<u64, u64>,
-    tenants: Vec<TenantCell>,
-    rng: Stream,
-    next_rid: u64,
-}
-
-impl PerfCell {
-    fn alloc_rid(&mut self) -> u64 {
-        let rid = ((self.rack as u64) << 40) | self.next_rid;
-        self.next_rid += 1;
-        rid
-    }
-
-    /// Service time of a disk job known to this rack (home or hosted).
-    fn disk_service_of(&self, sh: &PerfShared, rid: u64) -> SimDuration {
-        if PerfShared::home_of(rid) == self.rack as usize {
-            let r = &self.reqs[&rid];
-            sh.disk_service(r.bytes, r.sequential, r.write)
-        } else {
-            sh.disk_service(self.remote[&rid], false, false)
-        }
-    }
-
-    fn complete(&mut self, rid: u64, now: SimTime, ctx: &mut PartCtx<'_, PerfEv>) {
-        let req = self.reqs.remove(&rid).expect("completed request known");
-        let lat = now.since(req.start).as_secs();
-        let tc = &mut self.tenants[req.tenant as usize];
-        tc.lat.record(lat);
-        tc.sketch.record(lat);
-        tc.completed += 1;
-        ctx.observe("request_latency_s", lat);
-    }
-}
-
-/// One partition's worth of racks (perf engine).
-#[derive(Debug)]
-pub struct PerfShard {
-    shared: Arc<PerfShared>,
-    first_rack: usize,
-    cells: Vec<PerfCell>,
-}
-
-impl PerfShard {
-    fn dest_rack(sh: &PerfShared, ev: &PerfEv) -> usize {
-        match ev {
-            PerfEv::Arrival { tenant } => *tenant as usize % sh.racks,
-            PerfEv::DiskDone { rack, .. } | PerfEv::NicDone { rack, .. } => *rack as usize,
-            PerfEv::RemoteRead { rid, .. } => sh.buddy(PerfShared::home_of(*rid)),
-            PerfEv::RemoteDone { rid } => PerfShared::home_of(*rid),
-        }
-    }
-}
-
-impl PartitionModel for PerfShard {
-    type Event = PerfEv;
-
-    fn label(ev: &PerfEv) -> &'static str {
-        match ev {
-            PerfEv::Arrival { .. } => "arrival",
-            PerfEv::DiskDone { .. } => "disk_done",
-            PerfEv::NicDone { .. } => "nic_done",
-            PerfEv::RemoteRead { .. } => "remote_read",
-            PerfEv::RemoteDone { .. } => "remote_done",
-        }
-    }
-
-    fn handle(&mut self, ev: PerfEv, ctx: &mut PartCtx<'_, PerfEv>) {
-        let now = ctx.now();
-        let sh = Arc::clone(&self.shared);
-        let rack = Self::dest_rack(&sh, &ev);
-        let cell = &mut self.cells[rack - self.first_rack];
-        match ev {
-            PerfEv::Arrival { tenant } => {
-                let t = tenant as usize;
-                let lt = t / sh.racks;
-                let tw = &sh.tenants[t];
-                let req = tw
-                    .mix
-                    .draw_request(t, &cell.tenants[lt].zipf, &mut cell.rng);
-                let remote = sh.racks > 1 && !req.write && cell.rng.chance(sh.remote_read_fraction);
-                let node = cell.rng.index(sh.nodes_per_rack) as u16;
-                let rid = cell.alloc_rid();
-                cell.reqs.insert(
-                    rid,
-                    PReq {
-                        tenant: lt as u16,
-                        start: now,
-                        bytes: req.bytes,
-                        write: req.write,
-                        sequential: req.sequential,
-                        remote,
-                        node,
-                    },
-                );
-                if let Some(job) = cell.disk[node as usize].arrive(now, rid) {
-                    let dur = cell.disk_service_of(&sh, job);
-                    ctx.schedule_in(
-                        dur,
-                        PerfEv::DiskDone {
-                            rack: rack as u32,
-                            node,
-                            rid: job,
-                        },
-                    );
-                }
-                let gap = tw.arrivals.next_gap(&mut cell.rng);
-                ctx.schedule_in(SimDuration::from_secs(gap), PerfEv::Arrival { tenant });
-            }
-            PerfEv::DiskDone { node, rid, .. } => {
-                if let Some(next) = cell.disk[node as usize].depart(now) {
-                    let dur = cell.disk_service_of(&sh, next);
-                    ctx.schedule_in(
-                        dur,
-                        PerfEv::DiskDone {
-                            rack: rack as u32,
-                            node,
-                            rid: next,
-                        },
-                    );
-                }
-                if PerfShared::home_of(rid) == rack {
-                    // Home request: stream through the node NIC.
-                    if let Some(job) = cell.nic[node as usize].arrive(now, rid) {
-                        let b = cell.reqs[&job].bytes;
-                        ctx.schedule_in(
-                            sh.nic_service(b),
-                            PerfEv::NicDone {
-                                rack: rack as u32,
-                                rid: job,
-                            },
-                        );
-                    }
-                } else {
-                    // Hosted remote read: ship the data home.
-                    let bytes = cell.remote.remove(&rid).expect("hosted job known");
-                    ctx.send(
-                        sh.part_of(PerfShared::home_of(rid)),
-                        sh.remote_delay(bytes),
-                        rack as u64,
-                        PerfEv::RemoteDone { rid },
-                    );
-                }
-            }
-            PerfEv::NicDone { rid, .. } => {
-                let (node, remote, bytes) = {
-                    let r = &cell.reqs[&rid];
-                    (r.node as usize, r.remote, r.bytes)
-                };
-                if let Some(next) = cell.nic[node].depart(now) {
-                    let b = cell.reqs[&next].bytes;
-                    ctx.schedule_in(
-                        sh.nic_service(b),
-                        PerfEv::NicDone {
-                            rack: rack as u32,
-                            rid: next,
-                        },
-                    );
-                }
-                if remote {
-                    ctx.send(
-                        sh.part_of(sh.buddy(rack)),
-                        sh.remote_delay(bytes),
-                        rack as u64,
-                        PerfEv::RemoteRead { rid, bytes },
-                    );
-                } else {
-                    cell.complete(rid, now, ctx);
-                }
-            }
-            PerfEv::RemoteRead { rid, bytes } => {
-                let node = cell.rng.index(sh.nodes_per_rack);
-                cell.remote.insert(rid, bytes);
-                if let Some(job) = cell.disk[node].arrive(now, rid) {
-                    let dur = cell.disk_service_of(&sh, job);
-                    ctx.schedule_in(
-                        dur,
-                        PerfEv::DiskDone {
-                            rack: rack as u32,
-                            node: node as u16,
-                            rid: job,
-                        },
-                    );
-                }
-            }
-            PerfEv::RemoteDone { rid } => {
-                cell.complete(rid, now, ctx);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::chaos::{FaultKind, FaultSchedule, InjectionRule};
-    use wt_hw::catalog;
 
     fn avail_model() -> PartitionedAvailability {
         let mut m = PartitionedAvailability::example(6, 8, 300);
@@ -1583,6 +1119,45 @@ mod tests {
     }
 
     const HORIZON: f64 = 90.0 * 86_400.0;
+
+    #[test]
+    fn balanced_ranges_cover_every_rack_in_near_equal_spans() {
+        assert_eq!(balanced_ranges(7, 2), vec![0..3, 3..7]);
+        for racks in 1..=12 {
+            for partitions in 0..=15 {
+                let ranges = balanced_ranges(racks, partitions);
+                // Clamped to 1..=racks: never more spans than racks.
+                assert_eq!(
+                    ranges.len(),
+                    partitions.clamp(1, racks),
+                    "{racks}/{partitions}"
+                );
+                // Contiguous and covering, in rack order.
+                assert_eq!(ranges.first().unwrap().start, 0);
+                assert_eq!(ranges.last().unwrap().end, racks);
+                for w in ranges.windows(2) {
+                    assert_eq!(w[0].end, w[1].start, "{racks}/{partitions}");
+                }
+                // No empty span; sizes differ by at most one rack.
+                let sizes: Vec<usize> = ranges.iter().map(|r| r.len()).collect();
+                let (lo, hi) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
+                assert!(*lo >= 1, "{racks}/{partitions}: {ranges:?}");
+                assert!(hi - lo <= 1, "{racks}/{partitions}: {ranges:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn part_of_rack_table_agrees_with_the_spans() {
+        for (racks, partitions) in [(5, 1), (5, 3), (7, 2), (7, 100), (12, 5)] {
+            let ranges = balanced_ranges(racks, partitions);
+            let table = part_of_rack_table(&ranges, racks);
+            assert_eq!(table.len(), racks);
+            for (rack, &part) in table.iter().enumerate() {
+                assert!(ranges[part as usize].contains(&rack), "rack {rack}");
+            }
+        }
+    }
 
     #[test]
     fn availability_thread_count_is_bitwise_invisible() {
@@ -1692,51 +1267,5 @@ mod tests {
         let r = m.run(2, HORIZON, 4, 2);
         assert_eq!(r, m.run(2, HORIZON, 1, 1));
         assert!(r.availability > 0.9);
-    }
-
-    fn perf_model() -> PartitionedPerf {
-        PartitionedPerf {
-            topology: TopologySpec {
-                racks: 4,
-                nodes_per_rack: 4,
-                node: catalog::node_storage_server(catalog::ssd_sata_1t(), 4, catalog::nic_10g()),
-                tor: catalog::switch_tor_48x10g(),
-                agg: catalog::switch_agg_32x40g(),
-                oversubscription: 4.0,
-            },
-            tenants: vec![
-                TenantWorkload::oltp("oltp", 40.0, 100_000),
-                TenantWorkload::analytics("scan", 2.0, 10_000),
-                TenantWorkload::oltp("kv", 25.0, 50_000),
-            ],
-            remote_read_fraction: 0.3,
-        }
-    }
-
-    #[test]
-    fn perf_partition_and_thread_counts_are_invisible() {
-        let m = perf_model();
-        let (oracle, t_oracle) = m.run_observed(9, 600.0, 1, 1);
-        let total: u64 = oracle.tenants.iter().map(|t| t.completed).sum();
-        assert!(total > 1_000, "workload ran: {total}");
-        assert!(
-            t_oracle.events_by_label["remote_read"] > 0,
-            "cross-rack legs exercised"
-        );
-        for (partitions, threads) in [(2, 1), (2, 2), (4, 3)] {
-            let (r, t) = m.run_observed(9, 600.0, partitions, threads);
-            assert_eq!(oracle, r, "N={partitions} threads={threads}");
-            assert_partitioning_invariant(&t_oracle, &t, partitions);
-        }
-    }
-
-    #[test]
-    fn perf_tenants_report_in_scenario_order() {
-        let m = perf_model();
-        let r = m.run(1, 300.0, 4, 2);
-        let names: Vec<&str> = r.tenants.iter().map(|t| t.name.as_str()).collect();
-        assert_eq!(names, ["oltp", "scan", "kv"]);
-        assert!(r.mean_disk_utilization > 0.0);
-        assert!(r.tenants[0].p99_s >= r.tenants[0].p50_s);
     }
 }

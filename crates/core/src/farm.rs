@@ -104,9 +104,8 @@ impl Farm {
     /// otherwise the host's available parallelism. A set-but-unusable
     /// value (non-numeric, or `0`) falls back to the host count and warns
     /// once on stderr instead of being silently swallowed — the shared
-    /// [`crate::knobs`] behavior, mirrored by `WT_PARTITIONS`. Setting
-    /// `WT_PROGRESS` (to anything but `0`) additionally turns on the
-    /// [heartbeat](Self::with_heartbeat).
+    /// [`crate::knobs`] behavior. Setting `WT_PROGRESS` (to anything but
+    /// `0`) additionally turns on the [heartbeat](Self::with_heartbeat).
     pub fn from_env() -> Self {
         let workers = crate::knobs::env_count("WT_WORKERS", "worker", "host parallelism")
             .unwrap_or_else(host_parallelism);
@@ -234,13 +233,11 @@ impl Farm {
             // Recorded runs carry telemetry, so the heartbeat (when on)
             // skims event counts and per-run wall time off each shard
             // before it merges — the progress line gains cumulative ev/s
-            // and a p99 run time, plus per-partition event totals when
-            // runs are partitioned. Stderr only; result bytes unaffected.
+            // and a p99 run time. Stderr only; result bytes unaffected.
             |(_, shard), beat| {
                 shard.peek(|r| {
                     if let Some(t) = &r.telemetry {
                         beat.observe_run(t.events, t.wall.wall_us);
-                        observe_partition_marks(beat, &t.marks);
                     }
                 });
             },
@@ -480,30 +477,6 @@ impl Drop for WakeOnUnwind<'_> {
     }
 }
 
-/// Feeds a partitioned run's `partition/<i>` telemetry marks into the
-/// heartbeat as per-partition event totals. Indices are parsed
-/// numerically — the marks map is ordered by string, which would put
-/// `partition/10` before `partition/2`. Runs without partition marks
-/// (serial execution) feed nothing and leave the progress line as is.
-fn observe_partition_marks(beat: &mut wt_obs::Heartbeat, marks: &BTreeMap<String, u64>) {
-    let mut per_part: Vec<u64> = Vec::new();
-    for (key, &events) in marks {
-        let Some(idx) = key
-            .strip_prefix("partition/")
-            .and_then(|i| i.parse::<usize>().ok())
-        else {
-            continue;
-        };
-        if per_part.len() <= idx {
-            per_part.resize(idx + 1, 0);
-        }
-        per_part[idx] = events;
-    }
-    if !per_part.is_empty() {
-        beat.observe_partitions(&per_part);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -686,71 +659,6 @@ mod tests {
                 "heartbeat changed records at {workers} workers"
             );
         }
-    }
-
-    #[test]
-    fn partition_marks_feed_heartbeat_without_changing_results() {
-        use wt_obs::RunTelemetry;
-        use wt_store::{RecordSink, RunRecord, SharedStore};
-        let items: Vec<u64> = (0..30).collect();
-        let work = |&x: &u64, ctx: RunCtx, shard: &StoreShard| {
-            let mut t = RunTelemetry {
-                events: 600 + x,
-                ..Default::default()
-            };
-            t.wall.wall_us = 2_000;
-            t.marks.insert("partition/0".into(), 200);
-            t.marks.insert("partition/1".into(), 400 + x);
-            shard.record(
-                RunRecord::new("hb-part-test", ctx.seed)
-                    .metric("x", x as f64)
-                    .telemetry(t),
-            );
-            x
-        };
-        let quiet_store = SharedStore::new();
-        let quiet = Farm::new(4).run_recorded(13, &items, &quiet_store, work);
-        let store = SharedStore::new();
-        let out = Farm::new(4)
-            .with_heartbeat(true)
-            .run_recorded(13, &items, &store, work);
-        assert_eq!(out, quiet, "partition skim changed results");
-        assert_eq!(
-            store.snapshot(),
-            quiet_store.snapshot(),
-            "partition skim changed records"
-        );
-    }
-
-    #[test]
-    fn partition_marks_parse_numerically() {
-        // `partition/10` sorts before `partition/2` in the marks map;
-        // the skim must order by numeric index, not string order, and
-        // must ignore non-partition and malformed keys.
-        let mut beat = wt_obs::Heartbeat::with_interval(1, 0.0);
-        let mut marks = BTreeMap::new();
-        for (k, v) in [
-            ("partition/0", 1u64),
-            ("partition/2", 3),
-            ("partition/10", 11),
-            ("partition/oops", 99),
-            ("object_lost", 7),
-        ] {
-            marks.insert(k.to_string(), v);
-        }
-        observe_partition_marks(&mut beat, &marks);
-        let line = beat.tick_at(1.0).expect("interval 0 always emits");
-        assert!(line.contains("parts=11 "), "{line}");
-        // Index 10 landed in slot 10 (value 11), not slot 2.
-        assert!(line.ends_with("0 0 0 0 0 0 0 11]"), "{line}");
-
-        // Serial runs (no partition marks) feed nothing.
-        let mut beat = wt_obs::Heartbeat::with_interval(1, 0.0);
-        let mut plain = BTreeMap::new();
-        plain.insert("object_lost".to_string(), 7u64);
-        observe_partition_marks(&mut beat, &plain);
-        let line = beat.tick_at(1.0).expect("interval 0 always emits");
-        assert!(!line.contains("parts="), "{line}");
     }
 
     #[test]

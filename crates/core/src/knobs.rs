@@ -1,11 +1,12 @@
-//! Count-valued environment knobs, parsed one way everywhere.
+//! Count-valued knobs, parsed one way everywhere.
 //!
-//! `WT_WORKERS` (farm worker threads) and `WT_PARTITIONS` (partitions
-//! inside one simulation run) are the same kind of knob: an optional
-//! positive count that should fall back loudly — once — when set to
-//! something unusable, never silently. [`parse_count`] is the shared
-//! pure core (unit-testable without touching the process environment);
-//! [`env_count`] adds the environment read and the warn-once fallback.
+//! `WT_WORKERS` (farm worker threads) and the experiment binaries'
+//! `--partitions` flag (partitions inside one simulation run) are the
+//! same kind of knob: an optional positive count that is rejected loudly
+//! when set to something unusable, never silently. [`parse_count`] is the
+//! shared pure core (unit-testable without touching the process
+//! environment); [`env_count`] adds the environment read and the
+//! warn-once fallback.
 
 /// Interprets a count-valued knob: `Ok(Some(n))` for a usable count,
 /// `Ok(None)` when unset, `Err` with a human-readable reason when the
@@ -47,18 +48,6 @@ fn warn_once(name: &'static str, reason: &str, fallback: &str) {
     }
 }
 
-/// Partition count from `WT_PARTITIONS`: 1 (the serial oracle) when
-/// unset or unusable. The CLI `--partitions` flag, where an experiment
-/// binary offers one, takes precedence over this knob.
-pub fn partitions_from_env() -> usize {
-    env_count(
-        "WT_PARTITIONS",
-        "partition",
-        "serial execution (1 partition)",
-    )
-    .unwrap_or(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -80,23 +69,24 @@ mod tests {
 
     #[test]
     fn partitions_mirror_workers() {
-        // The two knobs share one parser, so they accept and reject the
-        // same shapes — only the variable name and noun differ.
+        // The `--partitions` flag and `WT_WORKERS` share one parser, so
+        // they accept and reject the same shapes — only the knob name and
+        // noun differ.
         for raw in [None, Some("1"), Some("4"), Some(" 2 ")] {
             assert_eq!(
-                parse_count("WT_PARTITIONS", "partition", raw),
+                parse_count("--partitions", "partition", raw),
                 parse_count("WT_WORKERS", "worker", raw),
                 "value {raw:?}"
             );
         }
         for raw in ["0", "-1", "lots", "2.5"] {
-            let p = parse_count("WT_PARTITIONS", "partition", Some(raw)).unwrap_err();
+            let p = parse_count("--partitions", "partition", Some(raw)).unwrap_err();
             let w = parse_count("WT_WORKERS", "worker", Some(raw)).unwrap_err();
-            assert!(p.starts_with("WT_PARTITIONS="), "message: {p}");
+            assert!(p.starts_with("--partitions="), "message: {p}");
             assert!(w.starts_with("WT_WORKERS="), "message: {w}");
             // Same reason, different knob name.
             assert_eq!(
-                p.trim_start_matches("WT_PARTITIONS")
+                p.trim_start_matches("--partitions")
                     .replace("partition", "worker"),
                 w.trim_start_matches("WT_WORKERS"),
                 "value {raw}"

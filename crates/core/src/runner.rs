@@ -334,25 +334,13 @@ impl WindTunnel {
     }
 
     /// Runs the rack-sharded availability engine over `partitions`
-    /// conservative-lookahead partitions on `threads` worker threads and
-    /// records the outcome into the tunnel's own store. `partitions == 1`
-    /// is the serial oracle; any higher partition count produces
-    /// bitwise-identical results at any thread count.
-    pub fn run_availability_partitioned(
-        &self,
-        scenario: &Scenario,
-        partitions: usize,
-        threads: usize,
-    ) -> AvailabilityResult {
-        self.run_availability_partitioned_into(scenario, partitions, threads, &self.store)
-            .0
-    }
-
-    /// [`Self::run_availability_partitioned`] recording into an explicit
-    /// sink, with the run's folded [`RunTelemetry`] surfaced. Records
-    /// under the experiment name `availability_partitioned` (with a
-    /// `partitions` param) so the serial engine's `availability` records
-    /// stay comparable across PRs.
+    /// conservative-lookahead partitions on `threads` worker threads,
+    /// records the outcome into `sink`, and surfaces the run's folded
+    /// [`RunTelemetry`]. `partitions == 1` is the serial oracle; any
+    /// higher partition count produces bitwise-identical results at any
+    /// thread count. Records under the experiment name
+    /// `availability_partitioned` (with a `partitions` param) so the
+    /// serial engine's `availability` records stay comparable across PRs.
     pub fn run_availability_partitioned_into(
         &self,
         scenario: &Scenario,

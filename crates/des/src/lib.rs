@@ -8,8 +8,8 @@
 //! * an execution engine driving a user [`Model`] ([`engine`]),
 //! * splittable, labeled random-number streams so that adding a new model
 //!   does not perturb the draws of existing ones ([`rng`]),
-//! * output statistics: tallies, time-weighted gauges, quantile histograms
-//!   and batch-means confidence intervals ([`stats`]),
+//! * output statistics: tallies, time-weighted gauges and quantile
+//!   histograms ([`stats`]),
 //! * a reusable multi-server FIFO resource for queueing models ([`resource`]),
 //! * an optional observer hook: [`Simulation::run_until_probed`] feeds a
 //!   `wt_obs::Probe` (re-exported here as [`obs`]) the label, time and
@@ -55,7 +55,7 @@ pub use partition::{Lookahead, PartCtx, PartitionModel, PartitionedSimulation};
 pub use queue::EventQueue;
 pub use resource::ServerPool;
 pub use rng::{RngFactory, Stream};
-pub use stats::{BatchMeans, Counter, Histogram, Tally, TimeWeighted};
+pub use stats::{Histogram, Tally, TimeWeighted};
 pub use time::{SimDuration, SimTime};
 pub use wt_obs as obs;
 /// Mergeable sketches (HyperLogLog, DDSketch-style quantiles) honoring
@@ -71,7 +71,7 @@ pub mod prelude {
     pub use crate::engine::{Ctx, Model, Simulation, StopReason};
     pub use crate::partition::{Lookahead, PartCtx, PartitionModel, PartitionedSimulation};
     pub use crate::rng::{RngFactory, Stream};
-    pub use crate::stats::{Counter, Histogram, Tally, TimeWeighted};
+    pub use crate::stats::{Histogram, Tally, TimeWeighted};
     pub use crate::time::{SimDuration, SimTime};
     pub use wt_obs::sketch::{Hll, QuantileSketch};
 }

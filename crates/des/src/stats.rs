@@ -1,49 +1,13 @@
 //! Output statistics for simulation runs.
 //!
-//! * [`Counter`] — monotone event counts.
 //! * [`Tally`] — streaming mean/variance/min/max over observations (Welford).
 //! * [`TimeWeighted`] — time-averaged level of a piecewise-constant signal
 //!   (queue lengths, number of up replicas, ...).
 //! * [`Histogram`] — log-bucketed histogram with quantile queries, for
 //!   latency percentiles (p50/p95/p99) with bounded relative error.
-//! * [`BatchMeans`] — confidence intervals for steady-state means from a
-//!   single run, via non-overlapping batch means.
 
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
-
-/// A monotone event counter.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct Counter {
-    n: u64,
-}
-
-impl Counter {
-    /// A zeroed counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one.
-    pub fn incr(&mut self) {
-        self.n += 1;
-    }
-
-    /// Adds `k`.
-    pub fn add(&mut self, k: u64) {
-        self.n += k;
-    }
-
-    /// Current count.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Merges another counter into this one.
-    pub fn merge(&mut self, other: &Counter) {
-        self.n += other.n;
-    }
-}
 
 /// Streaming mean/variance over individual observations, using Welford's
 /// numerically stable update.
@@ -375,115 +339,9 @@ impl Histogram {
     }
 }
 
-/// Batch-means confidence interval for a steady-state mean from one run.
-///
-/// Observations are grouped into fixed-size batches; the batch means are
-/// (approximately) independent, so a Student-t interval over them estimates
-/// the uncertainty of the grand mean.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct BatchMeans {
-    batch_size: u64,
-    current: Tally,
-    batches: Vec<f64>,
-}
-
-impl BatchMeans {
-    /// Batches of `batch_size` observations each.
-    pub fn new(batch_size: u64) -> Self {
-        assert!(batch_size > 0);
-        BatchMeans {
-            batch_size,
-            current: Tally::new(),
-            batches: Vec::new(),
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        self.current.record(x);
-        if self.current.count() == self.batch_size {
-            self.batches.push(self.current.mean());
-            self.current = Tally::new();
-        }
-    }
-
-    /// Number of completed batches.
-    pub fn batches(&self) -> usize {
-        self.batches.len()
-    }
-
-    /// Grand mean over completed batches (0 when none).
-    pub fn mean(&self) -> f64 {
-        if self.batches.is_empty() {
-            return 0.0;
-        }
-        self.batches.iter().sum::<f64>() / self.batches.len() as f64
-    }
-
-    /// Half-width of an approximate 95% confidence interval over batch
-    /// means. Returns `None` with fewer than 2 completed batches.
-    pub fn half_width_95(&self) -> Option<f64> {
-        let k = self.batches.len();
-        if k < 2 {
-            return None;
-        }
-        let mean = self.mean();
-        let var = self
-            .batches
-            .iter()
-            .map(|b| (b - mean) * (b - mean))
-            .sum::<f64>()
-            / (k - 1) as f64;
-        Some(t_quantile_975(k - 1) * (var / k as f64).sqrt())
-    }
-
-    /// Merges another accumulator with the same batch size: completed
-    /// batches are appended, and the two in-progress tallies are combined
-    /// (flushed as one batch once they jointly reach `batch_size` — batch
-    /// means tolerates the occasional oversized batch). Merge in a fixed
-    /// order (e.g. run index) for reproducible confidence intervals.
-    pub fn merge(&mut self, other: &BatchMeans) {
-        assert_eq!(
-            self.batch_size, other.batch_size,
-            "batch size mismatch in BatchMeans::merge"
-        );
-        self.batches.extend_from_slice(&other.batches);
-        self.current.merge(&other.current);
-        if self.current.count() >= self.batch_size {
-            self.batches.push(self.current.mean());
-            self.current = Tally::new();
-        }
-    }
-}
-
-/// 97.5% quantile of Student's t with `df` degrees of freedom (two-sided 95%
-/// interval). Table for small df, normal approximation beyond.
-fn t_quantile_975(df: usize) -> f64 {
-    const TABLE: [f64; 30] = [
-        12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228, 2.201, 2.179, 2.160,
-        2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086, 2.080, 2.074, 2.069, 2.064, 2.060, 2.056,
-        2.052, 2.048, 2.045, 2.042,
-    ];
-    if df == 0 {
-        f64::INFINITY
-    } else if df <= 30 {
-        TABLE[df - 1]
-    } else {
-        1.96
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_counts() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.count(), 5);
-    }
 
     #[test]
     fn tally_mean_variance() {
@@ -617,41 +475,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_means_interval_covers_truth() {
-        // Deterministic pseudo-noise around mean 10.
-        let mut bm = BatchMeans::new(50);
-        let mut x = 0.5f64;
-        for _ in 0..5000 {
-            x = (x * 997.0 + 0.123).fract();
-            bm.record(10.0 + (x - 0.5));
-        }
-        assert_eq!(bm.batches(), 100);
-        let hw = bm.half_width_95().unwrap();
-        assert!((bm.mean() - 10.0).abs() < 3.0 * hw + 0.05);
-        assert!(hw < 0.1, "half width too wide: {hw}");
-    }
-
-    #[test]
-    fn batch_means_needs_two_batches() {
-        let mut bm = BatchMeans::new(10);
-        for i in 0..15 {
-            bm.record(i as f64);
-        }
-        assert_eq!(bm.batches(), 1);
-        assert!(bm.half_width_95().is_none());
-    }
-
-    #[test]
-    fn counter_merge_adds() {
-        let mut a = Counter::new();
-        a.add(3);
-        let mut b = Counter::new();
-        b.add(4);
-        a.merge(&b);
-        assert_eq!(a.count(), 7);
-    }
-
-    #[test]
     fn time_weighted_merge_is_span_weighted() {
         let t = |s| SimTime::from_secs(s);
         // Gauge A: level 2 over [0, 10] → integral 20.
@@ -665,48 +488,6 @@ mod tests {
         // A's own window keeps evolving after the merge.
         a.merge(&TimeWeighted::new(t(0.0), 0.0), t(0.0)); // empty window no-op
         assert!((a.average(t(10.0)) - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn batch_means_merge_matches_batches() {
-        let mut whole = BatchMeans::new(10);
-        let mut a = BatchMeans::new(10);
-        let mut b = BatchMeans::new(10);
-        for i in 0..100 {
-            let x = (i as f64).cos();
-            whole.record(x);
-            if i < 40 {
-                a.record(x);
-            } else {
-                b.record(x);
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a.batches(), whole.batches());
-        assert!((a.mean() - whole.mean()).abs() < 1e-12);
-        // In-progress remainders combine and flush once they fill a batch.
-        let mut c = BatchMeans::new(10);
-        let mut d = BatchMeans::new(10);
-        for i in 0..6 {
-            c.record(i as f64);
-            d.record(i as f64 + 6.0);
-        }
-        c.merge(&d);
-        assert_eq!(c.batches(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "batch size mismatch")]
-    fn batch_means_merge_rejects_mismatched_sizes() {
-        let mut a = BatchMeans::new(10);
-        a.merge(&BatchMeans::new(20));
-    }
-
-    #[test]
-    fn t_table_monotone() {
-        assert!(t_quantile_975(1) > t_quantile_975(5));
-        assert!(t_quantile_975(5) > t_quantile_975(30));
-        assert_eq!(t_quantile_975(100), 1.96);
     }
 }
 

@@ -25,7 +25,4 @@ pub use disk::{DiskClass, DiskSpec};
 pub use limpware::LimpwareSpec;
 pub use net::{NicSpec, SwitchSpec};
 pub use node::{CpuSpec, MemSpec, NodeSpec};
-pub use topology::{
-    ComponentId, DiskId, NodeId, PartitionGranularity, Partitioning, Path, PathInfo, SwitchId,
-    Topology, TopologySpec,
-};
+pub use topology::{ComponentId, DiskId, NodeId, Path, PathInfo, SwitchId, Topology, TopologySpec};

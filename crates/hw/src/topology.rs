@@ -96,7 +96,7 @@ impl TopologySpec {
     /// partition — always an inter-rack path: NIC → ToR → agg → ToR →
     /// NIC. This lower-bounds every cross-partition interaction, so it
     /// is the wire half of the conservative lookahead for partitioned
-    /// execution (see [`Topology::partition_by`]).
+    /// execution.
     pub fn min_cross_latency_s(&self) -> f64 {
         2.0 * self.node.nic.latency_s + 2.0 * self.tor.latency_s + self.agg.latency_s
     }
@@ -313,129 +313,6 @@ impl Topology {
         self.transfer_footprint_into(src, dst, &mut out);
         out
     }
-
-    /// Splits the topology into simulation partitions at `granularity`.
-    ///
-    /// Partitions are contiguous rack spans (never splitting a rack), so
-    /// with rack-major node IDs each partition owns a dense index range —
-    /// the PR 7 arenas shard by slicing. The returned
-    /// [`min_cross_latency_s`](Partitioning::min_cross_latency_s) is the
-    /// latency floor of any network path leaving a partition (always an
-    /// inter-rack path: NIC → ToR → agg → ToR → NIC), which lower-bounds
-    /// every cross-partition interaction and therefore defines the
-    /// conservative lookahead for partitioned execution.
-    pub fn partition_by(&self, granularity: PartitionGranularity) -> Partitioning {
-        let racks = self.spec.racks;
-        let rack_ranges: Vec<std::ops::Range<usize>> = match granularity {
-            PartitionGranularity::Rack => (0..racks).map(|r| r..r + 1).collect(),
-            PartitionGranularity::Pod { racks_per_pod } => {
-                assert!(racks_per_pod > 0, "racks_per_pod must be positive");
-                (0..racks)
-                    .step_by(racks_per_pod)
-                    .map(|r| r..(r + racks_per_pod).min(racks))
-                    .collect()
-            }
-            PartitionGranularity::PowerDomain { racks_per_domain } => {
-                assert!(racks_per_domain > 0, "racks_per_domain must be positive");
-                (0..racks)
-                    .step_by(racks_per_domain)
-                    .map(|r| r..(r + racks_per_domain).min(racks))
-                    .collect()
-            }
-            PartitionGranularity::Count(n) => {
-                assert!(n > 0, "partition count must be positive");
-                let n = n.min(racks);
-                // Balanced contiguous split: partition i gets racks
-                // [i*racks/n, (i+1)*racks/n) — sizes differ by at most 1.
-                (0..n)
-                    .map(|i| (i * racks / n)..((i + 1) * racks / n))
-                    .collect()
-            }
-        };
-        let per_rack = self.spec.nodes_per_rack;
-        let node_ranges = rack_ranges
-            .iter()
-            .map(|r| r.start * per_rack..r.end * per_rack)
-            .collect();
-        // The cheapest path that can leave a whole-rack partition is any
-        // inter-rack path; intra-rack and same-node paths never cross.
-        let min_cross_latency_s = self.spec.min_cross_latency_s();
-        Partitioning {
-            rack_ranges,
-            node_ranges,
-            min_cross_latency_s,
-        }
-    }
-}
-
-/// How to group a topology's racks into simulation partitions. All
-/// granularities keep racks whole: a rack is the indivisible unit of
-/// simulation state, so cross-partition traffic is always inter-rack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PartitionGranularity {
-    /// One partition per rack — the finest split.
-    Rack,
-    /// Contiguous pods of `racks_per_pod` racks (last pod may be short).
-    Pod {
-        /// Racks per pod.
-        racks_per_pod: usize,
-    },
-    /// Contiguous power domains of `racks_per_domain` racks — the same
-    /// contiguous-span shape chaos `PowerDomainLoss` faults use, so a
-    /// domain-level split keeps each fault's blast radius within one
-    /// partition when the domain sizes match.
-    PowerDomain {
-        /// Racks per power domain.
-        racks_per_domain: usize,
-    },
-    /// Exactly `n` partitions (clamped to the rack count), balanced to
-    /// within one rack — the shape behind a `--partitions N` knob.
-    Count(usize),
-}
-
-/// A topology split into partitions: aligned rack/node index ranges plus
-/// the latency floor for anything crossing between them.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Partitioning {
-    /// Rack span of each partition: contiguous, disjoint, covering, in
-    /// rack order.
-    pub rack_ranges: Vec<std::ops::Range<usize>>,
-    /// Node-ID span of each partition (rack-major dense IDs), aligned
-    /// index-for-index with [`rack_ranges`](Self::rack_ranges).
-    pub node_ranges: Vec<std::ops::Range<usize>>,
-    /// Minimum one-way latency of any network path between two different
-    /// partitions, in seconds: the conservative-lookahead floor.
-    pub min_cross_latency_s: f64,
-}
-
-impl Partitioning {
-    /// Number of partitions.
-    pub fn len(&self) -> usize {
-        self.rack_ranges.len()
-    }
-
-    /// True when there is only the trivial single partition... which
-    /// never happens: every topology has at least one rack, so at least
-    /// one partition. Provided for clippy's `len` convention.
-    pub fn is_empty(&self) -> bool {
-        self.rack_ranges.is_empty()
-    }
-
-    /// The partition owning `rack`.
-    pub fn part_of_rack(&self, rack: usize) -> usize {
-        self.rack_ranges
-            .iter()
-            .position(|r| r.contains(&rack))
-            .expect("rack within topology")
-    }
-
-    /// The partition owning dense node index `node`.
-    pub fn part_of_node(&self, node: usize) -> usize {
-        self.node_ranges
-            .iter()
-            .position(|r| r.contains(&node))
-            .expect("node within topology")
-    }
 }
 
 #[cfg(test)]
@@ -570,66 +447,14 @@ mod tests {
     }
 
     #[test]
-    fn partition_by_rack_pod_and_count() {
-        let t = spec(7, 4).build();
-        let by_rack = t.partition_by(PartitionGranularity::Rack);
-        assert_eq!(by_rack.len(), 7);
-        assert_eq!(by_rack.rack_ranges[3], 3..4);
-        assert_eq!(by_rack.node_ranges[3], 12..16);
-
-        let by_pod = t.partition_by(PartitionGranularity::Pod { racks_per_pod: 3 });
-        assert_eq!(by_pod.rack_ranges, vec![0..3, 3..6, 6..7]);
-        assert_eq!(by_pod.node_ranges, vec![0..12, 12..24, 24..28]);
-
-        let by_dom = t.partition_by(PartitionGranularity::PowerDomain {
-            racks_per_domain: 4,
-        });
-        assert_eq!(by_dom.rack_ranges, vec![0..4, 4..7]);
-
-        let by_count = t.partition_by(PartitionGranularity::Count(2));
-        assert_eq!(by_count.rack_ranges, vec![0..3, 3..7]);
-        // Clamped to the rack count; never an empty partition.
-        let many = t.partition_by(PartitionGranularity::Count(100));
-        assert_eq!(many.len(), 7);
-        assert!(many.rack_ranges.iter().all(|r| !r.is_empty()));
-    }
-
-    #[test]
-    fn partitioning_covers_and_routes_ownership() {
-        let t = spec(5, 3).build();
-        for g in [
-            PartitionGranularity::Rack,
-            PartitionGranularity::Pod { racks_per_pod: 2 },
-            PartitionGranularity::Count(3),
-            PartitionGranularity::Count(1),
-        ] {
-            let p = t.partition_by(g);
-            assert!(!p.is_empty());
-            // Contiguous + covering in both index spaces.
-            assert_eq!(p.rack_ranges.first().unwrap().start, 0);
-            assert_eq!(p.rack_ranges.last().unwrap().end, 5);
-            assert_eq!(p.node_ranges.last().unwrap().end, t.node_count());
-            for w in p.rack_ranges.windows(2) {
-                assert_eq!(w[0].end, w[1].start);
-            }
-            for rack in 0..5 {
-                let part = p.part_of_rack(rack);
-                assert!(p.rack_ranges[part].contains(&rack));
-            }
-            for node in 0..t.node_count() {
-                assert_eq!(p.part_of_node(node), p.part_of_rack(node / 3));
-            }
-        }
-    }
-
-    #[test]
     fn cross_partition_latency_floor_is_the_inter_rack_path() {
-        let t = spec(4, 2).build();
-        let p = t.partition_by(PartitionGranularity::Count(2));
-        assert!(p.min_cross_latency_s > 0.0);
+        let s = spec(4, 2);
+        let t = s.build();
+        let floor = s.min_cross_latency_s();
+        assert!(floor > 0.0);
         // Any inter-rack path matches the floor; intra-rack is cheaper.
         let inter = t.path_info(NodeId(0), NodeId(7)).latency_s;
-        assert_eq!(p.min_cross_latency_s, inter);
+        assert_eq!(floor, inter);
         assert!(t.path_info(NodeId(0), NodeId(1)).latency_s < inter);
     }
 

@@ -28,10 +28,6 @@ pub struct Heartbeat {
     events: u64,
     /// Per-run wall times in microseconds; drives the line's p99.
     wall_us: QuantileSketch,
-    /// Cumulative events per simulation partition, when runs are
-    /// partitioned (see [`Heartbeat::observe_partitions`]). Empty — and
-    /// the line unchanged — for unpartitioned sweeps.
-    partition_events: Vec<u64>,
 }
 
 impl Heartbeat {
@@ -50,7 +46,6 @@ impl Heartbeat {
             started: Instant::now(),
             events: 0,
             wall_us: QuantileSketch::new(),
-            partition_events: Vec::new(),
         }
     }
 
@@ -64,20 +59,6 @@ impl Heartbeat {
     pub fn observe_run(&mut self, events: u64, wall_us: u64) {
         self.events += events;
         self.wall_us.record(wall_us as f64);
-    }
-
-    /// Feeds one partitioned run's per-partition event totals (partition
-    /// order). Once observed, progress lines gain a `parts=N [...]`
-    /// segment with cumulative events per partition — the quick skew
-    /// check for partitioned execution. Stderr-only like everything else
-    /// here, so result bytes are untouched.
-    pub fn observe_partitions(&mut self, part_events: &[u64]) {
-        if self.partition_events.len() < part_events.len() {
-            self.partition_events.resize(part_events.len(), 0);
-        }
-        for (acc, ev) in self.partition_events.iter_mut().zip(part_events) {
-            *acc += ev;
-        }
     }
 
     /// The emission interval in seconds.
@@ -143,18 +124,6 @@ impl Heartbeat {
         }
         if self.wall_us.count() > 0 {
             line.push_str(&format!(" · p99 run {:.1}ms", self.wall_us.p99() / 1_000.0));
-        }
-        if !self.partition_events.is_empty() {
-            let per_part: Vec<String> = self
-                .partition_events
-                .iter()
-                .map(|&e| fmt_si(e as f64))
-                .collect();
-            line.push_str(&format!(
-                " · parts={} [{}]",
-                self.partition_events.len(),
-                per_part.join(" ")
-            ));
         }
         line
     }
@@ -255,23 +224,6 @@ mod tests {
             .trim_end_matches("ms")
             .parse()
             .expect("numeric p99")
-    }
-
-    #[test]
-    fn partitioned_runs_report_counts_per_partition() {
-        let mut hb = Heartbeat::with_interval(3, 0.0);
-        // Unpartitioned runs never show the segment.
-        hb.observe_run(500, 1_000);
-        let line = hb.tick_at(1.0).expect("interval 0 always emits");
-        assert!(!line.contains("parts="), "{line}");
-        // Two partitioned runs accumulate per-partition totals.
-        hb.observe_run(3_000, 2_000);
-        hb.observe_partitions(&[1_000, 2_000]);
-        hb.observe_run(3_000, 2_000);
-        hb.observe_partitions(&[1_500, 1_500]);
-        hb.tick_at(2.0);
-        let line = hb.tick_at(3.0).expect("final line");
-        assert!(line.contains("parts=2 [2.5k 3.5k]"), "{line}");
     }
 
     #[test]

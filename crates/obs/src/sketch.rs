@@ -2,9 +2,9 @@
 //! memory per metric.
 //!
 //! The farm aggregates statistics shard → ordered fold → sweep point, so
-//! every summary it carries must honor the same contract `Counter` and
-//! `Tally` pin in `wt-des`: `merge` is associative, commutative, and a
-//! pure function of the observation multiset — the result is
+//! every summary it carries must honor the same contract `Tally` and
+//! `Histogram` pin in `wt-des`: `merge` is associative, commutative, and
+//! a pure function of the observation multiset — the result is
 //! bitwise-identical for any worker count or merge tree. Retained-sample
 //! percentiles break that contract's *memory* half (they grow with the
 //! event count); these two sketches restore it:

@@ -131,12 +131,11 @@ impl Trace {
     /// bounded channel to a pool of parser workers (`WT_WORKERS` when
     /// set, the host's parallelism otherwise — the same knob the farm
     /// honors); chunks are tagged with their file position and the merge
-    /// restores file order, so the result is exactly what
-    /// [`load_jsonl_sync`](Self::load_jsonl_sync) produces, which the
-    /// round-trip test asserts. JSON decoding dominates the wall time on
-    /// big traces (see the EXPERIMENTS.md trace-ingestion note), so the
-    /// fan-out scales with cores where the old single-parser overlap
-    /// capped at 2×.
+    /// restores file order, so the result is exactly what a line-at-a-time
+    /// loader produces, which the tests assert against a single-threaded
+    /// oracle. JSON decoding dominates the wall time on big traces (see
+    /// the EXPERIMENTS.md trace-ingestion note), so the fan-out scales
+    /// with cores.
     pub fn load_jsonl(path: &std::path::Path) -> std::io::Result<Trace> {
         use std::io::Read as _;
         const CHUNK: usize = 256 * 1024;
@@ -256,11 +255,10 @@ impl Trace {
         Ok(Trace::from_entries(entries))
     }
 
-    /// Loads from JSON lines on the calling thread — the simple
-    /// line-at-a-time path [`load_jsonl`](Self::load_jsonl) overlaps.
-    /// Kept as the behavioral reference (tests assert both paths agree)
-    /// and for callers that must not spawn.
-    pub fn load_jsonl_sync(path: &std::path::Path) -> std::io::Result<Trace> {
+    /// Loads from JSON lines on the calling thread, one line at a time:
+    /// the test oracle [`load_jsonl`](Self::load_jsonl) must agree with.
+    #[cfg(test)]
+    fn load_jsonl_sync(path: &std::path::Path) -> std::io::Result<Trace> {
         use std::io::BufRead as _;
         let f = std::fs::File::open(path)?;
         let mut entries = Vec::new();

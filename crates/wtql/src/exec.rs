@@ -37,6 +37,7 @@ use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use windtunnel::analytic::screen::{Rel, ScreenVerdict};
+use windtunnel::cluster::availability::MAX_NODES;
 use windtunnel::cluster::screen::{availability_screen, perf_screen};
 use windtunnel::cluster::Scenario;
 use windtunnel::des::time::SimDuration;
@@ -763,7 +764,9 @@ fn screen_constraint(c: &Constraint, scenario: &Scenario, opts: &ExecOptions) ->
 
 /// Builds one grid point's scenario: the base with the assignment's
 /// known axes applied, the query's injections appended to any base fault
-/// schedule, and the assignment itself as the scenario name.
+/// schedule, and the assignment itself as the scenario name. A point with
+/// more nodes than the availability engine can model is a semantic error
+/// when the query needs that engine.
 fn build_scenario(
     query: &Query,
     base: &Scenario,
@@ -784,6 +787,12 @@ fn build_scenario(
             schedule.rules.push(resolve_injection(inj, assignment)?);
         }
         scenario.faults = Some(schedule);
+    }
+    let nodes = scenario.topology.node_count();
+    if needed_engines(query).0 && nodes > MAX_NODES {
+        return Err(WtqlError::Semantic(format!(
+            "{nodes} nodes exceed the availability engine's cap of {MAX_NODES}"
+        )));
     }
     scenario.name = assignment
         .iter()
@@ -1131,6 +1140,29 @@ mod tests {
             .all(|r| r.metrics.contains_key("availability")));
         // Store captured every run.
         assert_eq!(tunnel.store().len(), 4);
+    }
+
+    #[test]
+    fn node_cap_rejects_oversized_points_that_need_the_availability_engine() {
+        let point = |racks: f64, per_rack: f64| -> Assignment {
+            vec![
+                ("racks".into(), ParamValue::Num(racks)),
+                ("nodes_per_rack".into(), ParamValue::Num(per_rack)),
+            ]
+        };
+        let avail =
+            parse("EXPLORE availability SWEEP racks IN [1], nodes_per_rack IN [1]").unwrap();
+        let err = build_scenario(&avail, &base(), &point(1700.0, 40.0)).unwrap_err();
+        assert!(
+            matches!(&err, WtqlError::Semantic(m) if m.contains("68000") && m.contains("65536")),
+            "{err}"
+        );
+        // Exactly at the cap still builds.
+        assert!(build_scenario(&avail, &base(), &point(2048.0, 32.0)).is_ok());
+        // A query that never runs the availability engine is not capped.
+        let cost =
+            parse("EXPLORE tco_usd_per_year SWEEP racks IN [1], nodes_per_rack IN [1]").unwrap();
+        assert!(build_scenario(&cost, &base(), &point(1700.0, 40.0)).is_ok());
     }
 
     #[test]

@@ -6,11 +6,11 @@
 //!   same `RunRecord` bytes, telemetry and sketches included (only
 //!   wall-clock is masked).
 //! * **Partition counts** are semantically invisible: identical
-//!   `AvailabilityResult`/`PerfResult`, identical event totals and
-//!   per-label counts, identical marks and sketch sample counts. Queue-
-//!   depth gauges and sketch f64 sums depend on the partitioning by
-//!   construction (per-partition queues; f64 summation order), so those
-//!   two fields are excluded — see DESIGN.md "Partitioned execution".
+//!   `AvailabilityResult`, identical event totals and per-label counts,
+//!   identical marks and sketch sample counts. Queue-depth gauges and
+//!   sketch f64 sums depend on the partitioning by construction
+//!   (per-partition queues; f64 summation order), so those two fields
+//!   are excluded — see DESIGN.md "Partitioned execution".
 //!
 //! Also covers satellite coverage for chaos landing on cross-partition
 //! targets: a power-domain loss spanning racks owned by different
@@ -19,7 +19,7 @@
 use windtunnel::obs::RunTelemetry;
 use windtunnel::prelude::*;
 use wt_cluster::chaos::ChaosConfig;
-use wt_cluster::{FaultKind, FaultSchedule, PartitionedAvailability, PartitionedPerf};
+use wt_cluster::{FaultKind, FaultSchedule, PartitionedAvailability};
 use wt_store::SharedStore;
 
 fn scenario(seed: u64) -> Scenario {
@@ -132,53 +132,6 @@ fn availability_results_invariant_across_partition_counts() {
             .map(|(_, v)| v)
             .sum();
         assert_eq!(marked, t.events);
-    }
-}
-
-#[test]
-fn perf_engine_is_partition_and_thread_invisible() {
-    let m = PartitionedPerf {
-        topology: wt_hw::TopologySpec {
-            racks: 4,
-            nodes_per_rack: 4,
-            node: catalog::node_storage_server(catalog::ssd_sata_1t(), 4, catalog::nic_10g()),
-            tor: catalog::switch_tor_48x10g(),
-            agg: catalog::switch_agg_32x40g(),
-            oversubscription: 4.0,
-        },
-        tenants: vec![
-            TenantWorkload::oltp("shop", 60.0, 2_000),
-            TenantWorkload::analytics("scan", 4.0, 200),
-        ],
-        remote_read_fraction: 0.3,
-    };
-    let (gold, gold_t) = m.run_observed(71, 240.0, 1, 1);
-    assert!(gold_t.events > 1_000, "run must do real work");
-    // Thread counts at fixed partitioning: fully bitwise.
-    for threads in [2, 4] {
-        let (r, t) = m.run_observed(71, 240.0, 2, threads);
-        let (r1, t1) = m.run_observed(71, 240.0, 2, 1);
-        assert_eq!(r, r1, "perf result diverged at {threads} threads");
-        let masked = |mut t: RunTelemetry| {
-            t.mask_wall();
-            t
-        };
-        assert_eq!(masked(t), masked(t1));
-    }
-    // Partition counts: results and invariant telemetry agree with the
-    // serial oracle.
-    let (gold_view, gold_counts) = invariant_view(&gold_t);
-    for partitions in [2, 4] {
-        let (r, t) = m.run_observed(71, 240.0, partitions, 2);
-        assert_eq!(r, gold, "perf result diverged at {partitions} partitions");
-        let (view, counts) = invariant_view(&t);
-        let strip = |v: &str| -> String {
-            let mut t: RunTelemetry = serde_json::from_str(v).unwrap();
-            t.marks.retain(|k, _| !k.starts_with("partition/"));
-            serde_json::to_string(&t).unwrap()
-        };
-        assert_eq!(strip(&view), strip(&gold_view));
-        assert_eq!(counts, gold_counts);
     }
 }
 

@@ -109,3 +109,22 @@ fn threads_do_not_change_results() {
         assert_eq!(a.metrics, b.metrics);
     }
 }
+
+#[test]
+fn oversized_availability_point_is_an_unsimulated_row_not_a_panic() {
+    // 1,700 racks × 40 nodes = 68,000 nodes: past the availability
+    // engine's node-ID cap. The point must come back as an unsimulated
+    // row instead of panicking a farm worker (and with it the process).
+    let query = parse(
+        r#"EXPLORE availability SWEEP racks IN [1700], nodes_per_rack IN [40], objects IN [10]"#,
+    )
+    .expect("parses");
+    let tunnel = WindTunnel::new();
+    let out = run_query(&query, &base(), &tunnel, &ExecOptions::default()).expect("runs");
+    assert_eq!(out.rows.len(), 1);
+    let row = &out.rows[0];
+    assert!(row.metrics.is_empty(), "{row:?}");
+    assert!(!row.passes && !row.pruned, "{row:?}");
+    assert_eq!(row.sim_events_executed, 0);
+    assert!(tunnel.store().is_empty());
+}
