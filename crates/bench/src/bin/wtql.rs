@@ -32,7 +32,9 @@
 use std::io::{BufRead as _, Read as _, Write as _};
 use windtunnel::prelude::*;
 use wt_bench::Table;
-use wt_wtql::{parse_script, run_query, store_stats, ExecOptions, Plan, Query, Statement};
+use wt_wtql::{
+    parse_script, run_query, store_stats, Assignment, ExecOptions, Plan, Query, Statement,
+};
 
 fn usage() -> ! {
     eprintln!(
@@ -65,6 +67,12 @@ fn stress_base() -> Scenario {
     sc.topology.node.ttf = Dist::weibull_mean(0.8, 40.0 * 86_400.0);
     sc.repair.detection_delay_s = 5.0 * 86_400.0;
     sc
+}
+
+/// One configuration as `axis=value, ...`.
+fn describe(assignment: &Assignment) -> String {
+    let pairs: Vec<String> = assignment.iter().map(|(k, v)| format!("{k}={v}")).collect();
+    pairs.join(", ")
 }
 
 /// Parses, plans and runs one query, printing the plan, the results table
@@ -113,6 +121,9 @@ fn execute_query(query: &Query, base: &Scenario, tunnel: &WindTunnel, threads: u
         cells.push(
             if row.pruned {
                 "pruned"
+            } else if row.rejected.is_some() {
+                // The scenario could not be built; the reason goes to stderr.
+                "rejected"
             } else if row.screened {
                 // Resolved analytically, no simulation behind this row.
                 if row.passes {
@@ -140,6 +151,11 @@ fn execute_query(query: &Query, base: &Scenario, tunnel: &WindTunnel, threads: u
         table.row(cells);
     }
     table.print();
+    for row in &outcome.rows {
+        if let Some(reason) = &row.rejected {
+            eprintln!("rejected {}: {reason}", describe(&row.assignment));
+        }
+    }
 
     println!();
     println!(
@@ -153,12 +169,7 @@ fn execute_query(query: &Query, base: &Scenario, tunnel: &WindTunnel, threads: u
     );
     eprintln!("{:.2}s wall", wall.as_secs_f64());
     if let Some(best) = outcome.best_row() {
-        let desc: Vec<String> = best
-            .assignment
-            .iter()
-            .map(|(k, v)| format!("{k}={v}"))
-            .collect();
-        println!("best: {}", desc.join(", "));
+        println!("best: {}", describe(&best.assignment));
     } else if query.objective.is_some() {
         println!("best: none (no configuration satisfied the constraints)");
     }

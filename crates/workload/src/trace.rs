@@ -133,9 +133,8 @@ impl Trace {
     /// honors); chunks are tagged with their file position and the merge
     /// restores file order, so the result is exactly what a line-at-a-time
     /// loader produces, which the tests assert against a single-threaded
-    /// oracle. JSON decoding dominates the wall time on big traces (see
-    /// the EXPERIMENTS.md trace-ingestion note), so the fan-out scales
-    /// with cores.
+    /// oracle. The EXPERIMENTS.md trace-ingestion note has its measured
+    /// speedup over that oracle.
     pub fn load_jsonl(path: &std::path::Path) -> std::io::Result<Trace> {
         use std::io::Read as _;
         const CHUNK: usize = 256 * 1024;

@@ -229,6 +229,11 @@ pub struct RunRow {
     /// this is the row's true simulation cost — zero for pruned and
     /// screened rows.
     pub sim_events_executed: u64,
+    /// Why the configuration's scenario could not be built (e.g. more
+    /// nodes than the availability engine can model); `None` for every
+    /// other row. A rejected row is never simulated, carries no metrics
+    /// and prunes nothing.
+    pub rejected: Option<String>,
 }
 
 /// The result of executing a query.
@@ -238,7 +243,7 @@ pub struct QueryOutcome {
     pub rows: Vec<RunRow>,
     /// Index of the objective-best passing row, if any.
     pub best: Option<usize>,
-    /// Runs fully simulated.
+    /// Runs fully simulated (rejected rows are not).
     pub executed: usize,
     /// Runs pruned by dominance.
     pub pruned: usize,
@@ -479,9 +484,22 @@ pub fn run_query(
                 .get(point.index)
                 .is_some_and(|ds| ds.iter().any(|&j| failed[j].load(Ordering::Relaxed)));
             if dominated {
-                return unsimulated_row(&point.assignment, true);
+                return RunRow {
+                    pruned: true,
+                    ..unsimulated_row(&point.assignment)
+                };
             }
-            let row = evaluate_point(query, base, tunnel, opts, point, sink);
+            // A configuration that cannot be built was never simulated:
+            // it says nothing about the configurations it dominates.
+            let row = match evaluate_point(query, base, tunnel, opts, point, sink) {
+                Ok(row) => row,
+                Err(e) => {
+                    return RunRow {
+                        rejected: Some(e.to_string()),
+                        ..unsimulated_row(&point.assignment)
+                    }
+                }
+            };
             if !row.passes && !query.constraints.is_empty() {
                 failed[point.index].store(true, Ordering::Relaxed);
             }
@@ -496,8 +514,7 @@ pub fn run_query(
 
 /// One unpruned configuration: build its scenario once, let an armed
 /// analytic screen settle the verdict when it can, and simulate it
-/// otherwise. A configuration whose scenario cannot be built gets an
-/// [`unsimulated_row`].
+/// otherwise. Errs when the configuration's scenario cannot be built.
 fn evaluate_point(
     query: &Query,
     base: &Scenario,
@@ -505,17 +522,15 @@ fn evaluate_point(
     opts: &ExecOptions,
     point: &SweepPoint,
     sink: &dyn RecordSink,
-) -> RunRow {
+) -> Result<RunRow, WtqlError> {
     let assignment = &point.assignment;
-    let Ok(scenario) = build_scenario(query, base, assignment) else {
-        return unsimulated_row(assignment, false);
-    };
+    let scenario = build_scenario(query, base, assignment)?;
     let screened = if opts.guided && opts.screen && !query.constraints.is_empty() {
         screen_point(query, &scenario, opts)
     } else {
         None
     };
-    match screened {
+    Ok(match screened {
         // A screen may settle "pass" only when the objective needs no
         // simulated metric — otherwise the row could never win and the
         // best row would diverge from the exhaustive run's.
@@ -537,10 +552,11 @@ fn evaluate_point(
                 screened: true,
                 early_stopped: false,
                 sim_events_executed: 0,
+                rejected: None,
             }
         }
         _ => evaluate(query, tunnel, &scenario, assignment, opts, sink),
-    }
+    })
 }
 
 /// Guided surrogate ranking: a ridge regression over the axes that are
@@ -621,7 +637,7 @@ impl Ranker {
 fn summarize(query: &Query, rows: Vec<RunRow>) -> QueryOutcome {
     let executed = rows
         .iter()
-        .filter(|r| !r.pruned && !r.aborted && !r.screened)
+        .filter(|r| !r.pruned && !r.aborted && !r.screened && r.rejected.is_none())
         .count();
     let pruned = rows.iter().filter(|r| r.pruned).count();
     let aborted = rows.iter().filter(|r| r.aborted).count();
@@ -657,19 +673,19 @@ fn summarize(query: &Query, rows: Vec<RunRow>) -> QueryOutcome {
     }
 }
 
-/// A row without metrics or a pass: a configuration skipped by dominance
-/// pruning, or (`pruned` false) one whose scenario could not be built,
-/// which still shows in the table.
-fn unsimulated_row(assignment: &Assignment, pruned: bool) -> RunRow {
+/// A row without metrics, a pass or any flag: the base of a pruned or a
+/// rejected row.
+fn unsimulated_row(assignment: &Assignment) -> RunRow {
     RunRow {
         assignment: assignment.clone(),
         metrics: BTreeMap::new(),
         passes: false,
-        pruned,
+        pruned: false,
         aborted: false,
         screened: false,
         early_stopped: false,
         sim_events_executed: 0,
+        rejected: None,
     }
 }
 
@@ -934,6 +950,7 @@ fn evaluate(
         screened: false,
         early_stopped,
         sim_events_executed: events_executed,
+        rejected: None,
     }
 }
 

@@ -126,5 +126,39 @@ fn oversized_availability_point_is_an_unsimulated_row_not_a_panic() {
     assert!(row.metrics.is_empty(), "{row:?}");
     assert!(!row.passes && !row.pruned, "{row:?}");
     assert_eq!(row.sim_events_executed, 0);
+    let reason = row.rejected.as_deref().expect("rejected with a reason");
+    assert!(
+        reason.contains("68000") && reason.contains("65536"),
+        "{reason}"
+    );
+    assert_eq!(out.executed, 0);
     assert!(tunnel.store().is_empty());
+}
+
+#[test]
+fn rejected_point_prunes_nothing() {
+    // The plan runs the 68,000-node point first (racks is monotone,
+    // largest first), and a failure there would prune the 4,000-node
+    // point it dominates. A rejected point was never simulated, so the
+    // smaller point must still run and decide the query.
+    let query = parse(
+        r#"
+        EXPLORE availability, tco_usd_per_year
+        SWEEP racks IN [100, 1700], nodes_per_rack IN [40], objects IN [10]
+        SUBJECT TO availability >= 0.99
+        MINIMIZE tco_usd_per_year
+        "#,
+    )
+    .expect("parses");
+    let opts = ExecOptions::default();
+    assert!(opts.prune, "pruning is on by default");
+    let out = run_query(&query, &base(), &WindTunnel::new(), &opts).expect("runs");
+    let racks = |i: usize| out.rows[i].assignment[0].1.as_num();
+    assert_eq!((racks(0), racks(1)), (Some(1700.0), Some(100.0)));
+    assert!(out.rows[0].rejected.is_some(), "{:?}", out.rows[0]);
+    let small = &out.rows[1];
+    assert!(!small.pruned && small.rejected.is_none(), "{small:?}");
+    assert!(small.sim_events_executed > 0 && small.passes, "{small:?}");
+    assert_eq!((out.executed, out.pruned), (1, 0));
+    assert_eq!(out.best, Some(1));
 }
