@@ -1,11 +1,14 @@
 //! Layout-swap regression oracle: the SoA/arena refactor of the cluster
-//! engines must be invisible in every observable byte. Three locks:
+//! engines must be invisible in every observable byte. Four locks:
 //!
 //! * `fig1 --smoke` stdout, pinned against a committed fixture at
 //!   workers 1/4 (the fixture was captured on the pre-refactor
 //!   `Vec<Vec<_>>` layout).
 //! * `e13_chaos --smoke` stdout, same grid — chaos handlers ride the
 //!   same hot path and must not drift either.
+//! * full `e3_perf_sla` stdout at workers 1/4, pinned against
+//!   `results/e3_perf_sla.txt` — co-location, node failures and repair
+//!   traffic through the request-level perf engine.
 //! * `RunRecord` JSON bytes for a mixed scenario batch (switch + disk
 //!   failures, chaos, perf tenants), wall-clock masked.
 //!
@@ -19,6 +22,7 @@ use wt_cluster::chaos::{FaultKind, FaultSchedule};
 use wt_store::SharedStore;
 
 const GOLDEN_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden");
+const RESULTS_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
 
 fn golden_path(name: &str) -> String {
     format!("{GOLDEN_DIR}/{name}")
@@ -29,26 +33,30 @@ fn read_golden(name: &str) -> String {
         .unwrap_or_else(|e| panic!("missing golden fixture {name}: {e}"))
 }
 
-/// Runs `bin --smoke` with the given worker count, returning stdout.
+/// Runs `bin` with `args` plus the given worker count, returning stdout.
 /// Stderr (timing lines) is intentionally dropped.
-fn smoke_stdout(bin: &str, workers: &str) -> String {
+fn stdout_of(bin: &str, args: &[&str], workers: &str) -> String {
     let out = Command::new(bin)
-        .args(["--smoke", "--workers", workers])
+        .args(args)
+        .args(["--workers", workers])
         .output()
         .unwrap_or_else(|e| panic!("spawn {bin}: {e}"));
     assert!(out.status.success(), "{bin} failed: {:?}", out.status);
-    String::from_utf8(out.stdout).expect("smoke stdout is UTF-8")
+    String::from_utf8(out.stdout).expect("stdout is UTF-8")
 }
 
-fn assert_smoke_pinned(bin: &str, fixture: &str) {
-    let want = read_golden(fixture);
+fn assert_stdout_pinned(bin: &str, args: &[&str], want: &str, fixture: &str) {
     for workers in ["1", "4"] {
-        let got = smoke_stdout(bin, workers);
+        let got = stdout_of(bin, args, workers);
         assert_eq!(
             got, want,
             "stdout drifted from {fixture} at workers={workers}"
         );
     }
+}
+
+fn assert_smoke_pinned(bin: &str, fixture: &str) {
+    assert_stdout_pinned(bin, &["--smoke"], &read_golden(fixture), fixture);
 }
 
 #[test]
@@ -59,6 +67,18 @@ fn fig1_smoke_stdout_pinned() {
 #[test]
 fn e13_chaos_smoke_stdout_pinned() {
     assert_smoke_pinned(env!("CARGO_BIN_EXE_e13_chaos"), "e13_chaos_smoke.txt");
+}
+
+#[test]
+fn e3_perf_sla_stdout_pinned() {
+    let path = format!("{RESULTS_DIR}/e3_perf_sla.txt");
+    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    assert_stdout_pinned(
+        env!("CARGO_BIN_EXE_e3_perf_sla"),
+        &[],
+        &want,
+        "results/e3_perf_sla.txt",
+    );
 }
 
 /// A scenario batch covering every engine feature the layout refactor
