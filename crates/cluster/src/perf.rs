@@ -18,10 +18,18 @@
 //! read hits DRAM with probability `cluster_mem / dataset_bytes` and skips
 //! the disk stage — the first-order effect behind the paper's "invest in
 //! storage or memory?" provisioning question (§3).
+//!
+//! State layout: in-flight requests live in a slot table, a `Vec` plus a
+//! free list, and a request id is its `u32` slot index. Events and the
+//! disk/NIC pools carry those ids, and a write's target set sits in a
+//! fixed-stride `u32` pool beside the partition table, so admitting and
+//! finishing a request allocates nothing once the table has grown to the
+//! run's peak number of requests in flight. Ids are opaque — nothing
+//! sorts, hashes or prints them — so which slot a request gets cannot
+//! change any output.
 
 use crate::chaos::{ChaosConfig, CompiledFault, FaultEffect};
 use crate::results::{PerfResult, TenantPerf};
-use std::collections::HashMap;
 use wt_des::prelude::*;
 use wt_des::rng::RngFactory;
 use wt_des::ServerPool;
@@ -165,9 +173,9 @@ enum Ev {
     /// Tenant issues its next request.
     Arrival { tenant: usize },
     /// A disk service completed at `node` for request `rid`.
-    DiskDone { node: usize, rid: u64 },
+    DiskDone { node: usize, rid: u32 },
     /// A NIC transfer completed at `node` for request `rid`.
-    NicDone { node: usize, rid: u64 },
+    NicDone { node: usize, rid: u32 },
     /// Node failure (removes replicas from service, spawns repair traffic).
     NodeFail { node: usize },
     /// Node returns to service.
@@ -178,7 +186,7 @@ enum Ev {
     ChaosEnd { fault: usize },
 }
 
-/// Per-request runtime state.
+/// Per-request runtime state: one slot of the request table.
 struct Req {
     tenant: usize,
     /// Bytes moved in the NIC stage (w× payload for write fan-out).
@@ -187,11 +195,11 @@ struct Req {
     disk_bytes: u64,
     write: bool,
     sequential: bool,
+    /// False once the request has finished and its slot is free.
+    live: bool,
     /// Far end of the NIC stage (the reading client for reads, the first
     /// write target for writes).
     nic_dst: usize,
-    /// Write set (empty for reads).
-    targets: Vec<usize>,
     /// Remaining disk completions.
     pending_disks: usize,
     start: SimTime,
@@ -212,9 +220,13 @@ struct PerfState<'a> {
     /// time), so a CSR-style flat layout replaces the old triple-nested
     /// `Vec<Vec<Vec<usize>>>`.
     partitions: Vec<u32>,
+    /// Write sets, with the same fixed stride: request `rid`'s targets are
+    /// `write_sets[rid * width..][..w]`, written when the write is
+    /// admitted and read when its NIC fan-out completes.
+    write_sets: Vec<u32>,
     zipfs: Vec<Zipf>,
-    disk_pools: Vec<ServerPool<u64>>,
-    nic_pools: Vec<ServerPool<u64>>,
+    disk_pools: Vec<ServerPool<u32>>,
+    nic_pools: Vec<ServerPool<u32>>,
     disk_limp: LimpState,
     nic_limp: LimpState,
     /// Compiled chaos schedule (empty when no chaos is configured).
@@ -230,8 +242,11 @@ struct PerfState<'a> {
     /// chaos-free runs stay bit-identical to pre-chaos builds).
     chaos_disk_mult: Vec<f64>,
     chaos_nic_mult: Vec<f64>,
-    reqs: HashMap<u64, Req>,
-    next_rid: u64,
+    /// The request table, indexed by request id. A finished request's
+    /// slot goes on `free_slots` and the next request reuses it, so the
+    /// table never grows past the peak number of requests in flight.
+    reqs: Vec<Req>,
+    free_slots: Vec<u32>,
     latencies: Vec<Histogram>,
     /// Per-tenant DDSketch latency quantiles, recorded alongside the
     /// exact histograms so the sketch pipeline can be validated against
@@ -303,6 +318,7 @@ impl<'a> PerfState<'a> {
             node_up: vec![true; n],
             width,
             partitions,
+            write_sets: Vec::new(),
             zipfs,
             disk_pools: (0..n)
                 .map(|_| ServerPool::new(disks_per_node, SimTime::ZERO))
@@ -315,8 +331,8 @@ impl<'a> PerfState<'a> {
             chaos_limp_active: Vec::new(),
             chaos_disk_mult: vec![1.0; n],
             chaos_nic_mult: vec![1.0; n],
-            reqs: HashMap::new(),
-            next_rid: 0,
+            reqs: Vec::new(),
+            free_slots: Vec::new(),
             latencies: (0..cfg.tenants.len()).map(|_| Histogram::new()).collect(),
             lat_sketches: (0..cfg.tenants.len())
                 .map(|_| QuantileSketch::new())
@@ -334,9 +350,43 @@ impl<'a> PerfState<'a> {
         SimDuration::from_secs(self.cfg.tenants[tenant].arrivals.next_gap(&mut self.rng))
     }
 
+    /// Puts `req` in a free slot, growing the table only when none is
+    /// free, and returns its id.
+    fn admit(&mut self, req: Req) -> u32 {
+        debug_assert!(req.live);
+        if let Some(rid) = self.free_slots.pop() {
+            let slot = &mut self.reqs[rid as usize];
+            debug_assert!(!slot.live, "free slot {rid} holds a live request");
+            *slot = req;
+            return rid;
+        }
+        let rid = u32::try_from(self.reqs.len()).expect("request ids fit in u32");
+        self.reqs.push(req);
+        self.write_sets.resize(self.reqs.len() * self.width, 0);
+        rid
+    }
+
+    /// The live request `rid`. Jobs are never cancelled, so no event can
+    /// reach a request whose slot was already freed.
+    fn req(&self, rid: u32) -> &Req {
+        let req = &self.reqs[rid as usize];
+        debug_assert!(req.live, "request {rid} is not live");
+        req
+    }
+
+    /// Frees `rid`'s slot when the request finishes and returns the
+    /// request's final state.
+    fn retire(&mut self, rid: u32) -> &Req {
+        let req = &mut self.reqs[rid as usize];
+        debug_assert!(req.live, "request {rid} freed twice");
+        req.live = false;
+        self.free_slots.push(rid);
+        &self.reqs[rid as usize]
+    }
+
     /// Disk service time at `node` for one disk job of `rid`.
-    fn disk_service(&self, node: usize, rid: u64) -> SimDuration {
-        let r = &self.reqs[&rid];
+    fn disk_service(&self, node: usize, rid: u32) -> SimDuration {
+        let r = self.req(rid);
         let disk = &self.cfg.topology.node.disks[0];
         let t = disk.service_time(r.disk_bytes, r.sequential, r.write)
             * self.disk_limp.factor(node)
@@ -348,8 +398,8 @@ impl<'a> PerfState<'a> {
     /// destination). A limping NIC scales the *whole* service — the
     /// canonical limplock case is a link renegotiated to a lower speed,
     /// which inflates per-packet handling as well as throughput.
-    fn nic_service(&self, src: usize, rid: u64) -> SimDuration {
-        let r = &self.reqs[&rid];
+    fn nic_service(&self, src: usize, rid: u32) -> SimDuration {
+        let r = self.req(rid);
         // path_info is the hop-free form: no per-transfer Vec for a hop
         // list nobody reads here.
         let path = self
@@ -425,7 +475,7 @@ impl<'a> PerfState<'a> {
     }
 
     /// Enqueues a disk job; schedules completion if it starts immediately.
-    fn submit_disk(&mut self, node: usize, rid: u64, ctx: &mut Ctx<'_, Ev>) {
+    fn submit_disk(&mut self, node: usize, rid: u32, ctx: &mut Ctx<'_, Ev>) {
         if let Some(started) = self.disk_pools[node].arrive(ctx.now(), rid) {
             let dur = self.disk_service(node, started);
             ctx.schedule_in(dur, Ev::DiskDone { node, rid: started });
@@ -433,7 +483,7 @@ impl<'a> PerfState<'a> {
     }
 
     /// Enqueues a NIC job at `src`; schedules completion if it starts now.
-    fn submit_nic(&mut self, src: usize, rid: u64, ctx: &mut Ctx<'_, Ev>) {
+    fn submit_nic(&mut self, src: usize, rid: u32, ctx: &mut Ctx<'_, Ev>) {
         if let Some(started) = self.nic_pools[src].arrive(ctx.now(), rid) {
             let dur = self.nic_service(src, started);
             ctx.schedule_in(
@@ -446,17 +496,16 @@ impl<'a> PerfState<'a> {
         }
     }
 
-    fn complete(&mut self, rid: u64, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
-        if let Some(req) = self.reqs.remove(&rid) {
-            if req.tenant == REPAIR_TENANT {
-                return;
-            }
-            let latency = now.since(req.start).as_secs();
-            self.latencies[req.tenant].record(latency);
-            self.lat_sketches[req.tenant].record(latency);
-            self.completed[req.tenant] += 1;
-            ctx.observe("request_latency_s", latency);
-        }
+    /// A tenant request finished: free its slot and record its latency.
+    fn complete(&mut self, rid: u32, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
+        let req = self.retire(rid);
+        let (tenant, start) = (req.tenant, req.start);
+        debug_assert_ne!(tenant, REPAIR_TENANT, "repair streams end at their NIC");
+        let latency = now.since(start).as_secs();
+        self.latencies[tenant].record(latency);
+        self.lat_sketches[tenant].record(latency);
+        self.completed[tenant] += 1;
+        ctx.observe("request_latency_s", latency);
     }
 
     fn finish(self, end: SimTime) -> PerfResult {
@@ -521,9 +570,6 @@ impl<'a> PerfState<'a> {
         let mut holders = std::mem::take(&mut self.scratch_holders);
         self.holders_into(tenant, request.key, &mut holders);
 
-        let rid = self.next_rid;
-        self.next_rid += 1;
-
         if request.write {
             let (w, per_disk) = match self.cfg.redundancy {
                 RedundancyScheme::Replication(q) => (q.w, request.bytes),
@@ -534,22 +580,21 @@ impl<'a> PerfState<'a> {
                 self.scratch_holders = holders;
                 return;
             }
-            let targets: Vec<usize> = holders[..w].to_vec();
-            let nic_dst = targets[0];
-            self.reqs.insert(
-                rid,
-                Req {
-                    tenant,
-                    nic_bytes: per_disk * w as u64,
-                    disk_bytes: per_disk,
-                    write: true,
-                    sequential: request.sequential,
-                    nic_dst,
-                    targets,
-                    pending_disks: w,
-                    start: now,
-                },
-            );
+            let rid = self.admit(Req {
+                tenant,
+                nic_bytes: per_disk * w as u64,
+                disk_bytes: per_disk,
+                write: true,
+                sequential: request.sequential,
+                live: true,
+                nic_dst: holders[0],
+                pending_disks: w,
+                start: now,
+            });
+            let base = rid as usize * self.width;
+            for (slot, &h) in self.write_sets[base..base + w].iter_mut().zip(&holders) {
+                *slot = h as u32;
+            }
             self.scratch_holders = holders;
             // Push all copies out the client NIC, then commit on disks.
             self.submit_nic(client, rid, ctx);
@@ -575,20 +620,17 @@ impl<'a> PerfState<'a> {
                     (holders[0], spec.k, (request.bytes / spec.k as u64).max(1))
                 }
             };
-            self.reqs.insert(
-                rid,
-                Req {
-                    tenant,
-                    nic_bytes: request.bytes,
-                    disk_bytes: per_disk,
-                    write: false,
-                    sequential: request.sequential,
-                    nic_dst: client,
-                    targets: Vec::new(),
-                    pending_disks: fan,
-                    start: now,
-                },
-            );
+            let rid = self.admit(Req {
+                tenant,
+                nic_bytes: request.bytes,
+                disk_bytes: per_disk,
+                write: false,
+                sequential: request.sequential,
+                live: true,
+                nic_dst: client,
+                pending_disks: fan,
+                start: now,
+            });
             // Point reads may be served from the buffer cache (no disk I/O).
             if !request.sequential && self.rng.chance(self.cache_hit_p) {
                 self.submit_nic(serving, rid, ctx);
@@ -626,22 +668,17 @@ impl<'a> PerfState<'a> {
         for _ in 0..streams {
             let src = candidates[self.rng.index(candidates.len())];
             let dst = candidates[self.rng.index(candidates.len())];
-            let rid = self.next_rid;
-            self.next_rid += 1;
-            self.reqs.insert(
-                rid,
-                Req {
-                    tenant: REPAIR_TENANT,
-                    nic_bytes: per_stream,
-                    disk_bytes: per_stream,
-                    write: false,
-                    sequential: true,
-                    nic_dst: dst,
-                    targets: Vec::new(),
-                    pending_disks: 0,
-                    start: now,
-                },
-            );
+            let rid = self.admit(Req {
+                tenant: REPAIR_TENANT,
+                nic_bytes: per_stream,
+                disk_bytes: per_stream,
+                write: false,
+                sequential: true,
+                live: true,
+                nic_dst: dst,
+                pending_disks: 0,
+                start: now,
+            });
             self.submit_nic(src, rid, ctx);
         }
     }
@@ -678,9 +715,8 @@ impl Model for PerfState<'_> {
                     let dur = self.disk_service(node, next);
                     ctx.schedule_in(dur, Ev::DiskDone { node, rid: next });
                 }
-                let Some(req) = self.reqs.get_mut(&rid) else {
-                    return;
-                };
+                let req = &mut self.reqs[rid as usize];
+                debug_assert!(req.live, "request {rid} is not live");
                 req.pending_disks = req.pending_disks.saturating_sub(1);
                 if req.pending_disks == 0 {
                     if req.write {
@@ -698,18 +734,18 @@ impl Model for PerfState<'_> {
                     let dur = self.nic_service(node, next);
                     ctx.schedule_in(dur, Ev::NicDone { node, rid: next });
                 }
-                let Some(req) = self.reqs.get(&rid) else {
-                    return;
-                };
+                let req = self.req(rid);
                 if req.tenant == REPAIR_TENANT {
-                    self.reqs.remove(&rid);
+                    self.retire(rid);
                     return;
                 }
                 if req.write {
-                    // Fan-out done; commit on each target disk.
-                    let targets = req.targets.clone();
-                    for target in targets {
-                        self.submit_disk(target, rid, ctx);
+                    // Fan-out done; commit on each target disk. No disk
+                    // job has run yet, so `pending_disks` is still the
+                    // write set's size.
+                    let base = rid as usize * self.width;
+                    for i in base..base + req.pending_disks {
+                        self.submit_disk(self.write_sets[i] as usize, rid, ctx);
                     }
                 } else {
                     self.complete(rid, now, ctx);
@@ -956,6 +992,74 @@ mod tests {
             writes.tenants[0].mean_s,
             reads.tenants[0].mean_s
         );
+    }
+
+    /// Counts handled `Arrival` events.
+    struct ArrivalCount(u64);
+
+    impl wt_des::obs::Probe for ArrivalCount {
+        fn on_event(&mut self, label: &'static str, _now_s: f64, _queue_depth: usize) {
+            if label == "Arrival" {
+                self.0 += 1;
+            }
+        }
+    }
+
+    #[test]
+    fn requests_are_conserved_and_slots_reused() {
+        // Overloaded: oltp writes and analytics scans through 1 Gb NICs,
+        // while node failures every few seconds push repair streams
+        // through the same NICs. Queues grow for the whole run.
+        let mut m = PerfModel {
+            topology: topo(catalog::ssd_sata_1t(), catalog::nic_1g()),
+            ..base(vec![
+                TenantWorkload::oltp("shop", 300.0, 10_000),
+                TenantWorkload::analytics("bi", 8.0, 1_000),
+            ])
+        };
+        m.tenants[0].mix.write_weight = 0.5;
+        m.inject_failures = true;
+        m.node_ttf = Some(Dist::exponential_mean(20.0));
+        m.horizon_s = 30.0;
+        let end = SimTime::ZERO + SimDuration::from_secs(m.horizon_s);
+        let mut sim = m.seeded_sim(31);
+        let mut arrivals = ArrivalCount(0);
+        // A budget one event past the count so far runs one event per
+        // call, so the number in flight is read after every handler.
+        let mut peak_in_flight = 0;
+        loop {
+            sim.set_event_budget(sim.events_executed() + 1);
+            match sim.run_until_probed(end, &mut arrivals) {
+                StopReason::EventBudgetExhausted => {}
+                StopReason::HorizonReached => break,
+                other => panic!("unexpected stop {other:?}"),
+            }
+            let s = sim.model();
+            peak_in_flight = peak_in_flight.max(s.reqs.len() - s.free_slots.len());
+        }
+        let s = sim.model();
+        assert!(s.node_failures > 0, "no repair streams ran");
+        let live_tenant = s
+            .reqs
+            .iter()
+            .filter(|r| r.live && r.tenant != REPAIR_TENANT)
+            .count() as u64;
+        assert!(live_tenant > 0, "the run must end with requests queued");
+        let (completed, failed): (u64, u64) = (s.completed.iter().sum(), s.failed.iter().sum());
+        assert_eq!(
+            arrivals.0,
+            completed + failed + live_tenant,
+            "every arrival completes, fails or is still in flight"
+        );
+        // The free list holds exactly the finished slots...
+        assert!(s.free_slots.iter().all(|&rid| !s.reqs[rid as usize].live));
+        assert_eq!(
+            s.free_slots.len(),
+            s.reqs.iter().filter(|r| !r.live).count()
+        );
+        // ...so the table is exactly as large as the most requests ever
+        // in flight at once.
+        assert_eq!(s.reqs.len(), peak_in_flight);
     }
 
     #[test]

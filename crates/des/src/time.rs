@@ -3,6 +3,11 @@
 //! Time is kept as `f64` seconds wrapped in newtypes so that wall-clock and
 //! simulated durations cannot be confused, and so that ordering is total
 //! (NaN is rejected at construction).
+//!
+//! The leaves the event heap and the model handlers call on every event
+//! carry `#[inline]`: their NaN `assert`/`expect` keeps rustc from
+//! inlining them across crates on its own, and nothing here builds with
+//! LTO, so without the attribute every heap sift step is a call.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -27,18 +32,21 @@ impl SimTime {
 
     /// Builds a time from seconds. Panics on NaN (negative times are allowed
     /// so that warm-up offsets can be expressed, but are unusual).
+    #[inline]
     pub fn from_secs(secs: f64) -> Self {
         assert!(!secs.is_nan(), "SimTime must not be NaN");
         SimTime(secs)
     }
 
     /// Seconds since the epoch.
+    #[inline]
     pub fn as_secs(self) -> f64 {
         self.0
     }
 
     /// Time elapsed since `earlier`. Panics in debug builds if `earlier`
     /// is in the future.
+    #[inline]
     pub fn since(self, earlier: SimTime) -> SimDuration {
         debug_assert!(
             self.0 >= earlier.0,
@@ -73,6 +81,7 @@ impl SimDuration {
     pub const ZERO: SimDuration = SimDuration(0.0);
 
     /// Builds a duration from seconds. Panics on NaN or negative input.
+    #[inline]
     pub fn from_secs(secs: f64) -> Self {
         assert!(secs >= 0.0, "SimDuration must be non-negative, got {secs}");
         SimDuration(secs)
@@ -118,6 +127,7 @@ impl Eq for SimTime {}
 
 #[allow(clippy::derive_ord_xor_partial_ord)]
 impl Ord for SimTime {
+    #[inline]
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // Sound because NaN is rejected at construction.
         self.0.partial_cmp(&other.0).expect("SimTime is never NaN")
@@ -128,6 +138,7 @@ impl Eq for SimDuration {}
 
 #[allow(clippy::derive_ord_xor_partial_ord)]
 impl Ord for SimDuration {
+    #[inline]
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.0
             .partial_cmp(&other.0)
@@ -137,6 +148,7 @@ impl Ord for SimDuration {
 
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimTime {
         SimTime(self.0 + rhs.0)
     }
