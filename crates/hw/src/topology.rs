@@ -74,17 +74,38 @@ pub struct TopologySpec {
 }
 
 impl TopologySpec {
-    /// Instantiates the topology, assigning stable component IDs.
+    /// Instantiates the topology, assigning stable component IDs. Panics
+    /// on a build-out [`validate`](Self::validate) rejects.
     pub fn build(&self) -> Topology {
-        assert!(self.racks > 0 && self.nodes_per_rack > 0);
-        assert!(self.oversubscription >= 1.0, "oversubscription >= 1.0");
-        assert!(
-            self.nodes_per_rack as u32 <= self.tor.ports,
-            "rack of {} nodes exceeds ToR ports ({})",
-            self.nodes_per_rack,
-            self.tor.ports
-        );
+        if let Err(e) = self.validate() {
+            panic!("{e}");
+        }
         Topology { spec: self.clone() }
+    }
+
+    /// Checks what [`build`](Self::build) asserts: at least one rack of
+    /// at least one node, oversubscription of at least 1, and racks that
+    /// fit their ToR switch's ports.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.racks == 0 || self.nodes_per_rack == 0 {
+            return Err(format!(
+                "a topology needs at least one rack of at least one node, got {} × {}",
+                self.racks, self.nodes_per_rack
+            ));
+        }
+        if self.oversubscription.is_nan() || self.oversubscription < 1.0 {
+            return Err(format!(
+                "oversubscription must be at least 1.0, got {}",
+                self.oversubscription
+            ));
+        }
+        if self.nodes_per_rack > self.tor.ports as usize {
+            return Err(format!(
+                "rack of {} nodes exceeds ToR ports ({})",
+                self.nodes_per_rack, self.tor.ports
+            ));
+        }
+        Ok(())
     }
 
     /// Total number of servers.

@@ -22,10 +22,25 @@ pub struct StripeSpec {
 
 impl StripeSpec {
     /// A stripe shape. `k ≥ 1`, `m ≥ 0`, `k + m ≤ 255` (GF(256) limit).
+    /// Panics on a shape [`check`](Self::check) rejects.
     pub fn new(k: usize, m: usize) -> Self {
-        assert!(k >= 1, "need at least one data shard");
-        assert!(k + m <= 255, "k+m must fit in GF(256) evaluation points");
+        if let Err(e) = Self::check(k, m) {
+            panic!("{e}");
+        }
         StripeSpec { k, m }
+    }
+
+    /// Checks what [`new`](Self::new) asserts.
+    pub fn check(k: usize, m: usize) -> Result<(), String> {
+        if k == 0 {
+            return Err("need at least one data shard".into());
+        }
+        if k + m > 255 {
+            return Err(format!(
+                "k+m must fit in GF(256) evaluation points, got {k}+{m}"
+            ));
+        }
+        Ok(())
     }
 
     /// Total shards per stripe.

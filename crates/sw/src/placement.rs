@@ -63,23 +63,16 @@ pub struct Placer {
 
 impl Placer {
     /// Builds a placer for `n_replicas`-way placement over `n_nodes` nodes.
+    /// Panics on a placement [`check`](Self::check) rejects.
     pub fn new(policy: Placement, n_nodes: usize, n_replicas: usize, mut rng: Stream) -> Self {
-        assert!(n_replicas >= 1, "need at least one replica");
-        assert!(
-            n_replicas <= n_nodes,
-            "cannot place {n_replicas} distinct replicas on {n_nodes} nodes"
-        );
+        if let Err(e) = Self::check(policy, n_nodes, n_replicas) {
+            panic!("{e}");
+        }
         let copysets = if let Placement::Copyset { scatter_width } = policy {
             build_copysets(n_nodes, n_replicas, scatter_width, &mut rng)
         } else {
             Vec::new()
         };
-        if let Placement::RackAware { nodes_per_rack } = policy {
-            assert!(
-                nodes_per_rack >= 1 && n_nodes.is_multiple_of(nodes_per_rack),
-                "RackAware needs n_nodes ({n_nodes}) divisible by nodes_per_rack ({nodes_per_rack})"
-            );
-        }
         Placer {
             policy,
             n_nodes,
@@ -88,6 +81,27 @@ impl Placer {
             rng,
             rack_scratch: Vec::new(),
         }
+    }
+
+    /// Checks what [`new`](Self::new) asserts: at least one replica, no
+    /// more replicas than nodes, and whole racks under `RackAware`.
+    pub fn check(policy: Placement, n_nodes: usize, n_replicas: usize) -> Result<(), String> {
+        if n_replicas == 0 {
+            return Err("need at least one replica".into());
+        }
+        if n_replicas > n_nodes {
+            return Err(format!(
+                "cannot place {n_replicas} distinct replicas on {n_nodes} nodes"
+            ));
+        }
+        if let Placement::RackAware { nodes_per_rack } = policy {
+            if nodes_per_rack == 0 || !n_nodes.is_multiple_of(nodes_per_rack) {
+                return Err(format!(
+                    "RackAware needs n_nodes ({n_nodes}) divisible by nodes_per_rack ({nodes_per_rack})"
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// The nodes holding object `obj`'s replicas (distinct, length

@@ -10,7 +10,7 @@ use windtunnel::cluster::{FaultKind, InjectionRule, Scenario};
 use windtunnel::hw::catalog;
 use windtunnel::hw::limpware::LimpTarget;
 use windtunnel::hw::LimpwareSpec;
-use windtunnel::sw::{Placement, RedundancyScheme};
+use windtunnel::sw::{Placement, RedundancyScheme, StripeSpec};
 use wt_dist::Dist;
 use wt_store::ParamValue;
 
@@ -79,7 +79,13 @@ pub fn apply_assignment(
     };
     match axis {
         "replication" => {
-            scenario.redundancy = RedundancyScheme::replication(num(value)? as usize);
+            let n = num(value)? as usize;
+            if n == 0 {
+                return Err(WtqlError::Semantic(
+                    "replication needs at least one replica".into(),
+                ));
+            }
+            scenario.redundancy = RedundancyScheme::replication(n);
         }
         "erasure_k" => {
             let k = num(value)? as usize;
@@ -87,7 +93,7 @@ pub fn apply_assignment(
                 RedundancyScheme::Erasure(s) => s.m,
                 _ => 2,
             };
-            scenario.redundancy = RedundancyScheme::erasure(k, m);
+            scenario.redundancy = erasure(k, m)?;
         }
         "erasure_m" => {
             let m = num(value)? as usize;
@@ -95,7 +101,7 @@ pub fn apply_assignment(
                 RedundancyScheme::Erasure(s) => s.k,
                 _ => 6,
             };
-            scenario.redundancy = RedundancyScheme::erasure(k, m);
+            scenario.redundancy = erasure(k, m)?;
         }
         "nic" => {
             let nic = match string(value)?.as_str() {
@@ -171,6 +177,13 @@ pub fn apply_assignment(
         }
     }
     Ok(())
+}
+
+/// An erasure scheme, or the stripe-shape error its constructor would
+/// assert on.
+fn erasure(k: usize, m: usize) -> Result<RedundancyScheme, WtqlError> {
+    StripeSpec::check(k, m).map_err(WtqlError::Semantic)?;
+    Ok(RedundancyScheme::erasure(k, m))
 }
 
 /// The INJECT kinds the binder understands, with their argument names.

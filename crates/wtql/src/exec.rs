@@ -43,6 +43,7 @@ use windtunnel::cluster::Scenario;
 use windtunnel::des::time::SimDuration;
 use windtunnel::des::Tally;
 use windtunnel::farm::{Farm, Rank};
+use windtunnel::sw::Placer;
 use windtunnel::sweep::{SweepGrid, SweepPoint, SweepRunner};
 use windtunnel::{MeanInterval, Surrogate, WindTunnel};
 use wt_store::{ParamValue, RecordSink};
@@ -780,9 +781,11 @@ fn screen_constraint(c: &Constraint, scenario: &Scenario, opts: &ExecOptions) ->
 
 /// Builds one grid point's scenario: the base with the assignment's
 /// known axes applied, the query's injections appended to any base fault
-/// schedule, and the assignment itself as the scenario name. A point with
-/// more nodes than the availability engine can model is a semantic error
-/// when the query needs that engine.
+/// schedule, and the assignment itself as the scenario name. A point an
+/// engine the query needs would assert on is a semantic error: a
+/// placement the placer cannot build (either engine), a topology that
+/// does not build (the perf engine), or more nodes than the availability
+/// engine can model.
 fn build_scenario(
     query: &Query,
     base: &Scenario,
@@ -804,8 +807,17 @@ fn build_scenario(
         }
         scenario.faults = Some(schedule);
     }
+    let (needs_avail, needs_perf) = needed_engines(query);
+    let runs_perf = needs_perf && !scenario.tenants.is_empty();
+    if runs_perf {
+        scenario.topology.validate().map_err(WtqlError::Semantic)?;
+    }
     let nodes = scenario.topology.node_count();
-    if needed_engines(query).0 && nodes > MAX_NODES {
+    if needs_avail || runs_perf {
+        Placer::check(scenario.placement, nodes, scenario.redundancy.width())
+            .map_err(WtqlError::Semantic)?;
+    }
+    if needs_avail && nodes > MAX_NODES {
         return Err(WtqlError::Semantic(format!(
             "{nodes} nodes exceed the availability engine's cap of {MAX_NODES}"
         )));
