@@ -45,6 +45,13 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// Reports an input that cannot be read or decoded as
+/// `wtql: <path>: <error>` on stderr and exits 2, as [`usage`] does.
+fn input_error(path: &str, err: impl std::fmt::Display) -> ! {
+    eprintln!("wtql: {path}: {err}");
+    std::process::exit(2);
+}
+
 fn default_base() -> Scenario {
     ScenarioBuilder::new("wtql-base")
         .racks(3)
@@ -288,8 +295,9 @@ fn main() {
     let base = match &base_path {
         Some(_) if stress => usage(),
         Some(p) => {
-            let json = std::fs::read_to_string(p).unwrap_or_else(|e| panic!("{p}: {e}"));
-            serde_json::from_str(&json).unwrap_or_else(|e| panic!("{p}: bad scenario: {e}"))
+            let json = std::fs::read_to_string(p).unwrap_or_else(|e| input_error(p, e));
+            serde_json::from_str(&json)
+                .unwrap_or_else(|e| input_error(p, format_args!("bad scenario: {e}")))
         }
         None if stress => stress_base(),
         None => default_base(),
@@ -307,13 +315,12 @@ fn main() {
     let query_path = query_path.unwrap_or_else(|| usage());
     let text = if query_path == "-" {
         let mut buf = String::new();
-        std::io::stdin()
-            .read_to_string(&mut buf)
-            .expect("read stdin");
+        if let Err(e) = std::io::stdin().read_to_string(&mut buf) {
+            input_error("-", e);
+        }
         buf
     } else {
-        std::fs::read_to_string(&query_path)
-            .unwrap_or_else(|e| panic!("cannot read {query_path}: {e}"))
+        std::fs::read_to_string(&query_path).unwrap_or_else(|e| input_error(&query_path, e))
     };
 
     if explain_only {

@@ -162,3 +162,159 @@ fn rejected_point_prunes_nothing() {
     assert_eq!((out.executed, out.pruned), (1, 0));
     assert_eq!(out.best, Some(1));
 }
+
+/// The 10-node base with an OLTP tenant, so perf queries run the
+/// request-level engine.
+fn tenant_base() -> Scenario {
+    let mut s = base();
+    s.tenants.push(TenantWorkload::oltp("shop", 50.0, 1_000));
+    s
+}
+
+/// Runs a one-point query on the tenant base and returns the point's
+/// rejection reason. A rejected point is never simulated or recorded.
+fn rejection(text: &str) -> String {
+    let query = parse(text).expect("parses");
+    let tunnel = WindTunnel::new();
+    let out = run_query(&query, &tenant_base(), &tunnel, &ExecOptions::default()).expect("runs");
+    assert_eq!(out.rows.len(), 1);
+    let row = &out.rows[0];
+    assert!(
+        row.metrics.is_empty() && !row.passes && !row.pruned,
+        "{row:?}"
+    );
+    assert_eq!((row.sim_events_executed, out.executed), (0, 0));
+    assert!(tunnel.store().is_empty());
+    row.rejected.clone().expect("rejected with a reason")
+}
+
+#[test]
+fn zero_replication_is_a_rejected_row_not_a_panic() {
+    let reason = rejection("EXPLORE availability SWEEP replication IN [0]");
+    assert!(reason.contains("at least one replica"), "{reason}");
+}
+
+#[test]
+fn zero_erasure_k_is_a_rejected_row_not_a_panic() {
+    let reason = rejection("EXPLORE availability SWEEP erasure_k IN [0]");
+    assert!(reason.contains("at least one data shard"), "{reason}");
+}
+
+#[test]
+fn more_replicas_than_nodes_is_a_rejected_row_not_a_panic() {
+    let reason = rejection("EXPLORE availability SWEEP replication IN [12]");
+    assert!(
+        reason.contains("cannot place 12 distinct replicas on 10 nodes"),
+        "{reason}"
+    );
+}
+
+#[test]
+fn wider_stripe_than_nodes_is_a_rejected_row_not_a_panic() {
+    // k = 9 with the default m = 2: 11 shards on 10 nodes.
+    let reason = rejection("EXPLORE shop_p95_s SWEEP erasure_k IN [9]");
+    assert!(
+        reason.contains("cannot place 11 distinct replicas on 10 nodes"),
+        "{reason}"
+    );
+}
+
+#[test]
+fn zero_racks_is_a_rejected_row_not_a_panic() {
+    let reason = rejection("EXPLORE shop_p95_s SWEEP racks IN [0]");
+    assert!(reason.contains("at least one rack"), "{reason}");
+}
+
+#[test]
+fn empty_racks_are_a_rejected_row_not_a_panic() {
+    let reason = rejection("EXPLORE shop_p95_s SWEEP nodes_per_rack IN [0]");
+    assert!(reason.contains("at least one rack"), "{reason}");
+}
+
+#[test]
+fn rack_past_tor_ports_is_a_rejected_row_not_a_panic() {
+    let reason = rejection("EXPLORE shop_p95_s SWEEP nodes_per_rack IN [64]");
+    assert!(reason.contains("exceeds ToR ports (48)"), "{reason}");
+}
+
+#[test]
+fn oversubscription_below_one_is_a_rejected_row_not_a_panic() {
+    let reason = rejection("EXPLORE shop_p95_s SWEEP oversubscription IN [0]");
+    assert!(
+        reason.contains("oversubscription must be at least 1"),
+        "{reason}"
+    );
+}
+
+#[test]
+fn points_are_rejected_only_for_engines_the_query_needs() {
+    let run = |text: &str| {
+        let query = parse(text).expect("parses");
+        let out = run_query(
+            &query,
+            &tenant_base(),
+            &WindTunnel::new(),
+            &ExecOptions::default(),
+        )
+        .expect("runs");
+        out.rows.into_iter().next().expect("one row")
+    };
+    // The availability engine never builds the network, so a rack past
+    // the ToR's ports only stops queries that run the perf engine.
+    let row = run("EXPLORE availability SWEEP nodes_per_rack IN [64]");
+    assert!(
+        row.rejected.is_none() && row.sim_events_executed > 0,
+        "{row:?}"
+    );
+    // A cost-only query runs no engine and places nothing.
+    let row = run("EXPLORE tco_usd_per_year SWEEP replication IN [12]");
+    assert!(row.rejected.is_none(), "{row:?}");
+    assert!(row.metrics.contains_key("tco_usd_per_year"), "{row:?}");
+}
+
+/// Runs the `wtql` binary with `args` and no stdin; returns its exit
+/// code and stderr.
+fn wtql_cli(args: &[&str]) -> (Option<i32>, String) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_wtql"))
+        .args(args)
+        .stdin(std::process::Stdio::null())
+        .output()
+        .expect("spawn wtql");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn wtql_cli_input_errors_exit_2_without_a_panic() {
+    let dir = std::env::temp_dir();
+    let tag = std::process::id();
+    let missing_query = dir.join(format!("wtql-cli-{tag}-missing.wtql"));
+    let missing_base = dir.join(format!("wtql-cli-{tag}-missing.json"));
+    let bad_base = dir.join(format!("wtql-cli-{tag}-bad.json"));
+    std::fs::write(&bad_base, r#"{"not": "a scenario"}"#).expect("write bad base");
+    let path = |p: &std::path::Path| p.to_str().expect("UTF-8 temp path").to_string();
+    let cases = [
+        (vec![path(&missing_query)], path(&missing_query)),
+        (
+            vec!["-".into(), "--base".into(), path(&missing_base)],
+            path(&missing_base),
+        ),
+        (
+            vec!["-".into(), "--base".into(), path(&bad_base)],
+            path(&bad_base),
+        ),
+    ];
+    for (args, culprit) in &cases {
+        let args: Vec<&str> = args.iter().map(String::as_str).collect();
+        let (code, stderr) = wtql_cli(&args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!("wtql: {culprit}: ")),
+            "{args:?}: {stderr}"
+        );
+    }
+    std::fs::remove_file(&bad_base).expect("remove bad base");
+}
