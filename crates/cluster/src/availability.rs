@@ -150,6 +150,11 @@ pub struct DiskFailureModel {
 /// against this before building a run.
 pub const MAX_NODES: usize = u16::MAX as usize + 1;
 
+/// The widest redundancy scheme one availability run can model:
+/// per-object holder counts are `u8`. Callers that take redundancy from
+/// user input check against this before building a run.
+pub const MAX_WIDTH: usize = u8::MAX as usize;
+
 /// Configuration for one availability run.
 #[derive(Debug, Clone)]
 pub struct AvailabilityModel {
@@ -411,7 +416,10 @@ impl<'a> AvailState<'a> {
             cfg.n_nodes <= MAX_NODES,
             "node ids are u16: n_nodes must be ≤ {MAX_NODES}"
         );
-        assert!(width <= u8::MAX as usize, "holder counts are u8");
+        assert!(
+            width <= MAX_WIDTH,
+            "holder counts are u8: redundancy width must be ≤ {MAX_WIDTH}"
+        );
         let factory = RngFactory::new(seed);
         let mut placer = Placer::new(
             cfg.placement,

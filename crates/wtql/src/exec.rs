@@ -37,7 +37,7 @@ use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use windtunnel::analytic::screen::{Rel, ScreenVerdict};
-use windtunnel::cluster::availability::MAX_NODES;
+use windtunnel::cluster::availability::{MAX_NODES, MAX_WIDTH};
 use windtunnel::cluster::screen::{availability_screen, perf_screen};
 use windtunnel::cluster::Scenario;
 use windtunnel::des::time::SimDuration;
@@ -784,8 +784,8 @@ fn screen_constraint(c: &Constraint, scenario: &Scenario, opts: &ExecOptions) ->
 /// schedule, and the assignment itself as the scenario name. A point an
 /// engine the query needs would assert on is a semantic error: a
 /// placement the placer cannot build (either engine), a topology that
-/// does not build (the perf engine), or more nodes than the availability
-/// engine can model.
+/// does not build (the perf engine), or more nodes or a wider redundancy
+/// scheme than the availability engine can model.
 fn build_scenario(
     query: &Query,
     base: &Scenario,
@@ -813,13 +813,18 @@ fn build_scenario(
         scenario.topology.validate().map_err(WtqlError::Semantic)?;
     }
     let nodes = scenario.topology.node_count();
+    let width = scenario.redundancy.width();
     if needs_avail || runs_perf {
-        Placer::check(scenario.placement, nodes, scenario.redundancy.width())
-            .map_err(WtqlError::Semantic)?;
+        Placer::check(scenario.placement, nodes, width).map_err(WtqlError::Semantic)?;
     }
     if needs_avail && nodes > MAX_NODES {
         return Err(WtqlError::Semantic(format!(
             "{nodes} nodes exceed the availability engine's cap of {MAX_NODES}"
+        )));
+    }
+    if needs_avail && width > MAX_WIDTH {
+        return Err(WtqlError::Semantic(format!(
+            "{width}-way redundancy exceeds the availability engine's cap of {MAX_WIDTH}"
         )));
     }
     scenario.name = assignment

@@ -220,6 +220,17 @@ fn wider_stripe_than_nodes_is_a_rejected_row_not_a_panic() {
 }
 
 #[test]
+fn redundancy_past_the_holder_count_cap_is_a_rejected_row_not_a_panic() {
+    // 26 racks × 10 nodes = 260 nodes: room for 256 replicas, but the
+    // availability engine counts holders in a u8.
+    let reason = rejection("EXPLORE availability SWEEP racks IN [26], replication IN [256]");
+    assert!(
+        reason.contains("256-way redundancy") && reason.contains("255"),
+        "{reason}"
+    );
+}
+
+#[test]
 fn zero_racks_is_a_rejected_row_not_a_panic() {
     let reason = rejection("EXPLORE shop_p95_s SWEEP racks IN [0]");
     assert!(reason.contains("at least one rack"), "{reason}");
