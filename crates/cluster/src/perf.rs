@@ -1063,6 +1063,28 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "freed twice")]
+    fn freeing_a_free_slot_asserts() {
+        let m = base(vec![TenantWorkload::oltp("shop", 10.0, 100)]);
+        let mut sim = m.seeded_sim(1);
+        let s = sim.model_mut();
+        let rid = s.admit(Req {
+            tenant: 0,
+            nic_bytes: 1,
+            disk_bytes: 1,
+            write: false,
+            sequential: false,
+            live: true,
+            nic_dst: 0,
+            pending_disks: 1,
+            start: SimTime::ZERO,
+        });
+        s.retire(rid);
+        s.retire(rid);
+    }
+
+    #[test]
     fn deterministic_given_seed() {
         let m = base(vec![TenantWorkload::oltp("shop", 100.0, 1_000)]);
         let a = m.run(7);
