@@ -19,14 +19,16 @@
 //! the disk stage — the first-order effect behind the paper's "invest in
 //! storage or memory?" provisioning question (§3).
 //!
-//! State layout: in-flight requests live in a slot table, a `Vec` plus a
-//! free list, and a request id is its `u32` slot index. Events and the
-//! disk/NIC pools carry those ids, and a write's target set sits in a
-//! fixed-stride `u32` pool beside the partition table, so admitting and
-//! finishing a request allocates nothing once the table has grown to the
-//! run's peak number of requests in flight. Ids are opaque — nothing
-//! sorts, hashes or prints them — so which slot a request gets cannot
-//! change any output.
+//! State layout: in-flight requests live in a slot table of fixed-size
+//! pages with a free list threaded through the free slots, and a request
+//! id is its `u32` slot index. Events and the disk/NIC pools carry those
+//! ids, and a write's target set sits at a fixed stride in its slot's
+//! page, so admitting and finishing a request allocates nothing once the
+//! table has grown to the run's peak number of requests in flight. Pages
+//! never move, so growing the table copies nothing and its resident size
+//! does not depend on what the allocator did earlier in the process. Ids
+//! are opaque — nothing sorts, hashes or prints them — so which slot a
+//! request gets cannot change any output.
 
 use crate::chaos::{ChaosConfig, CompiledFault, FaultEffect};
 use crate::results::{PerfResult, TenantPerf};
@@ -186,7 +188,7 @@ enum Ev {
     ChaosEnd { fault: usize },
 }
 
-/// Per-request runtime state: one slot of the request table.
+/// Per-request runtime state.
 struct Req {
     tenant: usize,
     /// Bytes moved in the NIC stage (w× payload for write fan-out).
@@ -195,14 +197,160 @@ struct Req {
     disk_bytes: u64,
     write: bool,
     sequential: bool,
-    /// False once the request has finished and its slot is free.
-    live: bool,
     /// Far end of the NIC stage (the reading client for reads, the first
     /// write target for writes).
     nic_dst: usize,
     /// Remaining disk completions.
     pending_disks: usize,
     start: SimTime,
+}
+
+/// Request slots per page of the request table (56 KiB of slots on
+/// 64-bit targets).
+const PAGE_SLOTS: usize = 1 << 10;
+
+/// End of the request table's free list; never a request id.
+const NO_SLOT: u32 = u32::MAX;
+
+/// One slot of the request table.
+enum Slot {
+    Live(Req),
+    /// Finished; `next` is the slot freed before this one, or `NO_SLOT`.
+    Free {
+        next: u32,
+    },
+}
+
+/// `PAGE_SLOTS` slots of the request table and their write sets.
+struct Page {
+    /// Allocated at full capacity and filled in id order, so adding a
+    /// slot never moves the page.
+    slots: Vec<Slot>,
+    /// Write sets, `width` node ids per slot: slot `i`'s targets are
+    /// `sets[i * width..][..w]`, written when the write is admitted and
+    /// read when its NIC fan-out completes.
+    sets: Box<[u32]>,
+}
+
+/// In-flight requests, indexed by request id.
+///
+/// Slots live in fixed-size pages that are allocated once and never move,
+/// so growing the table adds a page and copies nothing. A `Vec` that
+/// doubled would reallocate instead, and where the allocator put each
+/// copy, and so the process's peak resident size, would depend on the
+/// runs before it. A finished request's slot heads a free list threaded
+/// through the free slots and the next request reuses it, so the table
+/// never grows past the peak number of requests in flight.
+struct ReqTable {
+    /// Slot `rid` is `pages[rid / PAGE_SLOTS].slots[rid % PAGE_SLOTS]`.
+    pages: Vec<Page>,
+    /// Redundancy width: the write sets' stride.
+    width: usize,
+    /// The most recently freed slot, or `NO_SLOT`.
+    free: u32,
+    /// Requests in flight.
+    live: usize,
+}
+
+impl ReqTable {
+    fn new(width: usize) -> Self {
+        ReqTable {
+            pages: Vec::new(),
+            width,
+            free: NO_SLOT,
+            live: 0,
+        }
+    }
+
+    /// Page and in-page index of `rid`.
+    #[inline]
+    fn locate(rid: u32) -> (usize, usize) {
+        (rid as usize / PAGE_SLOTS, rid as usize % PAGE_SLOTS)
+    }
+
+    /// Slots handed out so far: the table's size.
+    fn len(&self) -> usize {
+        self.pages
+            .last()
+            .map_or(0, |p| (self.pages.len() - 1) * PAGE_SLOTS + p.slots.len())
+    }
+
+    /// Puts `req` in the most recently freed slot, or in a new one when
+    /// none is free, records `targets` as its write set (empty for reads
+    /// and repair streams) and returns its id.
+    fn admit(&mut self, req: Req, targets: &[usize]) -> u32 {
+        let rid = if self.free == NO_SLOT {
+            let len = self.len();
+            assert!(len < NO_SLOT as usize, "request ids fit in u32");
+            if len.is_multiple_of(PAGE_SLOTS) {
+                self.pages.push(Page {
+                    slots: Vec::with_capacity(PAGE_SLOTS),
+                    sets: vec![0; PAGE_SLOTS * self.width].into_boxed_slice(),
+                });
+            }
+            let page = self.pages.last_mut().expect("the table has a page");
+            page.slots.push(Slot::Live(req));
+            len as u32
+        } else {
+            let rid = self.free;
+            let (p, i) = Self::locate(rid);
+            let slot = &mut self.pages[p].slots[i];
+            let Slot::Free { next } = *slot else {
+                unreachable!("free slot {rid} holds a live request")
+            };
+            self.free = next;
+            *slot = Slot::Live(req);
+            rid
+        };
+        let (p, i) = Self::locate(rid);
+        let set = &mut self.pages[p].sets[i * self.width..];
+        for (s, &t) in set.iter_mut().zip(targets) {
+            *s = t as u32;
+        }
+        self.live += 1;
+        rid
+    }
+
+    /// The live request `rid`. Jobs are never cancelled, so no event can
+    /// reach a request whose slot was already freed.
+    #[inline]
+    fn get(&self, rid: u32) -> &Req {
+        let (p, i) = Self::locate(rid);
+        match &self.pages[p].slots[i] {
+            Slot::Live(req) => req,
+            Slot::Free { .. } => unreachable!("request {rid} is not live"),
+        }
+    }
+
+    /// The live request `rid`, mutably.
+    #[inline]
+    fn get_mut(&mut self, rid: u32) -> &mut Req {
+        let (p, i) = Self::locate(rid);
+        match &mut self.pages[p].slots[i] {
+            Slot::Live(req) => req,
+            Slot::Free { .. } => unreachable!("request {rid} is not live"),
+        }
+    }
+
+    /// Node `i` of `rid`'s write set.
+    #[inline]
+    fn target(&self, rid: u32, i: usize) -> usize {
+        let (p, s) = Self::locate(rid);
+        self.pages[p].sets[s * self.width + i] as usize
+    }
+
+    /// Frees `rid`'s slot when the request finishes and returns the
+    /// request's final state.
+    fn retire(&mut self, rid: u32) -> Req {
+        let (p, i) = Self::locate(rid);
+        let freed = Slot::Free { next: self.free };
+        let Slot::Live(req) = std::mem::replace(&mut self.pages[p].slots[i], freed) else {
+            panic!("request {rid} freed twice")
+        };
+        self.free = rid;
+        self.live -= 1;
+        req
+    }
 }
 
 struct PerfState<'a> {
@@ -220,10 +368,6 @@ struct PerfState<'a> {
     /// time), so a CSR-style flat layout replaces the old triple-nested
     /// `Vec<Vec<Vec<usize>>>`.
     partitions: Vec<u32>,
-    /// Write sets, with the same fixed stride: request `rid`'s targets are
-    /// `write_sets[rid * width..][..w]`, written when the write is
-    /// admitted and read when its NIC fan-out completes.
-    write_sets: Vec<u32>,
     zipfs: Vec<Zipf>,
     disk_pools: Vec<ServerPool<u32>>,
     nic_pools: Vec<ServerPool<u32>>,
@@ -242,11 +386,7 @@ struct PerfState<'a> {
     /// chaos-free runs stay bit-identical to pre-chaos builds).
     chaos_disk_mult: Vec<f64>,
     chaos_nic_mult: Vec<f64>,
-    /// The request table, indexed by request id. A finished request's
-    /// slot goes on `free_slots` and the next request reuses it, so the
-    /// table never grows past the peak number of requests in flight.
-    reqs: Vec<Req>,
-    free_slots: Vec<u32>,
+    reqs: ReqTable,
     latencies: Vec<Histogram>,
     /// Per-tenant DDSketch latency quantiles, recorded alongside the
     /// exact histograms so the sketch pipeline can be validated against
@@ -318,7 +458,6 @@ impl<'a> PerfState<'a> {
             node_up: vec![true; n],
             width,
             partitions,
-            write_sets: Vec::new(),
             zipfs,
             disk_pools: (0..n)
                 .map(|_| ServerPool::new(disks_per_node, SimTime::ZERO))
@@ -331,8 +470,7 @@ impl<'a> PerfState<'a> {
             chaos_limp_active: Vec::new(),
             chaos_disk_mult: vec![1.0; n],
             chaos_nic_mult: vec![1.0; n],
-            reqs: Vec::new(),
-            free_slots: Vec::new(),
+            reqs: ReqTable::new(width),
             latencies: (0..cfg.tenants.len()).map(|_| Histogram::new()).collect(),
             lat_sketches: (0..cfg.tenants.len())
                 .map(|_| QuantileSketch::new())
@@ -350,43 +488,9 @@ impl<'a> PerfState<'a> {
         SimDuration::from_secs(self.cfg.tenants[tenant].arrivals.next_gap(&mut self.rng))
     }
 
-    /// Puts `req` in a free slot, growing the table only when none is
-    /// free, and returns its id.
-    fn admit(&mut self, req: Req) -> u32 {
-        debug_assert!(req.live);
-        if let Some(rid) = self.free_slots.pop() {
-            let slot = &mut self.reqs[rid as usize];
-            debug_assert!(!slot.live, "free slot {rid} holds a live request");
-            *slot = req;
-            return rid;
-        }
-        let rid = u32::try_from(self.reqs.len()).expect("request ids fit in u32");
-        self.reqs.push(req);
-        self.write_sets.resize(self.reqs.len() * self.width, 0);
-        rid
-    }
-
-    /// The live request `rid`. Jobs are never cancelled, so no event can
-    /// reach a request whose slot was already freed.
-    fn req(&self, rid: u32) -> &Req {
-        let req = &self.reqs[rid as usize];
-        debug_assert!(req.live, "request {rid} is not live");
-        req
-    }
-
-    /// Frees `rid`'s slot when the request finishes and returns the
-    /// request's final state.
-    fn retire(&mut self, rid: u32) -> &Req {
-        let req = &mut self.reqs[rid as usize];
-        debug_assert!(req.live, "request {rid} freed twice");
-        req.live = false;
-        self.free_slots.push(rid);
-        &self.reqs[rid as usize]
-    }
-
     /// Disk service time at `node` for one disk job of `rid`.
     fn disk_service(&self, node: usize, rid: u32) -> SimDuration {
-        let r = self.req(rid);
+        let r = self.reqs.get(rid);
         let disk = &self.cfg.topology.node.disks[0];
         let t = disk.service_time(r.disk_bytes, r.sequential, r.write)
             * self.disk_limp.factor(node)
@@ -399,7 +503,7 @@ impl<'a> PerfState<'a> {
     /// canonical limplock case is a link renegotiated to a lower speed,
     /// which inflates per-packet handling as well as throughput.
     fn nic_service(&self, src: usize, rid: u32) -> SimDuration {
-        let r = self.req(rid);
+        let r = self.reqs.get(rid);
         // path_info is the hop-free form: no per-transfer Vec for a hop
         // list nobody reads here.
         let path = self
@@ -498,8 +602,7 @@ impl<'a> PerfState<'a> {
 
     /// A tenant request finished: free its slot and record its latency.
     fn complete(&mut self, rid: u32, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
-        let req = self.retire(rid);
-        let (tenant, start) = (req.tenant, req.start);
+        let Req { tenant, start, .. } = self.reqs.retire(rid);
         debug_assert_ne!(tenant, REPAIR_TENANT, "repair streams end at their NIC");
         let latency = now.since(start).as_secs();
         self.latencies[tenant].record(latency);
@@ -580,21 +683,19 @@ impl<'a> PerfState<'a> {
                 self.scratch_holders = holders;
                 return;
             }
-            let rid = self.admit(Req {
-                tenant,
-                nic_bytes: per_disk * w as u64,
-                disk_bytes: per_disk,
-                write: true,
-                sequential: request.sequential,
-                live: true,
-                nic_dst: holders[0],
-                pending_disks: w,
-                start: now,
-            });
-            let base = rid as usize * self.width;
-            for (slot, &h) in self.write_sets[base..base + w].iter_mut().zip(&holders) {
-                *slot = h as u32;
-            }
+            let rid = self.reqs.admit(
+                Req {
+                    tenant,
+                    nic_bytes: per_disk * w as u64,
+                    disk_bytes: per_disk,
+                    write: true,
+                    sequential: request.sequential,
+                    nic_dst: holders[0],
+                    pending_disks: w,
+                    start: now,
+                },
+                &holders[..w],
+            );
             self.scratch_holders = holders;
             // Push all copies out the client NIC, then commit on disks.
             self.submit_nic(client, rid, ctx);
@@ -620,17 +721,19 @@ impl<'a> PerfState<'a> {
                     (holders[0], spec.k, (request.bytes / spec.k as u64).max(1))
                 }
             };
-            let rid = self.admit(Req {
-                tenant,
-                nic_bytes: request.bytes,
-                disk_bytes: per_disk,
-                write: false,
-                sequential: request.sequential,
-                live: true,
-                nic_dst: client,
-                pending_disks: fan,
-                start: now,
-            });
+            let rid = self.reqs.admit(
+                Req {
+                    tenant,
+                    nic_bytes: request.bytes,
+                    disk_bytes: per_disk,
+                    write: false,
+                    sequential: request.sequential,
+                    nic_dst: client,
+                    pending_disks: fan,
+                    start: now,
+                },
+                &[],
+            );
             // Point reads may be served from the buffer cache (no disk I/O).
             if !request.sequential && self.rng.chance(self.cache_hit_p) {
                 self.submit_nic(serving, rid, ctx);
@@ -668,17 +771,19 @@ impl<'a> PerfState<'a> {
         for _ in 0..streams {
             let src = candidates[self.rng.index(candidates.len())];
             let dst = candidates[self.rng.index(candidates.len())];
-            let rid = self.admit(Req {
-                tenant: REPAIR_TENANT,
-                nic_bytes: per_stream,
-                disk_bytes: per_stream,
-                write: false,
-                sequential: true,
-                live: true,
-                nic_dst: dst,
-                pending_disks: 0,
-                start: now,
-            });
+            let rid = self.reqs.admit(
+                Req {
+                    tenant: REPAIR_TENANT,
+                    nic_bytes: per_stream,
+                    disk_bytes: per_stream,
+                    write: false,
+                    sequential: true,
+                    nic_dst: dst,
+                    pending_disks: 0,
+                    start: now,
+                },
+                &[],
+            );
             self.submit_nic(src, rid, ctx);
         }
     }
@@ -715,8 +820,7 @@ impl Model for PerfState<'_> {
                     let dur = self.disk_service(node, next);
                     ctx.schedule_in(dur, Ev::DiskDone { node, rid: next });
                 }
-                let req = &mut self.reqs[rid as usize];
-                debug_assert!(req.live, "request {rid} is not live");
+                let req = self.reqs.get_mut(rid);
                 req.pending_disks = req.pending_disks.saturating_sub(1);
                 if req.pending_disks == 0 {
                     if req.write {
@@ -734,18 +838,17 @@ impl Model for PerfState<'_> {
                     let dur = self.nic_service(node, next);
                     ctx.schedule_in(dur, Ev::NicDone { node, rid: next });
                 }
-                let req = self.req(rid);
+                let req = self.reqs.get(rid);
                 if req.tenant == REPAIR_TENANT {
-                    self.retire(rid);
+                    self.reqs.retire(rid);
                     return;
                 }
                 if req.write {
                     // Fan-out done; commit on each target disk. No disk
                     // job has run yet, so `pending_disks` is still the
                     // write set's size.
-                    let base = rid as usize * self.width;
-                    for i in base..base + req.pending_disks {
-                        self.submit_disk(self.write_sets[i] as usize, rid, ctx);
+                    for i in 0..req.pending_disks {
+                        self.submit_disk(self.reqs.target(rid, i), rid, ctx);
                     }
                 } else {
                     self.complete(rid, now, ctx);
@@ -1034,15 +1137,16 @@ mod tests {
                 StopReason::HorizonReached => break,
                 other => panic!("unexpected stop {other:?}"),
             }
-            let s = sim.model();
-            peak_in_flight = peak_in_flight.max(s.reqs.len() - s.free_slots.len());
+            peak_in_flight = peak_in_flight.max(sim.model().reqs.live);
         }
         let s = sim.model();
         assert!(s.node_failures > 0, "no repair streams ran");
-        let live_tenant = s
-            .reqs
+        let table = &s.reqs;
+        assert!(table.pages.len() > 1, "the run must fill more than a page");
+        let slots: Vec<&Slot> = table.pages.iter().flat_map(|p| &p.slots).collect();
+        let live_tenant = slots
             .iter()
-            .filter(|r| r.live && r.tenant != REPAIR_TENANT)
+            .filter(|s| matches!(s, Slot::Live(r) if r.tenant != REPAIR_TENANT))
             .count() as u64;
         assert!(live_tenant > 0, "the run must end with requests queued");
         let (completed, failed): (u64, u64) = (s.completed.iter().sum(), s.failed.iter().sum());
@@ -1051,37 +1155,83 @@ mod tests {
             completed + failed + live_tenant,
             "every arrival completes, fails or is still in flight"
         );
-        // The free list holds exactly the finished slots...
-        assert!(s.free_slots.iter().all(|&rid| !s.reqs[rid as usize].live));
-        assert_eq!(
-            s.free_slots.len(),
-            s.reqs.iter().filter(|r| !r.live).count()
-        );
+        // The free list runs through exactly the free slots...
+        let free = slots
+            .iter()
+            .filter(|s| matches!(s, Slot::Free { .. }))
+            .count();
+        assert_eq!(free + table.live, table.len());
+        let (mut rid, mut walked) = (table.free, 0);
+        while rid != NO_SLOT {
+            assert!(walked < free, "the free list is longer than the free slots");
+            let Slot::Free { next } = *slots[rid as usize] else {
+                panic!("the free list reaches live request {rid}");
+            };
+            (rid, walked) = (next, walked + 1);
+        }
+        assert_eq!(walked, free);
         // ...so the table is exactly as large as the most requests ever
         // in flight at once.
-        assert_eq!(s.reqs.len(), peak_in_flight);
+        assert_eq!(table.len(), peak_in_flight);
     }
 
     #[test]
-    #[cfg(debug_assertions)]
     #[should_panic(expected = "freed twice")]
     fn freeing_a_free_slot_asserts() {
-        let m = base(vec![TenantWorkload::oltp("shop", 10.0, 100)]);
-        let mut sim = m.seeded_sim(1);
-        let s = sim.model_mut();
-        let rid = s.admit(Req {
+        let mut table = ReqTable::new(3);
+        let req = Req {
             tenant: 0,
             nic_bytes: 1,
             disk_bytes: 1,
             write: false,
             sequential: false,
-            live: true,
             nic_dst: 0,
             pending_disks: 1,
             start: SimTime::ZERO,
-        });
-        s.retire(rid);
-        s.retire(rid);
+        };
+        let rid = table.admit(req, &[]);
+        table.retire(rid);
+        table.retire(rid);
+    }
+
+    #[test]
+    fn write_sets_survive_slot_reuse_across_pages() {
+        let mut table = ReqTable::new(3);
+        let req = |tenant| Req {
+            tenant,
+            nic_bytes: 1,
+            disk_bytes: 1,
+            write: true,
+            sequential: false,
+            nic_dst: 0,
+            pending_disks: 3,
+            start: SimTime::ZERO,
+        };
+        // Fill a page and a half, each request writing to its own nodes.
+        let n = PAGE_SLOTS + PAGE_SLOTS / 2;
+        let rids: Vec<u32> = (0..n)
+            .map(|t| table.admit(req(t), &[t, t + 1, t + 2]))
+            .collect();
+        assert_eq!(rids, (0..n as u32).collect::<Vec<_>>());
+        assert_eq!(table.pages.len(), 2);
+        // Free two slots on different pages; the next two requests take
+        // them back, most recently freed first, with their own write sets.
+        table.retire(5);
+        table.retire(PAGE_SLOTS as u32 + 7);
+        assert_eq!(table.admit(req(n), &[9, 8, 7]), PAGE_SLOTS as u32 + 7);
+        assert_eq!(table.admit(req(n + 1), &[6, 5, 4]), 5);
+        assert_eq!(table.len(), n);
+        assert_eq!(table.live, n);
+        let set = |rid| (0..3).map(|i| table.target(rid, i)).collect::<Vec<_>>();
+        assert_eq!(set(PAGE_SLOTS as u32 + 7), [9, 8, 7]);
+        assert_eq!(set(5), [6, 5, 4]);
+        assert_eq!(
+            set(PAGE_SLOTS as u32 + 8),
+            [PAGE_SLOTS + 8, PAGE_SLOTS + 9, PAGE_SLOTS + 10]
+        );
+        assert_eq!(table.get(5).tenant, n + 1);
+        // A new slot is handed out only when none is free.
+        assert_eq!(table.admit(req(0), &[]), n as u32);
     }
 
     #[test]
