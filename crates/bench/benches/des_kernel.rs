@@ -10,6 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
+use wt_des::obs::NoProbe;
 use wt_des::prelude::*;
 use wt_des::rng::{RngFactory, Stream};
 use wt_des::{EventQueue, ServerPool, SimTime};
@@ -106,7 +107,7 @@ fn run_churn(components: usize, events: u64) -> u64 {
         sim.schedule_in(phase, ChurnEv::Fail(c as u32));
     }
     sim.set_event_budget(events);
-    sim.run();
+    sim.run_until(SimTime::MAX, &mut NoProbe);
     sim.model().failures
 }
 
@@ -163,7 +164,7 @@ fn run_mmc(events: u64) -> u64 {
     let mut sim = Simulation::new(model, 1);
     sim.schedule_at(SimTime::ZERO, MmcEv::Arrival);
     sim.set_event_budget(events);
-    sim.run();
+    sim.run_until(SimTime::MAX, &mut NoProbe);
     sim.model().pool.completions()
 }
 

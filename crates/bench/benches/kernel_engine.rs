@@ -20,6 +20,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 use wt_cluster::availability::{AvailabilityModel, DiskFailureModel, RebuildModel};
 use wt_cluster::PartitionedAvailability;
+use wt_des::obs::NoProbe;
 use wt_des::prelude::*;
 use wt_des::rng::RngFactory;
 use wt_des::ServerPool;
@@ -90,7 +91,7 @@ fn run_churn(seed: u64) -> (u64, SimTime, u64) {
         sim.schedule_in(phase, ChurnEv::Fail(c as u32));
     }
     sim.set_event_budget(CHURN_EVENTS);
-    sim.run();
+    sim.run_until(SimTime::MAX, &mut NoProbe);
     (sim.events_executed(), sim.now(), sim.model().failures)
 }
 
@@ -148,7 +149,7 @@ fn run_mmc(seed: u64) -> (u64, SimTime, u64) {
     let mut sim = Simulation::new(model, seed);
     sim.schedule_at(SimTime::ZERO, MmcEv::Arrival);
     sim.set_event_budget(MMC_EVENTS);
-    sim.run();
+    sim.run_until(SimTime::MAX, &mut NoProbe);
     (
         sim.events_executed(),
         sim.now(),

@@ -1,7 +1,7 @@
 //! Probe overhead: the cost of running the availability engine with the
 //! telemetry probe stack attached (`run_observed` with a `SimProbe`,
 //! wall-time histograms off — the default observability configuration)
-//! vs the probe-free `run` path.
+//! vs `run`, which drives the same event loop under `NoProbe`.
 //!
 //! Both arms execute the identical simulation — same seeds, same event
 //! stream, bitwise-identical results — so the difference is purely the
@@ -78,7 +78,7 @@ fn main() {
     }
     assert_eq!(
         events, observed_events,
-        "probed and probe-free runs must execute the same event stream"
+        "SimProbe and NoProbe runs must execute the same event stream"
     );
 
     println!("obs_overhead: {SEEDS} seeds/sample, {events} events/sample, {SAMPLES} samples");
@@ -212,7 +212,7 @@ fn main() {
     let _ = writeln!(json, "  \"samples\": {SAMPLES},");
     let _ = writeln!(
         json,
-        "  \"metric\": \"availability engine with SimProbe attached (wall-time feature off) vs probe-free run; identical event streams\","
+        "  \"metric\": \"availability engine with SimProbe attached (wall-time feature off) vs the same loop under NoProbe; identical event streams\","
     );
     let _ = writeln!(
         json,

@@ -42,6 +42,8 @@ struct St {
     service: Dist,
     pool: ServerPool<()>,
     rng: wt_des::rng::Stream,
+    /// Completions after which the station stops the run.
+    target: u64,
 }
 
 impl Model for St {
@@ -65,6 +67,9 @@ impl Model for St {
                 }
             }
         }
+        if self.pool.completions() >= self.target {
+            ctx.stop();
+        }
     }
 }
 
@@ -80,15 +85,12 @@ impl QueueSim {
             service: self.service.clone(),
             pool: ServerPool::new(self.servers, SimTime::ZERO),
             rng: wt_des::rng::RngFactory::new(seed).stream("queue"),
+            target: customers,
         };
         let mut sim = Simulation::new(st, seed);
         sim.schedule_at(SimTime::ZERO, Ev::Arrival);
-        // Run until enough completions.
-        while sim.model().pool.completions() < customers {
-            if !sim.step() {
-                break;
-            }
-        }
+        // The station stops the run at its completion target.
+        sim.run_until(SimTime::MAX, &mut wt_des::obs::NoProbe);
         let now = sim.now();
         let st = sim.model();
         let wq = st.pool.waits().mean();

@@ -155,6 +155,11 @@ pub const MAX_NODES: usize = u16::MAX as usize + 1;
 /// user input check against this before building a run.
 pub const MAX_WIDTH: usize = u8::MAX as usize;
 
+/// The most customer objects one availability run can model: object ids
+/// are `u32`. Callers that take the object count from user input check
+/// against this before building a run.
+pub const MAX_OBJECTS: u64 = u32::MAX as u64 + 1;
+
 /// Configuration for one availability run.
 #[derive(Debug, Clone)]
 pub struct AvailabilityModel {
@@ -164,7 +169,7 @@ pub struct AvailabilityModel {
     pub redundancy: RedundancyScheme,
     /// Placement policy.
     pub placement: Placement,
-    /// Number of customer objects.
+    /// Number of customer objects, at most [`MAX_OBJECTS`].
     pub objects: u64,
     /// Raw bytes per object.
     pub object_bytes: u64,
@@ -189,11 +194,12 @@ pub struct AvailabilityModel {
 }
 
 impl AvailabilityModel {
-    /// Runs the simulation for `horizon` and summarizes.
+    /// Runs the simulation for `horizon` and summarizes, with no
+    /// telemetry.
     pub fn run(&self, seed: u64, horizon: SimDuration) -> AvailabilityResult {
         let mut sim = self.seeded_sim(seed);
         let end = SimTime::ZERO + horizon;
-        sim.run_until(end);
+        sim.run_until(end, &mut wt_des::obs::NoProbe);
         let events = sim.events_executed();
         sim.into_model().finish(end, events)
     }
@@ -211,16 +217,7 @@ impl AvailabilityModel {
         let mut sim = self.seeded_sim(seed);
         sim.model_mut().sketches = Some(Box::default());
         let end = SimTime::ZERO + horizon;
-        let mut sp = wt_des::obs::SimProbe::new();
-        let reason = match extra {
-            Some(p) => {
-                let mut tee = wt_des::obs::Tee(&mut sp, p);
-                sim.run_until_probed(end, &mut tee)
-            }
-            None => sim.run_until_probed(end, &mut sp),
-        };
-        let mut telemetry = sp.finish(sim.now().as_secs(), reason.as_str());
-        telemetry.queue = Some("heap".to_string());
+        let mut telemetry = sim.run_observed(end, extra);
         let events = sim.events_executed();
         let mut model = sim.into_model();
         if let Some(s) = model.sketches.take() {
@@ -404,8 +401,8 @@ struct AvailState<'a> {
     unavailability_events: u64,
     rebuilds_completed: u64,
     rebuild_waits: Tally,
-    /// Per-rebuild quantile/distinct sketches; `None` on unprobed runs,
-    /// so the probe-free path pays one never-taken branch per rebuild.
+    /// Per-rebuild quantile/distinct sketches; `None` on runs without
+    /// telemetry, which pay one never-taken branch per rebuild.
     sketches: Option<Box<RebuildSketches>>,
 }
 
@@ -419,6 +416,10 @@ impl<'a> AvailState<'a> {
         assert!(
             width <= MAX_WIDTH,
             "holder counts are u8: redundancy width must be ≤ {MAX_WIDTH}"
+        );
+        assert!(
+            cfg.objects <= MAX_OBJECTS,
+            "object ids are u32: objects must be ≤ {MAX_OBJECTS}"
         );
         let factory = RngFactory::new(seed);
         let mut placer = Placer::new(
@@ -652,7 +653,7 @@ impl<'a> AvailState<'a> {
             let dur = self.rebuild_duration();
             // Per-rebuild wait and duration quantiles, plus the distinct
             // objects repair ever touched — recorded inline (see
-            // [`RebuildSketches`]) and absent from unprobed runs.
+            // [`RebuildSketches`]) and absent from runs without telemetry.
             if let Some(s) = self.sketches.as_deref_mut() {
                 s.record(wait_s, dur.as_secs(), task.object);
             }

@@ -41,7 +41,7 @@ use crate::results::AvailabilityResult;
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::Arc;
-use wt_des::obs::{RunTelemetry, SimProbe};
+use wt_des::obs::{NoProbe, RunTelemetry};
 use wt_des::prelude::*;
 use wt_des::rng::RngFactory;
 use wt_dist::Dist;
@@ -155,7 +155,8 @@ impl PartitionedAvailability {
         threads: usize,
     ) -> AvailabilityResult {
         let mut sim = self.build(seed, partitions);
-        sim.run_until_threaded(SimTime::from_secs(horizon_s), threads);
+        let mut probes = vec![NoProbe; sim.parts()];
+        sim.run_until(SimTime::from_secs(horizon_s), threads, &mut probes);
         self.finish(&sim)
     }
 
@@ -170,14 +171,7 @@ impl PartitionedAvailability {
         threads: usize,
     ) -> (AvailabilityResult, RunTelemetry) {
         let mut sim = self.build(seed, partitions);
-        let mut probes: Vec<SimProbe> = (0..sim.parts()).map(|_| SimProbe::new()).collect();
-        let reason = sim.run_until_probed(SimTime::from_secs(horizon_s), threads, &mut probes);
-        let telemetry = fold_partition_telemetry(
-            &probes,
-            &sim.part_events(),
-            sim.now().as_secs(),
-            reason.as_str(),
-        );
+        let telemetry = sim.run_observed(SimTime::from_secs(horizon_s), threads);
         (self.finish(&sim), telemetry)
     }
 
@@ -472,27 +466,6 @@ fn push_fault(
             fault: idx,
         },
     ));
-}
-
-/// Folds per-partition probes into one telemetry record: partition-order
-/// deterministic, with `partition/<i>` marks carrying each partition's
-/// event total (the skew readout) and the event list stamped for
-/// provenance.
-fn fold_partition_telemetry(
-    probes: &[SimProbe],
-    part_events: &[u64],
-    end_s: f64,
-    stop_reason: &str,
-) -> RunTelemetry {
-    let mut telemetry = RunTelemetry::default();
-    for probe in probes {
-        telemetry.absorb_partition(&probe.finish(end_s, stop_reason));
-    }
-    for (i, &ev) in part_events.iter().enumerate() {
-        telemetry.marks.insert(format!("partition/{i}"), ev);
-    }
-    telemetry.queue = Some("heap".to_string());
-    telemetry
 }
 
 /// Config shared read-only by every shard.
@@ -1178,6 +1151,28 @@ mod tests {
         assert!(oracle.rebuilds_completed > 0, "repairs exercised");
         for partitions in [2, 3, 6] {
             assert_eq!(oracle, m.run(11, HORIZON, partitions, 2), "N={partitions}");
+        }
+    }
+
+    #[test]
+    fn run_and_run_observed_agree() {
+        // The no-telemetry entry and the observed one drive the same
+        // loop under different probes: results and event totals match at
+        // every partition and thread count.
+        let m = avail_model();
+        for partitions in [1, 3] {
+            for threads in [1, 2] {
+                let at = format!("partitions={partitions} threads={threads}");
+                let plain = m.run(5, HORIZON, partitions, threads);
+                let (observed, t) = m.run_observed(5, HORIZON, partitions, threads);
+                assert!(plain.sim_events > 0, "{at}");
+                assert_eq!(plain, observed, "{at}");
+                assert_eq!(t.events, plain.sim_events, "{at}");
+                let part_total: u64 = (0..partitions)
+                    .map(|i| t.marks[&format!("partition/{i}")])
+                    .sum();
+                assert_eq!(part_total, t.events, "{at}");
+            }
         }
     }
 

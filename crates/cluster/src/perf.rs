@@ -75,11 +75,12 @@ pub struct PerfModel {
 }
 
 impl PerfModel {
-    /// Runs the simulation and summarizes per-tenant latency.
+    /// Runs the simulation and summarizes per-tenant latency, with no
+    /// telemetry.
     pub fn run(&self, seed: u64) -> PerfResult {
         let mut sim = self.seeded_sim(seed);
         let end = SimTime::ZERO + SimDuration::from_secs(self.horizon_s);
-        sim.run_until(end);
+        sim.run_until(end, &mut wt_des::obs::NoProbe);
         sim.into_model().finish(end)
     }
 
@@ -94,16 +95,7 @@ impl PerfModel {
     ) -> (PerfResult, wt_des::obs::RunTelemetry) {
         let mut sim = self.seeded_sim(seed);
         let end = SimTime::ZERO + SimDuration::from_secs(self.horizon_s);
-        let mut sp = wt_des::obs::SimProbe::new();
-        let reason = match extra {
-            Some(p) => {
-                let mut tee = wt_des::obs::Tee(&mut sp, p);
-                sim.run_until_probed(end, &mut tee)
-            }
-            None => sim.run_until_probed(end, &mut sp),
-        };
-        let mut telemetry = sp.finish(sim.now().as_secs(), reason.as_str());
-        telemetry.queue = Some("heap".to_string());
+        let telemetry = sim.run_observed(end, extra);
         (sim.into_model().finish(end), telemetry)
     }
 
@@ -1132,7 +1124,7 @@ mod tests {
         let mut peak_in_flight = 0;
         loop {
             sim.set_event_budget(sim.events_executed() + 1);
-            match sim.run_until_probed(end, &mut arrivals) {
+            match sim.run_until(end, &mut arrivals) {
                 StopReason::EventBudgetExhausted => {}
                 StopReason::HorizonReached => break,
                 other => panic!("unexpected stop {other:?}"),

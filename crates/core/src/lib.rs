@@ -37,8 +37,10 @@
 //!     .seed(7)
 //!     .build();
 //! let tunnel = WindTunnel::new();
-//! let result = tunnel.run_availability(&scenario);
+//! let (result, telemetry) =
+//!     tunnel.run_availability_observed_into(&scenario, tunnel.store(), None);
 //! assert!(result.availability > 0.99);
+//! assert_eq!(telemetry.events, result.sim_events);
 //! assert_eq!(tunnel.store().len(), 1); // the run was recorded
 //! ```
 
@@ -53,7 +55,7 @@ pub mod sweep;
 
 pub use builder::ScenarioBuilder;
 pub use farm::{Farm, RunCtx};
-pub use runner::{t_quantile_975, Assessment, MeanInterval, ReplicatedAvailability, WindTunnel};
+pub use runner::{t_quantile_975, Assessment, MeanInterval, WindTunnel};
 pub use sla::{Sla, SlaSet};
 pub use surrogate::Surrogate;
 pub use sweep::{SweepOutcome, SweepReport, SweepRunner, SweepSpec};

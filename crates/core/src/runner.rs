@@ -39,8 +39,8 @@ pub fn t_quantile_975(df: usize) -> f64 {
 }
 
 /// A sample mean with an approximate 95% confidence half-width — the
-/// common shape behind replicated availability and the guided planner's
-/// per-constraint early-stop decisions.
+/// shape behind the guided planner's per-constraint early-stop
+/// decisions over WTQL replications.
 ///
 /// All `confidently_*` tests require a real interval (`n ≥ 2` and a
 /// finite half-width); a degenerate interval resolves nothing, in either
@@ -91,52 +91,6 @@ impl MeanInterval {
     /// The whole interval sits strictly below `bound`.
     pub fn confidently_below(&self, bound: f64) -> bool {
         self.resolved() && self.mean + self.half_width_95 < bound
-    }
-}
-
-/// Availability over independent replications, with uncertainty.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ReplicatedAvailability {
-    /// Mean availability across replications.
-    pub mean_availability: f64,
-    /// Approximate 95% confidence half-width of the mean.
-    pub half_width_95: f64,
-    /// Worst replication.
-    pub min_availability: f64,
-    /// Best replication.
-    pub max_availability: f64,
-    /// The individual replication results.
-    pub replications: Vec<AvailabilityResult>,
-}
-
-impl ReplicatedAvailability {
-    /// True if the availability floor is met even at the pessimistic edge
-    /// of the confidence interval.
-    ///
-    /// A degenerate interval must fail outright: with 0 or 1
-    /// replications there is no variance estimate (a hand-built value
-    /// can carry `half_width_95` of 0.0 or NaN), and treating such an
-    /// interval as "confident" would let a single noisy run vacuously
-    /// pass an SLA.
-    pub fn confidently_meets(&self, floor: f64) -> bool {
-        self.interval().confidently_at_least(floor)
-    }
-
-    /// True if the availability floor is missed even at the optimistic
-    /// edge of the confidence interval — the early-stop dual of
-    /// [`Self::confidently_meets`], with the same degenerate-interval
-    /// guard.
-    pub fn confidently_fails(&self, floor: f64) -> bool {
-        self.interval().confidently_below(floor)
-    }
-
-    /// The mean ± half-width as a [`MeanInterval`].
-    pub fn interval(&self) -> MeanInterval {
-        MeanInterval {
-            mean: self.mean_availability,
-            half_width_95: self.half_width_95,
-            n: self.replications.len(),
-        }
     }
 }
 
@@ -261,26 +215,13 @@ impl WindTunnel {
             .param("objects", scenario.objects as usize)
     }
 
-    /// Runs the availability engine over the scenario's horizon and
-    /// records the outcome into the tunnel's own store.
-    pub fn run_availability(&self, scenario: &Scenario) -> AvailabilityResult {
-        self.run_availability_into(scenario, &self.store)
-    }
-
-    /// [`Self::run_availability`] recording into an explicit sink — the
-    /// lock-free path: farm workers pass their private `StoreShard` here
-    /// so recording never contends on the shared store.
-    pub fn run_availability_into(
-        &self,
-        scenario: &Scenario,
-        sink: &dyn RecordSink,
-    ) -> AvailabilityResult {
-        self.run_availability_observed_into(scenario, sink, None).0
-    }
-
-    /// [`Self::run_availability_into`] with the engine probe surfaced:
-    /// returns the run's [`RunTelemetry`] (also attached to the record)
-    /// and forwards the event stream to `extra` when given (e.g. a
+    /// Runs the availability engine over the scenario's horizon, records
+    /// the outcome into `sink` — a farm worker's private `StoreShard`, so
+    /// recording never contends on the shared store, or the tunnel's own
+    /// [`store`](Self::store) — and returns the result with the run's
+    /// [`RunTelemetry`] (also attached to the record).
+    ///
+    /// The event stream is forwarded to `extra` when given (e.g. a
     /// `TraceProbe`). The telemetry's simulation-derived fields are
     /// deterministic; only `telemetry.wall` carries wall-clock state,
     /// measured here around the engine call.
@@ -370,26 +311,9 @@ impl WindTunnel {
     }
 
     /// Runs the performance engine (capped at 600 simulated seconds — a
-    /// latency measurement, not a reliability horizon) and records it
-    /// into the tunnel's own store.
-    pub fn run_perf(&self, scenario: &Scenario, inject_failures: bool) -> PerfResult {
-        self.run_perf_into(scenario, inject_failures, &self.store)
-    }
-
-    /// [`Self::run_perf`] recording into an explicit sink (see
-    /// [`Self::run_availability_into`]).
-    pub fn run_perf_into(
-        &self,
-        scenario: &Scenario,
-        inject_failures: bool,
-        sink: &dyn RecordSink,
-    ) -> PerfResult {
-        self.run_perf_observed_into(scenario, inject_failures, sink, None)
-            .0
-    }
-
-    /// [`Self::run_perf_into`] with the engine probe surfaced (see
-    /// [`Self::run_availability_observed_into`]).
+    /// latency measurement, not a reliability horizon), records it into
+    /// `sink` with per-tenant latency metrics, and returns the result with
+    /// the run's telemetry (see [`Self::run_availability_observed_into`]).
     pub fn run_perf_observed_into(
         &self,
         scenario: &Scenario,
@@ -417,70 +341,15 @@ impl WindTunnel {
         (result, telemetry)
     }
 
-    /// Runs the availability engine over `reps` independent replications
-    /// (seeds derived from the scenario's) and returns the mean
-    /// availability with an approximate 95% confidence half-width —
-    /// availability under bursty failures is heavy-tailed across
-    /// replications, so a single-run point estimate can be badly
-    /// misleading (see EXPERIMENTS.md E10 notes).
-    pub fn run_availability_replicated(
-        &self,
-        scenario: &Scenario,
-        reps: usize,
-    ) -> ReplicatedAvailability {
-        self.run_availability_replicated_into(scenario, reps, &self.store)
-    }
-
-    /// [`Self::run_availability_replicated`] recording into an explicit
-    /// sink (see [`Self::run_availability_into`]).
-    pub fn run_availability_replicated_into(
-        &self,
-        scenario: &Scenario,
-        reps: usize,
-        sink: &dyn RecordSink,
-    ) -> ReplicatedAvailability {
-        assert!(
-            reps >= 2,
-            "confidence intervals need at least 2 replications"
-        );
-        let mut tally = wt_des::Tally::new();
-        let mut results = Vec::with_capacity(reps);
-        for rep in 0..reps {
-            let s = scenario.with_seed(scenario.seed.wrapping_add(rep as u64 * 7919));
-            let r = self.run_availability_into(&s, sink);
-            tally.record(r.availability);
-            results.push(r);
-        }
-        let interval = MeanInterval::from_tally(&tally);
-        ReplicatedAvailability {
-            mean_availability: interval.mean,
-            half_width_95: interval.half_width_95,
-            min_availability: tally.min(),
-            max_availability: tally.max(),
-            replications: results,
-        }
-    }
-
-    /// Runs exactly the engines the SLA set needs and returns the verdict
-    /// with cost attached — the unit of work a declarative query executes
-    /// per configuration.
+    /// Runs exactly the engines the SLA set needs, recording into the
+    /// tunnel's own store, and returns the verdict with cost attached.
     pub fn assess(&self, scenario: &Scenario, slas: &SlaSet) -> Assessment {
-        self.assess_into(scenario, slas, &self.store)
-    }
-
-    /// [`Self::assess`] recording into an explicit sink (see
-    /// [`Self::run_availability_into`]).
-    pub fn assess_into(
-        &self,
-        scenario: &Scenario,
-        slas: &SlaSet,
-        sink: &dyn RecordSink,
-    ) -> Assessment {
+        let store = &self.store;
         let availability = slas
             .needs_availability()
-            .then(|| self.run_availability_into(scenario, sink));
+            .then(|| self.run_availability_observed_into(scenario, store, None).0);
         let perf = (slas.needs_perf() && !scenario.tenants.is_empty())
-            .then(|| self.run_perf_into(scenario, false, sink));
+            .then(|| self.run_perf_observed_into(scenario, false, store, None).0);
         let violations = slas.violations(availability.as_ref(), perf.as_ref(), scenario.objects);
         Assessment {
             scenario: scenario.name.clone(),
@@ -498,6 +367,20 @@ mod tests {
     use crate::builder::ScenarioBuilder;
     use wt_workload::TenantWorkload;
 
+    /// One availability run recorded into the tunnel's own store.
+    fn availability_of(tunnel: &WindTunnel, sc: &Scenario) -> AvailabilityResult {
+        tunnel
+            .run_availability_observed_into(sc, tunnel.store(), None)
+            .0
+    }
+
+    /// One perf run recorded into the tunnel's own store.
+    fn perf_of(tunnel: &WindTunnel, sc: &Scenario, inject_failures: bool) -> PerfResult {
+        tunnel
+            .run_perf_observed_into(sc, inject_failures, tunnel.store(), None)
+            .0
+    }
+
     fn small() -> Scenario {
         ScenarioBuilder::new("small")
             .racks(1)
@@ -511,7 +394,7 @@ mod tests {
     #[test]
     fn run_availability_records() {
         let tunnel = WindTunnel::new();
-        let r = tunnel.run_availability(&small());
+        let r = availability_of(&tunnel, &small());
         assert!(r.availability > 0.9);
         assert_eq!(tunnel.store().len(), 1);
         let rec = tunnel.store().snapshot().pop().unwrap();
@@ -546,7 +429,7 @@ mod tests {
             .tenant(TenantWorkload::oltp("shop", 50.0, 1_000))
             .horizon_years(0.001)
             .build();
-        tunnel.run_perf(&sc, false);
+        perf_of(&tunnel, &sc, false);
         let rec = tunnel.store().snapshot().pop().unwrap();
         let t = rec.telemetry.expect("telemetry attached");
         assert!(t.events > 0);
@@ -559,7 +442,7 @@ mod tests {
         // Availability engine: rebuild sketches + distinct objects.
         let mut sc = small();
         sc.topology.node.ttf = wt_dist::Dist::exponential_mean(15.0 * 86_400.0);
-        tunnel.run_availability(&sc);
+        availability_of(&tunnel, &sc);
         let rec = tunnel.store().snapshot().pop().unwrap();
         let set = rec
             .telemetry
@@ -579,7 +462,7 @@ mod tests {
             .tenant(TenantWorkload::oltp("shop", 50.0, 1_000))
             .horizon_years(0.001)
             .build();
-        let r = tunnel.run_perf(&psc, false);
+        let r = perf_of(&tunnel, &psc, false);
         let rec = tunnel.store().snapshot().pop().unwrap();
         let set = rec.telemetry.unwrap().sketches.expect("sketches attached");
         let lat = &set.values["request_latency_s"];
@@ -656,7 +539,7 @@ mod tests {
             .tenant(TenantWorkload::oltp("shop", 50.0, 1_000))
             .horizon_years(0.001)
             .build();
-        let r = tunnel.run_perf(&sc, false);
+        let r = perf_of(&tunnel, &sc, false);
         assert_eq!(r.tenants.len(), 1);
         let rec = tunnel.store().snapshot().pop().unwrap();
         assert!(rec.get_metric("shop_p95_s").is_some());
@@ -699,51 +582,6 @@ mod tests {
     }
 
     #[test]
-    fn replicated_availability_reports_uncertainty() {
-        let tunnel = WindTunnel::new();
-        let mut sc = small();
-        sc.topology.node.ttf = wt_dist::Dist::weibull_mean(0.8, 30.0 * 86_400.0);
-        let r = tunnel.run_availability_replicated(&sc, 5);
-        assert_eq!(r.replications.len(), 5);
-        assert!(r.half_width_95 >= 0.0);
-        assert!((0.0..=1.0).contains(&r.mean_availability));
-        assert!(r.min_availability <= r.mean_availability);
-        assert!(r.mean_availability <= r.max_availability);
-        // All five runs were recorded.
-        assert_eq!(tunnel.store().len(), 5);
-        // An absurd floor is confidently missed; a trivial one is met.
-        assert!(!r.confidently_meets(1.1_f64.min(1.0 + 1e-9)));
-        assert!(r.confidently_meets(0.0));
-    }
-
-    #[test]
-    fn degenerate_confidence_interval_never_passes() {
-        let tunnel = WindTunnel::new();
-        let base = tunnel.run_availability_replicated(&small(), 2);
-        assert!(base.confidently_meets(0.0), "sane interval passes");
-
-        // 0 or 1 replications: no variance estimate, no confidence —
-        // even a perfect mean with zero half-width must fail.
-        let mut degenerate = base.clone();
-        degenerate.mean_availability = 1.0;
-        degenerate.half_width_95 = 0.0;
-        degenerate.replications.truncate(1);
-        assert!(!degenerate.confidently_meets(0.999));
-        degenerate.replications.clear();
-        assert!(!degenerate.confidently_meets(0.0));
-
-        // A NaN half-width (pathological variance) must fail, not pass.
-        let mut poisoned = base.clone();
-        poisoned.half_width_95 = f64::NAN;
-        assert!(!poisoned.confidently_meets(0.0));
-        poisoned.half_width_95 = f64::INFINITY;
-        assert!(!poisoned.confidently_meets(0.0));
-        // The same guard applies to the failing direction: a degenerate
-        // interval can't confidently fail anything either.
-        assert!(!poisoned.confidently_fails(1.0));
-    }
-
-    #[test]
     fn mean_interval_resolves_both_directions() {
         let mut tally = wt_des::Tally::new();
         for x in [0.90, 0.92, 0.91, 0.93] {
@@ -771,6 +609,25 @@ mod tests {
             n: 1,
         };
         assert!(!single.confidently_at_least(0.0));
+        let empty = MeanInterval { n: 0, ..single };
+        let unbounded = MeanInterval {
+            half_width_95: f64::INFINITY,
+            ..iv
+        };
+        for degenerate in [bad, single, empty, unbounded] {
+            // Neither direction resolves, at bounds far on either side:
+            // no interval means no confident pass and no confident fail.
+            for bound in [-1.0, 0.0, 0.5, 2.0] {
+                assert!(!degenerate.confidently_at_least(bound), "{degenerate:?}");
+                assert!(!degenerate.confidently_above(bound), "{degenerate:?}");
+                assert!(!degenerate.confidently_at_most(bound), "{degenerate:?}");
+                assert!(!degenerate.confidently_below(bound), "{degenerate:?}");
+            }
+        }
+        // For any one bound, "at least" and "below" never both hold.
+        for bound in [0.0, 0.9, 0.91, iv.mean, 0.92, 0.93, 0.99, 1.0] {
+            assert!(!(iv.confidently_at_least(bound) && iv.confidently_below(bound)));
+        }
     }
 
     #[test]
@@ -782,23 +639,6 @@ mod tests {
         // Monotone decreasing toward the normal quantile.
         for df in 1..40 {
             assert!(t_quantile_975(df) >= t_quantile_975(df + 1));
-        }
-    }
-
-    #[test]
-    fn confidently_fails_is_the_dual_of_meets() {
-        let tunnel = WindTunnel::new();
-        let mut sc = small();
-        // Guarantee real unavailability so the interval sits well below 1.
-        sc.topology.node.ttf = wt_dist::Dist::weibull_mean(0.8, 10.0 * 86_400.0);
-        sc.repair.detection_delay_s = 5.0 * 86_400.0;
-        let r = tunnel.run_availability_replicated(&sc, 4);
-        // An unreachable floor is confidently failed, a trivial one is not.
-        assert!(r.confidently_fails(1.0 - 1e-12) || r.mean_availability >= 1.0 - 1e-9);
-        assert!(!r.confidently_fails(0.0));
-        // meets and fails can never both hold for the same floor.
-        for floor in [0.0, 0.9, 0.99, 0.999, 1.0] {
-            assert!(!(r.confidently_meets(floor) && r.confidently_fails(floor)));
         }
     }
 
@@ -815,7 +655,7 @@ mod tests {
         // Make ToR outages frequent enough to observe.
         sc.topology.tor.ttf = wt_dist::Dist::exponential_mean(30.0 * 86_400.0);
         let tunnel = WindTunnel::new();
-        let r = tunnel.run_availability(&sc);
+        let r = availability_of(&tunnel, &sc);
         assert!(
             r.switch_failures > 10,
             "switch failures: {}",
@@ -824,7 +664,7 @@ mod tests {
         // Off by default.
         let mut calm = sc.clone();
         calm.switch_failures = false;
-        let rc = tunnel.run_availability(&calm);
+        let rc = availability_of(&tunnel, &calm);
         assert_eq!(rc.switch_failures, 0);
         assert!(rc.availability >= r.availability);
     }
@@ -839,8 +679,8 @@ mod tests {
         let plain = serde_json::to_string(&sc).unwrap();
         assert!(!plain.contains("\"queue\""), "no queue key is written");
         let tunnel = WindTunnel::new();
-        let avail = tunnel.run_availability(&sc);
-        let perf = tunnel.run_perf(&sc, true);
+        let avail = availability_of(&tunnel, &sc);
+        let perf = perf_of(&tunnel, &sc, true);
         for legacy in ["null", "\"Heap\"", "\"Calendar\""] {
             let json = plain.replacen(
                 ",\"faults\":",
@@ -850,8 +690,8 @@ mod tests {
             assert_ne!(json, plain, "legacy key inserted");
             let back: Scenario = serde_json::from_str(&json).unwrap();
             assert_eq!(serde_json::to_string(&back).unwrap(), plain);
-            assert_eq!(tunnel.run_availability(&back), avail, "queue: {legacy}");
-            assert_eq!(tunnel.run_perf(&back, true), perf, "queue: {legacy}");
+            assert_eq!(availability_of(&tunnel, &back), avail, "queue: {legacy}");
+            assert_eq!(perf_of(&tunnel, &back, true), perf, "queue: {legacy}");
         }
     }
 

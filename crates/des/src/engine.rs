@@ -2,6 +2,12 @@
 //! earliest pending event and handing it to the model together with a
 //! scheduling context [`Ctx`].
 //!
+//! There is one event loop, [`Simulation::run_until`], generic over the
+//! `wt_obs::Probe` that watches it. A run that wants no telemetry passes
+//! `wt_obs::NoProbe`, whose empty methods inline away;
+//! [`Simulation::run_observed`] runs the loop under a `SimProbe` and
+//! distills the run's telemetry.
+//!
 //! The engine is deliberately single-threaded; parallelism in the wind
 //! tunnel happens *across* simulation runs (see `wt-wtql`), which is both
 //! simpler and — for the replications-of-independent-runs workloads the
@@ -10,7 +16,7 @@
 use crate::queue::EventQueue;
 use crate::rng::RngFactory;
 use crate::time::{SimDuration, SimTime};
-use wt_obs::Probe;
+use wt_obs::{Probe, RunTelemetry, SimProbe, Tee};
 
 /// A simulation model: owns all mutable world state and reacts to events.
 ///
@@ -32,7 +38,7 @@ pub trait Model {
     }
 }
 
-/// Why a call to [`Simulation::run`] / [`Simulation::run_until`] returned.
+/// Why a call to [`Simulation::run_until`] returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StopReason {
     /// No pending events remain.
@@ -69,14 +75,14 @@ pub struct Ctx<'a, E> {
     // Marks emitted by the handler, drained into the probe by the engine
     // after the handler returns. A plain buffer rather than `&mut dyn
     // Probe` so the trait object's invariant lifetime never entangles
-    // `Ctx`'s borrows. `None` when the run is unprobed.
-    marks: Option<&'a mut Vec<&'static str>>,
+    // `Ctx`'s borrows.
+    marks: &'a mut Vec<&'static str>,
     // Scalar observations (label, value) emitted via `Ctx::observe`,
-    // drained like marks. `None` when unprobed.
-    values: Option<&'a mut Vec<(&'static str, f64)>>,
+    // drained like marks.
+    values: &'a mut Vec<(&'static str, f64)>,
     // Distinct-key touches (label, key) emitted via `Ctx::touch`,
-    // drained like marks. `None` when unprobed.
-    touches: Option<&'a mut Vec<(&'static str, u64)>>,
+    // drained like marks.
+    touches: &'a mut Vec<(&'static str, u64)>,
 }
 
 impl<E> Ctx<'_, E> {
@@ -125,33 +131,27 @@ impl<E> Ctx<'_, E> {
         self.executed
     }
 
-    /// Emits a custom counter mark to the run's probe, if one is
-    /// attached (see `wt_obs::Probe::on_mark`). Free when unprobed;
-    /// never affects the simulation either way.
+    /// Emits a custom counter mark to the run's probe (see
+    /// `wt_obs::Probe::on_mark`). Buffered until the handler returns;
+    /// `wt_obs::NoProbe` drops it. Never affects the simulation.
     pub fn mark(&mut self, label: &'static str) {
-        if let Some(buf) = self.marks.as_deref_mut() {
-            buf.push(label);
-        }
+        self.marks.push(label);
     }
 
     /// Emits a scalar observation (a wait, a duration, a latency) to the
-    /// run's probe, if one is attached; summary probes fold these into
-    /// per-label quantile sketches (see `wt_obs::Probe::on_value`). Free
-    /// when unprobed; never affects the simulation either way.
+    /// run's probe; summary probes fold these into per-label quantile
+    /// sketches (see `wt_obs::Probe::on_value`). Buffered like
+    /// [`mark`](Self::mark); never affects the simulation.
     pub fn observe(&mut self, label: &'static str, value: f64) {
-        if let Some(buf) = self.values.as_deref_mut() {
-            buf.push((label, value));
-        }
+        self.values.push((label, value));
     }
 
     /// Emits an entity-key touch (an object id, a request key) to the
-    /// run's probe, if one is attached; summary probes fold these into
-    /// per-label HLL distinct counts (see `wt_obs::Probe::on_distinct`).
-    /// Free when unprobed; never affects the simulation either way.
+    /// run's probe; summary probes fold these into per-label HLL
+    /// distinct counts (see `wt_obs::Probe::on_distinct`). Buffered like
+    /// [`mark`](Self::mark); never affects the simulation.
     pub fn touch(&mut self, label: &'static str, key: u64) {
-        if let Some(buf) = self.touches.as_deref_mut() {
-            buf.push((label, key));
-        }
+        self.touches.push((label, key));
     }
 }
 
@@ -194,7 +194,7 @@ impl<M: Model> Simulation<M> {
         self.event_budget = Some(budget);
     }
 
-    /// Schedules an initial event (typically called before the first `run`).
+    /// Schedules an initial event (typically called before the first `run_until`).
     pub fn schedule_at(&mut self, at: SimTime, event: M::Event) {
         assert!(at >= self.now, "cannot schedule into the past");
         self.queue.push(at, event);
@@ -235,99 +235,24 @@ impl<M: Model> Simulation<M> {
         self.queue.len()
     }
 
-    /// Executes exactly one event, if any is pending. Returns `false` when
-    /// the queue is empty.
-    pub fn step(&mut self) -> bool {
-        let Some((time, ev)) = self.queue.pop() else {
-            return false;
-        };
-        debug_assert!(time >= self.now, "event queue returned a past event");
-        self.now = time;
-        self.executed += 1;
-        let mut stop = false;
-        let mut ctx = Ctx {
-            now: self.now,
-            queue: &mut self.queue,
-            rng: &mut self.rng,
-            stop: &mut stop,
-            executed: self.executed,
-            marks: None,
-            values: None,
-            touches: None,
-        };
-        self.model.handle(ev, &mut ctx);
-        true
-    }
-
-    /// Runs until the queue drains, the model stops, or the budget runs out.
-    pub fn run(&mut self) -> StopReason {
-        self.run_until(SimTime::MAX)
-    }
-
-    /// [`Simulation::run`] with a probe observing every handled event.
-    pub fn run_probed(&mut self, probe: &mut dyn Probe) -> StopReason {
-        self.run_until_probed(SimTime::MAX, probe)
-    }
-
     /// Runs until `horizon` (exclusive: events strictly after it stay
     /// pending and the clock is left at `horizon`), the queue drains, the
-    /// model stops, or the budget runs out.
+    /// model stops, or the budget runs out — the engine's one event loop.
     ///
-    /// This is the probe-free loop, with no probe checks inside —
-    /// attaching observability costs nothing when it is not used
-    /// ([`run_until_probed`](Self::run_until_probed) is a separate loop).
-    pub fn run_until(&mut self, horizon: SimTime) -> StopReason {
-        loop {
-            if let Some(budget) = self.event_budget {
-                if self.executed >= budget {
-                    return StopReason::EventBudgetExhausted;
-                }
-            }
-            let Some(next) = self.queue.peek_time() else {
-                return StopReason::QueueEmpty;
-            };
-            if next > horizon {
-                self.now = horizon;
-                return StopReason::HorizonReached;
-            }
-            let (time, ev) = self.queue.pop().expect("peeked entry vanished");
-            self.now = time;
-            self.executed += 1;
-            let mut stop = false;
-            let mut ctx = Ctx {
-                now: self.now,
-                queue: &mut self.queue,
-                rng: &mut self.rng,
-                stop: &mut stop,
-                executed: self.executed,
-                marks: None,
-                values: None,
-                touches: None,
-            };
-            self.model.handle(ev, &mut ctx);
-            if stop {
-                return StopReason::StoppedByModel;
-            }
-        }
-    }
-
-    /// [`Simulation::run_until`] with a probe observing every handled
-    /// event. Probes are one-way (they cannot schedule or draw
-    /// randomness), so the simulation's results are identical with or
-    /// without one attached; only with the crate's `wall-time` feature
-    /// does the engine additionally time each handler and report it via
+    /// `probe` observes every handled event, with the marks, values and
+    /// touches its handler emitted. Probes are one-way (they cannot
+    /// schedule or draw randomness), so results are identical under any
+    /// probe; a run that wants no telemetry passes `wt_obs::NoProbe`.
+    /// Only with the crate's `wall-time` feature does the engine
+    /// additionally time each handler and report it via
     /// `Probe::on_handler_wall`.
     ///
-    /// Generic over the probe type so a concrete probe (the usual
-    /// [`wt_obs::SimProbe`]) gets its `on_event` inlined into the event
-    /// loop — the virtual dispatch would otherwise rival the work it
-    /// guards. `&mut dyn Probe` still satisfies the bound for callers
-    /// that only have a trait object.
-    pub fn run_until_probed<P: Probe + ?Sized>(
-        &mut self,
-        horizon: SimTime,
-        probe: &mut P,
-    ) -> StopReason {
+    /// Generic over the probe type so a concrete probe gets its methods
+    /// inlined into the loop — `NoProbe`'s vanish, and the virtual
+    /// dispatch would otherwise rival the work `SimProbe`'s do.
+    /// `&mut dyn Probe` still satisfies the bound for callers that only
+    /// have a trait object.
+    pub fn run_until<P: Probe + ?Sized>(&mut self, horizon: SimTime, probe: &mut P) -> StopReason {
         let mut mark_buf: Vec<&'static str> = Vec::new();
         let mut value_buf: Vec<(&'static str, f64)> = Vec::new();
         let mut touch_buf: Vec<(&'static str, u64)> = Vec::new();
@@ -357,9 +282,9 @@ impl<M: Model> Simulation<M> {
                 rng: &mut self.rng,
                 stop: &mut stop,
                 executed: self.executed,
-                marks: Some(&mut mark_buf),
-                values: Some(&mut value_buf),
-                touches: Some(&mut touch_buf),
+                marks: &mut mark_buf,
+                values: &mut value_buf,
+                touches: &mut touch_buf,
             };
             self.model.handle(ev, &mut ctx);
             for mark in mark_buf.drain(..) {
@@ -380,6 +305,25 @@ impl<M: Model> Simulation<M> {
         }
     }
 
+    /// Runs to `horizon` under a [`SimProbe`], teed with `extra` when
+    /// given (e.g. a `TraceProbe`), and distills the run's telemetry,
+    /// stamped with the event list it ran on. Wall-clock fields are the
+    /// caller's to fill in.
+    pub fn run_observed(
+        &mut self,
+        horizon: SimTime,
+        extra: Option<&mut dyn Probe>,
+    ) -> RunTelemetry {
+        let mut sp = SimProbe::new();
+        let reason = match extra {
+            Some(p) => self.run_until(horizon, &mut Tee(&mut sp, p)),
+            None => self.run_until(horizon, &mut sp),
+        };
+        let mut telemetry = sp.finish(self.now.as_secs(), reason.as_str());
+        telemetry.queue = Some("heap".to_string());
+        telemetry
+    }
+
     /// Consumes the run and returns the model (for extracting final results).
     pub fn into_model(self) -> M {
         self.model
@@ -389,6 +333,12 @@ impl<M: Model> Simulation<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wt_obs::NoProbe;
+
+    /// Runs `sim` with no telemetry until its queue drains or it stops.
+    fn run<M: Model>(sim: &mut Simulation<M>) -> StopReason {
+        sim.run_until(SimTime::MAX, &mut NoProbe)
+    }
 
     /// A model that re-schedules itself `limit` times at a fixed period.
     struct Ticker {
@@ -422,7 +372,7 @@ mod tests {
     fn runs_to_queue_empty() {
         let mut sim = Simulation::new(ticker(1.0, 5), 1);
         sim.schedule_at(SimTime::ZERO, ());
-        assert_eq!(sim.run(), StopReason::QueueEmpty);
+        assert_eq!(run(&mut sim), StopReason::QueueEmpty);
         assert_eq!(sim.model().fired, 5);
         assert_eq!(sim.now(), SimTime::from_secs(4.0));
         assert_eq!(sim.events_executed(), 5);
@@ -433,14 +383,14 @@ mod tests {
         let mut sim = Simulation::new(ticker(1.0, 100), 1);
         sim.schedule_at(SimTime::ZERO, ());
         assert_eq!(
-            sim.run_until(SimTime::from_secs(2.5)),
+            sim.run_until(SimTime::from_secs(2.5), &mut NoProbe),
             StopReason::HorizonReached
         );
         assert_eq!(sim.model().fired, 3); // t = 0, 1, 2
         assert_eq!(sim.now(), SimTime::from_secs(2.5));
         // Resuming picks up where we left off.
         assert_eq!(
-            sim.run_until(SimTime::from_secs(4.5)),
+            sim.run_until(SimTime::from_secs(4.5), &mut NoProbe),
             StopReason::HorizonReached
         );
         assert_eq!(sim.model().fired, 5);
@@ -451,7 +401,7 @@ mod tests {
         let mut sim = Simulation::new(ticker(1.0, 1000), 1);
         sim.schedule_at(SimTime::ZERO, ());
         sim.set_event_budget(10);
-        assert_eq!(sim.run(), StopReason::EventBudgetExhausted);
+        assert_eq!(run(&mut sim), StopReason::EventBudgetExhausted);
         assert_eq!(sim.events_executed(), 10);
     }
 
@@ -471,19 +421,8 @@ mod tests {
     fn model_can_stop() {
         let mut sim = Simulation::new(Stopper, 1);
         sim.schedule_at(SimTime::ZERO, 0);
-        assert_eq!(sim.run(), StopReason::StoppedByModel);
+        assert_eq!(run(&mut sim), StopReason::StoppedByModel);
         assert_eq!(sim.now(), SimTime::from_secs(3.0));
-    }
-
-    #[test]
-    fn step_executes_one_event() {
-        let mut sim = Simulation::new(ticker(1.0, 3), 1);
-        sim.schedule_at(SimTime::ZERO, ());
-        assert!(sim.step());
-        assert_eq!(sim.model().fired, 1);
-        assert!(sim.step());
-        assert!(sim.step());
-        assert!(!sim.step());
     }
 
     #[test]
@@ -491,7 +430,7 @@ mod tests {
     fn scheduling_into_the_past_panics() {
         let mut sim = Simulation::new(ticker(1.0, 2), 1);
         sim.schedule_at(SimTime::ZERO, ());
-        sim.run();
+        run(&mut sim);
         sim.schedule_at(SimTime::ZERO, ());
     }
 
@@ -514,7 +453,7 @@ mod tests {
             let mut sim = Simulation::new(PastScheduler, 1);
             sim.schedule_at(SimTime::ZERO, 0);
             sim.schedule_at(SimTime::from_secs(10.0), 7); // stays pending
-            sim.run();
+            run(&mut sim);
         });
         let payload = result.unwrap_err();
         let msg = payload.downcast_ref::<String>().expect("string panic");
@@ -529,7 +468,7 @@ mod tests {
         let trace = |seed| {
             let mut sim = Simulation::new(ticker(0.5, 50), seed);
             sim.schedule_at(SimTime::ZERO, ());
-            sim.run();
+            run(&mut sim);
             sim.into_model().fire_times
         };
         assert_eq!(trace(7), trace(7));
@@ -541,7 +480,7 @@ mod tests {
     fn queue_empty_leaves_no_pending_events() {
         let mut sim = Simulation::new(ticker(1.0, 5), 1);
         sim.schedule_at(SimTime::ZERO, ());
-        assert_eq!(sim.run(), StopReason::QueueEmpty);
+        assert_eq!(run(&mut sim), StopReason::QueueEmpty);
         assert_eq!(sim.events_executed(), 5);
         assert_eq!(sim.pending_events(), 0);
     }
@@ -554,7 +493,7 @@ mod tests {
         sim.schedule_at(SimTime::from_secs(50.0), ());
         sim.schedule_at(SimTime::from_secs(60.0), ());
         assert_eq!(
-            sim.run_until(SimTime::from_secs(2.5)),
+            sim.run_until(SimTime::from_secs(2.5), &mut NoProbe),
             StopReason::HorizonReached
         );
         // t = 0, 1, 2 fired; the chain's next tick and both far events wait.
@@ -568,7 +507,7 @@ mod tests {
         let mut sim = Simulation::new(Stopper, 1);
         sim.schedule_at(SimTime::ZERO, 0);
         sim.schedule_at(SimTime::from_secs(100.0), 9); // never reached
-        assert_eq!(sim.run(), StopReason::StoppedByModel);
+        assert_eq!(run(&mut sim), StopReason::StoppedByModel);
         // Events 0..=3 executed (the ev == 3 handler called stop).
         assert_eq!(sim.events_executed(), 4);
         // The stop event scheduled nothing; only the far event remains.
@@ -580,13 +519,13 @@ mod tests {
         let mut sim = Simulation::new(ticker(1.0, 1000), 1);
         sim.schedule_at(SimTime::ZERO, ());
         sim.set_event_budget(10);
-        assert_eq!(sim.run(), StopReason::EventBudgetExhausted);
+        assert_eq!(run(&mut sim), StopReason::EventBudgetExhausted);
         assert_eq!(sim.events_executed(), 10);
         // The chain's next tick is still queued: the budget cuts the run
         // mid-flight, it does not drain the queue.
         assert_eq!(sim.pending_events(), 1);
         // Re-running without a bigger budget stops immediately at the cap.
-        assert_eq!(sim.run(), StopReason::EventBudgetExhausted);
+        assert_eq!(run(&mut sim), StopReason::EventBudgetExhausted);
         assert_eq!(sim.events_executed(), 10);
     }
 
@@ -603,7 +542,8 @@ mod tests {
 
     // --- Probe integration ------------------------------------------------
 
-    /// Ticker with per-parity labels and a custom mark on odd ticks.
+    /// Ticker with per-parity labels, a custom mark on odd ticks, and an
+    /// observation and a key touch on every tick.
     struct LabeledTicker {
         limit: u32,
         fired: u32,
@@ -616,6 +556,8 @@ mod tests {
             if ev % 2 == 1 {
                 ctx.mark("odd_tick");
             }
+            ctx.observe("tick_s", ctx.now().as_secs());
+            ctx.touch("tick", u64::from(ev));
             if self.fired < self.limit {
                 ctx.schedule_in(SimDuration::from_secs(1.0), ev + 1);
             }
@@ -634,7 +576,7 @@ mod tests {
         let mut probe = wt_obs::SimProbe::new();
         let mut sim = Simulation::new(LabeledTicker { limit: 7, fired: 0 }, 1);
         sim.schedule_at(SimTime::ZERO, 0);
-        let reason = sim.run_probed(&mut probe);
+        let reason = sim.run_until(SimTime::MAX, &mut probe);
         assert_eq!(reason, StopReason::QueueEmpty);
         assert_eq!(probe.events(), sim.events_executed());
         let t = probe.finish(sim.now().as_secs(), reason.as_str());
@@ -648,18 +590,37 @@ mod tests {
 
     #[test]
     fn probed_and_unprobed_runs_are_identical() {
+        // The same loop under NoProbe and SimProbe: the marks,
+        // observations and touches this model emits are dropped by one
+        // and folded by the other, and neither changes the run.
+        let horizon = SimTime::from_secs(20.5);
         let run = |probed: bool| {
-            let mut sim = Simulation::new(ticker(0.5, 50), 11);
-            sim.schedule_at(SimTime::ZERO, ());
+            let mut sim = Simulation::new(
+                LabeledTicker {
+                    limit: 60,
+                    fired: 0,
+                },
+                11,
+            );
+            sim.schedule_at(SimTime::ZERO, 0);
             let reason = if probed {
                 let mut p = wt_obs::SimProbe::new();
-                sim.run_until_probed(SimTime::from_secs(20.0), &mut p)
+                let reason = sim.run_until(horizon, &mut p);
+                let t = p.finish(sim.now().as_secs(), reason.as_str());
+                assert_eq!(t.events, 21);
+                assert_eq!(t.marks["odd_tick"], 10);
+                let sketches = t.sketches.expect("observations folded");
+                assert_eq!(sketches.values["tick_s"].count(), 21);
+                assert!(!sketches.distincts["tick"].is_empty());
+                reason
             } else {
-                sim.run_until(SimTime::from_secs(20.0))
+                sim.run_until(horizon, &mut NoProbe)
             };
-            (reason, sim.events_executed(), sim.into_model().fire_times)
+            let (now, events, pending) = (sim.now(), sim.events_executed(), sim.pending_events());
+            (reason, now, events, pending, sim.into_model().fired)
         };
         assert_eq!(run(true), run(false));
+        assert_eq!(run(false), (StopReason::HorizonReached, horizon, 21, 1, 21));
     }
 
     #[test]
@@ -679,7 +640,7 @@ mod tests {
         let mut probe = wt_obs::SimProbe::new();
         let mut sim = Simulation::new(Burst, 1);
         sim.schedule_at(SimTime::ZERO, 0);
-        sim.run_probed(&mut probe);
+        sim.run_until(SimTime::MAX, &mut probe);
         // Depth right after the fan-out event was 3.
         assert_eq!(probe.peak_queue_depth(), 3);
         assert_eq!(probe.events(), 4);
@@ -702,7 +663,7 @@ mod tests {
         let mut sim = Simulation::new(Inspector { depths: Vec::new() }, 3);
         sim.schedule_at(SimTime::ZERO, 0);
         sim.schedule_at(SimTime::from_secs(10.0), 9);
-        assert_eq!(sim.run(), StopReason::QueueEmpty);
+        assert_eq!(run(&mut sim), StopReason::QueueEmpty);
         // The far event waits behind the chain until the chain is done.
         assert_eq!(sim.model().depths, vec![1, 1, 1, 1, 1, 1, 0]);
     }
@@ -711,7 +672,7 @@ mod tests {
     fn marks_without_probe_are_free_and_safe() {
         let mut sim = Simulation::new(LabeledTicker { limit: 5, fired: 0 }, 1);
         sim.schedule_at(SimTime::ZERO, 0);
-        assert_eq!(sim.run(), StopReason::QueueEmpty); // mark() hits the None path
+        assert_eq!(run(&mut sim), StopReason::QueueEmpty); // NoProbe drops the marks
         assert_eq!(sim.events_executed(), 5);
     }
 }

@@ -11,17 +11,20 @@
 //! * output statistics: tallies, time-weighted gauges and quantile
 //!   histograms ([`stats`]),
 //! * a reusable multi-server FIFO resource for queueing models ([`resource`]),
-//! * an optional observer hook: [`Simulation::run_until_probed`] feeds a
+//! * one event loop, [`Simulation::run_until`], which feeds a
 //!   `wt_obs::Probe` (re-exported here as [`obs`]) the label, time and
 //!   queue depth of every handled event — one-way instrumentation that
-//!   can never perturb results. The `wall-time` cargo feature
-//!   additionally times each handler (kept off the determinism path).
+//!   can never perturb results. Runs that want no telemetry pass
+//!   `obs::NoProbe`; [`Simulation::run_observed`] distills a run's
+//!   telemetry. The `wall-time` cargo feature additionally times each
+//!   handler (kept off the determinism path).
 //!
 //! Determinism is a design invariant: two runs with the same model, seed and
 //! horizon produce byte-identical event traces. Ties in event time are broken
 //! by insertion sequence number, never by heap internals.
 //!
 //! ```
+//! use wt_des::obs::NoProbe;
 //! use wt_des::prelude::*;
 //!
 //! struct Counter { fired: u32 }
@@ -37,7 +40,7 @@
 //!
 //! let mut sim = Simulation::new(Counter { fired: 0 }, 42);
 //! sim.schedule_at(SimTime::ZERO, ());
-//! sim.run();
+//! sim.run_until(SimTime::MAX, &mut NoProbe);
 //! assert_eq!(sim.model().fired, 3);
 //! assert_eq!(sim.now(), SimTime::from_secs(2.0));
 //! ```

@@ -17,10 +17,10 @@
 //! * **Thread count.** The window sequence is derived from a global
 //!   reduction (min over partitions), each partition executes its window
 //!   alone, and deliveries are sorted canonically before insertion — so
-//!   `run_until` (the single-threaded oracle) and `run_until_threaded(n)`
-//!   produce bitwise-identical state, event counts and telemetry for any
-//!   `n`. This is pinned by tests here and by
-//!   `tests/partitioned_equivalence.rs` at the cluster level.
+//!   [`PartitionedSimulation::run_until`] at one thread (the serial
+//!   oracle) and at `n` threads produce bitwise-identical state, event
+//!   counts and telemetry for any `n`. This is pinned by tests here and
+//!   by `tests/partitioned_equivalence.rs` at the cluster level.
 //! * **Partition count** (a *model* property the executor enables). If a
 //!   model keys all state and randomness to shards that never migrate
 //!   (e.g. racks), routes *all* cross-shard interaction through
@@ -35,6 +35,10 @@
 //! YAWNS-style synchronous protocol) rather than fixed-width stepping, so
 //! idle stretches are skipped in one round and the round count is bounded
 //! by the executed event count, not `horizon / lookahead`.
+//!
+//! Every run is probed: one `wt_obs::Probe` per partition watches that
+//! partition's events, and a run that wants no telemetry passes
+//! `wt_obs::NoProbe`s.
 
 use crate::engine::StopReason;
 use crate::queue::EventQueue;
@@ -42,7 +46,7 @@ use crate::rng::RngFactory;
 use crate::time::{SimDuration, SimTime};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
-use wt_obs::Probe;
+use wt_obs::{Probe, RunTelemetry, SimProbe};
 
 /// The conservative synchronization bound: a lower bound on the delay of
 /// every cross-partition interaction, in simulated time. Larger lookahead
@@ -196,17 +200,17 @@ impl<E> PartCtx<'_, E> {
         self.queue.len()
     }
 
-    /// Emits a custom counter mark to the run's probe (no-op unprobed).
+    /// Emits a custom counter mark to the partition's probe.
     pub fn mark(&mut self, label: &'static str) {
         self.marks.push(label);
     }
 
-    /// Emits a scalar observation to the run's probe (no-op unprobed).
+    /// Emits a scalar observation to the partition's probe.
     pub fn observe(&mut self, label: &'static str, value: f64) {
         self.values.push((label, value));
     }
 
-    /// Emits a distinct-key touch to the run's probe (no-op unprobed).
+    /// Emits a distinct-key touch to the partition's probe.
     pub fn touch(&mut self, label: &'static str, key: u64) {
         self.touches.push((label, key));
     }
@@ -236,7 +240,7 @@ impl<M: PartitionModel> Cell<M> {
         lookahead: SimDuration,
         w_end: SimTime,
         horizon: SimTime,
-        mut probe: Option<&mut P>,
+        probe: &mut P,
     ) {
         while let Some(t) = self.queue.peek_time() {
             if t >= w_end || t > horizon {
@@ -260,22 +264,16 @@ impl<M: PartitionModel> Cell<M> {
             self.model.handle(ev, &mut ctx);
             self.executed += 1;
             self.last_time = t;
-            if let Some(p) = probe.as_deref_mut() {
-                for mark in self.marks.drain(..) {
-                    p.on_mark(mark);
-                }
-                for (label, value) in self.values.drain(..) {
-                    p.on_value(label, value);
-                }
-                for (label, key) in self.touches.drain(..) {
-                    p.on_distinct(label, key);
-                }
-                p.on_event(label, t.as_secs(), self.queue.len());
-            } else {
-                self.marks.clear();
-                self.values.clear();
-                self.touches.clear();
+            for mark in self.marks.drain(..) {
+                probe.on_mark(mark);
             }
+            for (label, value) in self.values.drain(..) {
+                probe.on_value(label, value);
+            }
+            for (label, key) in self.touches.drain(..) {
+                probe.on_distinct(label, key);
+            }
+            probe.on_event(label, t.as_secs(), self.queue.len());
             if self.stop {
                 break;
             }
@@ -306,19 +304,12 @@ impl<M: PartitionModel> Cell<M> {
     }
 }
 
-/// No-op probe for the unprobed paths.
-#[derive(Clone, Copy)]
-struct NoProbe;
-impl Probe for NoProbe {
-    fn on_event(&mut self, _label: &'static str, _now_s: f64, _queue_depth: usize) {}
-}
-
 /// A partitioned simulation run: `P` models, `P` queues, one lookahead.
 ///
-/// `run_until` executes all partitions on the calling thread — the
-/// bitwise-determinism oracle — while `run_until_threaded` fans the
-/// partitions across worker threads with barrier synchronization; both
-/// produce identical results (see module docs).
+/// [`run_until`](Self::run_until) at one thread executes all partitions
+/// on the calling thread — the bitwise-determinism oracle — and at more
+/// fans the partitions across worker threads with barrier
+/// synchronization; both produce identical results (see module docs).
 pub struct PartitionedSimulation<M: PartitionModel> {
     cells: Vec<Cell<M>>,
     lookahead: SimDuration,
@@ -403,27 +394,14 @@ impl<M: PartitionModel> PartitionedSimulation<M> {
         self.cells[part].queue.reserve(n);
     }
 
-    /// Runs every partition on the calling thread until `horizon` — the
-    /// serial oracle all parallel schedules must match bitwise.
-    pub fn run_until(&mut self, horizon: SimTime) -> StopReason {
-        self.run_serial::<NoProbe>(horizon, None)
-    }
-
-    /// [`Self::run_until`] across `threads` worker threads. Bitwise
-    /// identical to the serial oracle for any thread count.
-    pub fn run_until_threaded(&mut self, horizon: SimTime, threads: usize) -> StopReason {
-        if threads <= 1 || self.cells.len() <= 1 {
-            return self.run_until(horizon);
-        }
-        self.run_threaded::<NoProbe>(horizon, threads, None)
-    }
-
-    /// Probed run: `probes[i]` observes partition `i`'s event stream
-    /// (marks, values, touches included). With `threads <= 1` this is the
-    /// serial oracle; otherwise partitions fan out across threads. The
-    /// per-partition probe assignment is identical either way, so
-    /// telemetry distilled from the probes is too.
-    pub fn run_until_probed<P: Probe + Send>(
+    /// Runs until `horizon`, the queues drain or a model stops, with
+    /// `probes[i]` observing partition `i`'s event stream (marks, values,
+    /// touches included); pass `wt_obs::NoProbe`s for no telemetry. With
+    /// `threads <= 1` this is the serial oracle; otherwise partitions fan
+    /// out across threads. The per-partition probe assignment is
+    /// identical either way, so telemetry distilled from the probes is
+    /// too.
+    pub fn run_until<P: Probe + Send>(
         &mut self,
         horizon: SimTime,
         threads: usize,
@@ -435,10 +413,32 @@ impl<M: PartitionModel> PartitionedSimulation<M> {
             "one probe per partition required"
         );
         if threads <= 1 || self.cells.len() <= 1 {
-            self.run_serial(horizon, Some(probes))
+            self.run_serial(horizon, probes)
         } else {
-            self.run_threaded(horizon, threads, Some(probes))
+            self.run_threaded(horizon, threads, probes)
         }
+    }
+
+    /// Runs until `horizon` under one [`SimProbe`] per partition and folds
+    /// them, in partition order, into one telemetry record: `partition/<i>`
+    /// marks carry each partition's event total (the skew readout), and
+    /// the record is stamped with the event list it ran on. Wall-clock
+    /// fields are the caller's to fill in.
+    pub fn run_observed(&mut self, horizon: SimTime, threads: usize) -> RunTelemetry {
+        let mut probes: Vec<SimProbe> = (0..self.parts()).map(|_| SimProbe::new()).collect();
+        let reason = self.run_until(horizon, threads, &mut probes);
+        let end_s = self.now.as_secs();
+        let mut telemetry = RunTelemetry::default();
+        for probe in &probes {
+            telemetry.absorb_partition(&probe.finish(end_s, reason.as_str()));
+        }
+        for (i, cell) in self.cells.iter().enumerate() {
+            telemetry
+                .marks
+                .insert(format!("partition/{i}"), cell.executed);
+        }
+        telemetry.queue = Some("heap".to_string());
+        telemetry
     }
 
     /// The next global window: the minimum pending timestamp across all
@@ -463,11 +463,7 @@ impl<M: PartitionModel> PartitionedSimulation<M> {
         reason
     }
 
-    fn run_serial<P: Probe + Send>(
-        &mut self,
-        horizon: SimTime,
-        mut probes: Option<&mut [P]>,
-    ) -> StopReason {
+    fn run_serial<P: Probe + Send>(&mut self, horizon: SimTime, probes: &mut [P]) -> StopReason {
         let parts = self.cells.len();
         loop {
             let Some(t_min) = self.t_min() else {
@@ -477,8 +473,7 @@ impl<M: PartitionModel> PartitionedSimulation<M> {
                 return self.finish_run(StopReason::HorizonReached, horizon);
             }
             let w_end = t_min + self.lookahead;
-            for (i, cell) in self.cells.iter_mut().enumerate() {
-                let probe = probes.as_deref_mut().map(|p| &mut p[i]);
+            for (i, (cell, probe)) in self.cells.iter_mut().zip(probes.iter_mut()).enumerate() {
                 cell.execute_window(i, parts, self.lookahead, w_end, horizon, probe);
             }
             // Barrier: route every outbox into its destination, exactly
@@ -502,7 +497,7 @@ impl<M: PartitionModel> PartitionedSimulation<M> {
         &mut self,
         horizon: SimTime,
         threads: usize,
-        probes: Option<&mut [P]>,
+        probes: &mut [P],
     ) -> StopReason {
         let parts = self.cells.len();
         let lookahead = self.lookahead;
@@ -524,7 +519,7 @@ impl<M: PartitionModel> PartitionedSimulation<M> {
         let stop_flag = AtomicBool::new(false);
         let barrier = Barrier::new(workers);
 
-        let worker = |k: usize, cells: &mut [Cell<M>], mut probes: Option<&mut [P]>| {
+        let worker = |k: usize, cells: &mut [Cell<M>], probes: &mut [P]| {
             let base = k * chunk;
             loop {
                 // Phase 0: publish this worker's window minimum; after the
@@ -554,8 +549,7 @@ impl<M: PartitionModel> PartitionedSimulation<M> {
                 // Phase 1: execute own partitions, stage sends into the
                 // grid grouped by destination (one contiguous batch per
                 // lock acquisition keeps single-sender runs contiguous).
-                for (j, cell) in cells.iter_mut().enumerate() {
-                    let probe = probes.as_deref_mut().map(|p| &mut p[j]);
+                for (j, (cell, probe)) in cells.iter_mut().zip(probes.iter_mut()).enumerate() {
                     cell.execute_window(base + j, parts, lookahead, w_end, horizon, probe);
                     if !cell.outbox.is_empty() {
                         let mut staged = std::mem::take(&mut cell.outbox);
@@ -591,10 +585,7 @@ impl<M: PartitionModel> PartitionedSimulation<M> {
         };
 
         let mut cell_chunks: Vec<&mut [Cell<M>]> = self.cells.chunks_mut(chunk).collect();
-        let mut probe_chunks: Vec<Option<&mut [P]>> = match probes {
-            Some(p) => p.chunks_mut(chunk).map(Some).collect(),
-            None => (0..workers).map(|_| None).collect(),
-        };
+        let mut probe_chunks: Vec<&mut [P]> = probes.chunks_mut(chunk).collect();
         debug_assert_eq!(cell_chunks.len(), workers);
         let reason = std::thread::scope(|scope| {
             // Workers 1.. spawn; worker 0 runs on the caller thread.
@@ -621,7 +612,16 @@ impl<M: PartitionModel> PartitionedSimulation<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wt_obs::SimProbe;
+    use wt_obs::{NoProbe, SimProbe};
+
+    /// Runs `sim` with no telemetry on `threads` threads.
+    fn run<M: PartitionModel>(
+        sim: &mut PartitionedSimulation<M>,
+        horizon: SimTime,
+        threads: usize,
+    ) -> StopReason {
+        sim.run_until(horizon, threads, &mut vec![NoProbe; sim.parts()])
+    }
 
     /// A shard-decomposed ping model: each partition owns a set of shard
     /// ids; every shard keeps a local timer chain and occasionally mails
@@ -761,12 +761,12 @@ mod tests {
     fn serial_and_threaded_agree_bitwise() {
         let horizon = SimTime::from_secs(400.0);
         let mut gold = build(8, 4, 42);
-        let reason = gold.run_until(horizon);
+        let reason = run(&mut gold, horizon, 1);
         assert_eq!(reason.as_str(), "HorizonReached");
         assert!(gold.events_executed() > 500, "{}", gold.events_executed());
         for threads in [2, 3, 4, 8] {
             let mut sim = build(8, 4, 42);
-            let r = sim.run_until_threaded(horizon, threads);
+            let r = run(&mut sim, horizon, threads);
             assert_eq!(r.as_str(), reason.as_str());
             assert_eq!(sim.events_executed(), gold.events_executed());
             assert_eq!(sim.part_events(), gold.part_events());
@@ -779,12 +779,12 @@ mod tests {
     fn partition_count_is_semantically_invisible_for_shard_keyed_models() {
         let horizon = SimTime::from_secs(300.0);
         let mut gold = build(12, 1, 7);
-        gold.run_until(horizon);
+        run(&mut gold, horizon, 1);
         let gold_fp = fingerprint(&gold);
         let gold_events = gold.events_executed();
         for parts in [2, 3, 4, 6, 12] {
             let mut sim = build(12, parts, 7);
-            sim.run_until_threaded(horizon, 4);
+            run(&mut sim, horizon, 4);
             assert_eq!(fingerprint(&sim), gold_fp, "diverged at {parts} partitions");
             assert_eq!(sim.events_executed(), gold_events);
         }
@@ -796,7 +796,7 @@ mod tests {
         let run = |threads: usize| {
             let mut sim = build(6, 3, 9);
             let mut probes: Vec<SimProbe> = (0..3).map(|_| SimProbe::new()).collect();
-            let reason = sim.run_until_probed(horizon, threads, &mut probes);
+            let reason = sim.run_until(horizon, threads, &mut probes);
             let events = sim.events_executed();
             let telem: Vec<_> = probes
                 .iter()
@@ -831,7 +831,7 @@ mod tests {
         // No events at all.
         let mut sim = build(4, 2, 1);
         // Drain the seeded ticks with a tiny horizon first — horizon stop.
-        let r = sim.run_until(SimTime::from_secs(0.1));
+        let r = run(&mut sim, SimTime::from_secs(0.1), 1);
         assert_eq!(r.as_str(), "HorizonReached");
         assert_eq!(sim.now(), SimTime::from_secs(0.1));
 
@@ -851,7 +851,7 @@ mod tests {
         let mut sim: PartitionedSimulation<Stopper> =
             PartitionedSimulation::new(vec![Stopper, Stopper], 1, Lookahead::from_secs(1.0));
         sim.schedule_at(0, SimTime::ZERO, 0);
-        let r = sim.run_until(SimTime::from_secs(100.0));
+        let r = run(&mut sim, SimTime::from_secs(100.0), 1);
         assert_eq!(r.as_str(), "StoppedByModel");
         assert_eq!(sim.events_executed(), 4);
 
@@ -864,7 +864,7 @@ mod tests {
         let mut sim: PartitionedSimulation<OneShot> =
             PartitionedSimulation::new(vec![OneShot, OneShot], 1, Lookahead::from_secs(1.0));
         sim.schedule_at(1, SimTime::from_secs(2.0), ());
-        let r = sim.run_until(SimTime::from_secs(100.0));
+        let r = run(&mut sim, SimTime::from_secs(100.0), 1);
         assert_eq!(r.as_str(), "QueueEmpty");
         assert_eq!(sim.now(), SimTime::from_secs(2.0));
         assert_eq!(sim.events_executed(), 1);
@@ -883,7 +883,7 @@ mod tests {
         let mut sim: PartitionedSimulation<Bad> =
             PartitionedSimulation::new(vec![Bad], 1, Lookahead::from_secs(1.0));
         sim.schedule_at(0, SimTime::ZERO, ());
-        sim.run_until(SimTime::from_secs(10.0));
+        run(&mut sim, SimTime::from_secs(10.0), 1);
     }
 
     #[test]

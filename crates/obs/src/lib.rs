@@ -12,6 +12,8 @@
 //!   Implementations must not perturb the simulation: a probe sees the
 //!   event stream, it never feeds back into it, so attaching one cannot
 //!   change results.
+//! * [`NoProbe`] — the probe that ignores every call, for runs that
+//!   want no telemetry.
 //! * [`SimProbe`] — the always-on summary probe: events by label, a
 //!   time-weighted queue-depth gauge, peak depth, and (only when the
 //!   engine's `wall-time` feature routes timings in) per-handler
@@ -35,7 +37,7 @@ pub mod telemetry;
 pub mod trace;
 
 pub use heartbeat::Heartbeat;
-pub use probe::{Probe, SimProbe, Tee};
+pub use probe::{NoProbe, Probe, SimProbe, Tee};
 pub use sketch::{Hll, QuantileSketch};
 pub use snapshot::MetricsSnapshot;
 pub use telemetry::{RunTelemetry, SketchSet, WallHist, WallTelemetry};

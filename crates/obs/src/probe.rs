@@ -34,6 +34,17 @@ pub trait Probe {
     fn on_handler_wall(&mut self, _label: &'static str, _ns: u64) {}
 }
 
+/// The probe of a run nobody watches: it ignores every call. Runs that
+/// want no telemetry pass it to the engine's one event loop, where its
+/// empty methods inline away.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NoProbe;
+
+impl Probe for NoProbe {
+    #[inline]
+    fn on_event(&mut self, _label: &'static str, _now_s: f64, _queue_depth: usize) {}
+}
+
 /// Fans one event stream out to two probes — e.g. a [`SimProbe`] for the
 /// telemetry summary plus a [`crate::TraceProbe`] for export.
 pub struct Tee<'a, 'b>(pub &'a mut dyn Probe, pub &'b mut dyn Probe);

@@ -128,27 +128,20 @@ impl Trace {
 
     /// Loads from JSON lines, in parallel: a reader thread pulls the file
     /// in ~256 KiB chunks cut at newline boundaries and fans them over a
-    /// bounded channel to a pool of parser workers (`WT_WORKERS` when
-    /// set, the host's parallelism otherwise — the same knob the farm
-    /// honors); chunks are tagged with their file position and the merge
-    /// restores file order, so the result is exactly what a line-at-a-time
-    /// loader produces, which the tests assert against a single-threaded
-    /// oracle. The EXPERIMENTS.md trace-ingestion note has its measured
+    /// bounded channel to a pool of parser workers, one per available
+    /// core up to 8; chunks are tagged with their file position and the
+    /// merge restores file order, so the result is exactly what a
+    /// line-at-a-time loader produces, whatever the pool size, which the
+    /// tests assert against a single-threaded oracle. The EXPERIMENTS.md trace-ingestion note has its measured
     /// speedup over that oracle.
     pub fn load_jsonl(path: &std::path::Path) -> std::io::Result<Trace> {
         use std::io::Read as _;
         const CHUNK: usize = 256 * 1024;
         // Open here so a missing file fails before any thread is spawned.
         let mut f = std::fs::File::open(path)?;
-        let workers = std::env::var("WT_WORKERS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            })
+        let workers = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
             .min(8);
 
         // Chunks travel as (index, text); the index is the merge key and

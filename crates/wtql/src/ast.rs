@@ -138,7 +138,8 @@ pub struct Query {
     /// screening, surrogate ranking, sketch-driven aborts and replication
     /// early-stop. Individual stages can still be toggled via OPTIONS.
     pub guided: bool,
-    /// Free-form options (`OPTIONS trials = 3`).
+    /// Execution options as written (`OPTIONS replications = 3`); the
+    /// parser accepts any key, `run_query` rejects one it does not know.
     pub options: Vec<(String, ParamValue)>,
 }
 

@@ -37,7 +37,7 @@ use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use windtunnel::analytic::screen::{Rel, ScreenVerdict};
-use windtunnel::cluster::availability::{MAX_NODES, MAX_WIDTH};
+use windtunnel::cluster::availability::{MAX_NODES, MAX_OBJECTS, MAX_WIDTH};
 use windtunnel::cluster::screen::{availability_screen, perf_screen};
 use windtunnel::cluster::Scenario;
 use windtunnel::des::time::SimDuration;
@@ -115,94 +115,62 @@ impl Default for ExecOptions {
 
 impl ExecOptions {
     /// Reads overrides from the query's OPTIONS clause
-    /// (`OPTIONS threads = 4, prune = FALSE, early_abort = TRUE`).
+    /// (`OPTIONS threads = 4, prune = FALSE, early_abort = TRUE`), in
+    /// source order. An entry that does not apply — an unknown key or a
+    /// value of the wrong type — is skipped here; [`run_query`] rejects
+    /// the query for it.
     pub fn from_query(query: &Query) -> Self {
         let mut o = ExecOptions::default();
         if query.guided {
-            o.guided = true;
-            o.screen = true;
-            o.rank = true;
-            o.early_stop = true;
-            o.sketch_abort = true;
+            o.set_guided(true);
         }
         for (key, value) in &query.options {
-            match key.as_str() {
-                "threads" => {
-                    if let Some(x) = value.as_num() {
-                        o.threads = (x as usize).max(1);
-                    }
-                }
-                "prune" => {
-                    if let wt_store::ParamValue::Bool(b) = value {
-                        o.prune = *b;
-                    }
-                }
-                "early_abort" => {
-                    if let wt_store::ParamValue::Bool(b) = value {
-                        o.early_abort = *b;
-                    }
-                }
-                "probe_fraction" => {
-                    if let Some(x) = value.as_num() {
-                        o.probe_fraction = x.clamp(0.01, 0.9);
-                    }
-                }
-                "abort_margin" => {
-                    if let Some(x) = value.as_num() {
-                        o.abort_margin = x.max(0.0);
-                    }
-                }
-                "replications" => {
-                    if let Some(x) = value.as_num() {
-                        o.replications = (x as usize).max(1);
-                    }
-                }
-                // The master switch mirrors the GUIDED clause: it arms
-                // every stage. Options apply in source order, so a later
-                // `screen = FALSE` can still disable one stage.
-                "guided" => {
-                    if let wt_store::ParamValue::Bool(b) = value {
-                        o.guided = *b;
-                        o.screen = *b;
-                        o.rank = *b;
-                        o.early_stop = *b;
-                        o.sketch_abort = *b;
-                    }
-                }
-                "screen" => {
-                    if let wt_store::ParamValue::Bool(b) = value {
-                        o.screen = *b;
-                    }
-                }
-                "rank" => {
-                    if let wt_store::ParamValue::Bool(b) = value {
-                        o.rank = *b;
-                    }
-                }
-                "early_stop" => {
-                    if let wt_store::ParamValue::Bool(b) = value {
-                        o.early_stop = *b;
-                    }
-                }
-                "sketch_abort" => {
-                    if let wt_store::ParamValue::Bool(b) = value {
-                        o.sketch_abort = *b;
-                    }
-                }
-                "screen_guard" => {
-                    if let Some(x) = value.as_num() {
-                        o.screen_guard = x.max(0.0);
-                    }
-                }
-                "screen_min_failures" => {
-                    if let Some(x) = value.as_num() {
-                        o.screen_min_failures = x.max(0.0);
-                    }
-                }
-                _ => {} // unknown options are ignored, like SQL hints
-            }
+            let _ = o.apply(key, value);
         }
         o
+    }
+
+    /// The master switch: arms or disarms guided mode and every stage.
+    fn set_guided(&mut self, on: bool) {
+        self.guided = on;
+        self.screen = on;
+        self.rank = on;
+        self.early_stop = on;
+        self.sketch_abort = on;
+    }
+
+    /// Applies one OPTIONS entry; errs, naming the key, when the key is
+    /// unknown or the value has the wrong type.
+    fn apply(&mut self, key: &str, value: &ParamValue) -> Result<(), String> {
+        let num = || {
+            value
+                .as_num()
+                .ok_or_else(|| format!("option '{key}' needs a number, got '{value}'"))
+        };
+        let flag = || match value {
+            ParamValue::Bool(b) => Ok(*b),
+            _ => Err(format!("option '{key}' needs TRUE or FALSE, got '{value}'")),
+        };
+        match key {
+            "threads" => self.threads = (num()? as usize).max(1),
+            "prune" => self.prune = flag()?,
+            "early_abort" => self.early_abort = flag()?,
+            "probe_fraction" => self.probe_fraction = num()?.clamp(0.01, 0.9),
+            "abort_margin" => self.abort_margin = num()?.max(0.0),
+            "replications" => self.replications = (num()? as usize).max(1),
+            // The master switch mirrors the GUIDED clause: it arms every
+            // stage. Options apply in source order, so a later
+            // `screen = FALSE` can still disable one stage.
+            "guided" => self.set_guided(flag()?),
+            "screen" => self.screen = flag()?,
+            "rank" => self.rank = flag()?,
+            "early_stop" => self.early_stop = flag()?,
+            "sketch_abort" => self.sketch_abort = flag()?,
+            "screen_guard" => self.screen_guard = num()?.max(0.0),
+            "screen_min_failures" => self.screen_min_failures = num()?.max(0.0),
+            _ => return Err(format!("unknown option '{key}'")),
+        }
+        Ok(())
     }
 }
 
@@ -302,6 +270,17 @@ fn is_perf_metric(name: &str) -> bool {
 
 fn is_avail_metric(name: &str) -> bool {
     AVAIL_METRICS.contains(&name)
+}
+
+/// Rejects an OPTIONS entry [`ExecOptions::from_query`] had to skip: an
+/// unknown key (a typo would otherwise run with the default silently)
+/// or a value of the wrong type.
+fn validate_options(query: &Query) -> Result<(), WtqlError> {
+    let mut scratch = ExecOptions::default();
+    for (key, value) in &query.options {
+        scratch.apply(key, value).map_err(WtqlError::Semantic)?;
+    }
+    Ok(())
 }
 
 fn validate_metrics(query: &Query) -> Result<(), WtqlError> {
@@ -422,6 +401,9 @@ fn needed_engines(query: &Query) -> (bool, bool) {
 }
 
 /// Executes a query against a base scenario through a wind tunnel.
+/// Errs on an unknown metric, an OPTIONS entry with an unknown key or a
+/// wrong-typed value, or a plan that does not build; a grid point whose
+/// scenario cannot be built is a `rejected` row instead.
 ///
 /// Every simulated run lands in the tunnel's result store. Guided stages
 /// (`opts.guided` with `screen`/`rank`) change how much simulation runs,
@@ -435,6 +417,7 @@ pub fn run_query(
     tunnel: &WindTunnel,
     opts: &ExecOptions,
 ) -> Result<QueryOutcome, WtqlError> {
+    validate_options(query)?;
     validate_metrics(query)?;
     let plan = Plan::build(query)?;
     let n = plan.len();
@@ -781,11 +764,13 @@ fn screen_constraint(c: &Constraint, scenario: &Scenario, opts: &ExecOptions) ->
 
 /// Builds one grid point's scenario: the base with the assignment's
 /// known axes applied, the query's injections appended to any base fault
-/// schedule, and the assignment itself as the scenario name. A point an
-/// engine the query needs would assert on is a semantic error: a
-/// placement the placer cannot build (either engine), a topology that
-/// does not build (the perf engine), or more nodes or a wider redundancy
-/// scheme than the availability engine can model.
+/// schedule, and the assignment itself as the scenario name. A node
+/// count that overflows is a semantic error for every query, since every
+/// row prices the hardware; so is a point an engine the query needs
+/// would assert on: a placement the placer cannot build (either engine),
+/// a topology that does not build (the perf engine), or more nodes, a
+/// wider redundancy scheme or more objects than the availability engine
+/// can model.
 fn build_scenario(
     query: &Query,
     base: &Scenario,
@@ -807,12 +792,17 @@ fn build_scenario(
         }
         scenario.faults = Some(schedule);
     }
+    let (racks, per_rack) = (scenario.topology.racks, scenario.topology.nodes_per_rack);
+    let Some(nodes) = racks.checked_mul(per_rack) else {
+        return Err(WtqlError::Semantic(format!(
+            "{racks} racks of {per_rack} nodes overflow the node count"
+        )));
+    };
     let (needs_avail, needs_perf) = needed_engines(query);
     let runs_perf = needs_perf && !scenario.tenants.is_empty();
     if runs_perf {
         scenario.topology.validate().map_err(WtqlError::Semantic)?;
     }
-    let nodes = scenario.topology.node_count();
     let width = scenario.redundancy.width();
     if needs_avail || runs_perf {
         Placer::check(scenario.placement, nodes, width).map_err(WtqlError::Semantic)?;
@@ -825,6 +815,12 @@ fn build_scenario(
     if needs_avail && width > MAX_WIDTH {
         return Err(WtqlError::Semantic(format!(
             "{width}-way redundancy exceeds the availability engine's cap of {MAX_WIDTH}"
+        )));
+    }
+    if needs_avail && scenario.objects > MAX_OBJECTS {
+        return Err(WtqlError::Semantic(format!(
+            "{} objects exceed the availability engine's cap of {MAX_OBJECTS}",
+            scenario.objects
         )));
     }
     scenario.name = assignment
@@ -1625,6 +1621,55 @@ mod tests {
         let o = ExecOptions::from_query(&q);
         assert!(o.guided && o.screen && o.rank && o.early_stop && !o.sketch_abort);
         assert!(!ExecOptions::from_query(&parse("EXPLORE a SWEEP x IN [1]").unwrap()).guided);
+    }
+
+    #[test]
+    fn every_documented_option_applies_and_typos_are_errors() {
+        // Every key of docs/wtql.md's Options table, with a value of its
+        // type, is accepted.
+        let q = parse(
+            "EXPLORE availability SWEEP replication IN [3] \
+             OPTIONS threads = 2, prune = FALSE, early_abort = TRUE, probe_fraction = 0.2, \
+             abort_margin = 0.02, replications = 2, guided = TRUE, screen = FALSE, \
+             rank = FALSE, early_stop = FALSE, sketch_abort = FALSE, screen_guard = 0.001, \
+             screen_min_failures = 5",
+        )
+        .unwrap();
+        assert_eq!(validate_options(&q), Ok(()));
+        let o = ExecOptions::from_query(&q);
+        assert_eq!((o.threads, o.replications), (2, 2));
+        assert!(!o.prune && o.early_abort && o.guided);
+        assert!(!o.screen && !o.rank && !o.early_stop && !o.sketch_abort);
+        assert_eq!(
+            (o.probe_fraction, o.abort_margin, o.screen_guard),
+            (0.2, 0.02, 0.001)
+        );
+        assert_eq!(o.screen_min_failures, 5.0);
+
+        let rejection = |options: &str| {
+            let q = parse(&format!(
+                "EXPLORE availability SWEEP replication IN [3] OPTIONS {options}"
+            ))
+            .unwrap();
+            let tunnel = WindTunnel::new();
+            let err = run_query(&q, &base(), &tunnel, &ExecOptions::from_query(&q)).unwrap_err();
+            assert!(tunnel.store().is_empty(), "nothing runs");
+            match err {
+                WtqlError::Semantic(m) => m,
+                other => panic!("{other:?}"),
+            }
+        };
+        // A misspelt key is an error that names it, not a silent default:
+        // the first bad entry is reported.
+        let m = rejection("replicatons = 5, prune = 1, early_abortt = TRUE");
+        assert_eq!(m, "unknown option 'replicatons'");
+        let m = rejection("replications = 5, early_abortt = TRUE");
+        assert_eq!(m, "unknown option 'early_abortt'");
+        // So is a value of the wrong type.
+        let m = rejection("prune = 1");
+        assert_eq!(m, "option 'prune' needs TRUE or FALSE, got '1'");
+        let m = rejection("replications = TRUE");
+        assert_eq!(m, "option 'replications' needs a number, got 'true'");
     }
 
     #[test]

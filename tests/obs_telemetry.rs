@@ -43,7 +43,7 @@ fn telemetry_bytes_identical_across_worker_counts() {
         let store = SharedStore::new();
         let tunnel = WindTunnel::new();
         Farm::new(workers).run_recorded(11, &scenarios, &store, |sc, _ctx, shard| {
-            tunnel.run_availability_into(sc, shard);
+            tunnel.run_availability_observed_into(sc, shard, None);
         });
         telemetry_bytes(&store)
     };
@@ -66,7 +66,7 @@ fn telemetry_survives_jsonl_round_trip() {
     let store = SharedStore::new();
     let tunnel = WindTunnel::new();
     Farm::new(2).run_recorded(3, &scenarios()[..4], &store, |sc, _ctx, shard| {
-        tunnel.run_availability_into(sc, shard);
+        tunnel.run_availability_observed_into(sc, shard, None);
     });
 
     let dir = std::env::temp_dir().join(format!("wt_obs_rt_{}", std::process::id()));

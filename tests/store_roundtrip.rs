@@ -24,8 +24,8 @@ fn scenario_json_roundtrip_preserves_semantics() {
 
     // Same scenario, same seed → byte-identical simulation results.
     let tunnel = WindTunnel::new();
-    let a = tunnel.run_availability(&scenario);
-    let b = tunnel.run_availability(&back);
+    let (a, _) = tunnel.run_availability_observed_into(&scenario, tunnel.store(), None);
+    let (b, _) = tunnel.run_availability_observed_into(&back, tunnel.store(), None);
     assert_eq!(a, b, "a deserialized scenario must replay identically");
 }
 
@@ -40,7 +40,7 @@ fn store_persists_and_answers_similarity_queries() {
             .horizon_years(0.1)
             .seed(3)
             .build();
-        tunnel.run_availability(&sc);
+        tunnel.run_availability_observed_into(&sc, tunnel.store(), None);
     }
     assert_eq!(tunnel.store().len(), 3);
 
@@ -93,7 +93,7 @@ fn best_by_finds_cheapest_meeting_availability() {
             .horizon_years(0.1)
             .seed(4)
             .build();
-        tunnel.run_availability(&sc);
+        tunnel.run_availability_observed_into(&sc, tunnel.store(), None);
     }
     tunnel.store().with(|store| {
         let cheapest = store.best_by("tco_usd_per_year", true).expect("records");

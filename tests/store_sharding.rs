@@ -30,9 +30,10 @@ fn store_bytes(store: &SharedStore) -> String {
 
 #[test]
 fn sharded_store_bytes_identical_across_worker_counts() {
-    // Real availability runs, variable record count per item (replicated
-    // runs append one record per replication) — a worker-count-dependent
-    // merge would misorder ids here.
+    // Real availability runs, variable record count per item (every
+    // third item runs two replications, seeded like WTQL's `seed +
+    // 7919·rep`, and appends one record per replication) — a
+    // worker-count-dependent merge would misorder ids here.
     let scenarios: Vec<Scenario> = (0..12)
         .map(|i| {
             ScenarioBuilder::new(format!("shard-det-{i}"))
@@ -49,10 +50,10 @@ fn sharded_store_bytes_identical_across_worker_counts() {
         let store = SharedStore::new();
         let tunnel = WindTunnel::new();
         Farm::new(workers).run_recorded(7, &scenarios, &store, |sc, ctx, shard| {
-            if ctx.index % 3 == 0 {
-                tunnel.run_availability_replicated_into(sc, 2, shard);
-            } else {
-                tunnel.run_availability_into(sc, shard);
+            let reps = if ctx.index % 3 == 0 { 2 } else { 1 };
+            for rep in 0..reps {
+                let sc = sc.with_seed(sc.seed.wrapping_add(rep * 7919));
+                tunnel.run_availability_observed_into(&sc, shard, None);
             }
         });
         store_bytes(&store)

@@ -258,6 +258,45 @@ fn oversubscription_below_one_is_a_rejected_row_not_a_panic() {
 }
 
 #[test]
+fn node_count_overflow_is_a_rejected_row_not_a_panic() {
+    // racks × nodes_per_rack past usize: every query prices the
+    // hardware, so even a cost-only query must reject the point rather
+    // than overflow (a panic in debug builds, a wrapped count in release).
+    for metric in ["tco_usd_per_year", "availability"] {
+        for sweep in [
+            "racks IN [1e300], nodes_per_rack IN [2]",
+            "racks IN [2], nodes_per_rack IN [1e300]",
+        ] {
+            let reason = rejection(&format!("EXPLORE {metric} SWEEP {sweep}"));
+            assert!(reason.contains("overflow the node count"), "{reason}");
+        }
+    }
+}
+
+#[test]
+fn objects_past_u32_ids_are_a_rejected_row_not_a_panic() {
+    // The availability engine's object ids are u32: 5e9 objects would
+    // wrap them (or, first, fail a 60 GB allocation and abort).
+    let reason = rejection("EXPLORE availability SWEEP objects IN [5e9]");
+    assert!(
+        reason.contains("5000000000 objects") && reason.contains("4294967296"),
+        "{reason}"
+    );
+}
+
+#[test]
+fn objects_past_u32_ids_only_stop_the_availability_engine() {
+    // A cost-only query builds no availability run, so the same point
+    // prices normally.
+    let query = parse("EXPLORE tco_usd_per_year SWEEP objects IN [5e9]").expect("parses");
+    let out =
+        run_query(&query, &base(), &WindTunnel::new(), &ExecOptions::default()).expect("runs");
+    let row = &out.rows[0];
+    assert!(row.rejected.is_none(), "{row:?}");
+    assert!(row.metrics["tco_usd_per_year"] > 0.0, "{row:?}");
+}
+
+#[test]
 fn points_are_rejected_only_for_engines_the_query_needs() {
     let run = |text: &str| {
         let query = parse(text).expect("parses");
