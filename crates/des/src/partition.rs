@@ -432,10 +432,8 @@ impl<M: PartitionModel> PartitionedSimulation<M> {
         for probe in &probes {
             telemetry.absorb_partition(&probe.finish(end_s, reason.as_str()));
         }
-        for (i, cell) in self.cells.iter().enumerate() {
-            telemetry
-                .marks
-                .insert(format!("partition/{i}"), cell.executed);
+        for (i, events) in self.part_events().into_iter().enumerate() {
+            telemetry.marks.insert(format!("partition/{i}"), events);
         }
         telemetry.queue = Some("heap".to_string());
         telemetry

@@ -132,8 +132,8 @@ impl Trace {
     /// core up to 8; chunks are tagged with their file position and the
     /// merge restores file order, so the result is exactly what a
     /// line-at-a-time loader produces, whatever the pool size, which the
-    /// tests assert against a single-threaded oracle. The EXPERIMENTS.md trace-ingestion note has its measured
-    /// speedup over that oracle.
+    /// tests assert against a single-threaded oracle. The EXPERIMENTS.md
+    /// trace-ingestion note has its measured speedup over that oracle.
     pub fn load_jsonl(path: &std::path::Path) -> std::io::Result<Trace> {
         use std::io::Read as _;
         const CHUNK: usize = 256 * 1024;
