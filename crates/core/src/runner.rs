@@ -381,6 +381,17 @@ mod tests {
             .0
     }
 
+    /// Mean availability over `reps` replications of `sc` (seeds
+    /// `seed + 7919·rep`) as a [`MeanInterval`].
+    fn replicated_interval(tunnel: &WindTunnel, sc: &Scenario, reps: u64) -> MeanInterval {
+        let mut tally = wt_des::Tally::new();
+        for rep in 0..reps {
+            let s = sc.with_seed(sc.seed.wrapping_add(rep * 7919));
+            tally.record(availability_of(tunnel, &s).availability);
+        }
+        MeanInterval::from_tally(&tally)
+    }
+
     fn small() -> Scenario {
         ScenarioBuilder::new("small")
             .racks(1)
@@ -609,14 +620,46 @@ mod tests {
             n: 1,
         };
         assert!(!single.confidently_at_least(0.0));
+        // For any one bound, "at least" and "below" never both hold.
+        for bound in [0.0, 0.9, 0.91, iv.mean, 0.92, 0.93, 0.99, 1.0] {
+            assert!(!(iv.confidently_at_least(bound) && iv.confidently_below(bound)));
+        }
+    }
+
+    #[test]
+    fn degenerate_confidence_interval_never_passes() {
+        let tunnel = WindTunnel::new();
+        let base = replicated_interval(&tunnel, &small(), 2);
+        assert!(base.confidently_at_least(0.0), "sane interval passes");
+
+        // 0 or 1 replications: no variance estimate, no confidence —
+        // even a perfect mean with zero half-width must fail.
+        let single = MeanInterval {
+            mean: 1.0,
+            half_width_95: 0.0,
+            n: 1,
+        };
+        assert!(!single.confidently_at_least(0.999));
         let empty = MeanInterval { n: 0, ..single };
+        assert!(!empty.confidently_at_least(0.0));
+
+        // A NaN or infinite half-width (pathological variance) must fail,
+        // not pass.
+        let poisoned = MeanInterval {
+            half_width_95: f64::NAN,
+            ..base
+        };
+        assert!(!poisoned.confidently_at_least(0.0));
         let unbounded = MeanInterval {
             half_width_95: f64::INFINITY,
-            ..iv
+            ..base
         };
-        for degenerate in [bad, single, empty, unbounded] {
-            // Neither direction resolves, at bounds far on either side:
-            // no interval means no confident pass and no confident fail.
+        assert!(!unbounded.confidently_at_least(0.0));
+
+        // The same guard applies to the failing direction: neither
+        // direction resolves, at bounds far on either side — no interval
+        // means no confident pass and no confident fail.
+        for degenerate in [single, empty, poisoned, unbounded] {
             for bound in [-1.0, 0.0, 0.5, 2.0] {
                 assert!(!degenerate.confidently_at_least(bound), "{degenerate:?}");
                 assert!(!degenerate.confidently_above(bound), "{degenerate:?}");
@@ -624,9 +667,22 @@ mod tests {
                 assert!(!degenerate.confidently_below(bound), "{degenerate:?}");
             }
         }
-        // For any one bound, "at least" and "below" never both hold.
-        for bound in [0.0, 0.9, 0.91, iv.mean, 0.92, 0.93, 0.99, 1.0] {
-            assert!(!(iv.confidently_at_least(bound) && iv.confidently_below(bound)));
+    }
+
+    #[test]
+    fn confidently_fails_is_the_dual_of_meets() {
+        let tunnel = WindTunnel::new();
+        let mut sc = small();
+        // Guarantee real unavailability so the interval sits well below 1.
+        sc.topology.node.ttf = wt_dist::Dist::weibull_mean(0.8, 10.0 * 86_400.0);
+        sc.repair.detection_delay_s = 5.0 * 86_400.0;
+        let r = replicated_interval(&tunnel, &sc, 4);
+        // An unreachable floor is confidently failed, a trivial one is not.
+        assert!(r.confidently_below(1.0 - 1e-12) || r.mean >= 1.0 - 1e-9);
+        assert!(!r.confidently_below(0.0));
+        // "At least" and "below" can never both hold for the same floor.
+        for floor in [0.0, 0.9, 0.99, 0.999, 1.0] {
+            assert!(!(r.confidently_at_least(floor) && r.confidently_below(floor)));
         }
     }
 
