@@ -135,6 +135,61 @@ fn availability_results_invariant_across_partition_counts() {
     }
 }
 
+const PARTITIONED_GOLDEN: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../tests/golden/partitioned_records.jsonl"
+);
+
+/// An engine config that loses objects while rebuilds of them are still
+/// queued: 2-day node lifetimes and one repair stream per rack.
+fn lossy_model() -> PartitionedAvailability {
+    let mut m = PartitionedAvailability::example(6, 8, 300);
+    m.node_ttf = wt_dist::Dist::exponential_mean(2.0 * 86_400.0);
+    m.node_replace = wt_dist::Dist::exponential_mean(4.0 * 3_600.0);
+    m.repair = wt_sw::RepairPolicy::parallel(1);
+    m
+}
+
+/// The partitioned engine's output bytes across commits: results and
+/// wall-masked telemetry at partitions 1 and 3, through the recording
+/// runner (`scenario(43)`) and straight through the engine (a lossy
+/// config). Regenerate with `BLESS_GOLDEN=1`, only on a commit whose
+/// outputs are already known-good.
+#[test]
+fn partitioned_record_bytes_pinned() {
+    let tunnel = WindTunnel::new();
+    let mut lines = Vec::new();
+    for (partitions, threads) in [(1, 1), (3, 2)] {
+        let store = SharedStore::new();
+        let (r, _) =
+            tunnel.run_availability_partitioned_into(&scenario(43), partitions, threads, &store);
+        lines.push(format!(
+            "{{\"run\":\"scenario(43)\",\"partitions\":{partitions},\"result\":{},\"record\":{}}}",
+            serde_json::to_string(&r).expect("serializes"),
+            record_bytes(&store)
+        ));
+        let (r, t) = lossy_model().run_observed(11, 90.0 * 86_400.0, partitions, threads);
+        assert!(r.objects_lost > 0, "the lossy config must lose objects");
+        lines.push(format!(
+            "{{\"run\":\"lossy\",\"partitions\":{partitions},\"result\":{},\"telemetry\":{}}}",
+            serde_json::to_string(&r).expect("serializes"),
+            serde_json::to_string(&t.masked()).expect("serializes")
+        ));
+    }
+    lines.push(String::new()); // trailing newline
+    let got = lines.join("\n");
+    if std::env::var_os("BLESS_GOLDEN").is_some() {
+        std::fs::write(PARTITIONED_GOLDEN, &got).expect("bless golden");
+        return;
+    }
+    let want = std::fs::read_to_string(PARTITIONED_GOLDEN)
+        .unwrap_or_else(|e| panic!("missing golden fixture partitioned_records.jsonl: {e}"));
+    assert_eq!(
+        got, want,
+        "partitioned output bytes drifted from tests/golden/partitioned_records.jsonl"
+    );
+}
+
 #[test]
 fn cross_partition_power_domain_chaos_matches_serial() {
     // A power-domain loss spanning racks 2..4 at 4 partitions over 6
