@@ -99,7 +99,7 @@ fn run_churn(components: usize, events: u64) -> u64 {
         mean_down: Dist::exponential_mean(0.05),
         failures: 0,
     };
-    let mut sim = Simulation::new(model, 1);
+    let mut sim = Simulation::new(model);
     sim.reserve_events(components);
     let mut seed_rng = factory.stream("phases");
     for c in 0..components {
@@ -161,7 +161,7 @@ fn run_mmc(events: u64) -> u64 {
         pool: ServerPool::new(4, SimTime::ZERO),
         rng: factory.stream("mmc"),
     };
-    let mut sim = Simulation::new(model, 1);
+    let mut sim = Simulation::new(model);
     sim.schedule_at(SimTime::ZERO, MmcEv::Arrival);
     sim.set_event_budget(events);
     sim.run_until(SimTime::MAX, &mut NoProbe);

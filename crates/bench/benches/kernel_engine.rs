@@ -83,7 +83,7 @@ fn run_churn(seed: u64) -> (u64, SimTime, u64) {
         mean_down: Dist::exponential_mean(0.05),
         failures: 0,
     };
-    let mut sim = Simulation::new(model, seed);
+    let mut sim = Simulation::new(model);
     sim.reserve_events(COMPONENTS);
     let mut seed_rng = factory.stream("phases");
     for c in 0..COMPONENTS {
@@ -146,7 +146,7 @@ fn run_mmc(seed: u64) -> (u64, SimTime, u64) {
         pool: ServerPool::new(4, SimTime::ZERO),
         rng: factory.stream("mmc"),
     };
-    let mut sim = Simulation::new(model, seed);
+    let mut sim = Simulation::new(model);
     sim.schedule_at(SimTime::ZERO, MmcEv::Arrival);
     sim.set_event_budget(MMC_EVENTS);
     sim.run_until(SimTime::MAX, &mut NoProbe);

@@ -87,7 +87,7 @@ impl QueueSim {
             rng: wt_des::rng::RngFactory::new(seed).stream("queue"),
             target: customers,
         };
-        let mut sim = Simulation::new(st, seed);
+        let mut sim = Simulation::new(st);
         sim.schedule_at(SimTime::ZERO, Ev::Arrival);
         // The station stops the run at its completion target.
         sim.run_until(SimTime::MAX, &mut wt_des::obs::NoProbe);

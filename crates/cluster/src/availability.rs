@@ -240,7 +240,7 @@ impl AvailabilityModel {
             .map(|c| c.compile(self.n_nodes, seed))
             .unwrap_or_default();
         let n_chaos = chaos_faults.len();
-        let mut sim = Simulation::new(AvailState::new(self, seed, chaos_faults), seed);
+        let mut sim = Simulation::new(AvailState::new(self, seed, chaos_faults));
         // The steady state keeps one pending timer per failure-capable
         // component (node, switch, disk slot) plus the in-flight rebuild
         // streams; pre-size the queue so it never regrows mid-run.

@@ -14,7 +14,7 @@
 //! of partitions is semantically invisible: every piece of mutable state
 //! and every RNG stream is keyed by *rack* (derived by content hash from
 //! the run seed, never from the partition index), all cross-rack
-//! messages go through [`wt_des::PartCtx::send`] even when sender and
+//! messages go through [`wt_des::Ctx::send`] even when sender and
 //! receiver land in the same partition, and every message carries the
 //! sender's rack id as its delivery tag. `--partitions 1` is therefore
 //! the bitwise-determinism oracle for any partition/thread count —
@@ -237,7 +237,7 @@ impl PartitionedAvailability {
                 cells: cells.drain(..range.len()).collect(),
             })
             .collect();
-        let mut sim = PartitionedSimulation::new(shards, seed, Lookahead::from_secs(la_s));
+        let mut sim = PartitionedSimulation::new(shards, Lookahead::from_secs(la_s));
         for (part, at, ev) in boot {
             sim.schedule_at(part, at, ev);
         }
@@ -725,7 +725,7 @@ impl AvailShard {
         sh: &AvailShared,
         cell: &mut RackCell,
         now: SimTime,
-        ctx: &mut PartCtx<'_, AvailEv>,
+        ctx: &mut Ctx<'_, AvailEv>,
     ) {
         let started = cell.queue.start_ready();
         for task in started {
@@ -753,7 +753,7 @@ impl AvailShard {
     }
 }
 
-impl PartitionModel for AvailShard {
+impl Model for AvailShard {
     type Event = AvailEv;
 
     fn label(ev: &AvailEv) -> &'static str {
@@ -774,7 +774,7 @@ impl PartitionModel for AvailShard {
         }
     }
 
-    fn handle(&mut self, ev: AvailEv, ctx: &mut PartCtx<'_, AvailEv>) {
+    fn handle(&mut self, ev: AvailEv, ctx: &mut Ctx<'_, AvailEv>) {
         let now = ctx.now();
         let sh = Arc::clone(&self.shared);
         let rack = Self::dest_rack(&sh, &ev);

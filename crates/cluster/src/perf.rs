@@ -115,7 +115,7 @@ impl PerfModel {
             .map(|c| c.compile(self.topology.node_count(), seed))
             .unwrap_or_default();
         let n_chaos = chaos_faults.len();
-        let mut sim = Simulation::new(PerfState::new(self, seed, chaos_faults), seed);
+        let mut sim = Simulation::new(PerfState::new(self, seed, chaos_faults));
         // One pending arrival per tenant, one failure timer per node when
         // injection is on, start/end per chaos fault, plus in-flight
         // request stages.

@@ -8,13 +8,13 @@
 //! [`Simulation::run_observed`] runs the loop under a `SimProbe` and
 //! distills the run's telemetry.
 //!
-//! The engine is deliberately single-threaded; parallelism in the wind
-//! tunnel happens *across* simulation runs (see `wt-wtql`), which is both
-//! simpler and — for the replications-of-independent-runs workloads the
-//! paper targets — faster than intra-run parallel DES.
+//! A `Simulation` runs on one thread. Sweeps run many of them side by
+//! side (see `wt-wtql`); a [`crate::PartitionedSimulation`] splits one
+//! run into a `Simulation` per partition, each driven through this same
+//! loop one synchronization window at a time.
 
+use crate::partition::{Mail, Mailbox};
 use crate::queue::EventQueue;
-use crate::rng::RngFactory;
 use crate::time::{SimDuration, SimTime};
 use wt_obs::{Probe, RunTelemetry, SimProbe, Tee};
 
@@ -65,11 +65,11 @@ impl StopReason {
 }
 
 /// Scheduling context passed to [`Model::handle`]: the clock, the event
-/// queue, the RNG factory and the stop flag.
+/// queue, the stop flag and the mailbox to other partitions.
 pub struct Ctx<'a, E> {
     now: SimTime,
     queue: &'a mut EventQueue<E>,
-    rng: &'a mut RngFactory,
+    mailbox: &'a mut Mailbox<E>,
     stop: &'a mut bool,
     executed: u64,
     // Marks emitted by the handler, drained into the probe by the engine
@@ -111,17 +111,47 @@ impl<E> Ctx<'_, E> {
         self.queue.push(at, event);
     }
 
-    /// The run's RNG factory, for creating labeled streams lazily.
-    pub fn rng(&mut self) -> &mut RngFactory {
-        self.rng
+    /// Sends `ev` to partition `to` of a [`crate::PartitionedSimulation`],
+    /// arriving `delay` from now. `delay` must honor the run's
+    /// [`crate::Lookahead`] (`delay >= lookahead`); `tag` identifies the
+    /// sending shard and orders simultaneous deliveries (see `Mail`).
+    /// Self-sends are allowed — a shard-decomposed model routes *all*
+    /// cross-shard traffic here so grouping shards into fewer partitions
+    /// cannot change delivery semantics. A bare [`Simulation`] has no
+    /// partitions to send to, so this panics there.
+    pub fn send(&mut self, to: usize, delay: SimDuration, tag: u64, ev: E) {
+        let mailbox = &mut *self.mailbox;
+        assert!(
+            delay >= mailbox.lookahead,
+            "cross-partition send delay {:?} violates lookahead {:?}",
+            delay,
+            mailbox.lookahead
+        );
+        assert!(
+            to < mailbox.parts,
+            "send to partition {to} of {}",
+            mailbox.parts
+        );
+        mailbox.outbox.push((
+            to,
+            Mail {
+                time: self.now + delay,
+                tag,
+                ev,
+            },
+        ));
     }
 
-    /// Requests that the engine stop after this event completes.
+    /// Requests that the engine stop after this event completes (in a
+    /// partitioned run: at the end of the current window, which keeps
+    /// the stop deterministic across thread counts).
     pub fn stop(&mut self) {
         *self.stop = true;
     }
 
-    /// Number of events currently pending.
+    /// Number of events currently pending — in a partitioned run, in
+    /// this partition's queue only, so a model that must not depend on
+    /// its partitioning must not depend on this either.
     pub fn pending_events(&self) -> usize {
         self.queue.len()
     }
@@ -156,24 +186,26 @@ impl<E> Ctx<'_, E> {
 }
 
 /// A single simulation run: a [`Model`], its future-event list (the
-/// binary-heap [`EventQueue`]), clock, RNG factory and execution counters.
+/// binary-heap [`EventQueue`]), clock, execution counters and mailbox.
+/// Models own their randomness (typically streams of a
+/// [`crate::RngFactory`] seeded by the caller).
 pub struct Simulation<M: Model> {
     model: M,
-    queue: EventQueue<M::Event>,
-    rng: RngFactory,
+    pub(crate) queue: EventQueue<M::Event>,
+    pub(crate) mailbox: Mailbox<M::Event>,
     now: SimTime,
     executed: u64,
     event_budget: Option<u64>,
 }
 
 impl<M: Model> Simulation<M> {
-    /// Creates a run over `model` with an empty event queue, all
-    /// randomness derived from `seed`.
-    pub fn new(model: M, seed: u64) -> Self {
+    /// Creates a run over `model` with an empty event queue and no
+    /// partitions to send to.
+    pub fn new(model: M) -> Self {
         Simulation {
             model,
             queue: EventQueue::new(),
-            rng: RngFactory::new(seed),
+            mailbox: Mailbox::new(0, SimDuration::ZERO),
             now: SimTime::ZERO,
             executed: 0,
             event_budget: None,
@@ -225,11 +257,6 @@ impl<M: Model> Simulation<M> {
         &mut self.model
     }
 
-    /// The run's RNG factory (for seeding model streams during setup).
-    pub fn rng(&mut self) -> &mut RngFactory {
-        &mut self.rng
-    }
-
     /// Events currently pending in the future-event list.
     pub fn pending_events(&self) -> usize {
         self.queue.len()
@@ -253,6 +280,23 @@ impl<M: Model> Simulation<M> {
     /// `&mut dyn Probe` still satisfies the bound for callers that only
     /// have a trait object.
     pub fn run_until<P: Probe + ?Sized>(&mut self, horizon: SimTime, probe: &mut P) -> StopReason {
+        let reason = self.run_window(horizon, None, probe);
+        if reason == StopReason::HorizonReached {
+            self.now = horizon;
+        }
+        reason
+    }
+
+    /// The event loop behind [`run_until`](Self::run_until). It also
+    /// stops before the first event at or after `window_end`, when given
+    /// (the exclusive end of a partitioned run's synchronization window),
+    /// and leaves the clock at the last executed event.
+    pub(crate) fn run_window<P: Probe + ?Sized>(
+        &mut self,
+        horizon: SimTime,
+        window_end: Option<SimTime>,
+        probe: &mut P,
+    ) -> StopReason {
         let mut mark_buf: Vec<&'static str> = Vec::new();
         let mut value_buf: Vec<(&'static str, f64)> = Vec::new();
         let mut touch_buf: Vec<(&'static str, u64)> = Vec::new();
@@ -265,8 +309,7 @@ impl<M: Model> Simulation<M> {
             let Some(next) = self.queue.peek_time() else {
                 return StopReason::QueueEmpty;
             };
-            if next > horizon {
-                self.now = horizon;
+            if next > horizon || window_end.is_some_and(|end| next >= end) {
                 return StopReason::HorizonReached;
             }
             let (time, ev) = self.queue.pop().expect("peeked entry vanished");
@@ -279,7 +322,7 @@ impl<M: Model> Simulation<M> {
             let mut ctx = Ctx {
                 now: self.now,
                 queue: &mut self.queue,
-                rng: &mut self.rng,
+                mailbox: &mut self.mailbox,
                 stop: &mut stop,
                 executed: self.executed,
                 marks: &mut mark_buf,
@@ -370,7 +413,7 @@ mod tests {
 
     #[test]
     fn runs_to_queue_empty() {
-        let mut sim = Simulation::new(ticker(1.0, 5), 1);
+        let mut sim = Simulation::new(ticker(1.0, 5));
         sim.schedule_at(SimTime::ZERO, ());
         assert_eq!(run(&mut sim), StopReason::QueueEmpty);
         assert_eq!(sim.model().fired, 5);
@@ -380,7 +423,7 @@ mod tests {
 
     #[test]
     fn horizon_stops_and_preserves_pending() {
-        let mut sim = Simulation::new(ticker(1.0, 100), 1);
+        let mut sim = Simulation::new(ticker(1.0, 100));
         sim.schedule_at(SimTime::ZERO, ());
         assert_eq!(
             sim.run_until(SimTime::from_secs(2.5), &mut NoProbe),
@@ -398,7 +441,7 @@ mod tests {
 
     #[test]
     fn event_budget_aborts() {
-        let mut sim = Simulation::new(ticker(1.0, 1000), 1);
+        let mut sim = Simulation::new(ticker(1.0, 1000));
         sim.schedule_at(SimTime::ZERO, ());
         sim.set_event_budget(10);
         assert_eq!(run(&mut sim), StopReason::EventBudgetExhausted);
@@ -419,7 +462,7 @@ mod tests {
 
     #[test]
     fn model_can_stop() {
-        let mut sim = Simulation::new(Stopper, 1);
+        let mut sim = Simulation::new(Stopper);
         sim.schedule_at(SimTime::ZERO, 0);
         assert_eq!(run(&mut sim), StopReason::StoppedByModel);
         assert_eq!(sim.now(), SimTime::from_secs(3.0));
@@ -428,7 +471,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot schedule into the past")]
     fn scheduling_into_the_past_panics() {
-        let mut sim = Simulation::new(ticker(1.0, 2), 1);
+        let mut sim = Simulation::new(ticker(1.0, 2));
         sim.schedule_at(SimTime::ZERO, ());
         run(&mut sim);
         sim.schedule_at(SimTime::ZERO, ());
@@ -450,7 +493,7 @@ mod tests {
     #[test]
     fn past_panic_reports_queue_and_executed_counts() {
         let result = std::panic::catch_unwind(|| {
-            let mut sim = Simulation::new(PastScheduler, 1);
+            let mut sim = Simulation::new(PastScheduler);
             sim.schedule_at(SimTime::ZERO, 0);
             sim.schedule_at(SimTime::from_secs(10.0), 7); // stays pending
             run(&mut sim);
@@ -465,20 +508,35 @@ mod tests {
 
     #[test]
     fn identical_seeds_identical_traces() {
-        let trace = |seed| {
-            let mut sim = Simulation::new(ticker(0.5, 50), seed);
+        let trace = || {
+            let mut sim = Simulation::new(ticker(0.5, 50));
             sim.schedule_at(SimTime::ZERO, ());
             run(&mut sim);
             sim.into_model().fire_times
         };
-        assert_eq!(trace(7), trace(7));
+        assert_eq!(trace(), trace());
+    }
+
+    #[test]
+    #[should_panic(expected = "send to partition 0 of 0")]
+    fn bare_simulation_cannot_send() {
+        struct Sender;
+        impl Model for Sender {
+            type Event = ();
+            fn handle(&mut self, _: (), ctx: &mut Ctx<'_, ()>) {
+                ctx.send(0, SimDuration::from_secs(1.0), 0, ());
+            }
+        }
+        let mut sim = Simulation::new(Sender);
+        sim.schedule_at(SimTime::ZERO, ());
+        run(&mut sim);
     }
 
     // --- StopReason × counter interplay -----------------------------------
 
     #[test]
     fn queue_empty_leaves_no_pending_events() {
-        let mut sim = Simulation::new(ticker(1.0, 5), 1);
+        let mut sim = Simulation::new(ticker(1.0, 5));
         sim.schedule_at(SimTime::ZERO, ());
         assert_eq!(run(&mut sim), StopReason::QueueEmpty);
         assert_eq!(sim.events_executed(), 5);
@@ -488,7 +546,7 @@ mod tests {
     #[test]
     fn horizon_reached_preserves_exact_pending_count() {
         // One self-rescheduling chain plus two far-future events.
-        let mut sim = Simulation::new(ticker(1.0, 100), 1);
+        let mut sim = Simulation::new(ticker(1.0, 100));
         sim.schedule_at(SimTime::ZERO, ());
         sim.schedule_at(SimTime::from_secs(50.0), ());
         sim.schedule_at(SimTime::from_secs(60.0), ());
@@ -504,7 +562,7 @@ mod tests {
 
     #[test]
     fn stopped_by_model_counts_the_stopping_event() {
-        let mut sim = Simulation::new(Stopper, 1);
+        let mut sim = Simulation::new(Stopper);
         sim.schedule_at(SimTime::ZERO, 0);
         sim.schedule_at(SimTime::from_secs(100.0), 9); // never reached
         assert_eq!(run(&mut sim), StopReason::StoppedByModel);
@@ -516,7 +574,7 @@ mod tests {
 
     #[test]
     fn budget_exhausted_counts_stop_at_the_cap() {
-        let mut sim = Simulation::new(ticker(1.0, 1000), 1);
+        let mut sim = Simulation::new(ticker(1.0, 1000));
         sim.schedule_at(SimTime::ZERO, ());
         sim.set_event_budget(10);
         assert_eq!(run(&mut sim), StopReason::EventBudgetExhausted);
@@ -574,7 +632,7 @@ mod tests {
     #[test]
     fn probe_observes_every_event_with_labels_and_marks() {
         let mut probe = wt_obs::SimProbe::new();
-        let mut sim = Simulation::new(LabeledTicker { limit: 7, fired: 0 }, 1);
+        let mut sim = Simulation::new(LabeledTicker { limit: 7, fired: 0 });
         sim.schedule_at(SimTime::ZERO, 0);
         let reason = sim.run_until(SimTime::MAX, &mut probe);
         assert_eq!(reason, StopReason::QueueEmpty);
@@ -595,13 +653,10 @@ mod tests {
         // and folded by the other, and neither changes the run.
         let horizon = SimTime::from_secs(20.5);
         let run = |probed: bool| {
-            let mut sim = Simulation::new(
-                LabeledTicker {
-                    limit: 60,
-                    fired: 0,
-                },
-                11,
-            );
+            let mut sim = Simulation::new(LabeledTicker {
+                limit: 60,
+                fired: 0,
+            });
             sim.schedule_at(SimTime::ZERO, 0);
             let reason = if probed {
                 let mut p = wt_obs::SimProbe::new();
@@ -638,7 +693,7 @@ mod tests {
             }
         }
         let mut probe = wt_obs::SimProbe::new();
-        let mut sim = Simulation::new(Burst, 1);
+        let mut sim = Simulation::new(Burst);
         sim.schedule_at(SimTime::ZERO, 0);
         sim.run_until(SimTime::MAX, &mut probe);
         // Depth right after the fan-out event was 3.
@@ -660,7 +715,7 @@ mod tests {
                 }
             }
         }
-        let mut sim = Simulation::new(Inspector { depths: Vec::new() }, 3);
+        let mut sim = Simulation::new(Inspector { depths: Vec::new() });
         sim.schedule_at(SimTime::ZERO, 0);
         sim.schedule_at(SimTime::from_secs(10.0), 9);
         assert_eq!(run(&mut sim), StopReason::QueueEmpty);
@@ -670,7 +725,7 @@ mod tests {
 
     #[test]
     fn marks_without_probe_are_free_and_safe() {
-        let mut sim = Simulation::new(LabeledTicker { limit: 5, fired: 0 }, 1);
+        let mut sim = Simulation::new(LabeledTicker { limit: 5, fired: 0 });
         sim.schedule_at(SimTime::ZERO, 0);
         assert_eq!(run(&mut sim), StopReason::QueueEmpty); // NoProbe drops the marks
         assert_eq!(sim.events_executed(), 5);

@@ -17,11 +17,16 @@
 //!   can never perturb results. Runs that want no telemetry pass
 //!   `obs::NoProbe`; [`Simulation::run_observed`] distills a run's
 //!   telemetry. The `wall-time` cargo feature additionally times each
-//!   handler (kept off the determinism path).
+//!   handler (kept off the determinism path),
+//! * conservative partitioned execution of one run ([`partition`]): a
+//!   [`PartitionedSimulation`] drives one `Simulation` per partition
+//!   through that same loop, window by window, and its models reach
+//!   each other through [`Ctx::send`].
 //!
-//! Determinism is a design invariant: two runs with the same model, seed and
-//! horizon produce byte-identical event traces. Ties in event time are broken
-//! by insertion sequence number, never by heap internals.
+//! Determinism is a design invariant: two runs of the same model (with its
+//! random streams seeded alike) to the same horizon produce byte-identical
+//! event traces. Ties in event time are broken by insertion sequence number,
+//! never by heap internals.
 //!
 //! ```
 //! use wt_des::obs::NoProbe;
@@ -38,7 +43,7 @@
 //!     }
 //! }
 //!
-//! let mut sim = Simulation::new(Counter { fired: 0 }, 42);
+//! let mut sim = Simulation::new(Counter { fired: 0 });
 //! sim.schedule_at(SimTime::ZERO, ());
 //! sim.run_until(SimTime::MAX, &mut NoProbe);
 //! assert_eq!(sim.model().fired, 3);
@@ -54,7 +59,7 @@ pub mod stats;
 pub mod time;
 
 pub use engine::{Ctx, Model, Simulation, StopReason};
-pub use partition::{Lookahead, PartCtx, PartitionModel, PartitionedSimulation};
+pub use partition::{Lookahead, PartitionedSimulation};
 pub use queue::EventQueue;
 pub use resource::ServerPool;
 pub use rng::{RngFactory, Stream};
@@ -72,7 +77,7 @@ pub use wt_obs::sketch::{Hll, QuantileSketch};
 /// Convenience re-exports for model authors.
 pub mod prelude {
     pub use crate::engine::{Ctx, Model, Simulation, StopReason};
-    pub use crate::partition::{Lookahead, PartCtx, PartitionModel, PartitionedSimulation};
+    pub use crate::partition::{Lookahead, PartitionedSimulation};
     pub use crate::rng::{RngFactory, Stream};
     pub use crate::stats::{Histogram, Tally, TimeWeighted};
     pub use crate::time::{SimDuration, SimTime};

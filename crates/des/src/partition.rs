@@ -1,12 +1,14 @@
 //! Conservative partitioned (parallel) discrete-event execution.
 //!
-//! One simulation run split across `P` partitions, each with its own
-//! [`EventQueue`], RNG substream and model shard, synchronized
-//! with the classic conservative-window algorithm: every round, all
-//! partitions agree on the global minimum pending timestamp `T`, execute
-//! every local event with `time < T + lookahead`, then exchange
-//! cross-partition messages at a barrier. The [`Lookahead`] contract —
-//! every cross-partition send is delayed by at least the lookahead —
+//! One simulation run split across `P` partitions, each a
+//! [`Simulation`] of its own model shard with its own
+//! [`EventQueue`](crate::EventQueue),
+//! synchronized with the classic conservative-window algorithm: every
+//! round, all partitions agree on the global minimum pending timestamp
+//! `T`, run their event loop over every local event with
+//! `time < T + lookahead`, then exchange cross-partition messages
+//! ([`Ctx::send`](crate::Ctx::send)) at a barrier. The [`Lookahead`] contract — every
+//! cross-partition send is delayed by at least the lookahead —
 //! guarantees a message produced inside a window arrives at or after the
 //! window's end, so no partition can receive an event in its past.
 //!
@@ -24,7 +26,8 @@
 //! * **Partition count** (a *model* property the executor enables). If a
 //!   model keys all state and randomness to shards that never migrate
 //!   (e.g. racks), routes *all* cross-shard interaction through
-//!   [`PartCtx::send`] (even when both shards share a partition), and
+//!   [`Ctx::send`](crate::Ctx::send) (even when both shards share a
+//!   partition), and
 //!   tags each message with its sender shard, then the executed event
 //!   sequence restricted to any one shard is independent of how shards
 //!   are grouped into partitions. Deliveries are stable-sorted by
@@ -40,9 +43,7 @@
 //! partition's events, and a run that wants no telemetry passes
 //! `wt_obs::NoProbe`s.
 
-use crate::engine::StopReason;
-use crate::queue::EventQueue;
-use crate::rng::RngFactory;
+use crate::engine::{Model, Simulation, StopReason};
 use crate::time::{SimDuration, SimTime};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
@@ -51,7 +52,8 @@ use wt_obs::{Probe, RunTelemetry, SimProbe};
 /// The conservative synchronization bound: a lower bound on the delay of
 /// every cross-partition interaction, in simulated time. Larger lookahead
 /// means wider windows and fewer barriers; correctness only needs the
-/// bound to hold, which [`PartCtx::send`] asserts per message.
+/// bound to hold, which [`Ctx::send`](crate::Ctx::send) asserts per
+/// message.
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Lookahead(SimDuration);
 
@@ -85,259 +87,84 @@ impl Lookahead {
 /// ensure a tag is only ever used by one partition (shards do not
 /// migrate), which makes delivery order independent of both thread and
 /// partition count.
-#[derive(Debug, Clone)]
-struct Mail<E> {
-    time: SimTime,
-    tag: u64,
-    ev: E,
+pub(crate) struct Mail<E> {
+    pub(crate) time: SimTime,
+    pub(crate) tag: u64,
+    pub(crate) ev: E,
 }
 
-/// The model of one partition: like [`crate::Model`], but handlers get a
-/// [`PartCtx`] that can send timestamped events to other partitions in
-/// addition to local scheduling.
-pub trait PartitionModel: Send {
-    /// The event alphabet (shared by all partitions of a run).
-    type Event: Send;
+/// A [`Simulation`]'s side of the mailbox protocol: the partition count
+/// and lookahead [`Ctx::send`](crate::Ctx::send) checks each message
+/// against, and the
+/// messages sent this window with their destination partitions. A bare
+/// `Simulation` has zero partitions to send to.
+pub(crate) struct Mailbox<E> {
+    pub(crate) parts: usize,
+    pub(crate) lookahead: SimDuration,
+    pub(crate) outbox: Vec<(usize, Mail<E>)>,
+}
 
-    /// Handles one event at `ctx.now()`.
-    fn handle(&mut self, ev: Self::Event, ctx: &mut PartCtx<'_, Self::Event>);
-
-    /// Telemetry label for an event (see [`crate::Model::label`]).
-    fn label(_ev: &Self::Event) -> &'static str {
-        "event"
+impl<E> Mailbox<E> {
+    pub(crate) fn new(parts: usize, lookahead: SimDuration) -> Self {
+        Mailbox {
+            parts,
+            lookahead,
+            outbox: Vec::new(),
+        }
     }
 }
 
-/// Scheduling context handed to [`PartitionModel::handle`].
-pub struct PartCtx<'a, E> {
-    now: SimTime,
-    part: usize,
-    parts: usize,
-    lookahead: SimDuration,
-    queue: &'a mut EventQueue<E>,
-    outbox: &'a mut Vec<(usize, Mail<E>)>,
-    rng: &'a mut RngFactory,
-    stop: &'a mut bool,
-    marks: &'a mut Vec<&'static str>,
-    values: &'a mut Vec<(&'static str, f64)>,
-    touches: &'a mut Vec<(&'static str, u64)>,
-}
-
-impl<E> PartCtx<'_, E> {
-    /// Current simulated time (the executing event's timestamp).
-    pub fn now(&self) -> SimTime {
-        self.now
+/// Sorts staged deliveries canonically and inserts them into `cell`'s
+/// queue: stable by `(time, tag)`, so ties across shards order by tag and
+/// ties within a shard keep the shard's send order.
+fn deliver<M: Model>(cell: &mut Simulation<M>, mut inbox: Vec<Mail<M::Event>>, w_end: SimTime) {
+    if inbox.is_empty() {
+        return;
     }
-
-    /// This partition's index.
-    pub fn part(&self) -> usize {
-        self.part
-    }
-
-    /// Number of partitions in the run.
-    pub fn parts(&self) -> usize {
-        self.parts
-    }
-
-    /// The run's lookahead bound.
-    pub fn lookahead(&self) -> SimDuration {
-        self.lookahead
-    }
-
-    /// This partition's RNG factory — a content-derived substream of the
-    /// run seed (`subfactory("partition", index)`), so partition draws
-    /// are independent of scheduling.
-    pub fn rng(&mut self) -> &mut RngFactory {
-        self.rng
-    }
-
-    /// Schedules a local event `delay` from now (same partition).
-    pub fn schedule_in(&mut self, delay: SimDuration, ev: E) {
-        self.queue.push(self.now + delay, ev);
-    }
-
-    /// Schedules a local event at absolute time `at` (same partition).
-    pub fn schedule_at(&mut self, at: SimTime, ev: E) {
-        assert!(at >= self.now, "cannot schedule into the past");
-        self.queue.push(at, ev);
-    }
-
-    /// Sends `ev` to partition `to`, arriving `delay` from now. `delay`
-    /// must honor the lookahead contract (`delay >= lookahead`); `tag`
-    /// identifies the sending shard and orders simultaneous deliveries
-    /// (see `Mail`). Self-sends are allowed — a shard-decomposed model
-    /// routes *all* cross-shard traffic here so grouping shards into
-    /// fewer partitions cannot change delivery semantics.
-    pub fn send(&mut self, to: usize, delay: SimDuration, tag: u64, ev: E) {
-        assert!(
-            delay >= self.lookahead,
-            "cross-partition send delay {:?} violates lookahead {:?}",
-            delay,
-            self.lookahead
+    inbox.sort_by(|a, b| {
+        (a.time, a.tag)
+            .partial_cmp(&(b.time, b.tag))
+            .expect("finite")
+    });
+    for m in inbox {
+        debug_assert!(
+            m.time >= w_end,
+            "lookahead violated: delivery at {:?} inside window ending {:?}",
+            m.time,
+            w_end
         );
-        assert!(to < self.parts, "send to partition {to} of {}", self.parts);
-        self.outbox.push((
-            to,
-            Mail {
-                time: self.now + delay,
-                tag,
-                ev,
-            },
-        ));
-    }
-
-    /// Requests a stop at the end of the current window (the partitioned
-    /// analogue of `Ctx::stop`; window granularity keeps it deterministic
-    /// across thread counts).
-    pub fn stop(&mut self) {
-        *self.stop = true;
-    }
-
-    /// Pending events in *this partition's* queue. Beware: partition-
-    /// local by construction, so models aiming for partition-count
-    /// invariance must not let behavior depend on it.
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Emits a custom counter mark to the partition's probe.
-    pub fn mark(&mut self, label: &'static str) {
-        self.marks.push(label);
-    }
-
-    /// Emits a scalar observation to the partition's probe.
-    pub fn observe(&mut self, label: &'static str, value: f64) {
-        self.values.push((label, value));
-    }
-
-    /// Emits a distinct-key touch to the partition's probe.
-    pub fn touch(&mut self, label: &'static str, key: u64) {
-        self.touches.push((label, key));
+        cell.queue.push(m.time, m.ev);
     }
 }
 
-/// One partition's execution state.
-struct Cell<M: PartitionModel> {
-    model: M,
-    queue: EventQueue<M::Event>,
-    rng: RngFactory,
-    outbox: Vec<(usize, Mail<M::Event>)>,
-    executed: u64,
-    last_time: SimTime,
-    stop: bool,
-    marks: Vec<&'static str>,
-    values: Vec<(&'static str, f64)>,
-    touches: Vec<(&'static str, u64)>,
-}
-
-impl<M: PartitionModel> Cell<M> {
-    /// Executes every local event with `time < w_end && time <= horizon`,
-    /// feeding `probe`. Cross-partition sends accumulate in the outbox.
-    fn execute_window<P: Probe>(
-        &mut self,
-        part: usize,
-        parts: usize,
-        lookahead: SimDuration,
-        w_end: SimTime,
-        horizon: SimTime,
-        probe: &mut P,
-    ) {
-        while let Some(t) = self.queue.peek_time() {
-            if t >= w_end || t > horizon {
-                break;
-            }
-            let (t, ev) = self.queue.pop().expect("peeked event present");
-            let label = M::label(&ev);
-            let mut ctx = PartCtx {
-                now: t,
-                part,
-                parts,
-                lookahead,
-                queue: &mut self.queue,
-                outbox: &mut self.outbox,
-                rng: &mut self.rng,
-                stop: &mut self.stop,
-                marks: &mut self.marks,
-                values: &mut self.values,
-                touches: &mut self.touches,
-            };
-            self.model.handle(ev, &mut ctx);
-            self.executed += 1;
-            self.last_time = t;
-            for mark in self.marks.drain(..) {
-                probe.on_mark(mark);
-            }
-            for (label, value) in self.values.drain(..) {
-                probe.on_value(label, value);
-            }
-            for (label, key) in self.touches.drain(..) {
-                probe.on_distinct(label, key);
-            }
-            probe.on_event(label, t.as_secs(), self.queue.len());
-            if self.stop {
-                break;
-            }
-        }
-    }
-
-    /// Sorts staged deliveries canonically and inserts them: stable by
-    /// `(time, tag)`, so ties across shards order by tag and ties within
-    /// a shard keep the shard's send order.
-    fn deliver(&mut self, mut inbox: Vec<Mail<M::Event>>, w_end: SimTime) {
-        if inbox.is_empty() {
-            return;
-        }
-        inbox.sort_by(|a, b| {
-            (a.time, a.tag)
-                .partial_cmp(&(b.time, b.tag))
-                .expect("finite")
-        });
-        for m in inbox {
-            debug_assert!(
-                m.time >= w_end,
-                "lookahead violated: delivery at {:?} inside window ending {:?}",
-                m.time,
-                w_end
-            );
-            self.queue.push(m.time, m.ev);
-        }
-    }
-}
-
-/// A partitioned simulation run: `P` models, `P` queues, one lookahead.
+/// A partitioned simulation run: one [`Simulation`] per partition, one
+/// lookahead.
 ///
 /// [`run_until`](Self::run_until) at one thread executes all partitions
 /// on the calling thread — the bitwise-determinism oracle — and at more
 /// fans the partitions across worker threads with barrier
 /// synchronization; both produce identical results (see module docs).
-pub struct PartitionedSimulation<M: PartitionModel> {
-    cells: Vec<Cell<M>>,
+pub struct PartitionedSimulation<M: Model> {
+    cells: Vec<Simulation<M>>,
     lookahead: SimDuration,
     now: SimTime,
 }
 
-impl<M: PartitionModel> PartitionedSimulation<M> {
-    /// A partitioned simulation over `models` (one per partition), seeded
-    /// from `seed`: partition `i`'s [`RngFactory`] is
-    /// `RngFactory::new(seed).subfactory("partition", i)` — the same
-    /// content-hash substream derivation sweep seeds use.
-    pub fn new(models: Vec<M>, seed: u64, lookahead: Lookahead) -> Self {
+impl<M> PartitionedSimulation<M>
+where
+    M: Model + Send,
+    M::Event: Send,
+{
+    /// A partitioned simulation over `models`, one per partition.
+    pub fn new(models: Vec<M>, lookahead: Lookahead) -> Self {
         assert!(!models.is_empty(), "need at least one partition");
-        let root = RngFactory::new(seed);
+        let parts = models.len();
         let cells = models
             .into_iter()
-            .enumerate()
-            .map(|(i, model)| Cell {
-                model,
-                queue: EventQueue::new(),
-                rng: root.subfactory("partition", i as u64),
-                outbox: Vec::new(),
-                executed: 0,
-                last_time: SimTime::ZERO,
-                stop: false,
-                marks: Vec::new(),
-                values: Vec::new(),
-                touches: Vec::new(),
+            .map(|model| {
+                let mut cell = Simulation::new(model);
+                cell.mailbox = Mailbox::new(parts, lookahead.window());
+                cell
             })
             .collect();
         PartitionedSimulation {
@@ -360,38 +187,23 @@ impl<M: PartitionModel> PartitionedSimulation<M> {
 
     /// Total events executed across all partitions.
     pub fn events_executed(&self) -> u64 {
-        self.cells.iter().map(|c| c.executed).sum()
+        self.cells.iter().map(|c| c.events_executed()).sum()
     }
 
     /// Events executed per partition, in partition order.
     pub fn part_events(&self) -> Vec<u64> {
-        self.cells.iter().map(|c| c.executed).collect()
-    }
-
-    /// Partition `i`'s model.
-    pub fn model(&self, i: usize) -> &M {
-        &self.cells[i].model
-    }
-
-    /// Partition `i`'s model, mutably (setup only).
-    pub fn model_mut(&mut self, i: usize) -> &mut M {
-        &mut self.cells[i].model
+        self.cells.iter().map(|c| c.events_executed()).collect()
     }
 
     /// Iterates the partition models in partition order (result folds).
     pub fn models(&self) -> impl Iterator<Item = &M> {
-        self.cells.iter().map(|c| &c.model)
+        self.cells.iter().map(|c| c.model())
     }
 
     /// Schedules an event into partition `part` at absolute time `at`
-    /// (setup seeding; mirrors `Simulation::schedule_at`).
+    /// (setup seeding; see `Simulation::schedule_at`).
     pub fn schedule_at(&mut self, part: usize, at: SimTime, ev: M::Event) {
-        self.cells[part].queue.push(at, ev);
-    }
-
-    /// Pre-sizes partition `part`'s queue.
-    pub fn reserve_events(&mut self, part: usize, n: usize) {
-        self.cells[part].queue.reserve(n);
+        self.cells[part].schedule_at(at, ev);
     }
 
     /// Runs until `horizon`, the queues drain or a model stops, with
@@ -441,11 +253,8 @@ impl<M: PartitionModel> PartitionedSimulation<M> {
 
     /// The next global window: the minimum pending timestamp across all
     /// partitions, or `None` when every queue is empty.
-    fn t_min(&mut self) -> Option<SimTime> {
-        self.cells
-            .iter_mut()
-            .filter_map(|c| c.queue.peek_time())
-            .min()
+    fn t_min(&self) -> Option<SimTime> {
+        self.cells.iter().filter_map(|c| c.queue.peek_time()).min()
     }
 
     fn finish_run(&mut self, reason: StopReason, horizon: SimTime) -> StopReason {
@@ -454,7 +263,7 @@ impl<M: PartitionModel> PartitionedSimulation<M> {
             _ => self
                 .cells
                 .iter()
-                .map(|c| c.last_time)
+                .map(|c| c.now())
                 .max()
                 .unwrap_or(SimTime::ZERO),
         };
@@ -471,21 +280,22 @@ impl<M: PartitionModel> PartitionedSimulation<M> {
                 return self.finish_run(StopReason::HorizonReached, horizon);
             }
             let w_end = t_min + self.lookahead;
-            for (i, (cell, probe)) in self.cells.iter_mut().zip(probes.iter_mut()).enumerate() {
-                cell.execute_window(i, parts, self.lookahead, w_end, horizon, probe);
+            let mut stop = false;
+            for (cell, probe) in self.cells.iter_mut().zip(probes.iter_mut()) {
+                stop |= cell.run_window(horizon, Some(w_end), probe) == StopReason::StoppedByModel;
             }
             // Barrier: route every outbox into its destination, exactly
             // like the threaded exchange (self-deliveries included).
             let mut inboxes: Vec<Vec<Mail<M::Event>>> = (0..parts).map(|_| Vec::new()).collect();
             for cell in &mut self.cells {
-                for (to, m) in cell.outbox.drain(..) {
+                for (to, m) in cell.mailbox.outbox.drain(..) {
                     inboxes[to].push(m);
                 }
             }
             for (cell, inbox) in self.cells.iter_mut().zip(inboxes) {
-                cell.deliver(inbox, w_end);
+                deliver(cell, inbox, w_end);
             }
-            if self.cells.iter().any(|c| c.stop) {
+            if stop {
                 return self.finish_run(StopReason::StoppedByModel, horizon);
             }
         }
@@ -517,14 +327,14 @@ impl<M: PartitionModel> PartitionedSimulation<M> {
         let stop_flag = AtomicBool::new(false);
         let barrier = Barrier::new(workers);
 
-        let worker = |k: usize, cells: &mut [Cell<M>], probes: &mut [P]| {
+        let worker = |k: usize, cells: &mut [Simulation<M>], probes: &mut [P]| {
             let base = k * chunk;
             loop {
                 // Phase 0: publish this worker's window minimum; after the
                 // barrier every worker performs the same reduction, so all
                 // agree on the window (and on termination) leaderlessly.
                 let local = cells
-                    .iter_mut()
+                    .iter()
                     .filter_map(|c| c.queue.peek_time())
                     .min()
                     .map(|t| t.as_secs().to_bits())
@@ -547,24 +357,20 @@ impl<M: PartitionModel> PartitionedSimulation<M> {
                 // Phase 1: execute own partitions, stage sends into the
                 // grid grouped by destination (one contiguous batch per
                 // lock acquisition keeps single-sender runs contiguous).
-                for (j, (cell, probe)) in cells.iter_mut().zip(probes.iter_mut()).enumerate() {
-                    cell.execute_window(base + j, parts, lookahead, w_end, horizon, probe);
-                    if !cell.outbox.is_empty() {
-                        let mut staged = std::mem::take(&mut cell.outbox);
-                        staged.sort_by_key(|(to, _)| *to); // stable: send order kept per dest
-                        {
-                            let mut iter = staged.drain(..).peekable();
-                            while let Some(to) = iter.peek().map(|(t, _)| *t) {
-                                let mut dest = grid[to].lock().expect("grid lock");
-                                while iter.peek().is_some_and(|(t, _)| *t == to) {
-                                    dest.push(iter.next().expect("peeked").1);
-                                }
+                for (cell, probe) in cells.iter_mut().zip(probes.iter_mut()) {
+                    if cell.run_window(horizon, Some(w_end), probe) == StopReason::StoppedByModel {
+                        stop_flag.store(true, Ordering::Relaxed);
+                    }
+                    let outbox = &mut cell.mailbox.outbox;
+                    if !outbox.is_empty() {
+                        outbox.sort_by_key(|(to, _)| *to); // stable: send order kept per dest
+                        let mut iter = outbox.drain(..).peekable();
+                        while let Some(to) = iter.peek().map(|(t, _)| *t) {
+                            let mut dest = grid[to].lock().expect("grid lock");
+                            while iter.peek().is_some_and(|(t, _)| *t == to) {
+                                dest.push(iter.next().expect("peeked").1);
                             }
                         }
-                        cell.outbox = staged;
-                    }
-                    if cell.stop {
-                        stop_flag.store(true, Ordering::Relaxed);
                     }
                 }
                 barrier.wait();
@@ -574,7 +380,7 @@ impl<M: PartitionModel> PartitionedSimulation<M> {
                 // wait, which requires all round-r deliveries done.
                 for (j, cell) in cells.iter_mut().enumerate() {
                     let inbox = std::mem::take(&mut *grid[base + j].lock().expect("grid lock"));
-                    cell.deliver(inbox, w_end);
+                    deliver(cell, inbox, w_end);
                 }
                 if stop_flag.load(Ordering::Relaxed) {
                     return StopReason::StoppedByModel;
@@ -582,7 +388,7 @@ impl<M: PartitionModel> PartitionedSimulation<M> {
             }
         };
 
-        let mut cell_chunks: Vec<&mut [Cell<M>]> = self.cells.chunks_mut(chunk).collect();
+        let mut cell_chunks: Vec<&mut [Simulation<M>]> = self.cells.chunks_mut(chunk).collect();
         let mut probe_chunks: Vec<&mut [P]> = probes.chunks_mut(chunk).collect();
         debug_assert_eq!(cell_chunks.len(), workers);
         let reason = std::thread::scope(|scope| {
@@ -610,14 +416,16 @@ impl<M: PartitionModel> PartitionedSimulation<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Ctx;
+    use crate::rng::RngFactory;
     use wt_obs::{NoProbe, SimProbe};
 
     /// Runs `sim` with no telemetry on `threads` threads.
-    fn run<M: PartitionModel>(
-        sim: &mut PartitionedSimulation<M>,
-        horizon: SimTime,
-        threads: usize,
-    ) -> StopReason {
+    fn run<M>(sim: &mut PartitionedSimulation<M>, horizon: SimTime, threads: usize) -> StopReason
+    where
+        M: Model + Send,
+        M::Event: Send,
+    {
         sim.run_until(horizon, threads, &mut vec![NoProbe; sim.parts()])
     }
 
@@ -659,9 +467,9 @@ mod tests {
         }
     }
 
-    impl PartitionModel for PingModel {
+    impl Model for PingModel {
         type Event = Ev;
-        fn handle(&mut self, ev: Ev, ctx: &mut PartCtx<'_, Ev>) {
+        fn handle(&mut self, ev: Ev, ctx: &mut Ctx<'_, Ev>) {
             match ev {
                 Ev::Tick { shard } => {
                     let owner = self.owner.clone();
@@ -732,7 +540,7 @@ mod tests {
                 owner: owner.clone(),
             })
             .collect();
-        let mut sim = PartitionedSimulation::new(models, seed, Lookahead::from_secs(LA));
+        let mut sim = PartitionedSimulation::new(models, Lookahead::from_secs(LA));
         for s in 0..total_shards {
             let phase = 0.25 * (s as f64 + 1.0);
             sim.schedule_at(
@@ -796,9 +604,10 @@ mod tests {
             let mut probes: Vec<SimProbe> = (0..3).map(|_| SimProbe::new()).collect();
             let reason = sim.run_until(horizon, threads, &mut probes);
             let events = sim.events_executed();
+            // Masked: with the `wall-time` feature, handler timings vary.
             let telem: Vec<_> = probes
                 .iter()
-                .map(|p| p.finish(sim.now().as_secs(), reason.as_str()))
+                .map(|p| p.finish(sim.now().as_secs(), reason.as_str()).masked())
                 .collect();
             (events, telem)
         };
@@ -824,6 +633,72 @@ mod tests {
         }
     }
 
+    /// A model that never sends: two self-rescheduling chains that mark,
+    /// observe and touch, one of which ends.
+    struct Solo {
+        fired: u32,
+    }
+
+    impl Model for Solo {
+        type Event = u32;
+        fn handle(&mut self, ev: u32, ctx: &mut Ctx<'_, u32>) {
+            self.fired += 1;
+            if ev.is_multiple_of(3) {
+                ctx.mark("third");
+            }
+            ctx.observe("pending", ctx.pending_events() as f64);
+            ctx.touch("ev", u64::from(ev));
+            if ev % 1000 < 150 {
+                let gap = 0.5 + f64::from(ev % 7);
+                ctx.schedule_in(SimDuration::from_secs(gap), ev + 1);
+            }
+        }
+        fn label(ev: &u32) -> &'static str {
+            if ev.is_multiple_of(2) {
+                "even"
+            } else {
+                "odd"
+            }
+        }
+    }
+
+    #[test]
+    fn one_partition_runs_exactly_like_a_bare_simulation() {
+        // Stops at the horizon, then with the queue drained.
+        for horizon in [SimTime::from_secs(300.5), SimTime::MAX] {
+            let mut bare = Simulation::new(Solo { fired: 0 });
+            bare.schedule_at(SimTime::ZERO, 0);
+            bare.schedule_at(SimTime::from_secs(0.25), 1000);
+            let bare_t = bare.run_observed(horizon, None);
+
+            let mut part =
+                PartitionedSimulation::new(vec![Solo { fired: 0 }], Lookahead::from_secs(LA));
+            part.schedule_at(0, SimTime::ZERO, 0);
+            part.schedule_at(0, SimTime::from_secs(0.25), 1000);
+            let mut part_t = part.run_observed(horizon, 1);
+
+            assert_eq!(
+                part_t.marks.remove("partition/0"),
+                Some(bare.events_executed())
+            );
+            assert_eq!(part_t.masked(), bare_t.masked());
+            assert_eq!(part.events_executed(), bare.events_executed());
+            assert_eq!(part.now(), bare.now());
+            assert_eq!(part.models().next().unwrap().fired, bare.model().fired);
+        }
+    }
+
+    /// Partition cells run the one event loop, so they time handlers too.
+    #[cfg(feature = "wall-time")]
+    #[test]
+    fn partitioned_runs_report_handler_wall_time() {
+        let mut sim = build(6, 3, 9);
+        let t = sim.run_observed(SimTime::from_secs(200.0), 2);
+        let timed: u64 = t.wall.handlers.values().map(|h| h.count).sum();
+        assert_eq!(timed, t.events, "every handled event is timed");
+        assert!(t.wall.handlers.contains_key("Token"));
+    }
+
     #[test]
     fn queue_empty_and_stop_reasons() {
         // No events at all.
@@ -836,9 +711,9 @@ mod tests {
         // A model that stops: reuse Tick handler via a stop wrapper is
         // overkill; drive stop() through a one-off model.
         struct Stopper;
-        impl PartitionModel for Stopper {
+        impl Model for Stopper {
             type Event = u32;
-            fn handle(&mut self, ev: u32, ctx: &mut PartCtx<'_, u32>) {
+            fn handle(&mut self, ev: u32, ctx: &mut Ctx<'_, u32>) {
                 if ev == 3 {
                     ctx.stop();
                 } else {
@@ -847,7 +722,7 @@ mod tests {
             }
         }
         let mut sim: PartitionedSimulation<Stopper> =
-            PartitionedSimulation::new(vec![Stopper, Stopper], 1, Lookahead::from_secs(1.0));
+            PartitionedSimulation::new(vec![Stopper, Stopper], Lookahead::from_secs(1.0));
         sim.schedule_at(0, SimTime::ZERO, 0);
         let r = run(&mut sim, SimTime::from_secs(100.0), 1);
         assert_eq!(r.as_str(), "StoppedByModel");
@@ -855,12 +730,12 @@ mod tests {
 
         // Queues drain when nothing reschedules.
         struct OneShot;
-        impl PartitionModel for OneShot {
+        impl Model for OneShot {
             type Event = ();
-            fn handle(&mut self, _ev: (), _ctx: &mut PartCtx<'_, ()>) {}
+            fn handle(&mut self, _ev: (), _ctx: &mut Ctx<'_, ()>) {}
         }
         let mut sim: PartitionedSimulation<OneShot> =
-            PartitionedSimulation::new(vec![OneShot, OneShot], 1, Lookahead::from_secs(1.0));
+            PartitionedSimulation::new(vec![OneShot, OneShot], Lookahead::from_secs(1.0));
         sim.schedule_at(1, SimTime::from_secs(2.0), ());
         let r = run(&mut sim, SimTime::from_secs(100.0), 1);
         assert_eq!(r.as_str(), "QueueEmpty");
@@ -872,25 +747,15 @@ mod tests {
     #[should_panic(expected = "violates lookahead")]
     fn short_sends_are_rejected() {
         struct Bad;
-        impl PartitionModel for Bad {
+        impl Model for Bad {
             type Event = ();
-            fn handle(&mut self, _ev: (), ctx: &mut PartCtx<'_, ()>) {
+            fn handle(&mut self, _ev: (), ctx: &mut Ctx<'_, ()>) {
                 ctx.send(0, SimDuration::from_secs(0.5), 0, ());
             }
         }
         let mut sim: PartitionedSimulation<Bad> =
-            PartitionedSimulation::new(vec![Bad], 1, Lookahead::from_secs(1.0));
+            PartitionedSimulation::new(vec![Bad], Lookahead::from_secs(1.0));
         sim.schedule_at(0, SimTime::ZERO, ());
         run(&mut sim, SimTime::from_secs(10.0), 1);
-    }
-
-    #[test]
-    fn per_partition_rng_is_content_derived() {
-        let f = RngFactory::new(123);
-        let a = f.subfactory("partition", 0);
-        let b = f.subfactory("partition", 1);
-        assert_ne!(a.root_seed(), b.root_seed());
-        // Stable across calls — scheduling cannot perturb it.
-        assert_eq!(f.subfactory("partition", 0).root_seed(), a.root_seed());
     }
 }

@@ -213,7 +213,7 @@ impl RngFactory {
     /// A derived *factory* for sub-entity `n` of `label` — the same
     /// content-hash derivation as [`RngFactory::numbered`], but returning
     /// a whole factory so the sub-entity can open its own labeled streams
-    /// (a simulation partition, a sweep shard). Derivation depends only on
+    /// (a rack of the partitioned availability engine). Derivation depends only on
     /// `(root, label, n)`, never on call order, so sub-entity draws are
     /// invariant to how work is grouped or scheduled.
     pub fn subfactory(&self, label: &str, n: u64) -> RngFactory {
@@ -259,6 +259,16 @@ mod tests {
         let mut a = f.numbered("disk.fail", 0);
         let mut b = f.numbered("disk.fail", 1);
         assert_ne!(a.next(), b.next());
+    }
+
+    #[test]
+    fn subfactories_are_content_derived() {
+        let f = RngFactory::new(123);
+        let a = f.subfactory("rack", 0);
+        let b = f.subfactory("rack", 1);
+        assert_ne!(a.root_seed(), b.root_seed());
+        // Stable across calls — scheduling cannot perturb it.
+        assert_eq!(f.subfactory("rack", 0).root_seed(), a.root_seed());
     }
 
     #[test]
