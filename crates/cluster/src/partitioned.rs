@@ -178,38 +178,10 @@ impl PartitionedAvailability {
     /// Builds the sharded simulation: rack cells with placement, boot
     /// failure timers, and chaos faults routed to their owning racks.
     fn build(&self, seed: u64, partitions: usize) -> PartitionedSimulation<AvailShard> {
-        assert!(self.racks > 0 && self.nodes_per_rack > 0, "empty topology");
-        assert!(self.replication >= 1, "replication >= 1");
-        assert!(self.objects < u32::MAX as u64, "object ids must fit in u32");
-        let local_w = if self.racks > 1 {
-            self.replication - 1
-        } else {
-            self.replication
-        };
-        assert!(
-            local_w <= self.nodes_per_rack,
-            "home rack too small for {} local replicas",
-            local_w
-        );
+        let ranges = balanced_ranges(self.racks, partitions);
+        let shared = Arc::new(self.shared(part_of_rack_table(&ranges, self.racks)));
         let la_s = self.lookahead_s();
         assert!(la_s > 0.0, "lookahead must be positive (wire + detection)");
-
-        let ranges = balanced_ranges(self.racks, partitions);
-        let shared = Arc::new(AvailShared {
-            racks: self.racks,
-            nodes_per_rack: self.nodes_per_rack,
-            local_w,
-            has_mirror: self.racks > 1,
-            object_bytes: self.object_bytes,
-            node_ttf: self.node_ttf.clone(),
-            node_replace: self.node_replace.clone(),
-            rebuild: self.rebuild.clone(),
-            redundancy: RedundancyScheme::replication(self.replication),
-            detection_s: self.repair.detection_delay_s,
-            d_notify: SimDuration::from_secs(self.wire_latency_s + self.repair.detection_delay_s),
-            d_place: SimDuration::from_secs(self.wire_latency_s + self.transfer_estimate_s()),
-            part_of_rack: part_of_rack_table(&ranges, self.racks),
-        });
 
         // Build every rack cell in global rack order, then wire mirror
         // hosting (which spans rack pairs) before grouping into shards.
@@ -242,6 +214,39 @@ impl PartitionedAvailability {
             sim.schedule_at(part, at, ev);
         }
         sim
+    }
+
+    /// The read-only config every shard shares, with rack `r` owned by
+    /// partition `part_of_rack[r]`.
+    fn shared(&self, part_of_rack: Vec<u32>) -> AvailShared {
+        assert!(self.racks > 0 && self.nodes_per_rack > 0, "empty topology");
+        assert!(self.replication >= 1, "replication >= 1");
+        assert!(self.objects < u32::MAX as u64, "object ids must fit in u32");
+        let local_w = if self.racks > 1 {
+            self.replication - 1
+        } else {
+            self.replication
+        };
+        assert!(
+            local_w <= self.nodes_per_rack,
+            "home rack too small for {} local replicas",
+            local_w
+        );
+        AvailShared {
+            racks: self.racks,
+            nodes_per_rack: self.nodes_per_rack,
+            local_w,
+            has_mirror: self.racks > 1,
+            object_bytes: self.object_bytes,
+            node_ttf: self.node_ttf.clone(),
+            node_replace: self.node_replace.clone(),
+            rebuild: self.rebuild.clone(),
+            redundancy: RedundancyScheme::replication(self.replication),
+            detection_s: self.repair.detection_delay_s,
+            d_notify: SimDuration::from_secs(self.wire_latency_s + self.repair.detection_delay_s),
+            d_place: SimDuration::from_secs(self.wire_latency_s + self.transfer_estimate_s()),
+            part_of_rack,
+        }
     }
 
     /// One rack's initial state: placement, boot failure timers, and the
@@ -677,8 +682,10 @@ impl RackCell {
         self.update_object(sh, lo, now);
     }
 
+    /// Cancels every queued rebuild of a lost object, keeping the wait
+    /// mirror aligned with the repair queue's FIFO order.
     fn cancel_repairs(&mut self, object: u64) {
-        self.queue.cancel(object);
+        while self.queue.cancel(object) {}
         self.pending_mirror.retain(|&(o, _)| o != object);
     }
 
@@ -729,17 +736,14 @@ impl AvailShard {
     ) {
         let started = cell.queue.start_ready();
         for task in started {
-            let wait = match cell
-                .pending_mirror
-                .iter()
-                .position(|&(o, _)| o == task.object)
-            {
-                Some(i) => {
-                    let (_, at) = cell.pending_mirror.remove(i).expect("index in range");
-                    now.since(at).as_secs()
+            let enqueued = match cell.pending_mirror.pop_front() {
+                Some((obj, at)) => {
+                    debug_assert_eq!(obj, task.object, "mirror out of sync");
+                    at
                 }
-                None => 0.0,
+                None => now,
             };
+            let wait = now.since(enqueued).as_secs();
             cell.rebuild_waits.record(wait);
             ctx.observe("rebuild_wait_s", wait);
             let dur = cell.rebuild_duration(sh);
@@ -1130,6 +1134,23 @@ mod tests {
                 assert!(ranges[part as usize].contains(&rack), "rack {rack}");
             }
         }
+    }
+
+    #[test]
+    fn losing_an_object_cancels_every_queued_rebuild() {
+        let m = avail_model();
+        let sh = m.shared(vec![0; m.racks]);
+        let mut cell = m.build_cell(0, 1, &sh, &mut Vec::new());
+        for at in [1.0, 2.0] {
+            cell.queue.enqueue(RepairTask {
+                object: 0,
+                bytes: sh.object_bytes,
+            });
+            cell.pending_mirror.push_back((0, SimTime::from_secs(at)));
+        }
+        cell.cancel_repairs(0);
+        assert_eq!(cell.queue.pending_len(), 0, "a queued rebuild survived");
+        assert!(cell.pending_mirror.is_empty());
     }
 
     #[test]
