@@ -177,7 +177,10 @@ impl PartitionedAvailability {
 
     /// Builds the sharded simulation: rack cells with placement, boot
     /// failure timers, and chaos faults routed to their owning racks.
-    fn build(&self, seed: u64, partitions: usize) -> PartitionedSimulation<AvailShard> {
+    /// [`run`](Self::run) is `build`, the kernel's `run_until` and
+    /// [`finish`](Self::finish); a caller that times engine set-up apart
+    /// from the window loop calls the three itself.
+    pub fn build(&self, seed: u64, partitions: usize) -> PartitionedSimulation<AvailShard> {
         let ranges = balanced_ranges(self.racks, partitions);
         let shared = Arc::new(self.shared(part_of_rack_table(&ranges, self.racks)));
         let la_s = self.lookahead_s();
@@ -383,8 +386,9 @@ impl PartitionedAvailability {
         cell
     }
 
-    /// Folds shard state into one result, racks in global order.
-    fn finish(&self, sim: &PartitionedSimulation<AvailShard>) -> AvailabilityResult {
+    /// Folds the state of a run [`build`](Self::build) made into one
+    /// result, racks in global order.
+    pub fn finish(&self, sim: &PartitionedSimulation<AvailShard>) -> AvailabilityResult {
         let end = sim.now();
         let horizon_s = end.since(SimTime::ZERO).as_secs();
         let mut total_unavail = 0.0f64;

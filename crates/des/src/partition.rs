@@ -633,8 +633,8 @@ mod tests {
         }
     }
 
-    /// A model that never sends: two self-rescheduling chains that mark,
-    /// observe and touch, one of which ends.
+    /// A model that never sends: self-rescheduling chains of 151 events
+    /// each that mark, observe and touch.
     struct Solo {
         fired: u32,
     }
@@ -664,12 +664,15 @@ mod tests {
 
     #[test]
     fn one_partition_runs_exactly_like_a_bare_simulation() {
-        // Stops at the horizon, then with the queue drained.
-        for horizon in [SimTime::from_secs(300.5), SimTime::MAX] {
+        for (horizon, reason) in [
+            (SimTime::from_secs(300.5), "HorizonReached"),
+            (SimTime::MAX, "QueueEmpty"),
+        ] {
             let mut bare = Simulation::new(Solo { fired: 0 });
             bare.schedule_at(SimTime::ZERO, 0);
             bare.schedule_at(SimTime::from_secs(0.25), 1000);
             let bare_t = bare.run_observed(horizon, None);
+            assert_eq!(bare_t.stop_reason, reason);
 
             let mut part =
                 PartitionedSimulation::new(vec![Solo { fired: 0 }], Lookahead::from_secs(LA));
