@@ -110,6 +110,7 @@ fn main() {
         let t = sim.run_observed(SimTime::from_secs(horizon_s), threads);
         let loop_s = t1.elapsed().as_secs_f64();
         let r = m.finish(&sim);
+        drop(sim); // freeing the engine is part of the row's wall time
         let wall = t0.elapsed().as_secs_f64();
         match &oracle {
             None => {
