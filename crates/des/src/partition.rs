@@ -1,16 +1,15 @@
 //! Conservative partitioned (parallel) discrete-event execution.
 //!
-//! One simulation run split across `P` partitions, each a
-//! [`Simulation`] of its own model shard with its own
-//! [`EventQueue`](crate::EventQueue),
-//! synchronized with the classic conservative-window algorithm: every
-//! round, all partitions agree on the global minimum pending timestamp
-//! `T`, run their event loop over every local event with
-//! `time < T + lookahead`, then exchange cross-partition messages
-//! ([`Ctx::send`](crate::Ctx::send)) at a barrier. The [`Lookahead`] contract — every
-//! cross-partition send is delayed by at least the lookahead —
-//! guarantees a message produced inside a window arrives at or after the
-//! window's end, so no partition can receive an event in its past.
+//! One simulation run split across `P` partitions, each a [`Simulation`]
+//! of its own model shard with its own future-event list, synchronized
+//! with the classic conservative-window algorithm: every round, all
+//! partitions agree on the global minimum pending timestamp `T`, run the
+//! one event loop over every local event with `time < T + lookahead`,
+//! then exchange cross-partition messages ([`Ctx::send`](crate::Ctx::send))
+//! at a barrier. The [`Lookahead`] contract — every cross-partition send
+//! is delayed by at least the lookahead — guarantees a message produced
+//! inside a window arrives at or after the window's end, so no partition
+//! can receive an event in its past.
 //!
 //! # Determinism
 //!
@@ -27,10 +26,9 @@
 //!   model keys all state and randomness to shards that never migrate
 //!   (e.g. racks), routes *all* cross-shard interaction through
 //!   [`Ctx::send`](crate::Ctx::send) (even when both shards share a
-//!   partition), and
-//!   tags each message with its sender shard, then the executed event
-//!   sequence restricted to any one shard is independent of how shards
-//!   are grouped into partitions. Deliveries are stable-sorted by
+//!   partition), and tags each message with its sender shard, then the
+//!   executed event sequence restricted to any one shard is independent
+//!   of how shards are grouped into partitions. Deliveries are stable-sorted by
 //!   `(time, tag)`; ties within one `(time, tag)` pair can only come from
 //!   one shard and stay in that shard's send order.
 //!
@@ -94,10 +92,10 @@ pub(crate) struct Mail<E> {
 }
 
 /// A [`Simulation`]'s side of the mailbox protocol: the partition count
-/// and lookahead [`Ctx::send`](crate::Ctx::send) checks each message
-/// against, and the
-/// messages sent this window with their destination partitions. A bare
-/// `Simulation` has zero partitions to send to.
+/// and lookahead that [`Ctx::send`](crate::Ctx::send) checks each
+/// message against, and the messages sent this window with their
+/// destination partitions. A bare `Simulation` has zero partitions to
+/// send to.
 pub(crate) struct Mailbox<E> {
     pub(crate) parts: usize,
     pub(crate) lookahead: SimDuration,
