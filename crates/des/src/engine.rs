@@ -114,11 +114,11 @@ impl<E> Ctx<'_, E> {
     /// Sends `ev` to partition `to` of a [`crate::PartitionedSimulation`],
     /// arriving `delay` from now. `delay` must honor the run's
     /// [`crate::Lookahead`] (`delay >= lookahead`); `tag` identifies the
-    /// sending shard and orders simultaneous deliveries (see `Mail`).
-    /// Self-sends are allowed — a shard-decomposed model routes *all*
-    /// cross-shard traffic here so grouping shards into fewer partitions
-    /// cannot change delivery semantics. A bare [`Simulation`] has no
-    /// partitions to send to, so this panics there.
+    /// sending shard and orders simultaneous deliveries, which keep send
+    /// order within one tag. Self-sends are allowed — a shard-decomposed
+    /// model routes *all* cross-shard traffic here so grouping shards
+    /// into fewer partitions cannot change delivery semantics. A bare
+    /// [`Simulation`] has no partitions to send to, so this panics there.
     pub fn send(&mut self, to: usize, delay: SimDuration, tag: u64, ev: E) {
         let mailbox = &mut *self.mailbox;
         assert!(
