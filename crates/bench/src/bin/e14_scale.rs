@@ -73,7 +73,10 @@ fn main() {
     if flag_value(&args, "--partitions").is_some() {
         let partitions = partitions_from_args(&args);
         let threads = farm_from_args(&args).workers();
-        let m = WindTunnel::partitioned_availability_model(&base);
+        let m = WindTunnel::partitioned_availability_model(&base).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        });
         eprintln!(
             "partitioned run: {partitions} partition(s) on {threads} thread(s), \
              lookahead {:.1}s",

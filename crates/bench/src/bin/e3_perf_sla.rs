@@ -8,7 +8,7 @@
 //!
 //! The arm axis is a declarative [`SweepSpec`] executed by the shared
 //! [`SweepRunner`] with sharded recording (`--workers N` sizes the pool,
-//! default host cores or `WT_WORKERS`); every arm lands in the result
+//! default host cores); every arm lands in the result
 //! store as an `e3-perf` record, exported with `--jsonl <path>`. Output
 //! is byte-identical for any worker count. `--trace <path>` re-runs the
 //! busiest arm with the probe stack attached and writes Chrome

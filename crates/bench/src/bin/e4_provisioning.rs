@@ -4,7 +4,7 @@
 //!
 //! The query's 6 configurations dispatch through `run_query`'s
 //! [`SweepRunner`] onto the shared `windtunnel::farm` pool with sharded
-//! recording (`--workers N`, default host cores or `WT_WORKERS`);
+//! recording (`--workers N`, default host cores);
 //! results, record ids, and output are byte-identical for any worker
 //! count.
 

@@ -7,7 +7,7 @@
 //! replications — are declarative [`SweepSpec`]s executed by the shared
 //! [`windtunnel::sweep::SweepRunner`] with sharded recording into one
 //! result store
-//! (`--workers N` sizes the pool, default host cores or `WT_WORKERS`).
+//! (`--workers N` sizes the pool, default host cores).
 //! Every run lands in the store (`e5-queue` / `e5-avail` records, the
 //! latter with full engine telemetry attached), exported with
 //! `--jsonl <path>`. stdout is byte-identical for any worker count.

@@ -17,7 +17,7 @@ fn main() {
     );
 
     // `--workers N` sizes the exhaustive pass's farm pool (default host
-    // cores or `WT_WORKERS`); stdout is byte-identical for any value —
+    // cores); stdout is byte-identical for any value —
     // wall-clock timing goes to stderr.
     let args: Vec<String> = std::env::args().collect();
     let workers = farm_from_args(&args).workers();

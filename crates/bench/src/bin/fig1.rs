@@ -4,9 +4,9 @@
 //! Reproduces the paper's only quantitative artifact: 10,000 customers,
 //! quorum protocol, series {Random, RoundRobin} × {n=3, n=5} ×
 //! {N=10, N=30}. All curve points run on the shared `windtunnel::farm`
-//! executor; `--workers N` sets the pool size (default: host cores, or
-//! `WT_WORKERS`) and stdout is bitwise-identical for any value (timing
-//! and worker counts go to stderr).
+//! executor; `--workers N` sets the pool size (default: host cores) and
+//! stdout is bitwise-identical for any value (timing and worker counts
+//! go to stderr).
 //!
 //! Extra flags:
 //! * `--smoke` — the smallest series at reduced trial count (the CI

@@ -280,10 +280,14 @@ fn main() {
             "--stress" => stress = true,
             "--csv" => csv_path = Some(it.next().unwrap_or_else(|| usage())),
             "--workers" | "--threads" => {
-                threads = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage())
+                match wt_bench::knobs::parse_count(&arg, "worker", it.next().as_deref()) {
+                    Ok(Some(n)) => threads = n,
+                    Ok(None) => usage(),
+                    Err(reason) => {
+                        eprintln!("wtql: {reason}");
+                        std::process::exit(2);
+                    }
+                }
             }
             "--explain" => explain_only = true,
             "--interactive" | "-i" => interactive = true,

@@ -7,6 +7,7 @@
 //! binaries.
 
 pub mod fig1;
+pub mod knobs;
 pub mod queuesim;
 
 use windtunnel::farm::Farm;
@@ -25,44 +26,37 @@ pub fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a String> {
         .and_then(|pos| args.get(pos + 1))
 }
 
-/// The shared `--workers N` flag: an explicit pool size when given,
-/// otherwise the environment default (`WT_WORKERS`, then host cores).
-/// Exits with a usage error on a non-numeric value.
-pub fn farm_from_args(args: &[String]) -> Farm {
-    match flag_value(args, "--workers") {
-        Some(v) => match v.parse::<usize>() {
-            Ok(w) => Farm::new(w),
-            Err(_) => {
-                eprintln!("error: --workers expects a number, got '{v}'");
-                std::process::exit(2);
-            }
-        },
-        None => Farm::from_env(),
-    }
+/// The value of count flag `name` in `args` (see [`knobs`]), `None` when
+/// absent. Exits with a usage error on a zero or non-numeric value.
+fn count_flag(args: &[String], name: &str, noun: &str) -> Option<usize> {
+    let flag = flag_value(args, name).map(String::as_str);
+    knobs::parse_count(name, noun, flag).unwrap_or_else(|reason| {
+        eprintln!("error: {reason}");
+        std::process::exit(2);
+    })
 }
 
-/// A [`SweepRunner`] over the farm selected by `--workers`/environment —
+/// The shared `--workers N` flag: an explicit pool size when given,
+/// otherwise host cores ([`Farm::from_env`]). Exits with a usage error
+/// on a zero or non-numeric value.
+pub fn farm_from_args(args: &[String]) -> Farm {
+    count_flag(args, "--workers", "worker").map_or_else(Farm::from_env, Farm::new)
+}
+
+/// A [`SweepRunner`] over the farm selected by `--workers` —
 /// the standard way an experiment binary obtains its executor.
 pub fn runner_from_args(args: &[String]) -> SweepRunner {
     SweepRunner::new(farm_from_args(args))
 }
 
 /// The shared `--partitions N` flag: how many conservative-lookahead
-/// partitions a single simulation run is sharded across (parsed by the
-/// same helper as `WT_WORKERS`). The default is 1 — the serial oracle.
-/// Exits with a usage error on a non-positive or non-numeric value.
-/// The partition count affects wall-clock time only: results are
-/// bitwise-identical at any partition count, which the CI
-/// partition-smoke job diffs.
+/// partitions a single simulation run is sharded across (parsed like
+/// `--workers`). The default is 1 — the serial oracle. Exits with a
+/// usage error on a zero or non-numeric value. The partition count
+/// affects wall-clock time only: results are bitwise-identical at any
+/// partition count, which the CI partition-smoke job diffs.
 pub fn partitions_from_args(args: &[String]) -> usize {
-    let flag = flag_value(args, "--partitions").map(String::as_str);
-    match windtunnel::knobs::parse_count("--partitions", "partition", flag) {
-        Ok(n) => n.unwrap_or(1),
-        Err(reason) => {
-            eprintln!("error: {reason}");
-            std::process::exit(2);
-        }
-    }
+    count_flag(args, "--partitions", "partition").unwrap_or(1)
 }
 
 /// Writes a recorded run as Chrome trace-event JSON (`--trace <path>`)

@@ -26,10 +26,9 @@
 use crate::arena::{NodeLists, NodeSet};
 use crate::chaos::{ChaosConfig, CompiledFault, FaultEffect};
 use crate::results::AvailabilityResult;
-use std::collections::VecDeque;
 use wt_des::obs::{Hll, QuantileSketch, SketchSet};
 use wt_des::prelude::*;
-use wt_des::rng::RngFactory;
+use wt_des::rng::{RngFactory, Stream};
 use wt_dist::Dist;
 use wt_sw::repair::{RepairQueue, RepairTask};
 use wt_sw::{Placement, Placer, RedundancyScheme, RepairPolicy};
@@ -113,6 +112,32 @@ pub enum RebuildModel {
         /// Fraction of the link the rebuild may use.
         share: f64,
     },
+}
+
+impl RebuildModel {
+    /// One rebuild stream's length, shared by both availability engines:
+    /// a draw from `rng` under `Timed`; under `Bandwidth`, one object's
+    /// repair traffic over the stream's share of the link. Active gray
+    /// storms stretch it by the product of their `slowdowns` (repair
+    /// streams cross limping disks/NICs; per-component detail lives in
+    /// the perf engine).
+    pub(crate) fn stream_duration(
+        &self,
+        redundancy: RedundancyScheme,
+        object_bytes: u64,
+        slowdowns: impl IntoIterator<Item = f64>,
+        rng: &mut Stream,
+    ) -> SimDuration {
+        let base = match self {
+            RebuildModel::Timed(d) => d.sample(rng),
+            RebuildModel::Bandwidth { link_gbps, share } => {
+                let traffic = redundancy.repair_traffic_bytes(object_bytes);
+                traffic as f64 / (link_gbps * 1e9 / 8.0 * share)
+            }
+        };
+        let slow: f64 = slowdowns.into_iter().product();
+        SimDuration::from_secs(base * slow)
+    }
 }
 
 /// Rack-level correlated failures: a top-of-rack switch outage makes the
@@ -369,9 +394,7 @@ struct AvailState<'a> {
     unavail_s: Vec<f64>,
     // --------------------------------------------------------------------
     queue: RepairQueue,
-    /// FIFO mirror of the repair queue's pending tasks: (object, enqueued).
-    pending_mirror: VecDeque<(u64, SimTime)>,
-    rng: wt_des::rng::Stream,
+    rng: Stream,
     /// Compiled chaos schedule (empty without a fault schedule).
     chaos_faults: Vec<CompiledFault>,
     /// Per-node chaos-downtime counters (overlapping windows stack).
@@ -383,8 +406,6 @@ struct AvailState<'a> {
     chaos_npr: usize,
     /// Active gray-storm rebuild slowdowns: (fault index, aggregate).
     chaos_slowdowns: Vec<(usize, f64)>,
-    /// Active repair throttle: (fault index, saved max_parallel).
-    chaos_throttle: Option<(usize, usize)>,
     // --- reusable hot-path scratch (zero per-event allocation) ----------
     /// Objects drained off a failed node/disk this event.
     scratch_hosted: Vec<u32>,
@@ -479,14 +500,12 @@ impl<'a> AvailState<'a> {
             became_unavailable: vec![SimTime::ZERO; n_objects],
             unavail_s: vec![0.0; n_objects],
             queue: RepairQueue::new(cfg.repair),
-            pending_mirror: VecDeque::new(),
             rng: factory.stream("dynamics"),
             chaos_faults,
             chaos_node_down: vec![0; cfg.n_nodes],
             chaos_rack_down: vec![0; chaos_racks],
             chaos_npr,
             chaos_slowdowns: Vec::new(),
-            chaos_throttle: None,
             scratch_hosted: Vec::new(),
             scratch_touched: Vec::new(),
             scratch_nodes: Vec::new(),
@@ -596,61 +615,24 @@ impl<'a> AvailState<'a> {
         if !recoverable {
             self.lost[i] = true;
             // Cancel queued rebuilds for this object — its sources are gone.
-            while self.cancel_pending(object) {}
+            self.queue.cancel_all(u64::from(object));
         }
         !recoverable
     }
 
-    /// Cancels one queued rebuild of `object`, keeping the wait-time mirror
-    /// aligned with the repair queue's FIFO order.
-    fn cancel_pending(&mut self, object: u32) -> bool {
-        if self.queue.cancel(u64::from(object)) {
-            if let Some(pos) = self
-                .pending_mirror
-                .iter()
-                .position(|&(o, _)| o == u64::from(object))
-            {
-                self.pending_mirror.remove(pos);
-            }
-            true
-        } else {
-            false
-        }
-    }
-
-    /// One rebuild stream's duration. Active gray storms stretch it by the
-    /// product of their aggregate slowdowns (repair streams cross limping
-    /// disks/NICs; per-component detail lives in the perf engine).
-    fn rebuild_duration(&mut self) -> SimDuration {
-        let base = match &self.cfg.rebuild {
-            RebuildModel::Timed(d) => d.sample(&mut self.rng),
-            RebuildModel::Bandwidth { link_gbps, share } => {
-                let traffic = self
-                    .cfg
-                    .redundancy
-                    .repair_traffic_bytes(self.cfg.object_bytes);
-                let bps = link_gbps * 1e9 / 8.0 * share;
-                traffic as f64 / bps
-            }
-        };
-        let slow: f64 = self.chaos_slowdowns.iter().map(|(_, f)| f).product();
-        SimDuration::from_secs(base * slow)
-    }
-
     /// Starts every rebuild the concurrency cap allows.
     fn start_rebuilds(&mut self, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
-        let started = self.queue.start_ready();
-        for task in started {
-            let enqueued = match self.pending_mirror.pop_front() {
-                Some((obj, at)) => {
-                    debug_assert_eq!(obj, task.object, "mirror out of sync");
-                    at
-                }
-                None => now,
-            };
-            let wait_s = now.since(enqueued).as_secs();
+        while let Some(task) = self.queue.start_next() {
+            let wait_s = now.since(task.queued_at).as_secs();
             self.rebuild_waits.record(wait_s);
-            let dur = self.rebuild_duration();
+            let cfg = self.cfg;
+            let slowdowns = self.chaos_slowdowns.iter().map(|&(_, f)| f);
+            let dur = cfg.rebuild.stream_duration(
+                cfg.redundancy,
+                cfg.object_bytes,
+                slowdowns,
+                &mut self.rng,
+            );
             // Per-rebuild wait and duration quantiles, plus the distinct
             // objects repair ever touched — recorded inline (see
             // [`RebuildSketches`]) and absent from runs without telemetry.
@@ -794,24 +776,14 @@ impl Model for AvailState<'_> {
                 if self.lost[object as usize] {
                     return;
                 }
-                self.queue.enqueue(RepairTask {
+                let task = RepairTask {
                     object: u64::from(object),
-                    bytes: self.cfg.object_bytes,
-                });
-                self.pending_mirror.push_back((u64::from(object), now));
+                    queued_at: now,
+                };
                 // Circuit breaker: a growing backlog under an active chaos
                 // throttle trips it and restores full repair concurrency.
-                if let Some((i, saved)) = self.chaos_throttle {
-                    if let FaultEffect::RepairThrottle {
-                        breaker_pending, ..
-                    } = self.chaos_faults[i].effect
-                    {
-                        if self.queue.pending_len() > breaker_pending {
-                            self.queue.set_max_parallel(saved);
-                            self.chaos_throttle = None;
-                            ctx.mark("chaos_breaker_trip");
-                        }
-                    }
+                if self.queue.enqueue(task) {
+                    ctx.mark("chaos_breaker_trip");
                 }
                 self.start_rebuilds(now, ctx);
             }
@@ -868,10 +840,11 @@ impl Model for AvailState<'_> {
                 }
                 self.rack_up[rack] = false;
                 self.switch_failures += 1;
-                for n in rack * self.switch_npr..(rack + 1) * self.switch_npr {
+                let span = rack * self.switch_npr..(rack + 1) * self.switch_npr;
+                for n in span.clone() {
                     self.refresh_reachable(n);
                 }
-                self.reassess_rack(rack, now);
+                self.reassess_nodes(span, now);
                 // Copy the `&'a` config reference out of `self` so its
                 // distributions and `self.rng` can be borrowed together.
                 let cfg = self.cfg;
@@ -881,10 +854,11 @@ impl Model for AvailState<'_> {
             }
             Ev::SwitchBack(rack) => {
                 self.rack_up[rack] = true;
-                for n in rack * self.switch_npr..(rack + 1) * self.switch_npr {
+                let span = rack * self.switch_npr..(rack + 1) * self.switch_npr;
+                for n in span.clone() {
                     self.refresh_reachable(n);
                 }
-                self.reassess_rack(rack, now);
+                self.reassess_nodes(span, now);
                 let cfg = self.cfg;
                 let sw = cfg.switches.as_ref().expect("switch event without model");
                 let ttf = SimDuration::from_secs(sw.ttf.sample(&mut self.rng));
@@ -958,7 +932,7 @@ impl Model for AvailState<'_> {
                             self.chaos_node_down[n] += 1;
                             self.refresh_reachable(n);
                         }
-                        self.reassess_nodes(nodes, now);
+                        self.reassess_nodes(nodes.iter().copied(), now);
                     }
                     FaultEffect::RacksDown { racks } => {
                         let mut span = std::mem::take(&mut self.scratch_nodes);
@@ -972,20 +946,19 @@ impl Model for AvailState<'_> {
                         for &n in &span {
                             self.refresh_reachable(n);
                         }
-                        self.reassess_nodes(&span, now);
+                        self.reassess_nodes(span.iter().copied(), now);
                         self.scratch_nodes = span;
                     }
                     FaultEffect::Limp { aggregate, .. } => {
                         self.chaos_slowdowns.push((i, *aggregate));
                     }
-                    FaultEffect::RepairThrottle { max_parallel, .. } => {
+                    FaultEffect::RepairThrottle {
+                        max_parallel,
+                        breaker_pending,
+                    } => {
                         // One throttle at a time; later windows are no-ops
                         // while an earlier one is active.
-                        if self.chaos_throttle.is_none() {
-                            let saved = self.queue.policy().max_parallel;
-                            self.queue.set_max_parallel(*max_parallel);
-                            self.chaos_throttle = Some((i, saved));
-                        }
+                        self.queue.throttle(i, *max_parallel, *breaker_pending);
                     }
                 }
                 self.chaos_faults = faults;
@@ -1003,7 +976,7 @@ impl Model for AvailState<'_> {
                             self.chaos_node_down[n] -= 1;
                             self.refresh_reachable(n);
                         }
-                        self.reassess_nodes(nodes, now);
+                        self.reassess_nodes(nodes.iter().copied(), now);
                     }
                     FaultEffect::RacksDown { racks } => {
                         let mut span = std::mem::take(&mut self.scratch_nodes);
@@ -1017,7 +990,7 @@ impl Model for AvailState<'_> {
                         for &n in &span {
                             self.refresh_reachable(n);
                         }
-                        self.reassess_nodes(&span, now);
+                        self.reassess_nodes(span.iter().copied(), now);
                         self.scratch_nodes = span;
                     }
                     FaultEffect::Limp { .. } => {
@@ -1026,12 +999,8 @@ impl Model for AvailState<'_> {
                     FaultEffect::RepairThrottle { .. } => {
                         // Only restore if this window is still the active
                         // throttle (its breaker may have tripped already).
-                        if let Some((idx, saved)) = self.chaos_throttle {
-                            if idx == i {
-                                self.queue.set_max_parallel(saved);
-                                self.chaos_throttle = None;
-                                self.start_rebuilds(now, ctx);
-                            }
+                        if self.queue.unthrottle(i) {
+                            self.start_rebuilds(now, ctx);
                         }
                     }
                 }
@@ -1056,29 +1025,11 @@ impl AvailState<'_> {
     }
 
     /// Re-evaluates every object with a replica on one of `nodes` after
-    /// their reachability changed (chaos windows opening/closing).
-    fn reassess_nodes(&mut self, nodes: &[usize], now: SimTime) {
+    /// their reachability changed (switch outages, chaos windows).
+    fn reassess_nodes(&mut self, nodes: impl IntoIterator<Item = usize>, now: SimTime) {
         let mut touched = std::mem::take(&mut self.scratch_touched);
         touched.clear();
-        for &n in nodes {
-            self.node_objects.extend_into(n, &mut touched);
-        }
-        touched.sort_unstable();
-        touched.dedup();
-        for &object in &touched {
-            self.update_object(object, now);
-        }
-        self.scratch_touched = touched;
-    }
-
-    /// Re-evaluates every object with a replica in `rack` after its
-    /// reachability changed.
-    fn reassess_rack(&mut self, rack: usize, now: SimTime) {
-        let lo = rack * self.switch_npr;
-        let hi = lo + self.switch_npr;
-        let mut touched = std::mem::take(&mut self.scratch_touched);
-        touched.clear();
-        for n in lo..hi {
+        for n in nodes {
             self.node_objects.extend_into(n, &mut touched);
         }
         touched.sort_unstable();

@@ -38,7 +38,6 @@ use crate::arena::NodeLists;
 use crate::availability::RebuildModel;
 use crate::chaos::{ChaosConfig, FaultEffect};
 use crate::results::AvailabilityResult;
-use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::Arc;
 use wt_des::obs::{NoProbe, RunTelemetry};
@@ -176,7 +175,8 @@ impl PartitionedAvailability {
     }
 
     /// Builds the sharded simulation: rack cells with placement, boot
-    /// failure timers, and chaos faults routed to their owning racks.
+    /// failure timers, and the chaos schedule, compiled once and routed
+    /// to the racks it touches.
     /// [`run`](Self::run) is `build`, the kernel's `run_until` and
     /// [`finish`](Self::finish); a caller that times engine set-up apart
     /// from the window loop calls the three itself.
@@ -189,8 +189,11 @@ impl PartitionedAvailability {
         // Build every rack cell in global rack order, then wire mirror
         // hosting (which spans rack pairs) before grouping into shards.
         let mut boot: Vec<(usize, SimTime, AvailEv)> = Vec::new();
-        let mut cells: Vec<RackCell> = (0..self.racks)
-            .map(|r| self.build_cell(r, seed, &shared, &mut boot))
+        let mut cells: Vec<RackCell> = self
+            .route_chaos(seed)
+            .into_iter()
+            .enumerate()
+            .map(|(r, faults)| self.build_cell(r, seed, &shared, faults, &mut boot))
             .collect();
         if shared.has_mirror {
             for rack in 0..self.racks {
@@ -252,6 +255,71 @@ impl PartitionedAvailability {
         }
     }
 
+    /// The chaos schedule, compiled once and routed in one pass:
+    /// `routed[r]` holds rack `r`'s slice of every fault that touches it,
+    /// in schedule order. Node and rack outages reach the racks they
+    /// cover; gray storms and throttles act on every rack's repair
+    /// machinery.
+    fn route_chaos(&self, seed: u64) -> Vec<Vec<LocalFault>> {
+        let npr = self.nodes_per_rack;
+        let mut routed: Vec<Vec<LocalFault>> = (0..self.racks).map(|_| Vec::new()).collect();
+        let Some(chaos) = &self.chaos else {
+            return routed;
+        };
+        let n_nodes = self.racks * npr;
+        let mut hits: Vec<(usize, u16)> = Vec::new();
+        for fault in chaos.compile(n_nodes, seed) {
+            hits.clear();
+            let local = |effect| LocalFault {
+                mark: fault.mark,
+                at_s: fault.at_s,
+                until_s: fault.until_s,
+                effect,
+            };
+            let everywhere = match &fault.effect {
+                FaultEffect::NodesDown { nodes } => {
+                    hits.extend(nodes.iter().map(|&n| (n / npr, (n % npr) as u16)));
+                    None
+                }
+                FaultEffect::RacksDown { racks } => {
+                    // Chaos racks are spans of `chaos.nodes_per_rack`
+                    // nodes; expand and regroup by hardware rack.
+                    let cnpr = chaos.nodes_per_rack.max(1);
+                    hits.extend(
+                        racks
+                            .iter()
+                            .flat_map(|&cr| (cr * cnpr)..((cr + 1) * cnpr))
+                            .filter(|&n| n < n_nodes)
+                            .map(|n| (n / npr, (n % npr) as u16)),
+                    );
+                    None
+                }
+                FaultEffect::Limp { aggregate, .. } => Some(LocalEffect::Slowdown(*aggregate)),
+                FaultEffect::RepairThrottle {
+                    max_parallel,
+                    breaker_pending,
+                } => Some(LocalEffect::Throttle {
+                    max_parallel: *max_parallel,
+                    breaker_pending: *breaker_pending,
+                }),
+            };
+            if let Some(effect) = everywhere {
+                for faults in &mut routed {
+                    faults.push(local(effect.clone()));
+                }
+                continue;
+            }
+            // A stable sort keeps each rack's nodes in schedule order.
+            hits.sort_by_key(|&(rack, _)| rack);
+            for group in hits.chunk_by(|a, b| a.0 == b.0) {
+                let locals: Vec<u16> = group.iter().map(|&(_, n)| n).collect();
+                let full_rack = locals.len() == npr;
+                routed[group[0].0].push(local(LocalEffect::NodesDown { locals, full_rack }));
+            }
+        }
+        routed
+    }
+
     /// One rack's initial state: placement, boot failure timers, and the
     /// rack's slice of the chaos schedule. All streams are rack-keyed.
     fn build_cell(
@@ -259,6 +327,7 @@ impl PartitionedAvailability {
         rack: usize,
         seed: u64,
         shared: &AvailShared,
+        faults: Vec<LocalFault>,
         boot: &mut Vec<(usize, SimTime, AvailEv)>,
     ) -> RackCell {
         let npr = self.nodes_per_rack;
@@ -281,14 +350,12 @@ impl PartitionedAvailability {
             became_unavailable: vec![SimTime::ZERO; n_local],
             unavail_s: vec![0.0; n_local],
             queue: RepairQueue::new(self.repair),
-            pending_mirror: VecDeque::new(),
             rebuild_waits: Tally::new(),
             rng: factory.stream("dynamics"),
             buddy_dark: false,
             dark_windows: 0,
-            faults: Vec::new(),
+            faults,
             slowdowns: Vec::new(),
-            saved_parallel: None,
             node_failures: 0,
             unavailability_events: 0,
             rebuilds_completed: 0,
@@ -317,71 +384,15 @@ impl PartitionedAvailability {
             ));
         }
         // This rack's slice of the chaos schedule.
-        if let Some(chaos) = &self.chaos {
-            for fault in chaos.compile(self.racks * npr, seed) {
-                let locals = match &fault.effect {
-                    FaultEffect::NodesDown { nodes } => local_nodes_of(nodes, rack, npr),
-                    FaultEffect::RacksDown { racks } => {
-                        // Chaos racks are spans of `chaos.nodes_per_rack`
-                        // nodes; expand and regroup by hardware rack.
-                        let cnpr = chaos.nodes_per_rack.max(1);
-                        let nodes: Vec<usize> = racks
-                            .iter()
-                            .flat_map(|&cr| (cr * cnpr)..((cr + 1) * cnpr))
-                            .filter(|&n| n < self.racks * npr)
-                            .collect();
-                        local_nodes_of(&nodes, rack, npr)
-                    }
-                    // Gray storms and throttles act on every rack's
-                    // repair machinery, scaled by the aggregate factor.
-                    FaultEffect::Limp { aggregate, .. } => {
-                        push_fault(
-                            &mut cell,
-                            boot,
-                            part,
-                            rack,
-                            fault.mark,
-                            fault.at_s,
-                            fault.until_s,
-                            LocalEffect::Slowdown(*aggregate),
-                        );
-                        continue;
-                    }
-                    FaultEffect::RepairThrottle {
-                        max_parallel,
-                        breaker_pending,
-                    } => {
-                        push_fault(
-                            &mut cell,
-                            boot,
-                            part,
-                            rack,
-                            fault.mark,
-                            fault.at_s,
-                            fault.until_s,
-                            LocalEffect::Throttle {
-                                max_parallel: *max_parallel,
-                                breaker_pending: *breaker_pending,
-                            },
-                        );
-                        continue;
-                    }
-                };
-                if locals.is_empty() {
-                    continue;
-                }
-                let full_rack = locals.len() == npr;
-                push_fault(
-                    &mut cell,
-                    boot,
-                    part,
-                    rack,
-                    fault.mark,
-                    fault.at_s,
-                    fault.until_s,
-                    LocalEffect::NodesDown { locals, full_rack },
-                );
-            }
+        for (i, fault) in cell.faults.iter().enumerate() {
+            boot.push((
+                part,
+                SimTime::from_secs(fault.at_s),
+                AvailEv::ChaosStart {
+                    rack: rack as u32,
+                    fault: i as u32,
+                },
+            ));
         }
         cell
     }
@@ -439,42 +450,6 @@ impl PartitionedAvailability {
 fn local_object_count(objects: u64, racks: usize, rack: usize) -> usize {
     let (q, rem) = (objects / racks as u64, objects % racks as u64);
     (q + u64::from((rack as u64) < rem)) as usize
-}
-
-/// The subset of global `nodes` that live in `rack`, as local indices.
-fn local_nodes_of(nodes: &[usize], rack: usize, npr: usize) -> Vec<u16> {
-    nodes
-        .iter()
-        .filter(|&&n| n / npr == rack)
-        .map(|&n| (n % npr) as u16)
-        .collect()
-}
-
-#[allow(clippy::too_many_arguments)]
-fn push_fault(
-    cell: &mut RackCell,
-    boot: &mut Vec<(usize, SimTime, AvailEv)>,
-    part: usize,
-    rack: usize,
-    mark: &'static str,
-    at_s: f64,
-    until_s: f64,
-    effect: LocalEffect,
-) {
-    let idx = cell.faults.len() as u32;
-    cell.faults.push(LocalFault {
-        mark,
-        until_s,
-        effect,
-    });
-    boot.push((
-        part,
-        SimTime::from_secs(at_s),
-        AvailEv::ChaosStart {
-            rack: rack as u32,
-            fault: idx,
-        },
-    ));
 }
 
 /// Config shared read-only by every shard.
@@ -552,6 +527,7 @@ pub enum AvailEv {
 #[derive(Debug)]
 struct LocalFault {
     mark: &'static str,
+    at_s: f64,
     until_s: f64,
     effect: LocalEffect,
 }
@@ -590,8 +566,6 @@ struct RackCell {
     became_unavailable: Vec<SimTime>,
     unavail_s: Vec<f64>,
     queue: RepairQueue,
-    /// `(global object, enqueue time)` for wait accounting.
-    pending_mirror: VecDeque<(u64, SimTime)>,
     rebuild_waits: Tally,
     /// Rack dynamics stream (failure rearm, rebuild draws, target picks).
     rng: Stream,
@@ -601,8 +575,6 @@ struct RackCell {
     dark_windows: u32,
     faults: Vec<LocalFault>,
     slowdowns: Vec<(u32, f64)>,
-    /// `(fault, saved max_parallel, breaker_pending)` while throttled.
-    saved_parallel: Option<(u32, usize, usize)>,
     node_failures: u64,
     unavailability_events: u64,
     rebuilds_completed: u64,
@@ -685,25 +657,6 @@ impl RackCell {
         self.rebuilds_completed += 1;
         self.update_object(sh, lo, now);
     }
-
-    /// Cancels every queued rebuild of a lost object, keeping the wait
-    /// mirror aligned with the repair queue's FIFO order.
-    fn cancel_repairs(&mut self, object: u64) {
-        while self.queue.cancel(object) {}
-        self.pending_mirror.retain(|&(o, _)| o != object);
-    }
-
-    fn rebuild_duration(&mut self, sh: &AvailShared) -> SimDuration {
-        let base = match &sh.rebuild {
-            RebuildModel::Timed(d) => d.sample(&mut self.rng),
-            RebuildModel::Bandwidth { link_gbps, share } => {
-                let traffic = sh.redundancy.repair_traffic_bytes(sh.object_bytes);
-                traffic as f64 / (link_gbps * 1e9 / 8.0 * share)
-            }
-        };
-        let slow: f64 = self.slowdowns.iter().map(|(_, f)| f).product();
-        SimDuration::from_secs(base * slow)
-    }
 }
 
 /// One partition's worth of racks.
@@ -738,19 +691,17 @@ impl AvailShard {
         now: SimTime,
         ctx: &mut Ctx<'_, AvailEv>,
     ) {
-        let started = cell.queue.start_ready();
-        for task in started {
-            let enqueued = match cell.pending_mirror.pop_front() {
-                Some((obj, at)) => {
-                    debug_assert_eq!(obj, task.object, "mirror out of sync");
-                    at
-                }
-                None => now,
-            };
-            let wait = now.since(enqueued).as_secs();
+        while let Some(task) = cell.queue.start_next() {
+            let wait = now.since(task.queued_at).as_secs();
             cell.rebuild_waits.record(wait);
             ctx.observe("rebuild_wait_s", wait);
-            let dur = cell.rebuild_duration(sh);
+            let slowdowns = cell.slowdowns.iter().map(|&(_, f)| f);
+            let dur = sh.rebuild.stream_duration(
+                sh.redundancy,
+                sh.object_bytes,
+                slowdowns,
+                &mut cell.rng,
+            );
             ctx.schedule_in(
                 dur,
                 AvailEv::RebuildDone {
@@ -805,7 +756,7 @@ impl Model for AvailShard {
                     let g = lo as u64 * sh.racks as u64 + rack as u64;
                     if cell.update_object(&sh, lo, now) {
                         ctx.mark("object_lost");
-                        cell.cancel_repairs(g);
+                        cell.queue.cancel_all(g);
                     } else if !cell.lost[lo] {
                         ctx.schedule_in(
                             SimDuration::from_secs(sh.detection_s),
@@ -851,16 +802,12 @@ impl Model for AvailShard {
                 if cell.lost[lo] || cell.holder_len[lo] as usize >= sh.local_w {
                     return;
                 }
-                cell.queue.enqueue(RepairTask {
+                let task = RepairTask {
                     object,
-                    bytes: sh.object_bytes,
-                });
-                cell.pending_mirror.push_back((object, now));
-                if let Some((_, saved, breaker)) = cell.saved_parallel {
-                    if cell.queue.pending_len() > breaker {
-                        cell.queue.set_max_parallel(saved);
-                        cell.saved_parallel = None;
-                    }
+                    queued_at: now,
+                };
+                if cell.queue.enqueue(task) {
+                    ctx.mark("chaos_breaker_trip");
                 }
                 Self::start_rebuilds(&sh, cell, now, ctx);
             }
@@ -914,7 +861,7 @@ impl Model for AvailShard {
                 cell.mirror_exists[lo] = false;
                 if cell.update_object(&sh, lo, now) {
                     ctx.mark("object_lost");
-                    cell.cancel_repairs(object);
+                    cell.queue.cancel_all(object);
                 } else {
                     ctx.send(
                         sh.part_of(sh.buddy(rack)),
@@ -1017,11 +964,8 @@ impl Model for AvailShard {
                         max_parallel,
                         breaker_pending,
                     } => {
-                        if cell.saved_parallel.is_none() {
-                            let saved = cell.queue.policy().max_parallel;
-                            cell.saved_parallel = Some((fault, saved, breaker_pending));
-                            cell.queue.set_max_parallel(max_parallel);
-                        }
+                        cell.queue
+                            .throttle(fault as usize, max_parallel, breaker_pending);
                     }
                 }
                 ctx.schedule_at(
@@ -1057,12 +1001,8 @@ impl Model for AvailShard {
                         cell.slowdowns.retain(|&(i, _)| i != fault);
                     }
                     LocalEffect::Throttle { .. } => {
-                        if let Some((i, saved, _)) = cell.saved_parallel {
-                            if i == fault {
-                                cell.queue.set_max_parallel(saved);
-                                cell.saved_parallel = None;
-                                Self::start_rebuilds(&sh, cell, now, ctx);
-                            }
+                        if cell.queue.unthrottle(fault as usize) {
+                            Self::start_rebuilds(&sh, cell, now, ctx);
                         }
                     }
                 }
@@ -1144,17 +1084,16 @@ mod tests {
     fn losing_an_object_cancels_every_queued_rebuild() {
         let m = avail_model();
         let sh = m.shared(vec![0; m.racks]);
-        let mut cell = m.build_cell(0, 1, &sh, &mut Vec::new());
-        for at in [1.0, 2.0] {
+        let mut cell = m.build_cell(0, 1, &sh, Vec::new(), &mut Vec::new());
+        for (object, at) in [(0, 1.0), (3, 1.5), (0, 2.0)] {
             cell.queue.enqueue(RepairTask {
-                object: 0,
-                bytes: sh.object_bytes,
+                object,
+                queued_at: SimTime::from_secs(at),
             });
-            cell.pending_mirror.push_back((0, SimTime::from_secs(at)));
         }
-        cell.cancel_repairs(0);
-        assert_eq!(cell.queue.pending_len(), 0, "a queued rebuild survived");
-        assert!(cell.pending_mirror.is_empty());
+        cell.queue.cancel_all(0);
+        assert_eq!(cell.queue.pending_len(), 1, "a queued rebuild survived");
+        assert_eq!(cell.queue.start_next().map(|t| t.object), Some(3));
     }
 
     #[test]
@@ -1245,6 +1184,58 @@ mod tests {
         assert!(oracle.0.unavailability_events > 0);
         for (partitions, threads) in [(2, 2), (3, 2), (6, 4)] {
             let got = m.run_observed(5, HORIZON, partitions, threads);
+            assert_eq!(oracle.0, got.0, "N={partitions}");
+            assert_partitioning_invariant(&oracle.1, &got.1, partitions);
+        }
+    }
+
+    #[test]
+    fn repair_throttle_breaker_and_gray_storm_are_partitioning_invariant() {
+        // A 40-day full repair pause whose breaker trips once a rack's
+        // backlog passes 30, and a disk gray storm that stretches rebuild
+        // streams: the repair-side chaos paths (throttle, breaker,
+        // slowdown) must fire identically at every partition count.
+        const DAY: f64 = 86_400.0;
+        let mut m = avail_model();
+        let unscheduled = m.run(5, HORIZON, 1, 1);
+        m.chaos = Some(ChaosConfig {
+            schedule: FaultSchedule {
+                rules: vec![
+                    InjectionRule {
+                        name: "repair pause".into(),
+                        at_s: DAY,
+                        fault: FaultKind::RepairThrottle {
+                            max_parallel: 0,
+                            duration_s: 40.0 * DAY,
+                            breaker_pending: 30,
+                        },
+                    },
+                    InjectionRule {
+                        name: "disk gray storm".into(),
+                        at_s: 2.0 * DAY,
+                        fault: FaultKind::GrayStorm {
+                            spec: wt_hw::LimpwareSpec::degraded_disk_fixed(0.5, 4.0),
+                            center_rack: 2,
+                            radius_racks: 1,
+                            duration_s: 20.0 * DAY,
+                        },
+                    },
+                ],
+            },
+            nodes_per_rack: m.nodes_per_rack,
+        });
+        let oracle = m.run_observed(5, HORIZON, 1, 1);
+        let marks = &oracle.1.marks;
+        assert!(marks.get("chaos_breaker_trip") > Some(&0), "{marks:?}");
+        assert!(marks.get("inject_gray_storm") > Some(&0), "{marks:?}");
+        assert!(
+            oracle.0.mean_rebuild_wait_s > unscheduled.mean_rebuild_wait_s,
+            "paused repair must wait longer: {} vs {}",
+            oracle.0.mean_rebuild_wait_s,
+            unscheduled.mean_rebuild_wait_s
+        );
+        for partitions in [2, 3] {
+            let got = m.run_observed(5, HORIZON, partitions, 2);
             assert_eq!(oracle.0, got.0, "N={partitions}");
             assert_partitioning_invariant(&oracle.1, &got.1, partitions);
         }

@@ -100,17 +100,12 @@ impl Farm {
         Farm::new(1)
     }
 
-    /// Worker count from the `WT_WORKERS` environment variable when set,
-    /// otherwise the host's available parallelism. A set-but-unusable
-    /// value (non-numeric, or `0`) falls back to the host count and warns
-    /// once on stderr instead of being silently swallowed — the shared
-    /// [`crate::knobs`] behavior. Setting `WT_PROGRESS` (to anything but
-    /// `0`) additionally turns on the [heartbeat](Self::with_heartbeat).
+    /// A farm sized to the host's available parallelism. Setting
+    /// `WT_PROGRESS` (to anything but `0`) turns on the
+    /// [heartbeat](Self::with_heartbeat).
     pub fn from_env() -> Self {
-        let workers = crate::knobs::env_count("WT_WORKERS", "worker", "host parallelism")
-            .unwrap_or_else(host_parallelism);
         let progress = std::env::var("WT_PROGRESS").is_ok_and(|v| v != "0");
-        Farm::new(workers).with_heartbeat(progress)
+        Farm::new(host_parallelism()).with_heartbeat(progress)
     }
 
     /// Enables (or disables) the stderr progress heartbeat: roughly one
@@ -592,24 +587,6 @@ mod tests {
             farm.run_recorded_scheduled(0, &empty, &store, &[], Some(&|_| 0.0), |&x, _, _| x);
         assert!(out.is_empty());
         assert_eq!(store.len(), 0);
-    }
-
-    #[test]
-    fn wt_workers_parsing_accepts_counts_and_flags_garbage() {
-        // `Farm::from_env` parses WT_WORKERS through the shared knob
-        // helper; pin the farm-facing messages here.
-        let parse = |v| crate::knobs::parse_count("WT_WORKERS", "worker", v);
-        assert_eq!(parse(None), Ok(None));
-        assert_eq!(parse(Some("4")), Ok(Some(4)));
-        assert_eq!(parse(Some(" 8 ")), Ok(Some(8)));
-        // Set-but-unusable values are reported, not silently swallowed.
-        let zero = parse(Some("0")).unwrap_err();
-        assert!(zero.contains("WT_WORKERS=0"), "message: {zero}");
-        assert!(zero.contains("worker"), "message: {zero}");
-        let junk = parse(Some("many")).unwrap_err();
-        assert!(junk.contains("not a number"), "message: {junk}");
-        let negative = parse(Some("-2")).unwrap_err();
-        assert!(negative.contains("not a number"), "message: {negative}");
     }
 
     #[test]

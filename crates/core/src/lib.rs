@@ -46,7 +46,6 @@
 
 pub mod builder;
 pub mod farm;
-pub mod knobs;
 pub mod report;
 pub mod runner;
 pub mod sla;
@@ -55,7 +54,7 @@ pub mod sweep;
 
 pub use builder::ScenarioBuilder;
 pub use farm::{Farm, RunCtx};
-pub use runner::{t_quantile_975, Assessment, MeanInterval, WindTunnel};
+pub use runner::{t_quantile_975, Assessment, MeanInterval, UnsupportedRedundancy, WindTunnel};
 pub use sla::{Sla, SlaSet};
 pub use surrogate::Surrogate;
 pub use sweep::{SweepOutcome, SweepReport, SweepRunner, SweepSpec};

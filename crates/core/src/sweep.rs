@@ -506,11 +506,6 @@ impl SweepRunner {
         SweepRunner { farm }
     }
 
-    /// A runner sized from the environment (`WT_WORKERS`, host cores).
-    pub fn from_env() -> Self {
-        SweepRunner::new(Farm::from_env())
-    }
-
     /// A single-worker runner (tests, doc examples).
     pub fn serial() -> Self {
         SweepRunner::new(Farm::new(1))

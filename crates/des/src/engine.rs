@@ -47,8 +47,8 @@ pub enum StopReason {
     HorizonReached,
     /// The model called [`Ctx::stop`].
     StoppedByModel,
-    /// The configured event budget was exhausted (used by the wind tunnel's
-    /// early-abort machinery).
+    /// The configured event budget was exhausted (see
+    /// [`Simulation::set_event_budget`]).
     EventBudgetExhausted,
 }
 
@@ -221,7 +221,10 @@ impl<M: Model> Simulation<M> {
     }
 
     /// Caps the total number of events this run may execute; the engine
-    /// returns [`StopReason::EventBudgetExhausted`] once reached.
+    /// returns [`StopReason::EventBudgetExhausted`] once reached. The
+    /// kernel benches use it to run a fixed event count, and a test can
+    /// step a run one event at a time with it. The sweeps' early abort
+    /// does not: it runs a probe over a shorter horizon instead.
     pub fn set_event_budget(&mut self, budget: u64) {
         self.event_budget = Some(budget);
     }

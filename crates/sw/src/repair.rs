@@ -6,10 +6,14 @@
 //! many sources each repair streams — "by instantiating parallel repairs on
 //! different machines, one can decrease the probability that the data will
 //! become unavailable" (§1). The actual event scheduling lives in
-//! `wt-cluster`; this module owns the policy math and the repair queue
-//! bookkeeping.
+//! `wt-cluster`; this module owns the policy math and the [`RepairQueue`]
+//! both availability engines drive: when each repair was queued, the FIFO
+//! start order under the concurrency cap, cancellation, and the chaos
+//! repair throttle with its backlog breaker.
 
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
+use wt_des::time::SimTime;
 
 /// How the system re-replicates after a failure.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -64,79 +68,116 @@ impl Default for RepairPolicy {
 }
 
 /// A degraded object awaiting repair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RepairTask {
     /// Object identifier.
     pub object: u64,
-    /// Bytes to move for this object's repair.
-    pub bytes: u64,
+    /// When the repair was queued; its wait ends when it starts.
+    pub queued_at: SimTime,
+}
+
+/// A chaos repair throttle while it clamps the cap.
+#[derive(Debug, Clone, Copy)]
+struct Throttle {
+    fault: usize,
+    saved_cap: usize,
+    breaker_pending: usize,
 }
 
 /// FIFO queue of pending repairs with a concurrency cap — the state
-/// machine `wt-cluster` drives.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// machine `wt-cluster` drives. It owns a repair's whole life in the
+/// queue: when it was queued, when it may start, dropping the queued
+/// repairs of a lost object, and the chaos throttle that clamps the cap
+/// until its window ends or its backlog breaker trips.
+#[derive(Debug, Clone)]
 pub struct RepairQueue {
-    policy: RepairPolicy,
-    pending: Vec<RepairTask>,
+    /// The live concurrency cap: the policy's, or a throttle's clamp.
+    max_parallel: usize,
+    pending: VecDeque<RepairTask>,
     in_flight: usize,
     completed: u64,
+    throttle: Option<Throttle>,
 }
 
 impl RepairQueue {
-    /// An empty queue under `policy`.
+    /// An empty queue under `policy`'s concurrency cap.
     pub fn new(policy: RepairPolicy) -> Self {
         RepairQueue {
-            policy,
-            pending: Vec::new(),
+            max_parallel: policy.max_parallel,
+            pending: VecDeque::new(),
             in_flight: 0,
             completed: 0,
+            throttle: None,
         }
     }
 
-    /// The governing policy.
-    pub fn policy(&self) -> RepairPolicy {
-        self.policy
+    /// Enqueues a degraded object. Returns true when this push tripped
+    /// the active throttle's breaker — the backlog grew past its
+    /// `breaker_pending` — which ends the throttle and restores the cap.
+    pub fn enqueue(&mut self, task: RepairTask) -> bool {
+        self.pending.push_back(task);
+        match self.throttle {
+            Some(t) if self.pending.len() > t.breaker_pending => {
+                self.max_parallel = t.saved_cap;
+                self.throttle = None;
+                true
+            }
+            _ => false,
+        }
     }
 
-    /// Enqueues a degraded object.
-    pub fn enqueue(&mut self, task: RepairTask) {
-        self.pending.push(task);
+    /// Starts the oldest pending repair if the concurrency cap allows;
+    /// the caller schedules its completion event.
+    #[must_use = "a started repair must have its completion event scheduled"]
+    pub fn start_next(&mut self) -> Option<RepairTask> {
+        if self.in_flight >= self.max_parallel {
+            return None;
+        }
+        let task = self.pending.pop_front()?;
+        self.in_flight += 1;
+        Some(task)
     }
 
-    /// Replaces the concurrency cap in place (repair-bandwidth throttling;
-    /// the chaos layer's throttle rules drive this). `0` pauses the queue.
-    /// Repairs already in flight are not interrupted — a lowered cap only
-    /// gates future `start_ready` calls.
-    pub fn set_max_parallel(&mut self, max_parallel: usize) {
-        self.policy.max_parallel = max_parallel;
-    }
-
-    /// Starts as many repairs as the concurrency cap allows; returns the
-    /// tasks that just started (caller schedules their completion events).
-    #[must_use = "started repairs must have completion events scheduled"]
-    pub fn start_ready(&mut self) -> Vec<RepairTask> {
-        let slots = self.policy.max_parallel.saturating_sub(self.in_flight);
-        let take = slots.min(self.pending.len());
-        let started: Vec<RepairTask> = self.pending.drain(..take).collect();
-        self.in_flight += started.len();
-        started
-    }
-
-    /// Marks one repair finished; typically followed by `start_ready`.
+    /// Marks one repair finished; typically followed by `start_next`.
     pub fn complete_one(&mut self) {
         assert!(self.in_flight > 0, "no repair in flight");
         self.in_flight -= 1;
         self.completed += 1;
     }
 
-    /// Drops any pending repair for `object` (e.g. the object's node came
-    /// back before repair started). Returns true if one was removed.
-    pub fn cancel(&mut self, object: u64) -> bool {
-        if let Some(pos) = self.pending.iter().position(|t| t.object == object) {
-            self.pending.remove(pos);
-            true
-        } else {
-            false
+    /// Drops every pending repair of `object` (its sources are gone).
+    /// Repairs in flight run on.
+    pub fn cancel_all(&mut self, object: u64) {
+        self.pending.retain(|t| t.object != object);
+    }
+
+    /// Clamps the concurrency cap to `max_parallel` (`0` pauses the
+    /// queue) for chaos fault `fault`, until [`unthrottle`](Self::unthrottle)
+    /// or a backlog above `breaker_pending` restores it. Ignored while
+    /// another throttle is active. Repairs in flight are not interrupted
+    /// — a lowered cap only gates later starts.
+    pub fn throttle(&mut self, fault: usize, max_parallel: usize, breaker_pending: usize) {
+        if self.throttle.is_none() {
+            self.throttle = Some(Throttle {
+                fault,
+                saved_cap: self.max_parallel,
+                breaker_pending,
+            });
+            self.max_parallel = max_parallel;
+        }
+    }
+
+    /// Ends fault `fault`'s throttle and restores the cap. Returns false
+    /// when `fault` is not the active throttle (it was ignored, or its
+    /// breaker already tripped).
+    pub fn unthrottle(&mut self, fault: usize) -> bool {
+        match self.throttle {
+            Some(t) if t.fault == fault => {
+                self.max_parallel = t.saved_cap;
+                self.throttle = None;
+                true
+            }
+            _ => false,
         }
     }
 
@@ -199,58 +240,65 @@ mod tests {
         assert!((transfer_slow / transfer_fast - 10.0).abs() < 0.01);
     }
 
+    /// A task for `object` queued at time zero.
+    fn task(object: u64) -> RepairTask {
+        RepairTask {
+            object,
+            queued_at: SimTime::ZERO,
+        }
+    }
+
+    /// Starts every repair the cap allows; returns their objects.
+    fn start_all(q: &mut RepairQueue) -> Vec<u64> {
+        std::iter::from_fn(|| q.start_next())
+            .map(|t| t.object)
+            .collect()
+    }
+
     #[test]
     fn queue_respects_concurrency_cap() {
         let mut q = RepairQueue::new(RepairPolicy::parallel(2));
         for i in 0..5 {
-            q.enqueue(RepairTask {
-                object: i,
-                bytes: 100,
-            });
+            assert!(!q.enqueue(task(i)), "no throttle, no breaker");
         }
-        let started = q.start_ready();
-        assert_eq!(started.len(), 2);
+        assert_eq!(start_all(&mut q), vec![0, 1]);
         assert_eq!(q.in_flight(), 2);
         assert_eq!(q.pending_len(), 3);
         // Nothing more can start until a completion.
-        assert!(q.start_ready().is_empty());
+        assert!(q.start_next().is_none());
         q.complete_one();
-        let next = q.start_ready();
-        assert_eq!(next.len(), 1);
-        assert_eq!(next[0].object, 2);
+        assert_eq!(start_all(&mut q), vec![2]);
         assert_eq!(q.completed(), 1);
     }
 
     #[test]
     fn queue_drains_to_idle() {
         let mut q = RepairQueue::new(RepairPolicy::serial());
+        let queued_at = SimTime::from_secs(42.0);
         q.enqueue(RepairTask {
             object: 1,
-            bytes: 1,
+            queued_at,
         });
         assert!(!q.is_idle());
-        let s = q.start_ready();
-        assert_eq!(s.len(), 1);
+        // A started task carries the time it was queued.
+        let started = q.start_next().expect("one slot free");
+        assert_eq!((started.object, started.queued_at), (1, queued_at));
         q.complete_one();
         assert!(q.is_idle());
     }
 
     #[test]
-    fn cancel_pending_repair() {
+    fn cancel_all_drops_every_queued_repair() {
         let mut q = RepairQueue::new(RepairPolicy::serial());
-        q.enqueue(RepairTask {
-            object: 7,
-            bytes: 1,
-        });
-        q.enqueue(RepairTask {
-            object: 8,
-            bytes: 1,
-        });
-        assert!(q.cancel(7));
-        assert!(!q.cancel(7));
-        assert_eq!(q.pending_len(), 1);
-        let s = q.start_ready();
-        assert_eq!(s[0].object, 8);
+        for object in [7, 8, 7, 9, 7] {
+            q.enqueue(task(object));
+        }
+        // Every queued repair of the object goes in one call.
+        q.cancel_all(7);
+        assert_eq!(q.pending_len(), 2);
+        q.cancel_all(7);
+        assert_eq!(q.pending_len(), 2);
+        assert_eq!(q.start_next().map(|t| t.object), Some(8));
     }
 
     #[test]
@@ -264,31 +312,25 @@ mod tests {
     fn fifo_order_survives_combined_storm() {
         // The interleaving a combined switch + disk failure storm produces:
         // bursts of enqueues (objects degraded by a rack outage and by disk
-        // deaths), interleaved cancels (rack comes back) and completions.
+        // deaths), interleaved cancels (objects lost) and completions.
         // Start order must remain exactly enqueue order minus cancels.
         let mut q = RepairQueue::new(RepairPolicy::parallel(2));
         let mut started: Vec<u64> = Vec::new();
         // Wave 1: switch failure degrades objects 0..6.
         for i in 0..6 {
-            q.enqueue(RepairTask {
-                object: i,
-                bytes: 1 << 20,
-            });
+            q.enqueue(task(i));
         }
-        started.extend(q.start_ready().iter().map(|t| t.object));
-        // Wave 2: disk failures degrade 10..13 while the rack heals and
-        // cancels two not-yet-started rack repairs.
+        started.extend(start_all(&mut q));
+        // Wave 2: disk failures degrade 10..13 while two not-yet-started
+        // rack repairs are cancelled.
         for i in 10..13 {
-            q.enqueue(RepairTask {
-                object: i,
-                bytes: 1 << 20,
-            });
+            q.enqueue(task(i));
         }
-        assert!(q.cancel(3));
-        assert!(q.cancel(5));
+        q.cancel_all(3);
+        q.cancel_all(5);
         while q.in_flight() > 0 || q.pending_len() > 0 {
             q.complete_one();
-            started.extend(q.start_ready().iter().map(|t| t.object));
+            started.extend(start_all(&mut q));
         }
         assert_eq!(started, vec![0, 1, 2, 4, 10, 11, 12]);
         assert_eq!(q.completed(), 7);
@@ -301,33 +343,51 @@ mod tests {
         // in-flight never exceeds the live cap, then restore and drain.
         let mut q = RepairQueue::new(RepairPolicy::parallel(4));
         for i in 0..10 {
-            q.enqueue(RepairTask {
-                object: i,
-                bytes: 1,
-            });
+            q.enqueue(task(i));
         }
-        assert_eq!(q.start_ready().len(), 4);
-        q.set_max_parallel(1); // throttle while 4 are in flight
+        assert_eq!(start_all(&mut q).len(), 4);
+        q.throttle(0, 1, usize::MAX); // throttle while 4 are in flight
+                                      // A second window is ignored while the first is active: the cap
+                                      // stays 1, not 0 (checked below, once the queue drains to 0).
+        q.throttle(1, 0, usize::MAX);
+        assert!(!q.unthrottle(1), "the ignored window restores nothing");
         q.complete_one();
         // 3 still in flight >= cap of 1: nothing new may start.
-        assert!(q.start_ready().is_empty());
+        assert!(q.start_next().is_none());
         q.complete_one();
         q.complete_one();
         q.complete_one();
         assert_eq!(q.in_flight(), 0);
-        assert_eq!(q.start_ready().len(), 1);
-        q.set_max_parallel(0); // breaker-style full pause
+        assert_eq!(start_all(&mut q).len(), 1);
+        assert!(q.unthrottle(0));
+        assert!(!q.unthrottle(0), "restored once");
+        q.throttle(2, 0, usize::MAX); // full pause
         q.complete_one();
-        assert!(q.start_ready().is_empty());
-        q.set_max_parallel(4); // restore
-        assert_eq!(q.start_ready().len(), 4);
+        assert!(q.start_next().is_none());
+        assert!(q.unthrottle(2)); // restore
+        assert_eq!(start_all(&mut q).len(), 4);
         q.complete_one();
         q.complete_one();
         q.complete_one();
         q.complete_one();
-        assert_eq!(q.start_ready().len(), 1);
+        assert_eq!(start_all(&mut q).len(), 1);
         q.complete_one();
         assert!(q.is_idle());
         assert_eq!(q.completed(), 10);
+    }
+
+    #[test]
+    fn breaker_trips_on_backlog_and_restores_the_cap() {
+        let mut q = RepairQueue::new(RepairPolicy::parallel(3));
+        q.throttle(5, 0, 2);
+        assert!(!q.enqueue(task(0)));
+        assert!(!q.enqueue(task(1)));
+        assert!(q.start_next().is_none(), "paused");
+        // The third pending task exceeds the breaker's backlog of 2.
+        assert!(q.enqueue(task(2)), "breaker trips");
+        assert!(!q.enqueue(task(3)), "trips once");
+        assert!(!q.unthrottle(5), "the tripped throttle is over");
+        // The policy's cap of 3 is back.
+        assert_eq!(start_all(&mut q), vec![0, 1, 2]);
     }
 }

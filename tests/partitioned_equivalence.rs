@@ -84,7 +84,9 @@ fn availability_records_identical_across_thread_counts() {
     let tunnel = WindTunnel::new();
     let bytes = |threads: usize| {
         let store = SharedStore::new();
-        tunnel.run_availability_partitioned_into(&scenario(41), 3, threads, &store);
+        tunnel
+            .run_availability_partitioned_into(&scenario(41), 3, threads, &store)
+            .expect("replicated scenario maps");
         record_bytes(&store)
     };
     let serial = bytes(1);
@@ -102,7 +104,9 @@ fn availability_results_invariant_across_partition_counts() {
     let tunnel = WindTunnel::new();
     let run = |partitions: usize| {
         let store = SharedStore::new();
-        tunnel.run_availability_partitioned_into(&scenario(43), partitions, 2, &store)
+        tunnel
+            .run_availability_partitioned_into(&scenario(43), partitions, 2, &store)
+            .expect("replicated scenario maps")
     };
     let (gold, gold_t) = run(1);
     assert!(gold_t.events > 1_000, "run must do real work");
@@ -161,8 +165,9 @@ fn partitioned_record_bytes_pinned() {
     let mut lines = Vec::new();
     for (partitions, threads) in [(1, 1), (3, 2)] {
         let store = SharedStore::new();
-        let (r, _) =
-            tunnel.run_availability_partitioned_into(&scenario(43), partitions, threads, &store);
+        let (r, _) = tunnel
+            .run_availability_partitioned_into(&scenario(43), partitions, threads, &store)
+            .expect("replicated scenario maps");
         lines.push(format!(
             "{{\"run\":\"scenario(43)\",\"partitions\":{partitions},\"result\":{},\"record\":{}}}",
             serde_json::to_string(&r).expect("serializes"),
