@@ -104,7 +104,7 @@ fn main() {
     for partitions in [1usize, 2, 4] {
         let threads = partitions;
         let t0 = Instant::now();
-        let mut sim = m.build(seed, partitions);
+        let mut sim = m.build(seed, horizon_s, partitions);
         let setup = t0.elapsed().as_secs_f64();
         let t1 = Instant::now();
         let t = sim.run_observed(SimTime::from_secs(horizon_s), threads);

@@ -37,10 +37,13 @@ fn count_flag(args: &[String], name: &str, noun: &str) -> Option<usize> {
 }
 
 /// The shared `--workers N` flag: an explicit pool size when given,
-/// otherwise host cores ([`Farm::from_env`]). Exits with a usage error
-/// on a zero or non-numeric value.
+/// otherwise host cores ([`Farm::from_env`]). Either way `WT_PROGRESS`
+/// sets the heartbeat ([`Farm::with_env_heartbeat`]). Exits with a usage
+/// error on a zero or non-numeric value.
 pub fn farm_from_args(args: &[String]) -> Farm {
-    count_flag(args, "--workers", "worker").map_or_else(Farm::from_env, Farm::new)
+    count_flag(args, "--workers", "worker").map_or_else(Farm::from_env, |workers| {
+        Farm::new(workers).with_env_heartbeat()
+    })
 }
 
 /// A [`SweepRunner`] over the farm selected by `--workers` —

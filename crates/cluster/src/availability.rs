@@ -222,8 +222,8 @@ impl AvailabilityModel {
     /// Runs the simulation for `horizon` and summarizes, with no
     /// telemetry.
     pub fn run(&self, seed: u64, horizon: SimDuration) -> AvailabilityResult {
-        let mut sim = self.seeded_sim(seed);
         let end = SimTime::ZERO + horizon;
+        let mut sim = self.seeded_sim(seed, end);
         sim.run_until(end, &mut wt_des::obs::NoProbe);
         let events = sim.events_executed();
         sim.into_model().finish(end, events)
@@ -239,9 +239,9 @@ impl AvailabilityModel {
         horizon: SimDuration,
         extra: Option<&mut dyn wt_des::obs::Probe>,
     ) -> (AvailabilityResult, wt_des::obs::RunTelemetry) {
-        let mut sim = self.seeded_sim(seed);
-        sim.model_mut().sketches = Some(Box::default());
         let end = SimTime::ZERO + horizon;
+        let mut sim = self.seeded_sim(seed, end);
+        sim.model_mut().sketches = Some(Box::default());
         let mut telemetry = sim.run_observed(end, extra);
         let events = sim.events_executed();
         let mut model = sim.into_model();
@@ -253,10 +253,13 @@ impl AvailabilityModel {
         (model.finish(end, events), telemetry)
     }
 
-    /// Builds the simulation and seeds the initial failure events — the
-    /// shared front half of [`run`](Self::run) and
-    /// [`run_observed`](Self::run_observed), so the two paths cannot drift.
-    fn seeded_sim(&self, seed: u64) -> Simulation<AvailState<'_>> {
+    /// Builds the simulation for a run that ends at `end` and seeds the
+    /// initial failure events — the shared front half of
+    /// [`run`](Self::run) and [`run_observed`](Self::run_observed), so
+    /// the two paths cannot drift. The run declares `end` as its
+    /// horizon, so the kernel parks every timer past it, and the initial
+    /// draws skip the arithmetic of values that land past it.
+    fn seeded_sim(&self, seed: u64, end: SimTime) -> Simulation<AvailState<'_>> {
         // Compile the fault schedule once per run: the per-rule streams
         // derive from this run's seed, so replications re-sample storms.
         let chaos_faults: Vec<CompiledFault> = self
@@ -266,27 +269,14 @@ impl AvailabilityModel {
             .unwrap_or_default();
         let n_chaos = chaos_faults.len();
         let mut sim = Simulation::new(AvailState::new(self, seed, chaos_faults));
-        // The steady state keeps one pending timer per failure-capable
-        // component (node, switch, disk slot) plus the in-flight rebuild
-        // streams; pre-size the queue so it never regrows mid-run.
-        let racks = self
-            .switches
-            .as_ref()
-            .map(|sw| self.n_nodes / sw.nodes_per_rack.max(1))
-            .unwrap_or(0);
-        let disk_slots = self
-            .disks
-            .as_ref()
-            .map(|dm| self.n_nodes * dm.per_node)
-            .unwrap_or(0);
-        sim.reserve_events(
-            self.n_nodes + racks + disk_slots + self.repair.max_parallel + 2 * n_chaos,
-        );
+        sim.declare_horizon(end);
+        let end_s = end.as_secs();
         // Seed each node's first failure.
         let factory = RngFactory::new(seed);
         let mut rng = factory.stream("initial-failures");
+        let node_ttf = self.node_ttf.screened(end_s);
         for node in 0..self.n_nodes {
-            let ttf = SimDuration::from_secs(self.node_ttf.sample(&mut rng));
+            let ttf = SimDuration::from_secs(node_ttf.sample(&mut rng));
             sim.schedule_at(SimTime::ZERO + ttf, Ev::NodeFail(node));
         }
         if let Some(sw) = &self.switches {
@@ -296,17 +286,19 @@ impl AvailabilityModel {
             );
             let racks = self.n_nodes / sw.nodes_per_rack;
             let mut sw_rng = factory.stream("initial-switch-failures");
+            let switch_ttf = sw.ttf.screened(end_s);
             for rack in 0..racks {
-                let ttf = SimDuration::from_secs(sw.ttf.sample(&mut sw_rng));
+                let ttf = SimDuration::from_secs(switch_ttf.sample(&mut sw_rng));
                 sim.schedule_at(SimTime::ZERO + ttf, Ev::SwitchFail(rack));
             }
         }
         if let Some(dm) = &self.disks {
             assert!(dm.per_node >= 1, "need at least one disk per node");
             let mut disk_rng = factory.stream("initial-disk-failures");
+            let disk_ttf = dm.ttf.screened(end_s);
             for node in 0..self.n_nodes {
                 for slot in 0..dm.per_node {
-                    let ttf = SimDuration::from_secs(dm.ttf.sample(&mut disk_rng));
+                    let ttf = SimDuration::from_secs(disk_ttf.sample(&mut disk_rng));
                     sim.schedule_at(SimTime::ZERO + ttf, Ev::DiskFail { node, slot });
                 }
             }
@@ -1397,6 +1389,46 @@ mod tests {
         assert!(
             per_failure < whole_node / 4.0,
             "per-failure rebuilds {per_failure} vs whole-node {whole_node}"
+        );
+    }
+
+    #[test]
+    fn initial_timers_past_the_horizon_are_counted_but_not_stored() {
+        let mut m = base_model();
+        m.switches = Some(SwitchFailureModel {
+            nodes_per_rack: 5,
+            ttf: Dist::exponential_mean(2.0 * YEAR),
+            repair: Dist::deterministic(3600.0),
+        });
+        m.disks = Some(DiskFailureModel {
+            per_node: 24,
+            ttf: Dist::weibull(0.8, 3.0 * YEAR),
+            replace: Dist::deterministic(3600.0),
+        });
+        let end = SimTime::ZERO + SimDuration::from_years(0.1);
+        let sim = m.seeded_sim(5, end);
+        // The oracle: redraw every initial timer with the plain sampler
+        // and count those a 0.1-year run can fire.
+        let factory = RngFactory::new(5);
+        let in_horizon = |stream: &str, ttf: &Dist, n: usize| {
+            let mut rng = factory.stream(stream);
+            (0..n)
+                .filter(|_| ttf.sample(&mut rng) <= end.as_secs())
+                .count()
+        };
+        let disks = m.disks.as_ref().expect("disks configured");
+        let stored = in_horizon("initial-failures", &m.node_ttf, 20)
+            + in_horizon(
+                "initial-switch-failures",
+                &m.switches.as_ref().unwrap().ttf,
+                4,
+            )
+            + in_horizon("initial-disk-failures", &disks.ttf, 20 * 24);
+        assert_eq!(sim.pending_events(), 20 + 4 + 20 * 24);
+        assert_eq!(sim.pending_events() - sim.parked_events(), stored);
+        assert!(
+            stored > 0 && sim.parked_events() > stored,
+            "{stored} stored"
         );
     }
 

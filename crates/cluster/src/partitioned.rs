@@ -153,7 +153,7 @@ impl PartitionedAvailability {
         partitions: usize,
         threads: usize,
     ) -> AvailabilityResult {
-        let mut sim = self.build(seed, partitions);
+        let mut sim = self.build(seed, horizon_s, partitions);
         let mut probes = vec![NoProbe; sim.parts()];
         sim.run_until(SimTime::from_secs(horizon_s), threads, &mut probes);
         self.finish(&sim)
@@ -169,18 +169,27 @@ impl PartitionedAvailability {
         partitions: usize,
         threads: usize,
     ) -> (AvailabilityResult, RunTelemetry) {
-        let mut sim = self.build(seed, partitions);
+        let mut sim = self.build(seed, horizon_s, partitions);
         let telemetry = sim.run_observed(SimTime::from_secs(horizon_s), threads);
         (self.finish(&sim), telemetry)
     }
 
-    /// Builds the sharded simulation: rack cells with placement, boot
-    /// failure timers, and the chaos schedule, compiled once and routed
-    /// to the racks it touches.
+    /// Builds the sharded simulation for a run to `horizon_s`: rack cells
+    /// with placement, boot failure timers, and the chaos schedule,
+    /// compiled once and routed to the racks it touches. Every partition
+    /// declares `horizon_s` as its horizon, so the kernel parks the
+    /// timers past it, and the boot draws skip the arithmetic of values
+    /// that land past it.
     /// [`run`](Self::run) is `build`, the kernel's `run_until` and
     /// [`finish`](Self::finish); a caller that times engine set-up apart
-    /// from the window loop calls the three itself.
-    pub fn build(&self, seed: u64, partitions: usize) -> PartitionedSimulation<AvailShard> {
+    /// from the window loop calls the three itself, with the same
+    /// horizon.
+    pub fn build(
+        &self,
+        seed: u64,
+        horizon_s: f64,
+        partitions: usize,
+    ) -> PartitionedSimulation<AvailShard> {
         let ranges = balanced_ranges(self.racks, partitions);
         let shared = Arc::new(self.shared(part_of_rack_table(&ranges, self.racks)));
         let la_s = self.lookahead_s();
@@ -193,7 +202,7 @@ impl PartitionedAvailability {
             .route_chaos(seed)
             .into_iter()
             .enumerate()
-            .map(|(r, faults)| self.build_cell(r, seed, &shared, faults, &mut boot))
+            .map(|(r, faults)| self.build_cell(r, seed, horizon_s, &shared, faults, &mut boot))
             .collect();
         if shared.has_mirror {
             for rack in 0..self.racks {
@@ -216,6 +225,7 @@ impl PartitionedAvailability {
             })
             .collect();
         let mut sim = PartitionedSimulation::new(shards, Lookahead::from_secs(la_s));
+        sim.declare_horizon(SimTime::from_secs(horizon_s));
         for (part, at, ev) in boot {
             sim.schedule_at(part, at, ev);
         }
@@ -320,12 +330,14 @@ impl PartitionedAvailability {
         routed
     }
 
-    /// One rack's initial state: placement, boot failure timers, and the
-    /// rack's slice of the chaos schedule. All streams are rack-keyed.
+    /// One rack's initial state: placement, boot failure timers (drawn
+    /// for a run to `horizon_s`), and the rack's slice of the chaos
+    /// schedule. All streams are rack-keyed.
     fn build_cell(
         &self,
         rack: usize,
         seed: u64,
+        horizon_s: f64,
         shared: &AvailShared,
         faults: Vec<LocalFault>,
         boot: &mut Vec<(usize, SimTime, AvailEv)>,
@@ -372,8 +384,9 @@ impl PartitionedAvailability {
             }
         }
         // Boot failure timers.
+        let node_ttf = self.node_ttf.screened(horizon_s);
         for n in 0..npr {
-            let t = SimTime::from_secs(self.node_ttf.sample(&mut init));
+            let t = SimTime::from_secs(node_ttf.sample(&mut init));
             boot.push((
                 part,
                 t,
@@ -938,13 +951,15 @@ impl Model for AvailShard {
                 let lf = &cell.faults[fault as usize];
                 ctx.mark(lf.mark);
                 let until = lf.until_s;
-                let effect = lf.effect.clone();
-                match effect {
-                    LocalEffect::NodesDown { locals, full_rack } => {
-                        for &n in &locals {
+                match lf.effect {
+                    LocalEffect::NodesDown {
+                        ref locals,
+                        full_rack,
+                    } => {
+                        for &n in locals {
                             cell.chaos_down[n as usize] += 1;
                         }
-                        reassess_nodes(&sh, cell, &locals, now);
+                        reassess_nodes(&sh, cell, fault as usize, now);
                         if full_rack {
                             cell.dark_windows += 1;
                             if cell.dark_windows == 1 && sh.has_mirror {
@@ -978,13 +993,15 @@ impl Model for AvailShard {
             }
             AvailEv::ChaosEnd { fault, .. } => {
                 ctx.mark("chaos_restore");
-                let effect = cell.faults[fault as usize].effect.clone();
-                match effect {
-                    LocalEffect::NodesDown { locals, full_rack } => {
-                        for &n in &locals {
+                match cell.faults[fault as usize].effect {
+                    LocalEffect::NodesDown {
+                        ref locals,
+                        full_rack,
+                    } => {
+                        for &n in locals {
                             cell.chaos_down[n as usize] -= 1;
                         }
-                        reassess_nodes(&sh, cell, &locals, now);
+                        reassess_nodes(&sh, cell, fault as usize, now);
                         if full_rack {
                             cell.dark_windows -= 1;
                             if cell.dark_windows == 0 && sh.has_mirror {
@@ -1011,13 +1028,17 @@ impl Model for AvailShard {
     }
 }
 
-/// Re-derives operability for every object with a home replica on any of
-/// `nodes` (reachability changed; durability did not).
-fn reassess_nodes(sh: &AvailShared, cell: &mut RackCell, nodes: &[u16], now: SimTime) {
+/// Re-derives operability for every object with a home replica on a node
+/// that chaos fault `fault` takes down (reachability changed; durability
+/// did not). Takes the fault's index rather than its node list so the
+/// list stays borrowed from the cell instead of being copied per window.
+fn reassess_nodes(sh: &AvailShared, cell: &mut RackCell, fault: usize, now: SimTime) {
     let mut affected = std::mem::take(&mut cell.scratch);
     affected.clear();
-    for &n in nodes {
-        cell.node_objects.extend_into(n as usize, &mut affected);
+    if let LocalEffect::NodesDown { locals, .. } = &cell.faults[fault].effect {
+        for &n in locals {
+            cell.node_objects.extend_into(n as usize, &mut affected);
+        }
     }
     affected.sort_unstable();
     affected.dedup();
@@ -1084,7 +1105,7 @@ mod tests {
     fn losing_an_object_cancels_every_queued_rebuild() {
         let m = avail_model();
         let sh = m.shared(vec![0; m.racks]);
-        let mut cell = m.build_cell(0, 1, &sh, Vec::new(), &mut Vec::new());
+        let mut cell = m.build_cell(0, 1, HORIZON, &sh, Vec::new(), &mut Vec::new());
         for (object, at) in [(0, 1.0), (3, 1.5), (0, 2.0)] {
             cell.queue.enqueue(RepairTask {
                 object,

@@ -80,6 +80,12 @@ impl Default for Farm {
     }
 }
 
+/// Whether a `WT_PROGRESS` value (`None` when unset) asks for the
+/// heartbeat: any value but `0` does.
+fn progress_requested(value: Option<&str>) -> bool {
+    value.is_some_and(|v| v != "0")
+}
+
 fn host_parallelism() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -100,12 +106,19 @@ impl Farm {
         Farm::new(1)
     }
 
-    /// A farm sized to the host's available parallelism. Setting
-    /// `WT_PROGRESS` (to anything but `0`) turns on the
-    /// [heartbeat](Self::with_heartbeat).
+    /// A farm sized to the host's available parallelism, with the
+    /// heartbeat `WT_PROGRESS` asks for (see
+    /// [`with_env_heartbeat`](Self::with_env_heartbeat)).
     pub fn from_env() -> Self {
-        let progress = std::env::var("WT_PROGRESS").is_ok_and(|v| v != "0");
-        Farm::new(host_parallelism()).with_heartbeat(progress)
+        Farm::new(host_parallelism()).with_env_heartbeat()
+    }
+
+    /// Turns the [heartbeat](Self::with_heartbeat) on when `WT_PROGRESS`
+    /// is set to anything but `0`, and off otherwise — the one place the
+    /// variable is read, whatever sized the farm.
+    pub fn with_env_heartbeat(self) -> Self {
+        let value = std::env::var("WT_PROGRESS").ok();
+        self.with_heartbeat(progress_requested(value.as_deref()))
     }
 
     /// Enables (or disables) the stderr progress heartbeat: roughly one
@@ -476,6 +489,14 @@ impl Drop for WakeOnUnwind<'_> {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
+
+    #[test]
+    fn progress_values_other_than_zero_request_the_heartbeat() {
+        assert!(!progress_requested(None));
+        assert!(!progress_requested(Some("0")));
+        assert!(progress_requested(Some("1")));
+        assert!(progress_requested(Some("")));
+    }
 
     #[test]
     fn collects_in_item_order() {

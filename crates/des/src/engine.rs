@@ -212,6 +212,17 @@ impl<M: Model> Simulation<M> {
         }
     }
 
+    /// Declares the run's horizon: the instant after which none of its
+    /// events can fire. Events scheduled strictly after it are counted in
+    /// [`pending_events`](Self::pending_events) but never stored (see
+    /// [`crate::queue`]), so set-up cost follows the events
+    /// that can fire. Call it before the first event is scheduled (it
+    /// panics otherwise); [`run_until`](Self::run_until) then panics on a
+    /// horizon past this one, whose parked events would be lost.
+    pub fn declare_horizon(&mut self, horizon: SimTime) {
+        self.queue.declare_horizon(horizon);
+    }
+
     /// Pre-allocates queue room for at least `additional` pending events.
     /// Engines that know their steady-state pending-set size — e.g. one
     /// timer per component — call this once at setup so the hot loop
@@ -260,9 +271,16 @@ impl<M: Model> Simulation<M> {
         &mut self.model
     }
 
-    /// Events currently pending in the future-event list.
+    /// Events currently pending in the future-event list, parked ones
+    /// (past the declared horizon) included.
     pub fn pending_events(&self) -> usize {
         self.queue.len()
+    }
+
+    /// Pending events past the declared horizon: counted by
+    /// [`pending_events`](Self::pending_events), never stored.
+    pub fn parked_events(&self) -> usize {
+        self.queue.parked()
     }
 
     /// Runs until `horizon` (exclusive: events strictly after it stay
@@ -283,11 +301,23 @@ impl<M: Model> Simulation<M> {
     /// `&mut dyn Probe` still satisfies the bound for callers that only
     /// have a trait object.
     pub fn run_until<P: Probe + ?Sized>(&mut self, horizon: SimTime, probe: &mut P) -> StopReason {
+        self.check_horizon(horizon);
         let reason = self.run_window(horizon, None, probe);
         if reason == StopReason::HorizonReached {
             self.now = horizon;
         }
         reason
+    }
+
+    /// Panics when `horizon` is past the declared one: the events parked
+    /// beyond the declaration were never stored, so the run cannot reach
+    /// them.
+    pub(crate) fn check_horizon(&self, horizon: SimTime) {
+        let declared = self.queue.horizon();
+        assert!(
+            horizon <= declared,
+            "run horizon {horizon} is past the declared horizon {declared}"
+        );
     }
 
     /// The event loop behind [`run_until`](Self::run_until). It also
@@ -724,6 +754,72 @@ mod tests {
         assert_eq!(run(&mut sim), StopReason::QueueEmpty);
         // The far event waits behind the chain until the chain is done.
         assert_eq!(sim.model().depths, vec![1, 1, 1, 1, 1, 1, 0]);
+    }
+
+    /// A chain of 21 `near` events, each also scheduling a `far` event
+    /// 10-50 s out: about half of those land past a 30 s horizon, and
+    /// after the chain ends only they remain.
+    struct Straddler;
+    impl Model for Straddler {
+        type Event = u32;
+        fn handle(&mut self, ev: u32, ctx: &mut Ctx<'_, u32>) {
+            if ev >= 1000 || ev == 20 {
+                return;
+            }
+            let near = 0.25 + 0.25 * f64::from(ev % 5);
+            ctx.schedule_in(SimDuration::from_secs(near), ev + 1);
+            ctx.schedule_in(SimDuration::from_secs(40.0 * near), ev + 1000);
+        }
+        fn label(ev: &u32) -> &'static str {
+            if *ev >= 1000 {
+                "far"
+            } else {
+                "near"
+            }
+        }
+    }
+
+    #[test]
+    fn a_declared_horizon_changes_no_telemetry() {
+        let horizon = SimTime::from_secs(30.0);
+        let run = |declare: bool| {
+            let mut sim = Simulation::new(Straddler);
+            if declare {
+                sim.declare_horizon(horizon);
+            }
+            sim.schedule_at(SimTime::ZERO, 0);
+            sim.schedule_at(SimTime::from_secs(45.0), 1000);
+            let t = sim.run_observed(horizon, None).masked();
+            (t, sim.now(), sim.pending_events(), sim.parked_events())
+        };
+        let (plain, plain_now, plain_pending, plain_parked) = run(false);
+        let (declared, now, pending, parked) = run(true);
+        // The far events past the horizon were parked, and the heap
+        // drained of everything else: the stop reason and the clock came
+        // from the earliest parked time.
+        assert_eq!(plain_parked, 0);
+        assert!(parked > 0 && parked == pending, "{parked} of {pending}");
+        assert_eq!(declared.stop_reason, "HorizonReached");
+        assert_eq!(now, horizon);
+        assert_eq!((plain_now, plain_pending), (now, pending));
+        assert_eq!(plain.events, declared.events);
+        assert_eq!(plain.events_by_label, declared.events_by_label);
+        assert!(declared.events_by_label["far"] > 0);
+        assert_eq!(plain.peak_queue_depth, declared.peak_queue_depth);
+        assert_eq!(
+            plain.mean_queue_depth.to_bits(),
+            declared.mean_queue_depth.to_bits()
+        );
+        assert_eq!(plain, declared);
+    }
+
+    #[test]
+    #[should_panic(expected = "past the declared horizon")]
+    fn running_past_the_declared_horizon_panics() {
+        let mut sim = Simulation::new(ticker(1.0, 100));
+        sim.declare_horizon(SimTime::from_secs(10.0));
+        sim.schedule_at(SimTime::ZERO, ());
+        sim.run_until(SimTime::from_secs(10.5), &mut NoProbe);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! discrete-event simulator with
 //!
 //! * a total-ordered [`SimTime`] clock ([`time`]),
-//! * a stable-ordered pending-event queue ([`queue`]),
+//! * a stable-ordered pending-event queue ([`queue`]) that counts, but
+//!   never stores, events past a run's declared horizon,
 //! * an execution engine driving a user [`Model`] ([`engine`]),
 //! * splittable, labeled random-number streams so that adding a new model
 //!   does not perturb the draws of existing ones ([`rng`]),

@@ -198,6 +198,15 @@ where
         self.cells.iter().map(|c| c.model())
     }
 
+    /// Declares the run's horizon on every partition, as
+    /// [`Simulation::declare_horizon`] does for one run: call it before
+    /// the first event is scheduled, and run no further than it.
+    pub fn declare_horizon(&mut self, horizon: SimTime) {
+        for cell in &mut self.cells {
+            cell.declare_horizon(horizon);
+        }
+    }
+
     /// Schedules an event into partition `part` at absolute time `at`
     /// (setup seeding; see `Simulation::schedule_at`).
     pub fn schedule_at(&mut self, part: usize, at: SimTime, ev: M::Event) {
@@ -222,6 +231,9 @@ where
             self.cells.len(),
             "one probe per partition required"
         );
+        for cell in &self.cells {
+            cell.check_horizon(horizon);
+        }
         if threads <= 1 || self.cells.len() <= 1 {
             self.run_serial(horizon, probes)
         } else {

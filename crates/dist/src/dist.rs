@@ -158,12 +158,12 @@ impl Dist {
         match self {
             Dist::Deterministic { value } => *value,
             Dist::Uniform { lo, hi } => lo + (hi - lo) * rng.uniform(),
-            Dist::Exponential { rate } => -rng.uniform_open().ln() / rate,
-            Dist::Weibull { shape, scale } => scale * (-rng.uniform_open().ln()).powf(1.0 / shape),
+            Dist::Exponential { rate } => exponential_at(rng.uniform_open(), *rate),
+            Dist::Weibull { shape, scale } => weibull_at(rng.uniform_open(), *shape, *scale),
             Dist::Gamma { shape, scale } => sample_gamma(*shape, rng) * scale,
             Dist::LogNormal { mu, sigma } => (mu + sigma * sample_std_normal(rng)).exp(),
             Dist::Normal { mean, std_dev } => mean + std_dev * sample_std_normal(rng),
-            Dist::Pareto { xm, alpha } => xm / rng.uniform_open().powf(1.0 / alpha),
+            Dist::Pareto { xm, alpha } => pareto_at(rng.uniform_open(), *xm, *alpha),
             Dist::Erlang { k, rate } => {
                 // Product of uniforms: sum of k exponentials.
                 let mut prod = 1.0f64;
@@ -186,6 +186,37 @@ impl Dist {
             }
             Dist::Shifted { offset, inner } => offset + inner.sample(rng),
         }
+    }
+
+    /// A sampler for draws that matter only up to `limit` — e.g. failure
+    /// times in a run that ends at `limit`. Its
+    /// [`sample`](ScreenedDraw::sample) consumes exactly the stream draws
+    /// [`sample`](Self::sample) does and returns the same value whenever
+    /// that value is ≤ `limit`; past it, it may return `f64::INFINITY`
+    /// instead of the exact value. Exponential, Weibull and Pareto draws
+    /// that land past `limit` skip their `ln`/`powf`; every other family
+    /// samples exactly.
+    pub fn screened(&self, limit: f64) -> ScreenedDraw<'_> {
+        // The uniform below which a falling inverse transform lands past
+        // `limit` is the family's closed-form survival at `limit`, not
+        // `1 - cdf`, which has no relative precision left when the
+        // survival is tiny.
+        let survival = match *self {
+            Dist::Exponential { rate } => (-rate * limit).exp(),
+            Dist::Weibull { shape, scale } => (-(limit / scale).powf(shape)).exp(),
+            Dist::Pareto { xm, alpha } => (xm / limit).powf(alpha),
+            _ => 0.0,
+        };
+        // Shrinking the threshold by a relative guard keeps every screened
+        // uniform far enough from the boundary that the transform's
+        // rounding cannot bring its value back to `limit`. A limit that
+        // is not positive screens nothing.
+        let below = if limit > 0.0 {
+            survival * (1.0 - SCREEN_GUARD)
+        } else {
+            0.0
+        };
+        ScreenedDraw { dist: self, below }
     }
 
     /// The distribution mean (may be `+inf`, e.g. Pareto with α ≤ 1).
@@ -450,6 +481,70 @@ impl Dist {
             Dist::Shifted { offset, inner } => format!("{} + {}", offset, inner.describe()),
         }
     }
+}
+
+/// The relative margin by which [`Dist::screened`] shrinks its uniform
+/// threshold below the exact survival at the limit.
+const SCREEN_GUARD: f64 = 1e-6;
+
+/// Draws from a [`Dist`] that matter only up to a limit (see
+/// [`Dist::screened`]).
+#[derive(Debug, Clone, Copy)]
+pub struct ScreenedDraw<'a> {
+    dist: &'a Dist,
+    /// `uniform_open` draws below this map to values certainly past the
+    /// limit; 0 screens nothing.
+    below: f64,
+}
+
+impl ScreenedDraw<'_> {
+    /// Draws one sample: [`Dist::sample`]'s value when it is ≤ the limit,
+    /// otherwise that value or `f64::INFINITY`. Consumes exactly the
+    /// stream draws `Dist::sample` does.
+    #[inline]
+    pub fn sample(&self, rng: &mut Stream) -> f64 {
+        match *self.dist {
+            Dist::Exponential { rate } => {
+                self.unless_screened(rng.uniform_open(), |u| exponential_at(u, rate))
+            }
+            Dist::Weibull { shape, scale } => {
+                self.unless_screened(rng.uniform_open(), |u| weibull_at(u, shape, scale))
+            }
+            Dist::Pareto { xm, alpha } => {
+                self.unless_screened(rng.uniform_open(), |u| pareto_at(u, xm, alpha))
+            }
+            _ => self.dist.sample(rng),
+        }
+    }
+
+    /// `f64::INFINITY` for a screened uniform `u`, else `exact(u)`.
+    #[inline]
+    fn unless_screened(&self, u: f64, exact: impl FnOnce(f64) -> f64) -> f64 {
+        if u < self.below {
+            f64::INFINITY
+        } else {
+            exact(u)
+        }
+    }
+}
+
+// The inverse transforms that turn one `uniform_open` draw into a value
+// that falls as the uniform rises. `Dist::sample` and `ScreenedDraw`
+// both go through them, so the two cannot drift apart.
+
+#[inline]
+fn exponential_at(u: f64, rate: f64) -> f64 {
+    -u.ln() / rate
+}
+
+#[inline]
+fn weibull_at(u: f64, shape: f64, scale: f64) -> f64 {
+    scale * (-u.ln()).powf(1.0 / shape)
+}
+
+#[inline]
+fn pareto_at(u: f64, xm: f64, alpha: f64) -> f64 {
+    xm / u.powf(1.0 / alpha)
 }
 
 /// Standard normal via Marsaglia's polar method (exact, no tail truncation).
@@ -735,6 +830,49 @@ mod tests {
     }
 
     #[test]
+    fn screen_threshold_splits_the_uniforms_at_the_limit() {
+        let limit = 2.0;
+        for d in [
+            Dist::exponential(0.8),
+            Dist::weibull(0.7, 3.0),
+            Dist::weibull(6.0, 1.5),
+            Dist::pareto(0.5, 2.5),
+        ] {
+            let below = d.screened(limit).below;
+            let at = |u: f64| match d {
+                Dist::Exponential { rate } => exponential_at(u, rate),
+                Dist::Weibull { shape, scale } => weibull_at(u, shape, scale),
+                Dist::Pareto { xm, alpha } => pareto_at(u, xm, alpha),
+                _ => unreachable!("only falling transforms are screened"),
+            };
+            assert!(below > 0.0 && below < 1.0, "{}: {below}", d.describe());
+            // Every screened uniform maps past the limit, the largest one
+            // by a clear margin ...
+            for u in [below * 1e-9, below * 0.5, below.next_down()] {
+                assert!(at(u) > limit * (1.0 + 1e-9), "{}: u={u}", d.describe());
+            }
+            // ... while the exact survival maps onto the limit, and larger
+            // uniforms map at or before it: those are never screened.
+            let exact = below / (1.0 - SCREEN_GUARD);
+            assert!(
+                (at(exact) - limit).abs() < 1e-12 * limit,
+                "{}",
+                d.describe()
+            );
+            for u in [
+                exact * (1.0 + 1e-9),
+                (exact + 1.0) / 2.0,
+                1.0f64.next_down(),
+            ] {
+                assert!(at(u) <= limit, "{}: u={u}", d.describe());
+            }
+        }
+        // Families without a falling one-uniform transform screen nothing.
+        assert_eq!(Dist::lognormal(0.0, 1.0).screened(limit).below, 0.0);
+        assert_eq!(Dist::exponential(1.0).screened(0.0).below, 0.0);
+    }
+
+    #[test]
     fn serde_roundtrip() {
         let d = Dist::mixture(vec![
             (0.5, Dist::weibull(0.7, 1e5)),
@@ -784,6 +922,40 @@ mod proptests {
             let x = d.quantile(q);
             prop_assert!((d.cdf(x) - q).abs() < 1e-5,
                 "{}: quantile({q}) = {x}, cdf back = {}", d.describe(), d.cdf(x));
+        }
+
+        /// A screened draw consumes exactly the stream draws of
+        /// `sample` and returns its bits up to the limit; past it, a
+        /// value past the limit.
+        #[test]
+        fn screened_draws_match_sample_up_to_the_limit(
+            d in prop_oneof![
+                (0.01f64..100.0).prop_map(Dist::exponential),
+                (0.3f64..8.0, 0.1f64..100.0).prop_map(|(k, s)| Dist::weibull(k, s)),
+                (0.1f64..10.0, 0.5f64..10.0).prop_map(|(xm, a)| Dist::pareto(xm, a)),
+                (-2.0f64..2.0, 0.1f64..2.0).prop_map(|(m, s)| Dist::lognormal(m, s)),
+                (0.01f64..1.0, 0.3f64..3.0).prop_map(|(w, k)| Dist::mixture(vec![
+                    (w, Dist::exponential(1.0)),
+                    (1.0, Dist::weibull(k, 2.0)),
+                ])),
+            ],
+            limit_q in 0.05f64..0.95,
+            seed in any::<u64>(),
+        ) {
+            let limit = d.quantile(limit_q);
+            let screen = d.screened(limit);
+            let mut plain = Stream::from_seed(seed);
+            let mut screened = plain.clone();
+            for _ in 0..64 {
+                let want = d.sample(&mut plain);
+                let got = screen.sample(&mut screened);
+                if want <= limit {
+                    prop_assert_eq!(got.to_bits(), want.to_bits());
+                } else {
+                    prop_assert!(got > limit, "{}: {got} <= {limit}", d.describe());
+                }
+                prop_assert_eq!(screened.clone().next(), plain.clone().next());
+            }
         }
 
         #[test]
