@@ -224,9 +224,9 @@ impl<M: Model> Simulation<M> {
     }
 
     /// Pre-allocates queue room for at least `additional` pending events.
-    /// Engines that know their steady-state pending-set size — e.g. one
-    /// timer per component — call this once at setup so the hot loop
-    /// never regrows the list.
+    /// Engines that know their steady-state pending-set size call this
+    /// once at setup so the hot loop never regrows the list; events past
+    /// a declared horizon take no room.
     pub fn reserve_events(&mut self, additional: usize) {
         self.queue.reserve(additional);
     }
@@ -286,6 +286,8 @@ impl<M: Model> Simulation<M> {
     /// Runs until `horizon` (exclusive: events strictly after it stay
     /// pending and the clock is left at `horizon`), the queue drains, the
     /// model stops, or the budget runs out — the engine's one event loop.
+    /// Panics on a horizon past the
+    /// [declared](Self::declare_horizon) one.
     ///
     /// `probe` observes every handled event, with the marks, values and
     /// touches its handler emitted. Probes are one-way (they cannot
