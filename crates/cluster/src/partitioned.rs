@@ -197,12 +197,20 @@ impl PartitionedAvailability {
 
         // Build every rack cell in global rack order, then wire mirror
         // hosting (which spans rack pairs) before grouping into shards.
-        let mut boot: Vec<(usize, SimTime, AvailEv)> = Vec::new();
         let mut cells: Vec<RackCell> = self
             .route_chaos(seed)
             .into_iter()
             .enumerate()
-            .map(|(r, faults)| self.build_cell(r, seed, horizon_s, &shared, faults, &mut boot))
+            .map(|(r, faults)| self.build_cell(r, seed, &shared, faults))
+            .collect();
+        let chaos_starts: Vec<Vec<SimTime>> = cells
+            .iter()
+            .map(|c| {
+                c.faults
+                    .iter()
+                    .map(|f| SimTime::from_secs(f.at_s))
+                    .collect()
+            })
             .collect();
         if shared.has_mirror {
             for rack in 0..self.racks {
@@ -226,8 +234,24 @@ impl PartitionedAvailability {
             .collect();
         let mut sim = PartitionedSimulation::new(shards, Lookahead::from_secs(la_s));
         sim.declare_horizon(SimTime::from_secs(horizon_s));
-        for (part, at, ev) in boot {
-            sim.schedule_at(part, at, ev);
+        // Each rack's boot failure timers, then its chaos starts, rack by
+        // rack in global order: that push order fixes every event's
+        // tie-break `seq`. The rack's `boot` stream feeds only these draws.
+        let node_ttf = self.node_ttf.screened(horizon_s);
+        for (rack, starts) in chaos_starts.into_iter().enumerate() {
+            let part = shared.part_of_rack[rack] as usize;
+            let mut boot = RngFactory::new(seed)
+                .subfactory("rack", rack as u64)
+                .stream("boot");
+            for node in 0..self.nodes_per_rack {
+                let at = SimTime::from_secs(node_ttf.sample(&mut boot));
+                let (rack, node) = (rack as u32, node as u16);
+                sim.schedule_at(part, at, AvailEv::NodeFail { rack, node });
+            }
+            for (fault, at) in starts.into_iter().enumerate() {
+                let (rack, fault) = (rack as u32, fault as u32);
+                sim.schedule_at(part, at, AvailEv::ChaosStart { rack, fault });
+            }
         }
         sim
     }
@@ -330,23 +354,18 @@ impl PartitionedAvailability {
         routed
     }
 
-    /// One rack's initial state: placement, boot failure timers (drawn
-    /// for a run to `horizon_s`), and the rack's slice of the chaos
-    /// schedule. All streams are rack-keyed.
+    /// One rack's initial state: placement and the rack's slice of the
+    /// chaos schedule. All streams are rack-keyed.
     fn build_cell(
         &self,
         rack: usize,
         seed: u64,
-        horizon_s: f64,
         shared: &AvailShared,
         faults: Vec<LocalFault>,
-        boot: &mut Vec<(usize, SimTime, AvailEv)>,
     ) -> RackCell {
         let npr = self.nodes_per_rack;
-        let part = shared.part_of_rack[rack] as usize;
         let factory = RngFactory::new(seed).subfactory("rack", rack as u64);
         let mut place = factory.stream("placement");
-        let mut init = factory.stream("boot");
         let n_local = local_object_count(self.objects, self.racks, rack);
 
         let mut cell = RackCell {
@@ -382,30 +401,6 @@ impl PartitionedAvailability {
                 cell.holders[lo * shared.local_w + k] = n as u16;
                 cell.node_objects.push(n, lo as u32);
             }
-        }
-        // Boot failure timers.
-        let node_ttf = self.node_ttf.screened(horizon_s);
-        for n in 0..npr {
-            let t = SimTime::from_secs(node_ttf.sample(&mut init));
-            boot.push((
-                part,
-                t,
-                AvailEv::NodeFail {
-                    rack: rack as u32,
-                    node: n as u16,
-                },
-            ));
-        }
-        // This rack's slice of the chaos schedule.
-        for (i, fault) in cell.faults.iter().enumerate() {
-            boot.push((
-                part,
-                SimTime::from_secs(fault.at_s),
-                AvailEv::ChaosStart {
-                    rack: rack as u32,
-                    fault: i as u32,
-                },
-            ));
         }
         cell
     }
@@ -1105,7 +1100,7 @@ mod tests {
     fn losing_an_object_cancels_every_queued_rebuild() {
         let m = avail_model();
         let sh = m.shared(vec![0; m.racks]);
-        let mut cell = m.build_cell(0, 1, HORIZON, &sh, Vec::new(), &mut Vec::new());
+        let mut cell = m.build_cell(0, 1, &sh, Vec::new());
         for (object, at) in [(0, 1.0), (3, 1.5), (0, 2.0)] {
             cell.queue.enqueue(RepairTask {
                 object,

@@ -613,8 +613,6 @@ impl<'a> PerfState<'a> {
             .map(|(i, t)| {
                 let h = &self.latencies[i];
                 let s = &self.lat_sketches[i];
-                let (q, _) = t.latency_sla.unwrap_or((0.95, f64::INFINITY));
-                let at_quantile = h.quantile(q);
                 TenantPerf {
                     name: t.name.clone(),
                     completed: self.completed[i],
@@ -626,9 +624,7 @@ impl<'a> PerfState<'a> {
                     sketch_p50_s: Some(s.p50()),
                     sketch_p95_s: Some(s.p95()),
                     sketch_p99_s: Some(s.p99()),
-                    sketch_sla_met: t.latency_sla.map(|_| t.sla_met(s.quantile(q))),
                     throughput: self.completed[i] as f64 / horizon_s,
-                    sla_met: t.latency_sla.map(|_| t.sla_met(at_quantile)),
                 }
             })
             .collect();
@@ -978,7 +974,6 @@ mod tests {
         assert_eq!(t.failed, 0);
         // SSD point reads over 10G: well under 10 ms at p95.
         assert!(t.p95_s < 0.010, "p95 {}", t.p95_s);
-        assert_eq!(t.sla_met, Some(true));
         assert!((t.throughput - 50.0).abs() < 5.0, "tput {}", t.throughput);
     }
 

@@ -80,14 +80,8 @@ pub struct TenantPerf {
     pub sketch_p95_s: Option<f64>,
     /// 99th percentile latency from the sketch path, seconds.
     pub sketch_p99_s: Option<f64>,
-    /// SLA verdict evaluated at the sketch-derived quantile. Must agree
-    /// with `sla_met` whenever the SLA threshold is not inside the
-    /// sketch's relative-error band of the true quantile.
-    pub sketch_sla_met: Option<bool>,
     /// Throughput over the horizon, requests/second.
     pub throughput: f64,
-    /// Whether the tenant's latency SLA (if any) was met at its quantile.
-    pub sla_met: Option<bool>,
 }
 
 /// Output of a performance run.
@@ -110,11 +104,6 @@ impl PerfResult {
     pub fn tenant(&self, name: &str) -> Option<&TenantPerf> {
         self.tenants.iter().find(|t| t.name == name)
     }
-
-    /// True if every tenant with an SLA met it.
-    pub fn all_slas_met(&self) -> bool {
-        self.tenants.iter().all(|t| t.sla_met.unwrap_or(true))
-    }
 }
 
 #[cfg(test)]
@@ -129,75 +118,28 @@ mod tests {
     }
 
     #[test]
-    fn perf_result_lookup_and_sla() {
+    fn perf_result_lookup() {
+        let tenant = |name: &str| TenantPerf {
+            name: name.into(),
+            completed: 10,
+            failed: 0,
+            mean_s: 0.01,
+            p50_s: 0.01,
+            p95_s: 0.02,
+            p99_s: 0.03,
+            sketch_p50_s: None,
+            sketch_p95_s: None,
+            sketch_p99_s: None,
+            throughput: 1.0,
+        };
         let r = PerfResult {
-            tenants: vec![
-                TenantPerf {
-                    name: "a".into(),
-                    completed: 10,
-                    failed: 0,
-                    mean_s: 0.01,
-                    p50_s: 0.01,
-                    p95_s: 0.02,
-                    p99_s: 0.03,
-                    sketch_p50_s: None,
-                    sketch_p95_s: None,
-                    sketch_p99_s: None,
-                    sketch_sla_met: None,
-                    throughput: 1.0,
-                    sla_met: Some(true),
-                },
-                TenantPerf {
-                    name: "b".into(),
-                    completed: 10,
-                    failed: 0,
-                    mean_s: 0.01,
-                    p50_s: 0.01,
-                    p95_s: 0.02,
-                    p99_s: 0.03,
-                    sketch_p50_s: None,
-                    sketch_p95_s: None,
-                    sketch_p99_s: None,
-                    sketch_sla_met: None,
-                    throughput: 1.0,
-                    sla_met: None,
-                },
-            ],
+            tenants: vec![tenant("a"), tenant("b")],
             node_failures: 0,
             mean_disk_utilization: 0.5,
             mean_nic_utilization: 0.2,
             horizon_s: 100.0,
         };
-        assert!(r.tenant("a").is_some());
+        assert_eq!(r.tenant("b").map(|t| t.name.as_str()), Some("b"));
         assert!(r.tenant("zzz").is_none());
-        assert!(r.all_slas_met());
-    }
-
-    #[test]
-    fn sla_violation_detected() {
-        let mut r = PerfResult {
-            tenants: vec![TenantPerf {
-                name: "a".into(),
-                completed: 1,
-                failed: 0,
-                mean_s: 1.0,
-                p50_s: 1.0,
-                p95_s: 1.0,
-                p99_s: 1.0,
-                sketch_p50_s: None,
-                sketch_p95_s: None,
-                sketch_p99_s: None,
-                sketch_sla_met: None,
-                throughput: 1.0,
-                sla_met: Some(false),
-            }],
-            node_failures: 0,
-            mean_disk_utilization: 0.0,
-            mean_nic_utilization: 0.0,
-            horizon_s: 1.0,
-        };
-        assert!(!r.all_slas_met());
-        r.tenants[0].sla_met = Some(true);
-        assert!(r.all_slas_met());
     }
 }

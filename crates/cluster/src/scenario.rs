@@ -187,6 +187,25 @@ mod tests {
     }
 
     #[test]
+    fn tenant_latency_sla_key_still_loads() {
+        // Tenants once carried their own latency SLA; scenario files with
+        // a "latency_sla" key must still load (SLAs are WTQL constraints).
+        let mut s = base();
+        s.tenants.push(TenantWorkload::oltp("shop", 10.0, 100));
+        let json = serde_json::to_string(&s).unwrap();
+        let old = json.replacen(
+            "\"dataset_bytes\":",
+            "\"latency_sla\":[0.95,0.05],\"dataset_bytes\":",
+            1,
+        );
+        assert_ne!(old, json, "expected a tenant dataset_bytes field");
+        let back: Scenario = serde_json::from_str(&old).unwrap();
+        assert_eq!(back.tenants.len(), 1);
+        assert_eq!(back.tenants[0].name, "shop");
+        assert_eq!(back.tenants[0].dataset_bytes, s.tenants[0].dataset_bytes);
+    }
+
+    #[test]
     fn empty_fault_schedule_means_no_chaos() {
         let mut s = base();
         s.faults = Some(crate::chaos::FaultSchedule::new());

@@ -11,12 +11,12 @@
 //!   point: topology (racks × nodes × disk/NIC/switch models from
 //!   [`hw::catalog`]), redundancy scheme, placement policy, repair policy,
 //!   tenant workloads, limpware.
-//! * **SLAs** — [`Sla`]/[`SlaSet`] express the user-facing requirements
-//!   (availability, durability, latency percentile) a design must meet.
+//! * **SLAs** are WTQL constraints (`SUBJECT TO availability >= 0.9999,
+//!   objects_lost <= 0`), checked by the `wt-wtql` crate's `run_query`;
+//!   this crate has no SLA type of its own.
 //! * **The tunnel** — [`WindTunnel`] runs scenarios through the simulation
-//!   engines (`wt-cluster`), checks SLAs, attaches costs, and records
-//!   every run into the result store (`wt-store`) for §4.4-style
-//!   exploration.
+//!   engines (`wt-cluster`), attaches costs, and records every run into
+//!   the result store (`wt-store`) for §4.4-style exploration.
 //!
 //! * **Declarative sweeps** — [`sweep::SweepSpec`] declares a parameter
 //!   grid and [`sweep::SweepRunner`] executes it deterministically over
@@ -48,14 +48,12 @@ pub mod builder;
 pub mod farm;
 pub mod report;
 pub mod runner;
-pub mod sla;
 pub mod surrogate;
 pub mod sweep;
 
 pub use builder::ScenarioBuilder;
 pub use farm::{Farm, RunCtx};
-pub use runner::{t_quantile_975, Assessment, MeanInterval, UnsupportedRedundancy, WindTunnel};
-pub use sla::{Sla, SlaSet};
+pub use runner::{t_quantile_975, MeanInterval, UnsupportedRedundancy, WindTunnel};
 pub use surrogate::Surrogate;
 pub use sweep::{SweepOutcome, SweepReport, SweepRunner, SweepSpec};
 
@@ -75,8 +73,7 @@ pub use wt_workload as workload;
 pub mod prelude {
     pub use crate::builder::ScenarioBuilder;
     pub use crate::farm::{Farm, RunCtx};
-    pub use crate::runner::{Assessment, WindTunnel};
-    pub use crate::sla::{Sla, SlaSet};
+    pub use crate::runner::WindTunnel;
     pub use crate::sweep::{MetricAgg, SweepRunner, SweepSpec};
     pub use wt_cluster::{AvailabilityResult, PerfResult, Scenario, UnavailabilityExperiment};
     pub use wt_dist::Dist;

@@ -1,6 +1,5 @@
-//! The tunnel itself: run scenarios, check SLAs, attach cost, record runs.
+//! The tunnel itself: run scenarios, attach cost, record runs.
 
-use crate::sla::SlaSet;
 use serde::{Deserialize, Serialize};
 use wt_cluster::availability::{DiskFailureModel, SwitchFailureModel};
 use wt_cluster::chaos::ChaosConfig;
@@ -110,28 +109,6 @@ impl MeanInterval {
     /// The whole interval sits strictly below `bound`.
     pub fn confidently_below(&self, bound: f64) -> bool {
         self.resolved() && self.mean + self.half_width_95 < bound
-    }
-}
-
-/// The verdict on one scenario against an SLA set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Assessment {
-    /// Scenario name.
-    pub scenario: String,
-    /// Availability result, if an availability run was needed.
-    pub availability: Option<AvailabilityResult>,
-    /// Performance result, if a perf run was needed.
-    pub perf: Option<PerfResult>,
-    /// Yearly TCO of the hardware.
-    pub tco_usd_per_year: f64,
-    /// Human-readable SLA violations; empty = design passes.
-    pub violations: Vec<String>,
-}
-
-impl Assessment {
-    /// True when every SLA clause held.
-    pub fn passes(&self) -> bool {
-        self.violations.is_empty()
     }
 }
 
@@ -369,25 +346,6 @@ impl WindTunnel {
         sink.record(record);
         (result, telemetry)
     }
-
-    /// Runs exactly the engines the SLA set needs, recording into the
-    /// tunnel's own store, and returns the verdict with cost attached.
-    pub fn assess(&self, scenario: &Scenario, slas: &SlaSet) -> Assessment {
-        let store = &self.store;
-        let availability = slas
-            .needs_availability()
-            .then(|| self.run_availability_observed_into(scenario, store, None).0);
-        let perf = (slas.needs_perf() && !scenario.tenants.is_empty())
-            .then(|| self.run_perf_observed_into(scenario, false, store, None).0);
-        let violations = slas.violations(availability.as_ref(), perf.as_ref(), scenario.objects);
-        Assessment {
-            scenario: scenario.name.clone(),
-            availability,
-            perf,
-            tco_usd_per_year: self.cost.cost(&scenario.topology).tco_usd_per_year,
-            violations,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -583,42 +541,6 @@ mod tests {
         assert_eq!(r.tenants.len(), 1);
         let rec = tunnel.store().snapshot().pop().unwrap();
         assert!(rec.get_metric("shop_p95_s").is_some());
-    }
-
-    #[test]
-    fn assess_runs_only_needed_engines() {
-        let tunnel = WindTunnel::new();
-        let slas = SlaSet::new().availability(0.9);
-        let a = tunnel.assess(&small(), &slas);
-        assert!(a.availability.is_some());
-        assert!(a.perf.is_none());
-        assert!(a.tco_usd_per_year > 0.0);
-    }
-
-    #[test]
-    fn assess_flags_violations() {
-        let tunnel = WindTunnel::new();
-        // An impossible availability floor.
-        let slas = SlaSet::new().availability(1.1_f64.min(1.0));
-        let mut sc = small();
-        // Make failures certain to dent availability.
-        sc.topology.node.ttf = wt_dist::Dist::exponential_mean(86_400.0 * 5.0);
-        sc.repair = wt_sw::RepairPolicy {
-            max_parallel: 1,
-            bandwidth_share: 0.1,
-            detection_delay_s: 3600.0,
-        };
-        let a = tunnel.assess(&sc, &slas);
-        assert!(!a.passes(), "availability {:?}", a.availability);
-    }
-
-    #[test]
-    fn empty_sla_passes_without_running_engines() {
-        let tunnel = WindTunnel::new();
-        let a = tunnel.assess(&small(), &SlaSet::new());
-        assert!(a.passes());
-        assert!(a.availability.is_none() && a.perf.is_none());
-        assert_eq!(tunnel.store().len(), 0);
     }
 
     #[test]

@@ -9,8 +9,9 @@ use crate::generator::OpenLoop;
 use crate::mix::Mix;
 use serde::{Deserialize, Serialize};
 
-/// One tenant: a named workload with its own mix, arrival process, and SLA
-/// expectation.
+/// One tenant: a named workload with its own mix and arrival process. A
+/// latency SLA on it is a WTQL constraint on its per-tenant metrics
+/// (`shop_p95_s <= 0.05`).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TenantWorkload {
     /// Display name.
@@ -24,14 +25,10 @@ pub struct TenantWorkload {
     /// Total logical data the tenant stores, bytes — drives buffer-cache
     /// hit rates in the performance simulator.
     pub dataset_bytes: u64,
-    /// Latency SLA this tenant bought: (quantile, seconds). E.g.
-    /// `(0.95, 0.050)` = p95 under 50 ms.
-    pub latency_sla: Option<(f64, f64)>,
 }
 
 impl TenantWorkload {
-    /// A transactional tenant: YCSB-B at `rate` req/s over `keys` keys,
-    /// p95 ≤ 50 ms.
+    /// A transactional tenant: YCSB-B at `rate` req/s over `keys` keys.
     pub fn oltp(name: &str, rate: f64, keys: u64) -> Self {
         TenantWorkload {
             name: name.into(),
@@ -39,11 +36,10 @@ impl TenantWorkload {
             arrivals: OpenLoop::poisson(rate),
             object_bytes: 1 << 20,
             dataset_bytes: 2 << 40, // 2 TB
-            latency_sla: Some((0.95, 0.050)),
         }
     }
 
-    /// An analytics tenant: scan-heavy at `rate` req/s, no latency SLA.
+    /// An analytics tenant: scan-heavy at `rate` req/s.
     pub fn analytics(name: &str, rate: f64, keys: u64) -> Self {
         TenantWorkload {
             name: name.into(),
@@ -51,16 +47,6 @@ impl TenantWorkload {
             arrivals: OpenLoop::poisson(rate),
             object_bytes: 64 << 20,
             dataset_bytes: 20 << 40, // 20 TB
-            latency_sla: None,
-        }
-    }
-
-    /// Does `observed` seconds at the SLA quantile meet this tenant's SLA?
-    /// Tenants without an SLA always pass.
-    pub fn sla_met(&self, observed_at_quantile: f64) -> bool {
-        match self.latency_sla {
-            Some((_, bound)) => observed_at_quantile <= bound,
-            None => true,
         }
     }
 }
@@ -74,16 +60,6 @@ mod tests {
         let t = TenantWorkload::oltp("shop", 200.0, 1_000_000);
         assert_eq!(t.name, "shop");
         assert!((t.arrivals.rate() - 200.0).abs() < 1e-9);
-        assert_eq!(t.latency_sla, Some((0.95, 0.050)));
         assert!((t.mix.write_fraction() - 0.05).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sla_check() {
-        let t = TenantWorkload::oltp("shop", 10.0, 100);
-        assert!(t.sla_met(0.049));
-        assert!(!t.sla_met(0.051));
-        let a = TenantWorkload::analytics("reports", 1.0, 100);
-        assert!(a.sla_met(999.0), "no SLA always passes");
     }
 }

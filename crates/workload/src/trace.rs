@@ -373,7 +373,6 @@ impl Characterization {
             arrivals,
             object_bytes: 1 << 20,
             dataset_bytes: keys * value_bytes,
-            latency_sla: None,
         }
     }
 }

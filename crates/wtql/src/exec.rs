@@ -767,10 +767,10 @@ fn screen_constraint(c: &Constraint, scenario: &Scenario, opts: &ExecOptions) ->
 /// schedule, and the assignment itself as the scenario name. A node
 /// count that overflows is a semantic error for every query, since every
 /// row prices the hardware; so is a point an engine the query needs
-/// would assert on: a placement the placer cannot build (either engine),
-/// a topology that does not build (the perf engine), or more nodes, a
-/// wider redundancy scheme or more objects than the availability engine
-/// can model.
+/// would assert on: a placement the placer cannot build or a node
+/// without disks (either engine), a topology that does not build (the
+/// perf engine), or more nodes, a wider redundancy scheme or more
+/// objects than the availability engine can model.
 fn build_scenario(
     query: &Query,
     base: &Scenario,
@@ -806,6 +806,9 @@ fn build_scenario(
     let width = scenario.redundancy.width();
     if needs_avail || runs_perf {
         Placer::check(scenario.placement, nodes, width).map_err(WtqlError::Semantic)?;
+        if scenario.topology.node.disks.is_empty() {
+            return Err(WtqlError::Semantic("a node needs at least one disk".into()));
+        }
     }
     if needs_avail && nodes > MAX_NODES {
         return Err(WtqlError::Semantic(format!(

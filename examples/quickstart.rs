@@ -1,11 +1,12 @@
 //! Quickstart: build a data center scenario, run it through the wind
-//! tunnel, and check it against an SLA set.
+//! tunnel, and check it against its SLAs, stated as a WTQL query.
 //!
 //! ```sh
 //! cargo run --release -p wt-bench --example quickstart
 //! ```
 
 use windtunnel::prelude::*;
+use wt_wtql::{parse, run_query, ExecOptions};
 
 fn main() {
     // A 3-rack, 30-node cluster of HDD storage servers on a 10G network,
@@ -25,37 +26,57 @@ fn main() {
         .seed(42)
         .build();
 
-    // The SLAs the provider sold.
-    let slas = SlaSet::new().availability(0.9999).durability(0.0);
+    // The SLAs the provider sold, as constraints on this one design.
+    let query = parse(
+        "EXPLORE availability, nines, node_failures, rebuilds_completed, objects_lost,
+                 tco_usd_per_year
+         SWEEP replication IN [3]
+         SUBJECT TO availability >= 0.9999, objects_lost <= 0",
+    )
+    .expect("valid WTQL");
 
     // Run exactly the simulations those SLAs need.
     let tunnel = WindTunnel::new();
-    let assessment = tunnel.assess(&scenario, &slas);
+    let outcome =
+        run_query(&query, &scenario, &tunnel, &ExecOptions::default()).expect("query runs");
+    let metric = |name: &str| outcome.rows[0].metrics[name];
 
-    let avail = assessment.availability.as_ref().expect("availability ran");
-    println!("scenario            : {}", assessment.scenario);
+    println!("scenario            : {}", scenario.name);
     println!(
         "simulated horizon   : {:.1} days",
-        avail.horizon_s / 86_400.0
+        scenario.horizon_years * 365.0
     );
-    println!("node failures       : {}", avail.node_failures);
-    println!("rebuilds completed  : {}", avail.rebuilds_completed);
+    println!("node failures       : {}", metric("node_failures"));
+    println!("rebuilds completed  : {}", metric("rebuilds_completed"));
     println!(
         "availability        : {:.6} ({:.1} nines)",
-        avail.availability, avail.nines
+        metric("availability"),
+        metric("nines")
     );
-    println!("objects lost        : {}", avail.objects_lost);
+    println!("objects lost        : {}", metric("objects_lost"));
     println!(
         "hardware TCO        : ${:.0}/year",
-        assessment.tco_usd_per_year
+        metric("tco_usd_per_year")
     );
     println!();
-    if assessment.passes() {
+    let violated: Vec<_> = query
+        .constraints
+        .iter()
+        .filter(|c| !c.satisfied(metric(&c.metric)))
+        .collect();
+    if violated.is_empty() {
         println!("verdict: design meets all SLAs");
     } else {
         println!("verdict: SLA violations:");
-        for v in &assessment.violations {
-            println!("  - {v}");
+        for c in violated {
+            println!(
+                "  - {} = {} misses {} {} {}",
+                c.metric,
+                metric(&c.metric),
+                c.metric,
+                c.cmp.as_str(),
+                c.bound
+            );
         }
     }
     println!(

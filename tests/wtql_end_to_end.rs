@@ -174,9 +174,14 @@ fn tenant_base() -> Scenario {
 /// Runs a one-point query on the tenant base and returns the point's
 /// rejection reason. A rejected point is never simulated or recorded.
 fn rejection(text: &str) -> String {
+    rejection_on(&tenant_base(), text)
+}
+
+/// [`rejection`] on the given base.
+fn rejection_on(base: &Scenario, text: &str) -> String {
     let query = parse(text).expect("parses");
     let tunnel = WindTunnel::new();
-    let out = run_query(&query, &tenant_base(), &tunnel, &ExecOptions::default()).expect("runs");
+    let out = run_query(&query, base, &tunnel, &ExecOptions::default()).expect("runs");
     assert_eq!(out.rows.len(), 1);
     let row = &out.rows[0];
     assert!(
@@ -258,6 +263,17 @@ fn oversubscription_below_one_is_a_rejected_row_not_a_panic() {
 }
 
 #[test]
+fn diskless_nodes_are_a_rejected_row_not_a_panic() {
+    // Both engines (and the perf screen) model a node's first disk.
+    let mut base = tenant_base();
+    base.topology.node.disks.clear();
+    for metric in ["availability", "shop_p95_s"] {
+        let reason = rejection_on(&base, &format!("EXPLORE {metric} SWEEP replication IN [3]"));
+        assert!(reason.contains("at least one disk"), "{reason}");
+    }
+}
+
+#[test]
 fn node_count_overflow_is_a_rejected_row_not_a_panic() {
     // racks × nodes_per_rack past usize: every query prices the
     // hardware, so even a cost-only query must reject the point rather
@@ -320,6 +336,42 @@ fn points_are_rejected_only_for_engines_the_query_needs() {
     let row = run("EXPLORE tco_usd_per_year SWEEP replication IN [12]");
     assert!(row.rejected.is_none(), "{row:?}");
     assert!(row.metrics.contains_key("tco_usd_per_year"), "{row:?}");
+}
+
+#[test]
+fn constraint_on_a_tenant_the_scenario_lacks_fails_every_row() {
+    // `ghost` runs in neither base, so its p95 is never measured: the
+    // constraint cannot hold, and no path may panic looking it up.
+    for base in [base(), tenant_base()] {
+        for guided in ["", "GUIDED"] {
+            let query = parse(&format!(
+                "EXPLORE availability SWEEP replication IN [1, 3]
+                 SUBJECT TO ghost_p95_s <= 1 MINIMIZE tco_usd_per_year {guided}"
+            ))
+            .expect("parses");
+            let opts = ExecOptions::from_query(&query);
+            let out = run_query(&query, &base, &WindTunnel::new(), &opts).expect("runs");
+            assert_eq!(out.rows.len(), 2);
+            for row in &out.rows {
+                assert!(!row.passes && row.rejected.is_none(), "{row:?}");
+            }
+            assert_eq!(out.best, None);
+        }
+    }
+}
+
+#[test]
+fn availability_query_runs_only_the_availability_engine() {
+    // The base has a tenant, but no metric the query names needs the
+    // perf engine.
+    let query = parse("EXPLORE availability SWEEP replication IN [3]").expect("parses");
+    let tunnel = WindTunnel::new();
+    let out = run_query(&query, &tenant_base(), &tunnel, &ExecOptions::default()).expect("runs");
+    assert_eq!(out.executed, 1);
+    tunnel.store().with(|s| {
+        assert_eq!(s.len(), 1);
+        assert_eq!(s.by_experiment("availability").len(), 1);
+    });
 }
 
 /// Runs the `wtql` binary with `args` and no stdin; returns its exit
