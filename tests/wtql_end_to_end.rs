@@ -2,7 +2,7 @@
 //! store, across every crate in the workspace.
 
 use windtunnel::prelude::*;
-use wt_wtql::{parse, run_query, ExecOptions};
+use wt_wtql::{parse, run_query, ExecOptions, RunRow};
 
 fn base() -> Scenario {
     let mut s = ScenarioBuilder::new("e2e-base")
@@ -338,24 +338,55 @@ fn points_are_rejected_only_for_engines_the_query_needs() {
     assert!(row.metrics.contains_key("tco_usd_per_year"), "{row:?}");
 }
 
-#[test]
-fn constraint_on_a_tenant_the_scenario_lacks_fails_every_row() {
-    // `ghost` runs in neither base, so its p95 is never measured: the
-    // constraint cannot hold, and no path may panic looking it up.
-    for base in [base(), tenant_base()] {
-        for guided in ["", "GUIDED"] {
+/// Runs a two-point query constrained on `ghost_p95_s` over `base`, with
+/// and without `GUIDED`, and checks that the constraint fails every row
+/// and leaves nothing best. Returns each run's rows.
+fn ghost_constraint_rows(base: &Scenario) -> Vec<Vec<RunRow>> {
+    ["", "GUIDED"]
+        .iter()
+        .map(|guided| {
             let query = parse(&format!(
                 "EXPLORE availability SWEEP replication IN [1, 3]
                  SUBJECT TO ghost_p95_s <= 1 MINIMIZE tco_usd_per_year {guided}"
             ))
             .expect("parses");
             let opts = ExecOptions::from_query(&query);
-            let out = run_query(&query, &base, &WindTunnel::new(), &opts).expect("runs");
+            let out = run_query(&query, base, &WindTunnel::new(), &opts).expect("runs");
             assert_eq!(out.rows.len(), 2);
             for row in &out.rows {
                 assert!(!row.passes && row.rejected.is_none(), "{row:?}");
+                assert!(!row.metrics.contains_key("ghost_p95_s"), "{row:?}");
             }
             assert_eq!(out.best, None);
+            out.rows
+        })
+        .collect()
+}
+
+#[test]
+fn constraint_on_a_metric_no_engine_measures_fails_every_row() {
+    // The base runs no tenants, so the perf engine never runs and nothing
+    // measures `ghost_p95_s`: a constraint on a metric that no run
+    // produced cannot hold.
+    for rows in ghost_constraint_rows(&base()) {
+        for row in &rows {
+            assert!(
+                !row.metrics.keys().any(|k| k.ends_with("_p95_s")),
+                "{row:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn constraint_on_a_tenant_the_scenario_lacks_fails_every_row() {
+    // The base runs `shop` but not `ghost`: the perf engine runs and
+    // measures `shop`, and no path may panic looking `ghost` up.
+    for rows in ghost_constraint_rows(&tenant_base()) {
+        let ran: Vec<&RunRow> = rows.iter().filter(|r| r.sim_events_executed > 0).collect();
+        assert!(!ran.is_empty(), "{rows:?}");
+        for row in ran {
+            assert!(row.metrics.contains_key("shop_p95_s"), "{row:?}");
         }
     }
 }
