@@ -446,7 +446,7 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "  \"metric\": \"full Simulation runs (engine loop + handlers + RNG) on the binary-heap event list\","
+        "  \"metric\": \"full Simulation runs (engine loop + handlers + RNG) on the event list (a binary heap with one entry per run of equal-time pushes)\","
     );
     for ((name, _), (t, events)) in arms
         .iter()

@@ -15,8 +15,8 @@
 //!
 //! `NodeSet` is the companion index over node *membership* (the engine
 //! keeps reachability in it): a Fenwick tree of member counts, so the
-//! k-th member outside a few excluded node ranges — a rebuild target —
-//! is found in O(ranges · log n) instead of a scan of every node.
+//! k-th member outside a few excluded nodes — a rebuild target — is
+//! found in about one O(log n) `select` instead of a scan of every node.
 
 /// Entries per chunk. 32 × `u32` = 128 B — two cache lines, so a node
 /// with a handful of objects touches one or two lines instead of a
@@ -155,9 +155,8 @@ impl NodeLists {
 /// A set of node ids with O(log n) rank and select: per-node membership
 /// plus a Fenwick (binary indexed) tree of `u32` member counts.
 ///
-/// Excluded ranges passed to [`count_outside`](Self::count_outside) and
-/// [`select_outside`](Self::select_outside) are half-open `(lo, hi)` node
-/// ranges, sorted ascending and pairwise disjoint.
+/// [`select_outside`](Self::select_outside) skips an excluded subset of
+/// any shape, given only a count of its members up to a node.
 #[derive(Debug)]
 pub(crate) struct NodeSet {
     /// Per-node membership.
@@ -257,29 +256,40 @@ impl NodeSet {
         pos
     }
 
-    /// Members outside every range in `excluded`.
-    pub fn count_outside(&self, excluded: &[(usize, usize)]) -> usize {
-        excluded.iter().fold(self.len(), |count, &(lo, hi)| {
-            count - (self.rank(hi) - self.rank(lo))
-        })
+    /// Members among nodes `lo..hi` (none when `hi <= lo`): one node's
+    /// membership bit, or two ranks for a wider span.
+    #[inline]
+    pub fn count_in(&self, lo: usize, hi: usize) -> usize {
+        match hi.saturating_sub(lo) {
+            0 => 0,
+            1 => usize::from(self.member[lo]),
+            _ => self.rank(hi) - self.rank(lo),
+        }
     }
 
-    /// The `k`-th member (0-based, ascending) outside every range in
-    /// `excluded`.
+    /// The `k`-th member (0-based, ascending) outside an excluded subset,
+    /// where `excluded_to(c)` counts the excluded members at or below
+    /// node `c`.
+    ///
+    /// Select-and-step: `c = select(k + e)`, repeated until `e`, the
+    /// excluded members at or below `c`, stops growing. `e` starts at 0
+    /// and never passes the count below the answer, so it climbs to the
+    /// fixed point and `c` is the answer; every step past the first skips
+    /// at least one excluded member, so a subset of `x` members costs at
+    /// most `x + 1` selects, and about one when it is small.
     ///
     /// # Panics
-    /// If `k >= self.count_outside(excluded)`.
-    pub fn select_outside(&self, mut k: usize, excluded: &[(usize, usize)]) -> usize {
-        // Walk the ranges in order, turning `k` into an index over all
-        // members: every excluded member before the answer shifts it by one.
-        for &(lo, hi) in excluded {
-            let before = self.rank(lo);
-            if k < before {
-                break;
+    /// If `k` is not below the number of members outside the subset.
+    pub fn select_outside(&self, k: usize, excluded_to: impl Fn(usize) -> usize) -> usize {
+        let mut e = 0;
+        loop {
+            let c = self.select(k + e);
+            let at_or_below = excluded_to(c);
+            if at_or_below == e {
+                return c;
             }
-            k += self.rank(hi) - before;
+            e = at_or_below;
         }
-        self.select(k)
     }
 }
 
@@ -405,7 +415,7 @@ mod tests {
         let set = NodeSet::full(0);
         assert_eq!(set.len(), 0);
         assert_eq!(set.rank(0), 0);
-        assert_eq!(set.count_outside(&[]), 0);
+        assert_eq!(set.count_in(0, 0), 0);
         let mut one = NodeSet::full(1);
         one.set(0, false);
         assert_eq!(one.len(), 0);
@@ -477,13 +487,16 @@ mod proptests {
             }
         }
 
-        /// After arbitrary flips, counting and selecting outside arbitrary
-        /// sorted disjoint ranges agrees with filtering the members.
+        /// After arbitrary flips, selecting outside an arbitrary excluded
+        /// subset (scattered nodes and spans, members or not, in no
+        /// order) agrees with filtering the members, and `count_in` over
+        /// any span, reversed ones included, with counting them.
         #[test]
         fn node_set_outside_agrees_with_filter(
             n in 1usize..300,
             flips in proptest::collection::vec((any::<u16>(), any::<bool>()), 0..200),
             cuts in proptest::collection::vec((any::<u16>(), any::<u16>()), 0..6),
+            singles in proptest::collection::vec(any::<u16>(), 0..8),
         ) {
             let mut set = NodeSet::full(n);
             let mut bits = vec![true; n];
@@ -492,27 +505,26 @@ mod proptests {
                 set.set(node, member);
                 bits[node] = member;
             }
-            // Normalize the raw cuts into sorted, disjoint, non-empty ranges.
-            let mut raw: Vec<(usize, usize)> = cuts
-                .iter()
-                .map(|&(a, b)| {
-                    let (a, b) = (a as usize % (n + 1), b as usize % (n + 1));
-                    (a.min(b), a.max(b))
-                })
-                .collect();
-            raw.sort_unstable();
-            let mut excluded: Vec<(usize, usize)> = Vec::new();
-            for (lo, hi) in raw {
-                if lo < hi && excluded.last().is_none_or(|&(_, prev_hi)| lo >= prev_hi) {
-                    excluded.push((lo, hi));
-                }
+            let mut excluded = vec![false; n];
+            for &(a, b) in &cuts {
+                let (lo, hi) = (a as usize % (n + 1), b as usize % (n + 1));
+                prop_assert_eq!(set.count_in(lo, hi), (lo..hi).filter(|&i| bits[i]).count());
+                excluded[lo..hi.max(lo)].fill(true);
             }
-            let want: Vec<usize> = (0..n)
-                .filter(|&i| bits[i] && !excluded.iter().any(|&(lo, hi)| (lo..hi).contains(&i)))
+            for &x in &singles {
+                excluded[x as usize % n] = true;
+            }
+            // `below[c + 1]`: excluded members at or below node `c`.
+            let below: Vec<usize> = std::iter::once(0)
+                .chain((0..n).scan(0, |acc, i| {
+                    *acc += usize::from(bits[i] && excluded[i]);
+                    Some(*acc)
+                }))
                 .collect();
-            prop_assert_eq!(set.count_outside(&excluded), want.len());
+            let want: Vec<usize> = (0..n).filter(|&i| bits[i] && !excluded[i]).collect();
+            prop_assert_eq!(set.len() - below[n], want.len());
             for (k, &node) in want.iter().enumerate() {
-                prop_assert_eq!(set.select_outside(k, &excluded), node);
+                prop_assert_eq!(set.select_outside(k, |c| below[c + 1]), node);
             }
         }
     }

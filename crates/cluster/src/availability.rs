@@ -405,8 +405,6 @@ struct AvailState<'a> {
     scratch_touched: Vec<u32>,
     /// Node spans assembled for chaos rack windows.
     scratch_nodes: Vec<usize>,
-    /// Node ranges a rebuild-target draw excludes (sorted, disjoint).
-    scratch_excluded: Vec<(usize, usize)>,
     // counters
     node_failures: u64,
     switch_failures: u64,
@@ -501,7 +499,6 @@ impl<'a> AvailState<'a> {
             scratch_hosted: Vec::new(),
             scratch_touched: Vec::new(),
             scratch_nodes: Vec::new(),
-            scratch_excluded: Vec::new(),
             node_failures: 0,
             switch_failures: 0,
             disk_failures: 0,
@@ -658,24 +655,40 @@ impl<'a> AvailState<'a> {
     /// outside every holder's aligned block of `block` nodes — the holders
     /// themselves for `block = 1`, their whole racks for the rack size.
     /// Holders count whether reachable or not. With no such node it draws
-    /// nothing and returns `None`. O(width · log n): the excluded blocks
-    /// are at most `width` sorted ranges skipped in the rank index.
+    /// nothing and returns `None`.
+    ///
+    /// The candidates number the reachable nodes less the reachable ones
+    /// in excluded blocks, and the draw is found by
+    /// [`NodeSet::select_outside`]. Node holders never repeat, so for
+    /// `block = 1` that costs O(width) membership-bit tests and about one
+    /// `select`; a rack counts its members by rank differences, once
+    /// however many holders share it.
     fn draw_outside_holders(&mut self, object: u32, block: usize) -> Option<u16> {
-        let mut excluded = std::mem::take(&mut self.scratch_excluded);
-        excluded.clear();
-        excluded.extend(self.holders(object).iter().map(|&h| {
-            let lo = h as usize / block * block;
-            (lo, lo + block)
-        }));
-        excluded.sort_unstable();
-        excluded.dedup();
-        let count = self.reachable.count_outside(&excluded);
-        let pick = (count > 0).then(|| {
-            let k = self.rng.index(count);
-            self.reachable.select_outside(k, &excluded) as u16
-        });
-        self.scratch_excluded = excluded;
-        pick
+        // The fields are borrowed one by one, so the RNG can still draw.
+        let base = object as usize * self.width;
+        let holders = &self.holders_pool[base..base + self.holder_len[object as usize] as usize];
+        let reachable = &self.reachable;
+        // Reachable members of the excluded blocks at or below node `c`.
+        let excluded_to = |c: usize| -> usize {
+            let block_of = |h: u16| h as usize / block;
+            holders
+                .iter()
+                .enumerate()
+                .filter(|&(i, &h)| {
+                    block == 1 || holders[..i].iter().all(|&g| block_of(g) != block_of(h))
+                })
+                .map(|(_, &h)| {
+                    let lo = block_of(h) * block;
+                    reachable.count_in(lo, (lo + block).min(c.saturating_add(1)))
+                })
+                .sum()
+        };
+        let count = reachable.len() - excluded_to(usize::MAX);
+        if count == 0 {
+            return None;
+        }
+        let k = self.rng.index(count);
+        Some(reachable.select_outside(k, excluded_to) as u16)
     }
 
     fn finish(mut self, end: SimTime, sim_events: u64) -> AvailabilityResult {
@@ -1925,9 +1938,23 @@ mod proptests {
         FlipNode(u16),
         /// Toggle a rack's switch (index taken modulo the rack count).
         FlipRack(u16),
-        /// Set object 0's holders (deduplicated, truncated to the width;
+        /// Set object 0's holders (taken modulo the node count, repeats
+        /// dropped, truncated to the width, left in the order drawn;
         /// unreachable nodes included) and pick a rebuild target.
         Pick(Vec<u16>),
+        /// Set object 0's holders to the model's placement of this object
+        /// id, in placement order, and pick a rebuild target.
+        Place(u64),
+    }
+
+    /// Raw holders: scattered, or within 48 nodes of each other, so that
+    /// they share racks and straddle 64-node words.
+    fn arb_holders() -> impl Strategy<Value = Vec<u16>> {
+        prop_oneof![
+            proptest::collection::vec(any::<u16>(), 0..10),
+            (any::<u16>(), proptest::collection::vec(0u16..48, 0..10))
+                .prop_map(|(base, offs)| offs.into_iter().map(|o| base.wrapping_add(o)).collect()),
+        ]
     }
 
     fn arb_pick_op() -> impl Strategy<Value = PickOp> {
@@ -1935,8 +1962,9 @@ mod proptests {
             any::<u16>().prop_map(PickOp::FlipNode),
             any::<u16>().prop_map(PickOp::FlipNode),
             any::<u16>().prop_map(PickOp::FlipRack),
-            proptest::collection::vec(any::<u16>(), 0..6).prop_map(PickOp::Pick),
-            proptest::collection::vec(any::<u16>(), 0..6).prop_map(PickOp::Pick),
+            arb_holders().prop_map(PickOp::Pick),
+            arb_holders().prop_map(PickOp::Pick),
+            any::<u64>().prop_map(PickOp::Place),
         ]
     }
 
@@ -1945,15 +1973,17 @@ mod proptests {
 
         /// The rank-index `pick_target` draws exactly what the old linear
         /// scan drew — same node, same RNG state afterwards — over random
-        /// geometries (1 to 48 nodes, several rack sizes), reachability
-        /// flipped through `refresh_reachable`, holder sets with
-        /// unreachable holders, both placements, the RackAware fallback
-        /// and the no-candidate case.
+        /// geometries (1 to 1,024 nodes, so more than one 64-bit word and
+        /// several Fenwick levels; racks of 1 to 32 nodes), widths 1 to 8,
+        /// reachability flipped through `refresh_reachable`, holder sets
+        /// in the order drawn or placed, not sorted, with unreachable
+        /// holders, both placements, the RackAware fallback and the
+        /// no-candidate case.
         #[test]
         fn pick_target_matches_linear_scan(
-            racks in 1usize..9,
-            nodes_per_rack in 1usize..7,
-            width in 1usize..5,
+            racks in 1usize..33,
+            nodes_per_rack in 1usize..33,
+            width in 1usize..9,
             rack_aware in any::<bool>(),
             seed in any::<u64>(),
             ops in proptest::collection::vec(arb_pick_op(), 1..60),
@@ -1962,12 +1992,15 @@ mod proptests {
             let width = width.min(n);
             let m = super::tests::pick_model(racks, nodes_per_rack, width, rack_aware);
             let mut st = AvailState::new(&m, seed, Vec::new());
+            let mut placer = Placer::new(m.placement, n, width, RngFactory::new(seed).stream("pick"));
+            let mut placed = Vec::new();
             for op in ops {
-                match op {
+                let holders: Option<Vec<u16>> = match op {
                     PickOp::FlipNode(i) => {
                         let node = i as usize % n;
                         st.node_up[node] = !st.node_up[node];
                         st.refresh_reachable(node);
+                        None
                     }
                     PickOp::FlipRack(i) => {
                         let rack = i as usize % racks;
@@ -1975,6 +2008,7 @@ mod proptests {
                         for node in rack * nodes_per_rack..(rack + 1) * nodes_per_rack {
                             st.refresh_reachable(node);
                         }
+                        None
                     }
                     PickOp::Pick(raw) => {
                         let mut holders: Vec<u16> = Vec::new();
@@ -1983,10 +2017,17 @@ mod proptests {
                                 holders.push(h);
                             }
                         }
-                        super::tests::set_holders(&mut st, &holders);
-                        let [fast, slow] = super::tests::pick_both(&mut st);
-                        prop_assert_eq!(fast, slow, "holders {:?}", holders);
+                        Some(holders)
                     }
+                    PickOp::Place(object) => {
+                        placer.place_into(object, &mut placed);
+                        Some(placed.iter().map(|&h| h as u16).collect())
+                    }
+                };
+                if let Some(holders) = holders {
+                    super::tests::set_holders(&mut st, &holders);
+                    let [fast, slow] = super::tests::pick_both(&mut st);
+                    prop_assert_eq!(fast, slow, "holders {:?}", holders);
                 }
                 let reachable = (0..n).filter(|&node| st.compute_reachable(node)).count();
                 prop_assert_eq!(st.reachable.len(), reachable);

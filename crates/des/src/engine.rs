@@ -186,7 +186,8 @@ impl<E> Ctx<'_, E> {
 }
 
 /// A single simulation run: a [`Model`], its future-event list (the
-/// binary-heap [`EventQueue`]), clock, execution counters and mailbox.
+/// [`EventQueue`], a binary heap of equal-time runs), clock, execution
+/// counters and mailbox.
 /// Models own their randomness (typically streams of a
 /// [`crate::RngFactory`] seeded by the caller).
 pub struct Simulation<M: Model> {

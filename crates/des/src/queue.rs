@@ -1,6 +1,20 @@
 //! The pending-event set: the engine's only future-event list.
 //!
-//! A binary heap keyed on `(time, sequence)`, O(log n) per operation.
+//! A binary heap of *runs*. A run is a maximal sequence of back-to-back
+//! stored pushes at one bit-identical time: the burst a handler
+//! schedules when one node failure queues every lost replica's rebuild
+//! for the same instant. The heap holds one entry per run, keyed by its
+//! first push's `(time, seq)`: that event inline, the rest FIFO in an
+//! overflow arena whose vacant slots are reused through a free list. A
+//! run at the heap top drains in place: its key does not change, so the
+//! heap is not re-sifted. A burst of k equal-time events costs one heap
+//! push and one pop instead of k of each, and a lone event costs what a
+//! plain heap entry does.
+//!
+//! Only the newest run can still grow, so it waits outside the heap,
+//! where an append finds it without a search. The next push at another
+//! time closes it into the heap. A pop takes from whichever of it and
+//! the heap top has the smaller key.
 //!
 //! # The `(time, seq)` contract
 //!
@@ -11,7 +25,19 @@
 //! in an order derived from the heap's layout. The same push sequence
 //! always produces the same pop sequence, which is what makes simulation
 //! results — every RNG draw, every statistic, every byte — reproducible.
-//! The FIFO proptests at the bottom of this file pin the contract.
+//! The FIFO proptests and the reference model at the bottom of this file
+//! pin the contract.
+//!
+//! Runs keep it. A run's events are consecutive among stored events: a
+//! stored push at any other time closes the run, and nothing joins a
+//! closed run. So another run's events at an equal time all have
+//! sequence numbers below this run's or all above them, and ordering
+//! runs by their first `(time, seq)`, then each run FIFO, pops every
+//! event in exactly `(time, seq)` order. A run that grows while it
+//! drains stays in order too: its new events have the largest numbers
+//! yet. Bit identity, not `==`, joins times: `0.0` and `-0.0` compare
+//! equal but start separate runs, so every event pops with the time it
+//! was pushed with.
 //!
 //! # The declared horizon
 //!
@@ -20,7 +46,8 @@
 //! after the horizon can never fire, so it is *parked*: it still takes
 //! its sequence number, but only a count and the earliest parked time are
 //! kept, and the event itself is dropped. The `(time, seq)` contract
-//! still holds: stored events keep the seqs they were given, and a parked
+//! still holds: stored events keep the seqs they were given, a parked
+//! push between two pushes of one run does not split it, and a parked
 //! event never pops. [`len`](EventQueue::len) counts parked events too,
 //! and [`peek_time`](EventQueue::peek_time) falls back to the earliest
 //! parked time when nothing is stored, so queue-depth telemetry, stop
@@ -29,30 +56,52 @@
 //! stores every event it can ever pop.
 
 use crate::time::SimTime;
+use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// A scheduled entry: fire `event` at `time`.
-struct Entry<E> {
+/// Null index into the overflow arena.
+const NONE: u32 = u32::MAX;
+
+/// A run of equal-time events, keyed by its first push's `(time, seq)`.
+///
+/// Only the key orders the heap. The next event and the overflow link
+/// sit in `Cell`s, so the run at the heap top drains through a shared
+/// reference and the heap never re-sifts it.
+struct Run<E> {
     time: SimTime,
     seq: u64,
-    event: E,
+    /// The run's next event to pop.
+    head: Cell<E>,
+    /// The overflow slot holding the event after `head`, or `NONE`.
+    rest: Cell<u32>,
 }
 
-impl<E> PartialEq for Entry<E> {
+impl<E> Run<E> {
+    fn new(time: SimTime, seq: u64, event: E) -> Self {
+        Run {
+            time,
+            seq,
+            head: Cell::new(event),
+            rest: Cell::new(NONE),
+        }
+    }
+}
+
+impl<E> PartialEq for Run<E> {
     fn eq(&self, other: &Self) -> bool {
         self.time == other.time && self.seq == other.seq
     }
 }
-impl<E> Eq for Entry<E> {}
+impl<E> Eq for Run<E> {}
 
-impl<E> PartialOrd for Entry<E> {
+impl<E> PartialOrd for Run<E> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<E> Ord for Entry<E> {
+impl<E> Ord for Run<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops first.
         other
@@ -62,11 +111,31 @@ impl<E> Ord for Entry<E> {
     }
 }
 
+/// An overflow-arena slot: an event waiting behind its run's head, or,
+/// when vacant, a link in the free list.
+struct Slot<E> {
+    event: Option<E>,
+    /// The next slot of the run (or of the free list), or `NONE`.
+    next: u32,
+}
+
 /// Future-event list with deterministic tie-breaking.
 ///
 /// Events scheduled for the same instant pop in the order they were pushed.
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
+    /// Closed runs.
+    heap: BinaryHeap<Run<E>>,
+    /// The run that holds the last stored push, while any of it is
+    /// unpopped: the only run that can still grow.
+    open: Option<Run<E>>,
+    /// The open run's last overflow slot (`NONE` when it has none).
+    open_tail: u32,
+    /// Every run's events after its head, linked FIFO per run.
+    slots: Vec<Slot<E>>,
+    /// The first vacant slot (`NONE` when none is).
+    free: u32,
+    /// Stored events: one head per run plus the occupied slots.
+    stored: usize,
     next_seq: u64,
     /// The instant after which nothing can fire (see the module docs).
     horizon: SimTime,
@@ -88,10 +157,16 @@ impl<E> EventQueue<E> {
         Self::with_capacity(0)
     }
 
-    /// An empty queue with pre-allocated capacity.
+    /// An empty queue with heap room for `cap` runs (`cap` events at
+    /// the least).
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
             heap: BinaryHeap::with_capacity(cap),
+            open: None,
+            open_tail: NONE,
+            slots: Vec::new(),
+            free: NONE,
+            stored: 0,
             next_seq: 0,
             horizon: SimTime::MAX,
             parked: 0,
@@ -133,28 +208,109 @@ impl<E> EventQueue<E> {
         if time > self.horizon {
             self.parked += 1;
             self.earliest_parked = Some(self.earliest_parked.map_or(time, |t| t.min(time)));
-        } else {
-            self.heap.push(Entry { time, seq, event });
+            return seq;
         }
+        self.stored += 1;
+        let joins = self
+            .open
+            .as_ref()
+            .is_some_and(|run| run.time.as_secs().to_bits() == time.as_secs().to_bits());
+        if !joins {
+            if let Some(closed) = self.open.replace(Run::new(time, seq, event)) {
+                self.heap.push(closed);
+            }
+            self.open_tail = NONE;
+            return seq;
+        }
+        let slot = self.alloc(event);
+        match self.open_tail {
+            NONE => self
+                .open
+                .as_ref()
+                .expect("joined the open run")
+                .rest
+                .set(slot),
+            tail => self.slots[tail as usize].next = slot,
+        }
+        self.open_tail = slot;
         seq
+    }
+
+    /// Stores `event` in a vacant overflow slot, or a new one.
+    fn alloc(&mut self, event: E) -> u32 {
+        let slot = Slot {
+            event: Some(event),
+            next: NONE,
+        };
+        if self.free != NONE {
+            let i = self.free;
+            self.free = std::mem::replace(&mut self.slots[i as usize], slot).next;
+            return i;
+        }
+        let i = u32::try_from(self.slots.len())
+            .ok()
+            .filter(|&i| i != NONE)
+            .expect("overflow arena is full");
+        self.slots.push(slot);
+        i
+    }
+
+    /// True when the open run, not the heap top, holds the earliest
+    /// stored event. Every closed run started before the open one, so a
+    /// tie in time goes to the heap.
+    fn open_first(&self) -> bool {
+        match (&self.open, self.heap.peek()) {
+            (Some(open), Some(top)) => open.time < top.time,
+            (open, _) => open.is_some(),
+        }
     }
 
     /// Removes and returns the stored event with the smallest
     /// `(time, seq)`, or `None` when none is stored. Parked events never
     /// pop.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|e| (e.time, e.event))
+        let from_open = self.open_first();
+        let run = if from_open {
+            self.open.as_ref()?
+        } else {
+            self.heap.peek()?
+        };
+        self.stored -= 1;
+        let slot = run.rest.get();
+        if slot != NONE {
+            // Drain in place: the next overflow event becomes the head.
+            let vacated = &mut self.slots[slot as usize];
+            let next = vacated.event.take().expect("a linked slot is occupied");
+            run.rest.set(vacated.next);
+            vacated.next = self.free;
+            self.free = slot;
+            if from_open && run.rest.get() == NONE {
+                self.open_tail = NONE;
+            }
+            return Some((run.time, run.head.replace(next)));
+        }
+        let run = if from_open {
+            self.open.take()
+        } else {
+            self.heap.pop()
+        };
+        run.map(|r| (r.time, r.head.into_inner()))
     }
 
     /// The firing time of the earliest pending event: the earliest stored
     /// one, or, when none is stored, the earliest parked one.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time).or(self.earliest_parked)
+        let front = if self.open_first() {
+            self.open.as_ref()
+        } else {
+            self.heap.peek()
+        };
+        front.map(|r| r.time).or(self.earliest_parked)
     }
 
     /// Number of pending events, parked ones included.
     pub fn len(&self) -> usize {
-        self.heap.len() + self.parked
+        self.stored + self.parked
     }
 
     /// True when no events are pending, parked ones included.
@@ -165,12 +321,19 @@ impl<E> EventQueue<E> {
     /// Drops all pending events, parked ones included.
     pub fn clear(&mut self) {
         self.heap.clear();
+        self.open = None;
+        self.open_tail = NONE;
+        self.slots.clear();
+        self.free = NONE;
+        self.stored = 0;
         self.parked = 0;
         self.earliest_parked = None;
     }
 
-    /// Pre-allocates room for at least `additional` more events, so a
-    /// steady-state pending set never regrows the heap mid-run.
+    /// Pre-allocates heap room for at least `additional` more runs (a
+    /// run per event at worst), so a steady-state pending set never
+    /// regrows the heap mid-run. The overflow arena grows to its
+    /// high-water mark once and then reuses its slots.
     pub fn reserve(&mut self, additional: usize) {
         self.heap.reserve(additional);
     }
@@ -232,6 +395,25 @@ mod tests {
     }
 
     #[test]
+    fn a_burst_is_one_run_and_its_slots_are_reused() {
+        let mut q = EventQueue::new();
+        for i in 0..100 {
+            q.push(t(5.0), i);
+        }
+        q.push(t(9.0), 100);
+        assert_eq!((q.heap.len(), q.slots.len(), q.len()), (1, 99, 101));
+        for i in 0..100 {
+            assert_eq!(q.pop(), Some((t(5.0), i)));
+        }
+        // A second burst refills the vacated slots instead of growing.
+        for i in 0..100 {
+            q.push(t(7.0), i);
+        }
+        assert_eq!(q.slots.len(), 99);
+        assert_eq!(q.pop(), Some((t(7.0), 0)));
+    }
+
+    #[test]
     fn events_past_the_declared_horizon_are_counted_not_stored() {
         let mut q = EventQueue::new();
         q.declare_horizon(t(10.0));
@@ -275,6 +457,20 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Push times for the reference model: few, so ties are common, with
+    /// both signed zeros and times past every horizon it declares.
+    const TIMES: [f64; 6] = [0.0, -0.0, 1.0, 2.0, 3.0, 7.0];
+
+    /// One step of the reference-model check.
+    #[derive(Debug, Clone)]
+    enum RefOp {
+        /// Push at `TIMES[i]`.
+        Push(usize),
+        /// Push at the time of the last pop.
+        Now,
+        Pop,
+    }
 
     proptest! {
         /// Popping the whole queue yields times in non-decreasing order, and
@@ -337,6 +533,68 @@ mod proptests {
                     (Some(a), Some(b)) => prop_assert!(a > horizon && b > horizon),
                     (a, b) => prop_assert_eq!(a, b),
                 }
+            }
+        }
+
+        /// The queue against a naive reference: a list of every stored
+        /// `(time, seq, value)`, popped at its smallest `(time, seq)`.
+        /// Pushes take times from a tiny set (signed zeros included), so
+        /// ties are common; `Now` pushes at the time last popped, so a
+        /// run grows while it drains; times past the horizon park, also
+        /// between two pushes of one run. After every operation `pop`
+        /// (times compared bit for bit), `peek_time` and `len` agree.
+        #[test]
+        fn matches_a_sorted_list_reference(
+            horizon in 1u32..6,
+            ops in proptest::collection::vec(
+                prop_oneof![
+                    (0usize..TIMES.len()).prop_map(RefOp::Push),
+                    Just(RefOp::Now),
+                    Just(RefOp::Pop),
+                ],
+                0..300,
+            ),
+        ) {
+            let horizon = SimTime::from_secs(f64::from(horizon));
+            let mut q = EventQueue::new();
+            q.declare_horizon(horizon);
+            let mut stored: Vec<(SimTime, u64)> = Vec::new();
+            let (mut next_seq, mut parked, mut earliest_parked) = (0u64, 0usize, None::<SimTime>);
+            let mut now = SimTime::ZERO;
+            for op in ops {
+                let time = match op {
+                    RefOp::Push(i) => Some(SimTime::from_secs(TIMES[i])),
+                    RefOp::Now => Some(now),
+                    RefOp::Pop => None,
+                };
+                if let Some(time) = time {
+                    prop_assert_eq!(q.push(time, next_seq), next_seq);
+                    if time > horizon {
+                        parked += 1;
+                        earliest_parked = Some(earliest_parked.map_or(time, |p| p.min(time)));
+                    } else {
+                        stored.push((time, next_seq));
+                    }
+                    next_seq += 1;
+                } else {
+                    let want = (0..stored.len())
+                        .min_by_key(|&i| stored[i])
+                        .map(|i| stored.remove(i));
+                    let got = q.pop();
+                    prop_assert_eq!(
+                        got.map(|(time, seq)| (time.as_secs().to_bits(), seq)),
+                        want.map(|(time, seq)| (time.as_secs().to_bits(), seq))
+                    );
+                    if let Some((time, _)) = got {
+                        now = time;
+                    }
+                }
+                let want_peek = stored.iter().min().map(|&(time, _)| time).or(earliest_parked);
+                prop_assert_eq!(
+                    q.peek_time().map(|time| time.as_secs().to_bits()),
+                    want_peek.map(|time| time.as_secs().to_bits())
+                );
+                prop_assert_eq!(q.len(), stored.len() + parked);
             }
         }
 

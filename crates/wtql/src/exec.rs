@@ -48,6 +48,10 @@ use windtunnel::sweep::{SweepGrid, SweepPoint, SweepRunner};
 use windtunnel::{MeanInterval, Surrogate, WindTunnel};
 use wt_store::{ParamValue, RecordSink};
 
+/// The most replications one configuration may ask for: each is a full
+/// simulation, so a larger count is a typo rather than a design study.
+pub const MAX_REPLICATIONS: usize = 10_000;
+
 /// Execution knobs (overridable from the query's OPTIONS clause).
 #[derive(Debug, Clone)]
 pub struct ExecOptions {
@@ -151,13 +155,28 @@ impl ExecOptions {
             ParamValue::Bool(b) => Ok(*b),
             _ => Err(format!("option '{key}' needs TRUE or FALSE, got '{value}'")),
         };
+        // A count: a whole number of at least 1, and at most `max` if given.
+        let count = |max: Option<usize>| {
+            let v = num()?;
+            if v.fract() == 0.0 && v >= 1.0 && max.is_none_or(|m| v <= m as f64) {
+                return Ok(v as usize);
+            }
+            let range = match max {
+                Some(m) => format!("from 1 to {m}"),
+                None => "of at least 1".to_string(),
+            };
+            Err(format!(
+                "option '{key}' needs a whole number {range}, got '{value}'"
+            ))
+        };
         match key {
-            "threads" => self.threads = (num()? as usize).max(1),
+            // The farm never starts more workers than there are points.
+            "threads" => self.threads = count(None)?,
             "prune" => self.prune = flag()?,
             "early_abort" => self.early_abort = flag()?,
             "probe_fraction" => self.probe_fraction = num()?.clamp(0.01, 0.9),
             "abort_margin" => self.abort_margin = num()?.max(0.0),
-            "replications" => self.replications = (num()? as usize).max(1),
+            "replications" => self.replications = count(Some(MAX_REPLICATIONS))?,
             // The master switch mirrors the GUIDED clause: it arms every
             // stage. Options apply in source order, so a later
             // `screen = FALSE` can still disable one stage.
@@ -1626,6 +1645,84 @@ mod tests {
         assert!(!ExecOptions::from_query(&parse("EXPLORE a SWEEP x IN [1]").unwrap()).guided);
     }
 
+    /// A one-point availability query with `options` as its OPTIONS.
+    fn options_query(options: &str) -> Query {
+        parse(&format!(
+            "EXPLORE availability SWEEP replication IN [3] OPTIONS {options}"
+        ))
+        .unwrap()
+    }
+
+    /// Runs `q`, which must fail on its options before anything runs, and
+    /// returns the error message.
+    fn option_rejection(q: &Query) -> String {
+        let tunnel = WindTunnel::new();
+        let err = run_query(q, &base(), &tunnel, &ExecOptions::from_query(q)).unwrap_err();
+        assert!(tunnel.store().is_empty(), "nothing runs");
+        match err {
+            WtqlError::Semantic(m) => m,
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn zero_threads_or_replications_are_rejected() {
+        assert_eq!(
+            option_rejection(&options_query("replications = 0")),
+            "option 'replications' needs a whole number from 1 to 10000, got '0'"
+        );
+        assert_eq!(
+            option_rejection(&options_query("threads = 0")),
+            "option 'threads' needs a whole number of at least 1, got '0'"
+        );
+    }
+
+    #[test]
+    fn negative_threads_or_replications_are_rejected() {
+        // WTQL text cannot spell a negative number; a query built in code can.
+        for key in ["replications", "threads"] {
+            let mut q = options_query("prune = FALSE");
+            q.options.push((key.to_string(), ParamValue::Num(-2.0)));
+            let m = option_rejection(&q);
+            assert!(
+                m.starts_with(&format!("option '{key}' needs a whole number")),
+                "{m}"
+            );
+            assert!(m.ends_with("got '-2'"), "{m}");
+        }
+    }
+
+    #[test]
+    fn fractional_threads_or_replications_are_rejected() {
+        assert_eq!(
+            option_rejection(&options_query("replications = 2.5")),
+            "option 'replications' needs a whole number from 1 to 10000, got '2.5'"
+        );
+        assert_eq!(
+            option_rejection(&options_query("threads = 1.5")),
+            "option 'threads' needs a whole number of at least 1, got '1.5'"
+        );
+    }
+
+    #[test]
+    fn replications_above_the_ceiling_are_rejected() {
+        assert_eq!(
+            option_rejection(&options_query("replications = 1e12")),
+            "option 'replications' needs a whole number from 1 to 10000, got '1000000000000'"
+        );
+        assert_eq!(
+            option_rejection(&options_query("replications = 10001")),
+            "option 'replications' needs a whole number from 1 to 10000, got '10001'"
+        );
+        // The ceiling itself is a valid count (validated, not run here).
+        let at_ceiling = options_query("replications = 10000");
+        assert_eq!(validate_options(&at_ceiling), Ok(()));
+        assert_eq!(
+            ExecOptions::from_query(&at_ceiling).replications,
+            MAX_REPLICATIONS
+        );
+    }
+
     #[test]
     fn every_documented_option_applies_and_typos_are_errors() {
         // Every key of docs/wtql.md's Options table, with a value of its
@@ -1649,19 +1746,7 @@ mod tests {
         );
         assert_eq!(o.screen_min_failures, 5.0);
 
-        let rejection = |options: &str| {
-            let q = parse(&format!(
-                "EXPLORE availability SWEEP replication IN [3] OPTIONS {options}"
-            ))
-            .unwrap();
-            let tunnel = WindTunnel::new();
-            let err = run_query(&q, &base(), &tunnel, &ExecOptions::from_query(&q)).unwrap_err();
-            assert!(tunnel.store().is_empty(), "nothing runs");
-            match err {
-                WtqlError::Semantic(m) => m,
-                other => panic!("{other:?}"),
-            }
-        };
+        let rejection = |options: &str| option_rejection(&options_query(options));
         // A misspelt key is an error that names it, not a silent default:
         // the first bad entry is reported.
         let m = rejection("replicatons = 5, prune = 1, early_abortt = TRUE");
