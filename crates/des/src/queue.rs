@@ -537,7 +537,8 @@ mod proptests {
         }
 
         /// The queue against a naive reference: a list of every stored
-        /// `(time, seq, value)`, popped at its smallest `(time, seq)`.
+        /// `(time, seq)` (each event's value is its seq), popped at its
+        /// smallest `(time, seq)`.
         /// Pushes take times from a tiny set (signed zeros included), so
         /// ties are common; `Now` pushes at the time last popped, so a
         /// run grows while it drains; times past the horizon park, also
