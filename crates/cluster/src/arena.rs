@@ -16,7 +16,8 @@
 //! `NodeSet` is the companion index over node *membership* (the engine
 //! keeps reachability in it): a Fenwick tree of member counts, so the
 //! k-th member outside a few excluded nodes — a rebuild target — is
-//! found in about one O(log n) `select` instead of a scan of every node.
+//! found in a select or two, O(log n) each, instead of a scan of every
+//! node.
 
 /// Entries per chunk. 32 × `u32` = 128 B — two cache lines, so a node
 /// with a handful of objects touches one or two lines instead of a
@@ -269,14 +270,17 @@ impl NodeSet {
 
     /// The `k`-th member (0-based, ascending) outside an excluded subset,
     /// where `excluded_to(c)` counts the excluded members at or below
-    /// node `c`.
+    /// node `c`. It may count more when `c` is itself excluded (say, a
+    /// whole excluded span that starts at or below `c`), as long as it
+    /// never falls as `c` grows.
     ///
-    /// Select-and-step: `c = select(k + e)`, repeated until `e`, the
-    /// excluded members at or below `c`, stops growing. `e` starts at 0
-    /// and never passes the count below the answer, so it climbs to the
-    /// fixed point and `c` is the answer; every step past the first skips
-    /// at least one excluded member, so a subset of `x` members costs at
-    /// most `x + 1` selects, and about one when it is small.
+    /// Select-and-step: `c = select(k + e)`, repeated until `e =
+    /// excluded_to(c)` stops growing. `e` starts at 0 and never passes
+    /// the excluded members below the answer, so it climbs to the fixed
+    /// point, where at least `k + 1` members up to `c` are not excluded
+    /// and `c` is the answer. Every step past the first skips at least
+    /// one excluded member, so a subset of `x` members costs at most
+    /// `x + 1` selects.
     ///
     /// # Panics
     /// If `k` is not below the number of members outside the subset.
