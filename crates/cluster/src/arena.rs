@@ -525,10 +525,20 @@ mod proptests {
                     Some(*acc)
                 }))
                 .collect();
+            // The over-count the contract allows: every maximal excluded
+            // span that starts at or below `c` counts whole.
+            let whole = |c: usize| {
+                let mut end = c + 1;
+                while end < n && excluded[end] && excluded[c] {
+                    end += 1;
+                }
+                below[end]
+            };
             let want: Vec<usize> = (0..n).filter(|&i| bits[i] && !excluded[i]).collect();
             prop_assert_eq!(set.len() - below[n], want.len());
             for (k, &node) in want.iter().enumerate() {
                 prop_assert_eq!(set.select_outside(k, |c| below[c + 1]), node);
+                prop_assert_eq!(set.select_outside(k, whole), node);
             }
         }
     }
