@@ -19,7 +19,6 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 use wt_cluster::availability::{AvailabilityModel, DiskFailureModel, RebuildModel};
-use wt_cluster::PartitionedAvailability;
 use wt_des::obs::NoProbe;
 use wt_des::prelude::*;
 use wt_des::rng::RngFactory;
@@ -206,52 +205,6 @@ fn scale_model(nodes: usize) -> AvailabilityModel {
     }
 }
 
-// --- partitioned scale: one 1M-component run sharded across partitions ---
-//
-// The single-run parallelism arms: the same 1M-node build-out (each node
-// its own failure domain; the partitioned engine shards state by rack,
-// so disks are not separate domains here) executed serially and across 4
-// conservative-lookahead partitions on 4 threads. The fingerprint
-// assertion pins the tentpole claim: partitioning is bitwise-invisible
-// to results. Wall-clock speedup is whatever the host's cores allow —
-// the JSON records the host's core count next to the numbers.
-
-/// 15_625 racks × 64 nodes = exactly 1M failure domains.
-const PART_RACKS_1M: usize = 15_625;
-const PART_NODES_PER_RACK: usize = 64;
-const PART_HORIZON_YEARS: f64 = 0.1;
-
-fn part_model() -> PartitionedAvailability {
-    const YEAR: f64 = 365.0 * 86_400.0;
-    let nodes = PART_RACKS_1M * PART_NODES_PER_RACK;
-    PartitionedAvailability {
-        racks: PART_RACKS_1M,
-        nodes_per_rack: PART_NODES_PER_RACK,
-        replication: 3,
-        objects: (nodes / 4) as u64,
-        object_bytes: 64 << 30,
-        node_ttf: Dist::exponential_mean(2.0 * YEAR),
-        node_replace: Dist::lognormal_mean_cv(4.0 * 3600.0, 1.0),
-        rebuild: RebuildModel::Timed(Dist::exponential_mean(1800.0)),
-        repair: RepairPolicy {
-            max_parallel: 128,
-            bandwidth_share: 0.5,
-            detection_delay_s: 300.0,
-        },
-        wire_latency_s: 1e-4,
-        chaos: None,
-    }
-}
-
-/// One end-to-end partitioned run; returns (events executed, result hash).
-fn run_part(partitions: usize, threads: usize) -> (u64, u64) {
-    let m = part_model();
-    let horizon_s = SimDuration::from_years(PART_HORIZON_YEARS).as_secs();
-    let (r, t) = m.run_observed(SCALE_SEED, horizon_s, partitions, threads);
-    let json = serde_json::to_string(&r).expect("result serializes");
-    (t.events, fnv1a(json.as_bytes()))
-}
-
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -269,18 +222,6 @@ fn run_scale(nodes: usize) -> (u64, u64) {
     (r.sim_events, fnv1a(json.as_bytes()))
 }
 
-/// Peak resident set of this process so far, in KiB (Linux `VmHWM`).
-fn vmhwm_kb() -> u64 {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return 0;
-    };
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("VmHWM:"))
-        .and_then(|v| v.trim().trim_end_matches(" kB").trim().parse().ok())
-        .unwrap_or(0)
-}
-
 /// Child-process entry: run one scale arm and report on stdout. The
 /// parent re-execs itself with this env var so each sample's peak RSS
 /// is the arm's own, not the max across every arm in one process.
@@ -288,21 +229,11 @@ const SCALE_CHILD_ENV: &str = "BENCH_KERNEL_SCALE_CHILD";
 
 fn scale_child(spec: &str) -> ! {
     let t0 = Instant::now();
-    let (events, fp) = if let Some(part) = spec.strip_prefix("part:") {
-        let (partitions, threads) = part
-            .split_once(',')
-            .expect("child spec: part:<partitions>,<threads>");
-        run_part(
-            partitions.parse().expect("child partitions"),
-            threads.parse().expect("child threads"),
-        )
-    } else {
-        run_scale(spec.parse().expect("child spec: <nodes>"))
-    };
+    let (events, fp) = run_scale(spec.parse().expect("child spec: <nodes>"));
     let elapsed = t0.elapsed().as_secs_f64();
     println!(
         "events={events} elapsed={elapsed} vmhwm_kb={} fp={fp:x}",
-        vmhwm_kb()
+        wt_bench::peak_rss_kib()
     );
     std::process::exit(0);
 }
@@ -315,14 +246,6 @@ struct ScaleStats {
 }
 
 fn run_scale_arm(nodes: usize) -> ScaleStats {
-    run_child_arm(&nodes.to_string())
-}
-
-fn run_part_arm(partitions: usize, threads: usize) -> ScaleStats {
-    run_child_arm(&format!("part:{partitions},{threads}"))
-}
-
-fn run_child_arm(spec: &str) -> ScaleStats {
     let exe = std::env::current_exe().expect("current_exe");
     let mut stats = ScaleStats {
         events: 0,
@@ -332,7 +255,7 @@ fn run_child_arm(spec: &str) -> ScaleStats {
     };
     for _ in 0..SCALE_SAMPLES {
         let out = std::process::Command::new(&exe)
-            .env(SCALE_CHILD_ENV, spec)
+            .env(SCALE_CHILD_ENV, nodes.to_string())
             .output()
             .expect("spawn scale child");
         assert!(out.status.success(), "scale child failed: {:?}", out.status);
@@ -480,48 +403,6 @@ fn main() {
         let _ = writeln!(json, "  \"avail_{label}_events_per_s_median\": {m:.0},");
         let _ = writeln!(json, "  \"avail_{label}_peak_rss_mb\": {rss_mb:.0},");
     }
-
-    // Partitioned single-run arms: the same 1M-component regime, but the
-    // parallelism is *inside* one run. Fingerprints across arms pin the
-    // tentpole claim (partitioning bitwise-invisible to results) before
-    // any timing is reported.
-    println!();
-    println!(
-        "partitioned single-run arms: 1M failure domains \
-         ({PART_RACKS_1M} racks x {PART_NODES_PER_RACK} nodes), \
-         {SCALE_SAMPLES} samples each, host cores: {host_cpus}"
-    );
-    let part_serial = run_part_arm(1, 1);
-    let part_p4 = run_part_arm(4, 4);
-    assert_eq!(
-        part_serial.fp, part_p4.fp,
-        "partitioned run diverged from the serial oracle"
-    );
-    assert_eq!(part_serial.events, part_p4.events, "event totals diverged");
-    for (name, s) in [("part_1m_serial", &part_serial), ("part_1m_p4t4", &part_p4)] {
-        let b = s.events as f64 / best(&s.elapsed);
-        let m = s.events as f64 / median(&s.elapsed);
-        let rss_mb = s.peak_rss_kb as f64 / 1024.0;
-        println!(
-            "{name}: {} events, best {b:.0} ev/s, median {m:.0} ev/s, \
-             peak RSS {rss_mb:.0} MiB",
-            s.events
-        );
-        let _ = writeln!(json, "  \"{name}_events\": {},", s.events);
-        let _ = writeln!(json, "  \"{name}_events_per_s_best\": {b:.0},");
-        let _ = writeln!(json, "  \"{name}_events_per_s_median\": {m:.0},");
-        let _ = writeln!(json, "  \"{name}_peak_rss_mb\": {rss_mb:.0},");
-    }
-    let part_speedup = best(&part_serial.elapsed) / best(&part_p4.elapsed);
-    println!(
-        "part_1m: 4-partition/serial single-run speedup {part_speedup:.2}x on {host_cpus} core(s)"
-    );
-    let _ = writeln!(json, "  \"part_1m_p4t4_speedup_best\": {part_speedup:.2},");
-    let _ = writeln!(json, "  \"part_1m_host_cpus\": {host_cpus},");
-    let _ = writeln!(
-        json,
-        "  \"part_1m_caveat\": \"4-thread arm measured on a {host_cpus}-core host; speedup reflects available cores, results asserted identical to the serial oracle\","
-    );
 
     let _ = writeln!(json, "  \"samples\": {SAMPLES}");
     json.push_str("}\n");

@@ -12,7 +12,7 @@
 //! for CI.
 
 use windtunnel::prelude::*;
-use wt_bench::{banner, farm_from_args, flag_value, partitions_from_args, runner_from_args};
+use wt_bench::{banner, runner_from_args};
 use wt_des::time::SimDuration;
 use wt_store::SharedStore;
 
@@ -63,46 +63,6 @@ fn main() {
         components >= floor,
         "build-out shrank below the scale floor: {components} < {floor}"
     );
-
-    // Partitioned mode: `--partitions N` runs one simulation through the
-    // rack-sharded engine instead of the sweep — node failure domains
-    // only, which is what that engine models. All stdout below the branch
-    // is partition-count-invariant, so CI can diff it across
-    // `--partitions 1/2/4`; wall time, thread count and queue depths
-    // (which do depend on partitioning) go to stderr.
-    if flag_value(&args, "--partitions").is_some() {
-        let partitions = partitions_from_args(&args);
-        let threads = farm_from_args(&args).workers();
-        let m = WindTunnel::partitioned_availability_model(&base).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        });
-        eprintln!(
-            "partitioned run: {partitions} partition(s) on {threads} thread(s), \
-             lookahead {:.1}s",
-            m.lookahead_s()
-        );
-        let horizon_s = SimDuration::from_years(base.horizon_years).as_secs();
-        let started = std::time::Instant::now();
-        let (r, t) = m.run_observed(base.seed, horizon_s, partitions, threads);
-        eprintln!(
-            "computed in {:.2}s (peak pending-event set {})",
-            started.elapsed().as_secs_f64(),
-            t.peak_queue_depth
-        );
-        println!();
-        println!("partitioned availability over the same build-out (node failure domains):");
-        println!("  availability    {:.7}", r.availability);
-        println!("  unavail events  {}", r.unavailability_events);
-        println!("  objects lost    {}", r.objects_lost);
-        println!("  node failures   {}", r.node_failures);
-        println!("  events          {}", t.events);
-        println!(
-            "check: results above are bitwise-identical at any partition count \
-             or thread count"
-        );
-        return;
-    }
 
     let spec = SweepSpec::new("e14-scale")
         .axis("build_out", [if smoke { "smoke-slice" } else { "full" }])

@@ -280,7 +280,7 @@ fn main() {
             "--stress" => stress = true,
             "--csv" => csv_path = Some(it.next().unwrap_or_else(|| usage())),
             "--workers" | "--threads" => {
-                match wt_bench::knobs::parse_count(&arg, "worker", it.next().as_deref()) {
+                match wt_bench::knobs::parse_count(&arg, it.next().as_deref()) {
                     Ok(Some(n)) => threads = n,
                     Ok(None) => usage(),
                     Err(reason) => {

@@ -28,9 +28,9 @@ pub fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a String> {
 
 /// The value of count flag `name` in `args` (see [`knobs`]), `None` when
 /// absent. Exits with a usage error on a zero or non-numeric value.
-fn count_flag(args: &[String], name: &str, noun: &str) -> Option<usize> {
+fn count_flag(args: &[String], name: &str) -> Option<usize> {
     let flag = flag_value(args, name).map(String::as_str);
-    knobs::parse_count(name, noun, flag).unwrap_or_else(|reason| {
+    knobs::parse_count(name, flag).unwrap_or_else(|reason| {
         eprintln!("error: {reason}");
         std::process::exit(2);
     })
@@ -41,7 +41,7 @@ fn count_flag(args: &[String], name: &str, noun: &str) -> Option<usize> {
 /// sets the heartbeat ([`Farm::with_env_heartbeat`]). Exits with a usage
 /// error on a zero or non-numeric value.
 pub fn farm_from_args(args: &[String]) -> Farm {
-    count_flag(args, "--workers", "worker").map_or_else(Farm::from_env, |workers| {
+    count_flag(args, "--workers").map_or_else(Farm::from_env, |workers| {
         Farm::new(workers).with_env_heartbeat()
     })
 }
@@ -52,14 +52,17 @@ pub fn runner_from_args(args: &[String]) -> SweepRunner {
     SweepRunner::new(farm_from_args(args))
 }
 
-/// The shared `--partitions N` flag: how many conservative-lookahead
-/// partitions a single simulation run is sharded across (parsed like
-/// `--workers`). The default is 1 — the serial oracle. Exits with a
-/// usage error on a zero or non-numeric value. The partition count
-/// affects wall-clock time only: results are bitwise-identical at any
-/// partition count, which the CI partition-smoke job diffs.
-pub fn partitions_from_args(args: &[String]) -> usize {
-    count_flag(args, "--partitions", "partition").unwrap_or(1)
+/// Peak resident set of this process so far, in KiB (Linux `VmHWM`);
+/// 0 where `/proc/self/status` is unavailable.
+pub fn peak_rss_kib() -> u64 {
+    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
+        return 0;
+    };
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.trim().trim_end_matches(" kB").trim().parse().ok())
+        .unwrap_or(0)
 }
 
 /// Writes a recorded run as Chrome trace-event JSON (`--trace <path>`)
@@ -99,14 +102,5 @@ mod tests {
     fn runner_from_args_honors_workers_flag() {
         let args: Vec<String> = vec!["prog".into(), "--workers".into(), "3".into()];
         assert_eq!(runner_from_args(&args).workers(), 3);
-    }
-
-    #[test]
-    fn partitions_flag_wins_and_defaults_to_serial() {
-        let args: Vec<String> = vec!["prog".into(), "--partitions".into(), "4".into()];
-        assert_eq!(partitions_from_args(&args), 4);
-        // No flag: serial.
-        let bare: Vec<String> = vec!["prog".into()];
-        assert_eq!(partitions_from_args(&bare), 1);
     }
 }

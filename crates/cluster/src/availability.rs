@@ -26,6 +26,7 @@
 use crate::arena::{NodeLists, NodeSet};
 use crate::chaos::{ChaosConfig, CompiledFault, FaultEffect};
 use crate::results::AvailabilityResult;
+use std::collections::HashMap;
 use wt_des::obs::{Hll, QuantileSketch, SketchSet};
 use wt_des::prelude::*;
 use wt_des::rng::{RngFactory, Stream};
@@ -115,13 +116,12 @@ pub enum RebuildModel {
 }
 
 impl RebuildModel {
-    /// One rebuild stream's length, shared by both availability engines:
-    /// a draw from `rng` under `Timed`; under `Bandwidth`, one object's
-    /// repair traffic over the stream's share of the link. Active gray
-    /// storms stretch it by the product of their `slowdowns` (repair
-    /// streams cross limping disks/NICs; per-component detail lives in
-    /// the perf engine).
-    pub(crate) fn stream_duration(
+    /// One rebuild stream's length: a draw from `rng` under `Timed`;
+    /// under `Bandwidth`, one object's repair traffic over the stream's
+    /// share of the link. Active gray storms stretch it by the product of
+    /// their `slowdowns` (repair streams cross limping disks/NICs;
+    /// per-component detail lives in the perf engine).
+    fn stream_duration(
         &self,
         redundancy: RedundancyScheme,
         object_bytes: u64,
@@ -171,9 +171,11 @@ pub struct DiskFailureModel {
 }
 
 /// The most nodes one availability run can model: holder sets store node
-/// ids as `u16`. Callers that take node counts from user input check
-/// against this before building a run.
-pub const MAX_NODES: usize = u16::MAX as usize + 1;
+/// ids as `u32`, and the reachability index (`arena::NodeSet`) keeps `u32`
+/// Fenwick cells, so it stops one short of 2^32 nodes, whose last cell
+/// would count all 2^32 of them. Callers that take node counts from user
+/// input check against this before building a run.
+pub const MAX_NODES: usize = u32::MAX as usize;
 
 /// The widest redundancy scheme one availability run can model:
 /// per-object holder counts are `u8`. Callers that take redundancy from
@@ -350,7 +352,7 @@ enum Ev {
 
 /// The availability engine's run state, laid out struct-of-arrays for
 /// data-center scale (the §4.2 "million disks" regime): per-object state
-/// lives in parallel flat arrays, holder sets in one fixed-stride `u16`
+/// lives in parallel flat arrays, holder sets in one fixed-stride `u32`
 /// arena, per-node object lists in a chunked [`NodeLists`] pool, and the
 /// immutable configuration is *borrowed* from the model for the run's
 /// duration instead of cloned into it. All hot-path temporaries are
@@ -378,11 +380,17 @@ struct AvailState<'a> {
     /// `holders_pool[o*width .. o*width + holder_len[o]]`. A holder count
     /// can never exceed the width (each rebuild task replaces exactly one
     /// removed replica), so the stride never overflows.
-    holders_pool: Vec<u16>,
+    holders_pool: Vec<u32>,
     holder_len: Vec<u8>,
     operable: Vec<bool>,
     lost: Vec<bool>,
-    became_unavailable: Vec<SimTime>,
+    /// When each currently unavailable object became so: an open
+    /// interval per entry, inserted when the object goes down and removed
+    /// when it comes back (a lost object's stays until `finish`). Most
+    /// objects are available at any instant, so this costs far less than
+    /// a time per object. Only ever looked up by key, never iterated, so
+    /// no result depends on the map's order.
+    became_unavailable: HashMap<u32, SimTime>,
     unavail_s: Vec<f64>,
     // --------------------------------------------------------------------
     queue: RepairQueue,
@@ -425,7 +433,7 @@ impl<'a> AvailState<'a> {
         let width = cfg.redundancy.width();
         assert!(
             cfg.n_nodes <= MAX_NODES,
-            "node ids are u16: n_nodes must be ≤ {MAX_NODES}"
+            "node ids are u32: n_nodes must be ≤ {MAX_NODES}"
         );
         assert!(
             width <= MAX_WIDTH,
@@ -444,13 +452,13 @@ impl<'a> AvailState<'a> {
         );
         let n_objects = cfg.objects as usize;
         let mut node_objects = NodeLists::with_capacity(cfg.n_nodes, n_objects * width);
-        let mut holders_pool: Vec<u16> = Vec::with_capacity(n_objects * width);
+        let mut holders_pool: Vec<u32> = Vec::with_capacity(n_objects * width);
         let mut holder_len: Vec<u8> = Vec::with_capacity(n_objects);
         let mut placed: Vec<usize> = Vec::with_capacity(width);
         for obj in 0..cfg.objects {
             placer.place_into(obj, &mut placed);
             for &n in &placed {
-                holders_pool.push(n as u16);
+                holders_pool.push(n as u32);
                 node_objects.push(n, obj as u32);
             }
             // Pad to the stride (placers yield exactly `width` nodes; the
@@ -490,7 +498,7 @@ impl<'a> AvailState<'a> {
             holder_len,
             operable: vec![true; n_objects],
             lost: vec![false; n_objects],
-            became_unavailable: vec![SimTime::ZERO; n_objects],
+            became_unavailable: HashMap::new(),
             unavail_s: vec![0.0; n_objects],
             queue: RepairQueue::new(cfg.repair),
             rng: factory.stream("dynamics"),
@@ -515,7 +523,7 @@ impl<'a> AvailState<'a> {
 
     /// Object `o`'s live holders (a view into the fixed-stride arena).
     #[inline]
-    fn holders(&self, object: u32) -> &[u16] {
+    fn holders(&self, object: u32) -> &[u32] {
         let base = object as usize * self.width;
         &self.holders_pool[base..base + self.holder_len[object as usize] as usize]
     }
@@ -537,7 +545,7 @@ impl<'a> AvailState<'a> {
     }
 
     /// Appends `target` to `object`'s holder set.
-    fn holders_push(&mut self, object: u32, target: u16) {
+    fn holders_push(&mut self, object: u32, target: u32) {
         let len = self.holder_len[object as usize] as usize;
         assert!(
             len < self.width,
@@ -593,11 +601,15 @@ impl<'a> AvailState<'a> {
         let operable = redundancy.operable(up);
         if was_operable && !operable {
             self.operable[i] = false;
-            self.became_unavailable[i] = now;
+            self.became_unavailable.insert(object, now);
             self.unavailability_events += 1;
         } else if !was_operable && operable {
             self.operable[i] = true;
-            self.unavail_s[i] += now.since(self.became_unavailable[i]).as_secs();
+            let since = self
+                .became_unavailable
+                .remove(&object)
+                .expect("an unavailable object has an open interval");
+            self.unavail_s[i] += now.since(since).as_secs();
         }
         // Durability: can the data still be reconstructed? A lost object
         // stays unavailable until the horizon (finish() closes the interval).
@@ -646,7 +658,7 @@ impl<'a> AvailState<'a> {
     /// replica yet — otherwise every repair would quietly erode the rack
     /// diversity the policy bought (a hardware/software interaction the
     /// wind tunnel surfaces; see experiment E11).
-    fn pick_target(&mut self, object: u32) -> Option<u16> {
+    fn pick_target(&mut self, object: u32) -> Option<u32> {
         if let Placement::RackAware { nodes_per_rack } = self.cfg.placement {
             if let Some(node) = self.draw_outside_holders(object, nodes_per_rack) {
                 return Some(node);
@@ -669,7 +681,7 @@ impl<'a> AvailState<'a> {
     /// For `block = 1` that is O(width) bit tests, then one `select` per
     /// step: 1.6 to 1.8 steps a draw on the benchmark's availability
     /// workloads.
-    fn draw_outside_holders(&mut self, object: u32, block: usize) -> Option<u16> {
+    fn draw_outside_holders(&mut self, object: u32, block: usize) -> Option<u32> {
         let mut blocks = std::mem::take(&mut self.scratch_blocks);
         blocks.clear();
         for &h in self.holders(object) {
@@ -688,7 +700,7 @@ impl<'a> AvailState<'a> {
                     .map(|&(_, n)| n)
                     .sum()
             };
-            self.reachable.select_outside(k, excluded_to) as u16
+            self.reachable.select_outside(k, excluded_to) as u32
         });
         self.scratch_blocks = blocks;
         pick
@@ -700,7 +712,8 @@ impl<'a> AvailState<'a> {
         let n_objects = self.operable.len();
         for i in 0..n_objects {
             if !self.operable[i] {
-                self.unavail_s[i] += end.since(self.became_unavailable[i]).as_secs();
+                let since = self.became_unavailable[&(i as u32)];
+                self.unavail_s[i] += end.since(since).as_secs();
             }
             total_unavail += self.unavail_s[i];
         }
@@ -1694,17 +1707,17 @@ mod tests {
     /// its oracle: every reachable non-holder in ascending order (the
     /// reachability predicate recomputed from first principles), then,
     /// under RackAware, the subset in racks holding no replica.
-    pub(super) fn pick_target_scan(st: &mut AvailState<'_>, object: u32) -> Option<u16> {
+    pub(super) fn pick_target_scan(st: &mut AvailState<'_>, object: u32) -> Option<u32> {
         let holders = st.holders(object).to_vec();
-        let candidates: Vec<u16> = (0..st.cfg.n_nodes)
-            .filter(|&n| st.compute_reachable(n) && !holders.contains(&(n as u16)))
-            .map(|n| n as u16)
+        let candidates: Vec<u32> = (0..st.cfg.n_nodes)
+            .filter(|&n| st.compute_reachable(n) && !holders.contains(&(n as u32)))
+            .map(|n| n as u32)
             .collect();
         if candidates.is_empty() {
             return None;
         }
         if let Placement::RackAware { nodes_per_rack } = st.cfg.placement {
-            let diverse: Vec<u16> = candidates
+            let diverse: Vec<u32> = candidates
                 .iter()
                 .copied()
                 .filter(|&n| {
@@ -1746,14 +1759,14 @@ mod tests {
     }
 
     /// Overwrites object 0's holder set.
-    pub(super) fn set_holders(st: &mut AvailState<'_>, holders: &[u16]) {
+    pub(super) fn set_holders(st: &mut AvailState<'_>, holders: &[u32]) {
         st.holders_pool[..holders.len()].copy_from_slice(holders);
         st.holder_len[0] = holders.len() as u8;
     }
 
     /// Runs `pick_target` and the scan oracle on object 0 from the same
     /// RNG state; returns each pick with the RNG's next draw after it.
-    pub(super) fn pick_both(st: &mut AvailState<'_>) -> [(Option<u16>, u64); 2] {
+    pub(super) fn pick_both(st: &mut AvailState<'_>) -> [(Option<u32>, u64); 2] {
         let start = st.rng.clone();
         let fast = st.pick_target(0);
         let fast_next = st.rng.next();
@@ -1794,6 +1807,36 @@ mod tests {
             let [fast, slow] = pick_both(&mut st);
             assert_eq!(fast, (None, untouched));
             assert_eq!(slow, (None, untouched));
+        }
+    }
+
+    #[test]
+    fn picks_past_the_old_u16_cap_match_the_scan() {
+        // 2 racks × 40,000 nodes: node ids run past 65,535, and the
+        // holders and (once the low ids are down) every candidate live
+        // there.
+        for rack_aware in [false, true] {
+            let m = pick_model(2, 40_000, 3, rack_aware);
+            let mut st = AvailState::new(&m, 4, Vec::new());
+            set_holders(&mut st, &[65_536, 70_001, 79_999]);
+            let [fast, slow] = pick_both(&mut st);
+            assert_eq!(fast, slow);
+            let pick = fast.0.expect("a candidate exists");
+            assert!(![65_536, 70_001, 79_999].contains(&pick), "pick {pick}");
+            if rack_aware {
+                assert!(pick < 40_000, "the holders' rack is excluded: {pick}");
+            }
+            for n in 0..65_536 {
+                st.node_up[n] = false;
+                st.refresh_reachable(n);
+            }
+            for _ in 0..8 {
+                let [fast, slow] = pick_both(&mut st);
+                assert_eq!(fast, slow);
+                let pick = fast.0.expect("a candidate exists");
+                assert!((65_536..80_000).contains(&pick), "pick {pick}");
+                assert!(![65_536, 70_001, 79_999].contains(&pick), "pick {pick}");
+            }
         }
     }
 }
@@ -1920,7 +1963,7 @@ mod proptests {
             let mut naive: Vec<Vec<u32>> = vec![Vec::new(); n_nodes];
             for obj in 0..objects {
                 let placed = placer.place(obj);
-                let want: Vec<u16> = placed.iter().map(|&n| n as u16).collect();
+                let want: Vec<u32> = placed.iter().map(|&n| n as u32).collect();
                 prop_assert_eq!(st.holders(obj as u32), want.as_slice());
                 for &n in &placed {
                     naive[n].push(obj as u32);
@@ -1998,7 +2041,7 @@ mod proptests {
             let mut placer = Placer::new(m.placement, n, width, RngFactory::new(seed).stream("pick"));
             let mut placed = Vec::new();
             for op in ops {
-                let holders: Option<Vec<u16>> = match op {
+                let holders: Option<Vec<u32>> = match op {
                     PickOp::FlipNode(i) => {
                         let node = i as usize % n;
                         st.node_up[node] = !st.node_up[node];
@@ -2014,8 +2057,8 @@ mod proptests {
                         None
                     }
                     PickOp::Pick(raw) => {
-                        let mut holders: Vec<u16> = Vec::new();
-                        for h in raw.iter().map(|&h| (h as usize % n) as u16) {
+                        let mut holders: Vec<u32> = Vec::new();
+                        for h in raw.iter().map(|&h| (h as usize % n) as u32) {
                             if !holders.contains(&h) && holders.len() < width {
                                 holders.push(h);
                             }
@@ -2024,7 +2067,7 @@ mod proptests {
                     }
                     PickOp::Place(object) => {
                         placer.place_into(object, &mut placed);
-                        Some(placed.iter().map(|&h| h as u16).collect())
+                        Some(placed.iter().map(|&h| h as u32).collect())
                     }
                 };
                 if let Some(holders) = holders {

@@ -26,7 +26,6 @@
 pub mod arena;
 pub mod availability;
 pub mod chaos;
-pub mod partitioned;
 pub mod perf;
 pub mod results;
 pub mod scenario;
@@ -36,7 +35,6 @@ pub mod unavailability;
 pub use arena::NodeLists;
 pub use availability::{AvailabilityModel, RebuildModel};
 pub use chaos::{ChaosGeometry, FaultKind, FaultSchedule, InjectionRule};
-pub use partitioned::PartitionedAvailability;
 pub use perf::PerfModel;
 pub use results::{AvailabilityResult, PerfResult, TenantPerf, UnavailabilityPoint};
 pub use scenario::Scenario;

@@ -53,7 +53,7 @@ pub mod sweep;
 
 pub use builder::ScenarioBuilder;
 pub use farm::{Farm, RunCtx};
-pub use runner::{t_quantile_975, MeanInterval, UnsupportedRedundancy, WindTunnel};
+pub use runner::{t_quantile_975, MeanInterval, WindTunnel};
 pub use surrogate::Surrogate;
 pub use sweep::{SweepOutcome, SweepReport, SweepRunner, SweepSpec};
 

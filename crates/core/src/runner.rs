@@ -4,14 +4,12 @@ use serde::{Deserialize, Serialize};
 use wt_cluster::availability::{DiskFailureModel, SwitchFailureModel};
 use wt_cluster::chaos::ChaosConfig;
 use wt_cluster::{
-    AvailabilityModel, AvailabilityResult, PartitionedAvailability, PerfModel, PerfResult,
-    RebuildModel, Scenario,
+    AvailabilityModel, AvailabilityResult, PerfModel, PerfResult, RebuildModel, Scenario,
 };
 use wt_des::obs::{Probe, RunTelemetry};
 use wt_des::time::SimDuration;
 use wt_hw::CostModel;
 use wt_store::{RecordSink, RunRecord, SharedStore};
-use wt_sw::{QuorumSpec, RedundancyScheme};
 
 /// The wind tunnel: a facade over the simulation engines plus the result
 /// store and cost model.
@@ -20,24 +18,6 @@ pub struct WindTunnel {
     store: SharedStore,
     cost: CostModel,
 }
-
-/// A scenario the partitioned availability engine cannot run: it models
-/// majority-quorum replication only, so an erasure-coded scenario or a
-/// custom quorum would silently run as a different redundancy scheme.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct UnsupportedRedundancy(pub RedundancyScheme);
-
-impl std::fmt::Display for UnsupportedRedundancy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "the partitioned availability engine models majority-quorum replication only, not {:?}",
-            self.0
-        )
-    }
-}
-
-impl std::error::Error for UnsupportedRedundancy {}
 
 /// Student-t 97.5% quantile for `df` degrees of freedom (normal
 /// approximation beyond 30 df) — the multiplier behind every 95%
@@ -244,76 +224,6 @@ impl WindTunnel {
             .telemetry(telemetry.clone());
         sink.record(record);
         (result, telemetry)
-    }
-
-    /// Derives the partitioned availability engine configuration from a
-    /// scenario: the same reliability/rebuild parameters as
-    /// [`Self::availability_model`], with the wire-latency half of the
-    /// conservative lookahead taken from the topology (the NIC → ToR →
-    /// agg → ToR → NIC floor of any inter-rack path). Refuses any
-    /// redundancy scheme but majority-quorum replication, the only one
-    /// the engine models.
-    pub fn partitioned_availability_model(
-        scenario: &Scenario,
-    ) -> Result<PartitionedAvailability, UnsupportedRedundancy> {
-        let replication = match scenario.redundancy {
-            RedundancyScheme::Replication(q) if q.n >= 1 && q == QuorumSpec::majority(q.n) => q.n,
-            other => return Err(UnsupportedRedundancy(other)),
-        };
-        Ok(PartitionedAvailability {
-            racks: scenario.topology.racks,
-            nodes_per_rack: scenario.topology.nodes_per_rack,
-            replication,
-            objects: scenario.objects,
-            object_bytes: scenario.object_bytes,
-            node_ttf: scenario.topology.node.ttf.clone(),
-            node_replace: scenario.topology.node.repair.clone(),
-            rebuild: RebuildModel::Bandwidth {
-                link_gbps: scenario.topology.node.nic.bandwidth_gbps,
-                share: scenario.repair.bandwidth_share,
-            },
-            repair: scenario.repair,
-            wire_latency_s: scenario.topology.min_cross_latency_s(),
-            chaos: Self::chaos_config(scenario),
-        })
-    }
-
-    /// Runs the rack-sharded availability engine over `partitions`
-    /// conservative-lookahead partitions on `threads` worker threads,
-    /// records the outcome into `sink`, and surfaces the run's folded
-    /// [`RunTelemetry`]. `partitions == 1` is the serial oracle; any
-    /// higher partition count produces bitwise-identical results at any
-    /// thread count. Records under the experiment name
-    /// `availability_partitioned` (with a `partitions` param) so the
-    /// serial engine's `availability` records stay comparable across PRs.
-    /// A scenario the engine cannot model runs and records nothing (see
-    /// [`Self::partitioned_availability_model`]).
-    pub fn run_availability_partitioned_into(
-        &self,
-        scenario: &Scenario,
-        partitions: usize,
-        threads: usize,
-        sink: &dyn RecordSink,
-    ) -> Result<(AvailabilityResult, RunTelemetry), UnsupportedRedundancy> {
-        let model = Self::partitioned_availability_model(scenario)?;
-        let horizon_s = SimDuration::from_years(scenario.horizon_years).as_secs();
-        let started = std::time::Instant::now();
-        let (result, mut telemetry) =
-            model.run_observed(scenario.seed, horizon_s, partitions, threads);
-        telemetry.wall.wall_us = started.elapsed().as_micros() as u64;
-        let record = Self::base_record(scenario, "availability_partitioned")
-            .param("partitions", partitions)
-            .metric("availability", result.availability)
-            .metric("unavailability_events", result.unavailability_events as f64)
-            .metric("objects_lost", result.objects_lost as f64)
-            .metric("node_failures", result.node_failures as f64)
-            .metric(
-                "tco_usd_per_year",
-                self.cost.cost(&scenario.topology).tco_usd_per_year,
-            )
-            .telemetry(telemetry.clone());
-        sink.record(record);
-        Ok((result, telemetry))
     }
 
     /// Runs the performance engine (capped at 600 simulated seconds — a
@@ -700,91 +610,6 @@ mod tests {
             assert_eq!(availability_of(&tunnel, &back), avail, "queue: {legacy}");
             assert_eq!(perf_of(&tunnel, &back, true), perf, "queue: {legacy}");
         }
-    }
-
-    #[test]
-    fn partitioned_availability_records_and_matches_serial_oracle() {
-        let tunnel = WindTunnel::new();
-        let sc = ScenarioBuilder::new("part")
-            .racks(6)
-            .nodes_per_rack(8)
-            .objects(300)
-            .horizon_years(0.25)
-            .seed(23)
-            .build();
-        // The serial oracle (1 partition) and a 3-partition run agree on
-        // the result and on everything partitioning-invariant in the
-        // telemetry (events, labels); queue-depth gauges and sketch f64
-        // sums are partitioning-dependent by construction.
-        let run = |partitions, threads| {
-            tunnel
-                .run_availability_partitioned_into(&sc, partitions, threads, tunnel.store())
-                .expect("majority-quorum replication maps")
-        };
-        let (oracle, to) = run(1, 1);
-        let (split, ts) = run(3, 2);
-        assert_eq!(oracle, split);
-        assert_eq!(to.events, ts.events);
-        assert_eq!(to.events_by_label, ts.events_by_label);
-        // Partitioned runs carry per-partition event marks that sum to
-        // the total.
-        let part_total: u64 = ts
-            .marks
-            .iter()
-            .filter(|(k, _)| k.starts_with("partition/"))
-            .map(|(_, v)| v)
-            .sum();
-        assert_eq!(part_total, ts.events);
-        // Both runs were recorded under the partitioned experiment name
-        // with the partition count as a param.
-        let recs = tunnel.store().snapshot();
-        assert_eq!(recs.len(), 2);
-        for (rec, parts) in recs.iter().zip([1.0, 3.0]) {
-            assert_eq!(rec.experiment, "availability_partitioned");
-            assert_eq!(
-                rec.params.get("partitions"),
-                Some(&wt_store::ParamValue::Num(parts))
-            );
-            assert!(rec.get_metric("availability").is_some());
-            assert!(rec.telemetry.is_some());
-        }
-    }
-
-    #[test]
-    fn partitioned_model_mapping_mirrors_serial() {
-        let sc = small();
-        let serial = WindTunnel::availability_model(&sc);
-        let m = WindTunnel::partitioned_availability_model(&sc).expect("replicated scenario maps");
-        assert_eq!(m.racks * m.nodes_per_rack, serial.n_nodes);
-        assert_eq!(m.replication, serial.redundancy.width());
-        assert_eq!(m.objects, serial.objects);
-        assert_eq!(m.rebuild, serial.rebuild);
-        assert_eq!(m.wire_latency_s, sc.topology.min_cross_latency_s());
-        assert!(m.lookahead_s() >= m.wire_latency_s);
-    }
-
-    #[test]
-    fn partitioned_mapping_refuses_what_the_engine_cannot_model() {
-        // RS(6,3) would otherwise run as 9-way majority replication, and
-        // a custom quorum as a majority one.
-        let tunnel = WindTunnel::new();
-        for redundancy in [
-            RedundancyScheme::erasure(6, 3),
-            RedundancyScheme::Replication(QuorumSpec::new(3, 3, 1)),
-        ] {
-            let mut sc = small();
-            sc.redundancy = redundancy;
-            let err = WindTunnel::partitioned_availability_model(&sc).unwrap_err();
-            assert_eq!(err, UnsupportedRedundancy(redundancy));
-            assert!(err.to_string().contains("majority-quorum"), "{err}");
-            assert_eq!(
-                tunnel
-                    .run_availability_partitioned_into(&sc, 2, 1, tunnel.store())
-                    .unwrap_err(),
-                err
-            );
-        }
-        assert_eq!(tunnel.store().len(), 0, "a refused run records nothing");
     }
 
     #[test]

@@ -9,11 +9,8 @@
 //! distills the run's telemetry.
 //!
 //! A `Simulation` runs on one thread. Sweeps run many of them side by
-//! side (see `wt-wtql`); a [`crate::PartitionedSimulation`] splits one
-//! run into a `Simulation` per partition, each driven through this same
-//! loop one synchronization window at a time.
+//! side (see `wt-wtql`).
 
-use crate::partition::{Mail, Mailbox};
 use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
 use wt_obs::{Probe, RunTelemetry, SimProbe, Tee};
@@ -65,11 +62,10 @@ impl StopReason {
 }
 
 /// Scheduling context passed to [`Model::handle`]: the clock, the event
-/// queue, the stop flag and the mailbox to other partitions.
+/// queue and the stop flag.
 pub struct Ctx<'a, E> {
     now: SimTime,
     queue: &'a mut EventQueue<E>,
-    mailbox: &'a mut Mailbox<E>,
     stop: &'a mut bool,
     executed: u64,
     // Marks emitted by the handler, drained into the probe by the engine
@@ -111,47 +107,12 @@ impl<E> Ctx<'_, E> {
         self.queue.push(at, event);
     }
 
-    /// Sends `ev` to partition `to` of a [`crate::PartitionedSimulation`],
-    /// arriving `delay` from now. `delay` must honor the run's
-    /// [`crate::Lookahead`] (`delay >= lookahead`); `tag` identifies the
-    /// sending shard and orders simultaneous deliveries, which keep send
-    /// order within one tag. Self-sends are allowed — a shard-decomposed
-    /// model routes *all* cross-shard traffic here so grouping shards
-    /// into fewer partitions cannot change delivery semantics. A bare
-    /// [`Simulation`] has no partitions to send to, so this panics there.
-    pub fn send(&mut self, to: usize, delay: SimDuration, tag: u64, ev: E) {
-        let mailbox = &mut *self.mailbox;
-        assert!(
-            delay >= mailbox.lookahead,
-            "cross-partition send delay {:?} violates lookahead {:?}",
-            delay,
-            mailbox.lookahead
-        );
-        assert!(
-            to < mailbox.parts,
-            "send to partition {to} of {}",
-            mailbox.parts
-        );
-        mailbox.outbox.push((
-            to,
-            Mail {
-                time: self.now + delay,
-                tag,
-                ev,
-            },
-        ));
-    }
-
-    /// Requests that the engine stop after this event completes (in a
-    /// partitioned run: at the end of the current window, which keeps
-    /// the stop deterministic across thread counts).
+    /// Requests that the engine stop after this event completes.
     pub fn stop(&mut self) {
         *self.stop = true;
     }
 
-    /// Number of events currently pending — in a partitioned run, in
-    /// this partition's queue only, so a model that must not depend on
-    /// its partitioning must not depend on this either.
+    /// Number of events currently pending.
     pub fn pending_events(&self) -> usize {
         self.queue.len()
     }
@@ -186,27 +147,24 @@ impl<E> Ctx<'_, E> {
 }
 
 /// A single simulation run: a [`Model`], its future-event list (the
-/// [`EventQueue`], a binary heap of equal-time runs), clock, execution
-/// counters and mailbox.
+/// [`EventQueue`], a binary heap of equal-time runs), clock and execution
+/// counters.
 /// Models own their randomness (typically streams of a
 /// [`crate::RngFactory`] seeded by the caller).
 pub struct Simulation<M: Model> {
     model: M,
-    pub(crate) queue: EventQueue<M::Event>,
-    pub(crate) mailbox: Mailbox<M::Event>,
+    queue: EventQueue<M::Event>,
     now: SimTime,
     executed: u64,
     event_budget: Option<u64>,
 }
 
 impl<M: Model> Simulation<M> {
-    /// Creates a run over `model` with an empty event queue and no
-    /// partitions to send to.
+    /// Creates a run over `model` with an empty event queue.
     pub fn new(model: M) -> Self {
         Simulation {
             model,
             queue: EventQueue::new(),
-            mailbox: Mailbox::new(0, SimDuration::ZERO),
             now: SimTime::ZERO,
             executed: 0,
             event_budget: None,
@@ -305,34 +263,6 @@ impl<M: Model> Simulation<M> {
     /// have a trait object.
     pub fn run_until<P: Probe + ?Sized>(&mut self, horizon: SimTime, probe: &mut P) -> StopReason {
         self.check_horizon(horizon);
-        let reason = self.run_window(horizon, None, probe);
-        if reason == StopReason::HorizonReached {
-            self.now = horizon;
-        }
-        reason
-    }
-
-    /// Panics when `horizon` is past the declared one: the events parked
-    /// beyond the declaration were never stored, so the run cannot reach
-    /// them.
-    pub(crate) fn check_horizon(&self, horizon: SimTime) {
-        let declared = self.queue.horizon();
-        assert!(
-            horizon <= declared,
-            "run horizon {horizon} is past the declared horizon {declared}"
-        );
-    }
-
-    /// The event loop behind [`run_until`](Self::run_until). It also
-    /// stops before the first event at or after `window_end`, when given
-    /// (the exclusive end of a partitioned run's synchronization window),
-    /// and leaves the clock at the last executed event.
-    pub(crate) fn run_window<P: Probe + ?Sized>(
-        &mut self,
-        horizon: SimTime,
-        window_end: Option<SimTime>,
-        probe: &mut P,
-    ) -> StopReason {
         let mut mark_buf: Vec<&'static str> = Vec::new();
         let mut value_buf: Vec<(&'static str, f64)> = Vec::new();
         let mut touch_buf: Vec<(&'static str, u64)> = Vec::new();
@@ -345,7 +275,8 @@ impl<M: Model> Simulation<M> {
             let Some(next) = self.queue.peek_time() else {
                 return StopReason::QueueEmpty;
             };
-            if next > horizon || window_end.is_some_and(|end| next >= end) {
+            if next > horizon {
+                self.now = horizon;
                 return StopReason::HorizonReached;
             }
             let (time, ev) = self.queue.pop().expect("peeked entry vanished");
@@ -358,7 +289,6 @@ impl<M: Model> Simulation<M> {
             let mut ctx = Ctx {
                 now: self.now,
                 queue: &mut self.queue,
-                mailbox: &mut self.mailbox,
                 stop: &mut stop,
                 executed: self.executed,
                 marks: &mut mark_buf,
@@ -382,6 +312,17 @@ impl<M: Model> Simulation<M> {
                 return StopReason::StoppedByModel;
             }
         }
+    }
+
+    /// Panics when `horizon` is past the declared one: the events parked
+    /// beyond the declaration were never stored, so the run cannot reach
+    /// them.
+    fn check_horizon(&self, horizon: SimTime) {
+        let declared = self.queue.horizon();
+        assert!(
+            horizon <= declared,
+            "run horizon {horizon} is past the declared horizon {declared}"
+        );
     }
 
     /// Runs to `horizon` under a [`SimProbe`], teed with `extra` when
@@ -551,21 +492,6 @@ mod tests {
             sim.into_model().fire_times
         };
         assert_eq!(trace(), trace());
-    }
-
-    #[test]
-    #[should_panic(expected = "send to partition 0 of 0")]
-    fn bare_simulation_cannot_send() {
-        struct Sender;
-        impl Model for Sender {
-            type Event = ();
-            fn handle(&mut self, _: (), ctx: &mut Ctx<'_, ()>) {
-                ctx.send(0, SimDuration::from_secs(1.0), 0, ());
-            }
-        }
-        let mut sim = Simulation::new(Sender);
-        sim.schedule_at(SimTime::ZERO, ());
-        run(&mut sim);
     }
 
     // --- StopReason × counter interplay -----------------------------------

@@ -18,11 +18,7 @@
 //!   can never perturb results. Runs that want no telemetry pass
 //!   `obs::NoProbe`; [`Simulation::run_observed`] distills a run's
 //!   telemetry. The `wall-time` cargo feature additionally times each
-//!   handler (kept off the determinism path),
-//! * conservative partitioned execution of one run ([`partition`]): a
-//!   [`PartitionedSimulation`] drives one `Simulation` per partition
-//!   through that same loop, window by window, and its models reach
-//!   each other through [`Ctx::send`].
+//!   handler (kept off the determinism path).
 //!
 //! Determinism is a design invariant: two runs of the same model (with its
 //! random streams seeded alike) to the same horizon produce byte-identical
@@ -52,7 +48,6 @@
 //! ```
 
 pub mod engine;
-pub mod partition;
 pub mod queue;
 pub mod resource;
 pub mod rng;
@@ -60,7 +55,6 @@ pub mod stats;
 pub mod time;
 
 pub use engine::{Ctx, Model, Simulation, StopReason};
-pub use partition::{Lookahead, PartitionedSimulation};
 pub use queue::EventQueue;
 pub use resource::ServerPool;
 pub use rng::{RngFactory, Stream};
@@ -78,7 +72,6 @@ pub use wt_obs::sketch::{Hll, QuantileSketch};
 /// Convenience re-exports for model authors.
 pub mod prelude {
     pub use crate::engine::{Ctx, Model, Simulation, StopReason};
-    pub use crate::partition::{Lookahead, PartitionedSimulation};
     pub use crate::rng::{RngFactory, Stream};
     pub use crate::stats::{Histogram, Tally, TimeWeighted};
     pub use crate::time::{SimDuration, SimTime};

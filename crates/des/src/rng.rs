@@ -185,11 +185,6 @@ impl RngFactory {
         RngFactory { root: root_seed }
     }
 
-    /// The root seed this factory was built from.
-    pub fn root_seed(&self) -> u64 {
-        self.root
-    }
-
     /// The stream for `label`. Calling twice with the same label returns an
     /// identical (freshly positioned) stream — hold on to the stream if you
     /// need consecutive draws.
@@ -208,18 +203,6 @@ impl RngFactory {
             self.root ^ fnv1a(label).rotate_left(17) ^ n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let seed = splitmix64(&mut sm);
         Stream::from_seed(seed)
-    }
-
-    /// A derived *factory* for sub-entity `n` of `label` — the same
-    /// content-hash derivation as [`RngFactory::numbered`], but returning
-    /// a whole factory so the sub-entity can open its own labeled streams
-    /// (a rack of the partitioned availability engine). Derivation depends only on
-    /// `(root, label, n)`, never on call order, so sub-entity draws are
-    /// invariant to how work is grouped or scheduled.
-    pub fn subfactory(&self, label: &str, n: u64) -> RngFactory {
-        let mut sm =
-            self.root ^ fnv1a(label).rotate_left(17) ^ n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        RngFactory::new(splitmix64(&mut sm))
     }
 }
 
@@ -259,16 +242,6 @@ mod tests {
         let mut a = f.numbered("disk.fail", 0);
         let mut b = f.numbered("disk.fail", 1);
         assert_ne!(a.next(), b.next());
-    }
-
-    #[test]
-    fn subfactories_are_content_derived() {
-        let f = RngFactory::new(123);
-        let a = f.subfactory("rack", 0);
-        let b = f.subfactory("rack", 1);
-        assert_ne!(a.root_seed(), b.root_seed());
-        // Stable across calls — scheduling cannot perturb it.
-        assert_eq!(f.subfactory("rack", 0).root_seed(), a.root_seed());
     }
 
     #[test]

@@ -112,15 +112,6 @@ impl TopologySpec {
     pub fn node_count(&self) -> usize {
         self.racks * self.nodes_per_rack
     }
-
-    /// The latency floor of any network path leaving a whole-rack
-    /// partition — always an inter-rack path: NIC → ToR → agg → ToR →
-    /// NIC. This lower-bounds every cross-partition interaction, so it
-    /// is the wire half of the conservative lookahead for partitioned
-    /// execution.
-    pub fn min_cross_latency_s(&self) -> f64 {
-        2.0 * self.node.nic.latency_s + 2.0 * self.tor.latency_s + self.agg.latency_s
-    }
 }
 
 /// A built topology: ID assignment plus path/locality queries.
@@ -465,18 +456,6 @@ mod tests {
         let t = spec(2, 3).build();
         assert_eq!(t.components_iter().collect::<Vec<_>>(), t.components());
         assert_eq!(t.components_iter().count(), 6 + 24 + 6 + 3);
-    }
-
-    #[test]
-    fn cross_partition_latency_floor_is_the_inter_rack_path() {
-        let s = spec(4, 2);
-        let t = s.build();
-        let floor = s.min_cross_latency_s();
-        assert!(floor > 0.0);
-        // Any inter-rack path matches the floor; intra-rack is cheaper.
-        let inter = t.path_info(NodeId(0), NodeId(7)).latency_s;
-        assert_eq!(floor, inter);
-        assert!(t.path_info(NodeId(0), NodeId(1)).latency_s < inter);
     }
 
     #[test]

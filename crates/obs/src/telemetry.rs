@@ -156,55 +156,6 @@ impl RunTelemetry {
     pub fn mask_wall(&mut self) {
         self.wall = WallTelemetry::default();
     }
-
-    /// Folds another partition's telemetry of the *same run* into this
-    /// one — the order-deterministic merge partitioned execution uses
-    /// (fold partitions in partition order, exactly like farm shards fold
-    /// in run order). Counters and label maps sum; `peak_queue_depth`
-    /// takes the max over partitions (each partition owns a disjoint
-    /// queue); `mean_queue_depth` sums, because the time-weighted means
-    /// of disjoint queues add up to the mean total pending count;
-    /// `horizon_s` takes the max; sketches merge label-wise (bucket and
-    /// register merges are associative and commutative, so the merged
-    /// set is invariant to the partition count). Wall handler histograms
-    /// sum; `wall_us` is left to the caller, which measures the whole
-    /// partitioned run with one clock.
-    pub fn absorb_partition(&mut self, other: &RunTelemetry) {
-        self.events += other.events;
-        self.horizon_s = self.horizon_s.max(other.horizon_s);
-        self.peak_queue_depth = self.peak_queue_depth.max(other.peak_queue_depth);
-        self.mean_queue_depth += other.mean_queue_depth;
-        if self.stop_reason.is_empty() {
-            self.stop_reason = other.stop_reason.clone();
-        }
-        for (label, n) in &other.events_by_label {
-            *self.events_by_label.entry(label.clone()).or_insert(0) += n;
-        }
-        for (label, n) in &other.marks {
-            *self.marks.entry(label.clone()).or_insert(0) += n;
-        }
-        if self.queue.is_none() {
-            self.queue = other.queue.clone();
-        }
-        if let Some(theirs) = &other.sketches {
-            match &mut self.sketches {
-                Some(mine) => mine.merge(theirs),
-                None => self.sketches = Some(theirs.clone()),
-            }
-        }
-        for (name, hist) in &other.wall.handlers {
-            let mine = self.wall.handlers.entry(name.clone()).or_default();
-            mine.count += hist.count;
-            mine.total_ns += hist.total_ns;
-            mine.max_ns = mine.max_ns.max(hist.max_ns);
-            if mine.buckets.len() < hist.buckets.len() {
-                mine.buckets.resize(hist.buckets.len(), 0);
-            }
-            for (b, n) in hist.buckets.iter().enumerate() {
-                mine.buckets[b] += n;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -284,60 +235,6 @@ mod tests {
         let json = serde_json::to_string(&t).unwrap();
         let back: RunTelemetry = serde_json::from_str(&json).unwrap();
         assert_eq!(back, t);
-    }
-
-    #[test]
-    fn absorb_partition_merges_order_deterministically() {
-        let mk = |events: u64, label: &str, peak: u64, mean: f64, sketch_v: f64| {
-            let mut t = RunTelemetry {
-                events,
-                horizon_s: 10.0,
-                peak_queue_depth: peak,
-                mean_queue_depth: mean,
-                stop_reason: "HorizonReached".into(),
-                queue: Some("heap".into()),
-                ..RunTelemetry::default()
-            };
-            t.events_by_label.insert(label.into(), events);
-            t.marks.insert("object_lost".into(), 1);
-            let mut set = SketchSet::default();
-            let mut s = QuantileSketch::new();
-            s.record(sketch_v);
-            set.values.insert("wait_s".into(), s);
-            t.sketches = Some(set);
-            t
-        };
-        let parts = [
-            mk(5, "A", 3, 1.0, 0.5),
-            mk(7, "B", 9, 2.5, 4.0),
-            mk(2, "A", 1, 0.25, 8.0),
-        ];
-        let mut merged = RunTelemetry::default();
-        for p in &parts {
-            merged.absorb_partition(p);
-        }
-        assert_eq!(merged.events, 14);
-        assert_eq!(merged.peak_queue_depth, 9);
-        assert_eq!(merged.mean_queue_depth, 3.75);
-        assert_eq!(merged.horizon_s, 10.0);
-        assert_eq!(merged.stop_reason, "HorizonReached");
-        assert_eq!(merged.queue.as_deref(), Some("heap"));
-        assert_eq!(merged.events_by_label["A"], 7);
-        assert_eq!(merged.events_by_label["B"], 7);
-        assert_eq!(merged.marks["object_lost"], 3);
-        // Sketch merge sees all three observations.
-        let sk = &merged.sketches.as_ref().unwrap().values["wait_s"];
-        assert_eq!(sk.count(), 3);
-        // Partition-count invariance in miniature: fold (0+1) then 2
-        // equals fold 0 then (1+2) — the merges are associative.
-        let mut left = parts[0].clone();
-        left.absorb_partition(&parts[1]);
-        left.absorb_partition(&parts[2]);
-        let mut right_tail = parts[1].clone();
-        right_tail.absorb_partition(&parts[2]);
-        let mut right = parts[0].clone();
-        right.absorb_partition(&right_tail);
-        assert_eq!(left.masked(), right.masked());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! different machines, one can decrease the probability that the data will
 //! become unavailable" (§1). The actual event scheduling lives in
 //! `wt-cluster`; this module owns the policy math and the [`RepairQueue`]
-//! both availability engines drive: when each repair was queued, the FIFO
+//! the availability engine drives: when each repair was queued, the FIFO
 //! start order under the concurrency cap, cancellation, and the chaos
 //! repair throttle with its backlog breaker.
 

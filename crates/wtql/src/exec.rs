@@ -1,5 +1,5 @@
 //! The query executor: parallel run dispatch, dominance pruning, early
-//! abort (§4.2), and the guided execution mode (DESIGN.md §13).
+//! abort (§4.2), and the guided execution mode (DESIGN.md §12).
 //!
 //! Dispatch is not bespoke: the planned configuration order becomes an
 //! explicit [`windtunnel::sweep::SweepGrid`] and runs through
@@ -1204,17 +1204,20 @@ mod tests {
         };
         let avail =
             parse("EXPLORE availability SWEEP racks IN [1], nodes_per_rack IN [1]").unwrap();
-        let err = build_scenario(&avail, &base(), &point(1700.0, 40.0)).unwrap_err();
+        // 134,217,728 racks × 40 nodes = 5,368,709,120 nodes, past the
+        // `u32` node ids.
+        let err = build_scenario(&avail, &base(), &point(134_217_728.0, 40.0)).unwrap_err();
         assert!(
-            matches!(&err, WtqlError::Semantic(m) if m.contains("68000") && m.contains("65536")),
+            matches!(&err, WtqlError::Semantic(m)
+                if m.contains("5368709120") && m.contains("4294967295")),
             "{err}"
         );
-        // Exactly at the cap still builds.
-        assert!(build_scenario(&avail, &base(), &point(2048.0, 32.0)).is_ok());
+        // Exactly at the cap (65,537 × 65,535 = u32::MAX) still builds.
+        assert!(build_scenario(&avail, &base(), &point(65_537.0, 65_535.0)).is_ok());
         // A query that never runs the availability engine is not capped.
         let cost =
             parse("EXPLORE tco_usd_per_year SWEEP racks IN [1], nodes_per_rack IN [1]").unwrap();
-        assert!(build_scenario(&cost, &base(), &point(1700.0, 40.0)).is_ok());
+        assert!(build_scenario(&cost, &base(), &point(134_217_728.0, 40.0)).is_ok());
     }
 
     #[test]

@@ -112,11 +112,12 @@ fn threads_do_not_change_results() {
 
 #[test]
 fn oversized_availability_point_is_an_unsimulated_row_not_a_panic() {
-    // 1,700 racks × 40 nodes = 68,000 nodes: past the availability
-    // engine's node-ID cap. The point must come back as an unsimulated
-    // row instead of panicking a farm worker (and with it the process).
+    // 134,217,728 racks × 40 nodes = 5,368,709,120 nodes: past the
+    // availability engine's `u32` node-ID cap. The point must come back
+    // as an unsimulated row instead of panicking a farm worker (and with
+    // it the process), and without allocating anything per node.
     let query = parse(
-        r#"EXPLORE availability SWEEP racks IN [1700], nodes_per_rack IN [40], objects IN [10]"#,
+        r#"EXPLORE availability SWEEP racks IN [134217728], nodes_per_rack IN [40], objects IN [10]"#,
     )
     .expect("parses");
     let tunnel = WindTunnel::new();
@@ -128,7 +129,7 @@ fn oversized_availability_point_is_an_unsimulated_row_not_a_panic() {
     assert_eq!(row.sim_events_executed, 0);
     let reason = row.rejected.as_deref().expect("rejected with a reason");
     assert!(
-        reason.contains("68000") && reason.contains("65536"),
+        reason.contains("5368709120") && reason.contains("4294967295"),
         "{reason}"
     );
     assert_eq!(out.executed, 0);
@@ -137,14 +138,14 @@ fn oversized_availability_point_is_an_unsimulated_row_not_a_panic() {
 
 #[test]
 fn rejected_point_prunes_nothing() {
-    // The plan runs the 68,000-node point first (racks is monotone,
-    // largest first), and a failure there would prune the 4,000-node
-    // point it dominates. A rejected point was never simulated, so the
+    // The plan runs the 5,368,709,120-node point first (racks is
+    // monotone, largest first), and a failure there would prune the
+    // 4,000-node point it dominates. A rejected point was never simulated, so the
     // smaller point must still run and decide the query.
     let query = parse(
         r#"
         EXPLORE availability, tco_usd_per_year
-        SWEEP racks IN [100, 1700], nodes_per_rack IN [40], objects IN [10]
+        SWEEP racks IN [100, 134217728], nodes_per_rack IN [40], objects IN [10]
         SUBJECT TO availability >= 0.99
         MINIMIZE tco_usd_per_year
         "#,
@@ -154,7 +155,7 @@ fn rejected_point_prunes_nothing() {
     assert!(opts.prune, "pruning is on by default");
     let out = run_query(&query, &base(), &WindTunnel::new(), &opts).expect("runs");
     let racks = |i: usize| out.rows[i].assignment[0].1.as_num();
-    assert_eq!((racks(0), racks(1)), (Some(1700.0), Some(100.0)));
+    assert_eq!((racks(0), racks(1)), (Some(134_217_728.0), Some(100.0)));
     assert!(out.rows[0].rejected.is_some(), "{:?}", out.rows[0]);
     let small = &out.rows[1];
     assert!(!small.pruned && small.rejected.is_none(), "{small:?}");
