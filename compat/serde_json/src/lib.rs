@@ -370,11 +370,11 @@ impl<'a> Parser<'a> {
             text.parse::<f64>()
                 .map(Value::Float)
                 .map_err(|_| Error::new(format!("invalid number '{text}'")))
-        } else if let Some(stripped) = text.strip_prefix('-') {
+        } else if text.starts_with('-') {
             // "-0" parses as Int(0); fine, both deserialize identically.
-            stripped
-                .parse::<u64>()
-                .map(|x| Value::Int(-(x as i64)))
+            // Below i64::MIN is out of range, not wrapped.
+            text.parse::<i64>()
+                .map(Value::Int)
                 .map_err(|_| Error::new(format!("invalid number '{text}'")))
         } else {
             text.parse::<u64>()
@@ -443,6 +443,16 @@ mod tests {
     fn pretty_indents() {
         let v = vec![1u64];
         assert_eq!(to_string_pretty(&v).unwrap(), "[\n  1\n]");
+    }
+
+    #[test]
+    fn negative_integers_parse_exactly_or_fail() {
+        let min: i64 = from_str("-9223372036854775808").unwrap();
+        assert_eq!(min, i64::MIN);
+        assert!(from_str::<i64>("-9223372036854775809").is_err());
+        assert!(from_str::<i64>("-10000000000000000000").is_err());
+        assert!(from_str::<i64>("-18446744073709551615").is_err());
+        assert!(from_str::<u64>("-1").is_err());
     }
 
     #[test]

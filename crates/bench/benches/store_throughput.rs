@@ -7,14 +7,13 @@
 //! design removes from the farm's critical path:
 //!
 //! * **mutex arm**: every worker appends through the shared store's
-//!   write lock; each append also pays id assignment, the journal
-//!   check, and per-experiment index maintenance while holding the
-//!   lock.
+//!   write lock; each append pays id assignment and the store's `Vec`
+//!   push while holding the lock.
 //! * **sharded arm**: every worker pushes into a private `StoreShard` —
-//!   a plain `Vec` push, no lock, no index work.
+//!   a plain `Vec` push, no lock, no id.
 //!
-//! The deterministic in-order merge (where ids are assigned and indexes
-//! built) is timed **separately** and reported as `merge rec/s`: in the
+//! The deterministic in-order merge (where ids are assigned) is timed
+//! **separately** and reported as `merge rec/s`: in the
 //! real farm the merge runs on the fold thread, overlapped with the
 //! workers' ongoing simulation, so it is off the recording critical
 //! path — folding it into the workers' number would charge the sharded

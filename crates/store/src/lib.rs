@@ -6,8 +6,8 @@
 //!
 //! * **(a) data generated by simulations** — [`record`] defines a
 //!   self-describing [`RunRecord`] (configuration parameters + output
-//!   metrics), and [`store`] a queryable, indexed [`ResultStore`] with
-//!   streaming JSON-lines persistence, capacity-bounded eviction, and
+//!   metrics), and [`store`] a queryable, append-only [`ResultStore`]
+//!   with streaming JSON-lines persistence and
 //!   **configuration similarity search** ("have I already explored a
 //!   configuration similar to this target?", the paper's motivating
 //!   query). [`shard`] adds the lock-free per-worker recording path

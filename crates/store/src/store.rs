@@ -1,40 +1,29 @@
 //! The result store: append, query, persist, and similarity-search
 //! simulation runs.
 //!
-//! The store keeps records in id order (ids are assigned monotonically),
-//! which makes `get` a binary search and lets the per-experiment index
-//! hold ids rather than offsets — both stay valid under oldest-first
-//! eviction, so a capacity-bounded store serves million-run sweeps
-//! without unbounded memory growth. Parallel producers never append here
+//! The store is append-only and keeps records in id order (appends
+//! assign increasing ids; a loaded file may leave gaps), which makes
+//! `get` a binary search. Parallel producers never append here
 //! directly: they record into lock-free [`crate::shard::StoreShard`]s
 //! that are merged in deterministic run order (see [`crate::shard`]).
 
 use crate::record::{ParamValue, RunRecord};
 use crate::shard::StoreShard;
 use parking_lot::RwLock;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 use std::sync::Arc;
 use wt_obs::MetricsSnapshot;
 
-/// An in-memory store of run records with JSON-lines persistence,
-/// id/experiment indexes, and an optional capacity bound.
+/// An append-only, in-memory store of run records with JSON-lines
+/// persistence.
 #[derive(Debug, Default)]
 pub struct ResultStore {
-    /// Records in ascending-id order (append assigns increasing ids).
-    records: VecDeque<RunRecord>,
+    /// Records in ascending-id order.
+    records: Vec<RunRecord>,
+    /// The id the next append takes: past every stored id.
     next_id: u64,
-    /// Ids per experiment family, in insertion (= id) order.
-    by_exp: BTreeMap<String, VecDeque<u64>>,
-    /// Keep at most this many records, evicting the oldest.
-    capacity: Option<usize>,
-    /// Records evicted so far (for telemetry and tests).
-    evicted: u64,
-    /// Write-through journal: every append streams one JSON line here.
-    journal: Option<BufWriter<std::fs::File>>,
-    /// First journal write error; write-through stops once set.
-    journal_error: Option<std::io::Error>,
 }
 
 impl ResultStore {
@@ -43,40 +32,12 @@ impl ResultStore {
         Self::default()
     }
 
-    /// An empty store that keeps at most `capacity` records, evicting the
-    /// oldest (smallest-id) record on overflow.
-    pub fn with_capacity(capacity: usize) -> Self {
-        ResultStore {
-            capacity: Some(capacity.max(1)),
-            ..Self::default()
-        }
-    }
-
-    /// The capacity bound, if any.
-    pub fn capacity(&self) -> Option<usize> {
-        self.capacity
-    }
-
-    /// Sets or clears the capacity bound, evicting immediately if the
-    /// store is already over the new bound.
-    pub fn set_capacity(&mut self, capacity: Option<usize>) {
-        self.capacity = capacity.map(|c| c.max(1));
-        self.enforce_capacity();
-    }
-
-    /// Records evicted by the capacity bound so far.
-    pub fn evicted(&self) -> u64 {
-        self.evicted
-    }
-
     /// Appends a record, assigning its id. Returns the id.
     pub fn append(&mut self, mut record: RunRecord) -> u64 {
         let id = self.next_id;
-        self.next_id += 1;
+        self.next_id = id.checked_add(1).expect("record ids stay below u64::MAX");
         record.id = id;
-        self.journal_write(&record);
-        self.push_indexed(record);
-        self.enforce_capacity();
+        self.records.push(record);
         id
     }
 
@@ -94,7 +55,7 @@ impl ResultStore {
         n
     }
 
-    /// Number of stored records (excludes evicted ones).
+    /// Number of stored records.
     pub fn len(&self) -> usize {
         self.records.len()
     }
@@ -111,7 +72,7 @@ impl ResultStore {
 
     /// A full copy of the stored records, in id order.
     pub fn snapshot(&self) -> Vec<RunRecord> {
-        self.records.iter().cloned().collect()
+        self.records.to_vec()
     }
 
     /// Distills the stored records into a [`MetricsSnapshot`]: run and
@@ -142,8 +103,8 @@ impl ResultStore {
         snap
     }
 
-    /// Record by id: a binary search over the id-ordered records — no
-    /// full-store scan, and no index to maintain under eviction.
+    /// Record by id: a binary search over the id-ordered records (a
+    /// loaded file may have gaps, so an id is not an offset).
     pub fn get(&self, id: u64) -> Option<&RunRecord> {
         self.records
             .binary_search_by_key(&id, |r| r.id)
@@ -151,15 +112,9 @@ impl ResultStore {
             .map(|i| &self.records[i])
     }
 
-    /// Records of one experiment family, via the experiment index.
+    /// Records of one experiment family, in id order.
     pub fn by_experiment(&self, experiment: &str) -> Vec<&RunRecord> {
-        match self.by_exp.get(experiment) {
-            None => Vec::new(),
-            Some(ids) => ids
-                .iter()
-                .map(|&id| self.get(id).expect("indexed id present"))
-                .collect(),
-        }
+        self.query(|r| r.experiment == experiment)
     }
 
     /// Records matching a predicate (a scan — predicates are opaque).
@@ -167,14 +122,16 @@ impl ResultStore {
         self.records.iter().filter(|r| pred(r)).collect()
     }
 
-    /// Live record count per experiment family, sorted by name — the
-    /// store-occupancy summary behind WTQL's `.stats`. Counts come from
-    /// the experiment index, which eviction keeps consistent with a scan.
+    /// Record count per experiment family, sorted by name — the
+    /// store-occupancy summary behind WTQL's `.stats`.
     pub fn experiment_counts(&self) -> Vec<(String, usize)> {
-        self.by_exp
-            .iter()
-            .filter(|(_, ids)| !ids.is_empty())
-            .map(|(exp, ids)| (exp.clone(), ids.len()))
+        let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
+        for r in &self.records {
+            *counts.entry(&r.experiment).or_insert(0) += 1;
+        }
+        counts
+            .into_iter()
+            .map(|(exp, n)| (exp.to_string(), n))
             .collect()
     }
 
@@ -320,18 +277,13 @@ impl ResultStore {
     /// Loads records from a JSON-lines file (ids are preserved; the next
     /// id continues past the maximum loaded). Lines are parsed one at a
     /// time into a reused buffer, so peak memory is the records
-    /// themselves, never a second copy of the file.
+    /// themselves, never a second copy of the file. A malformed line, or
+    /// a record id of `u64::MAX` (which leaves no id for the next
+    /// append), is an [`std::io::ErrorKind::InvalidData`] error.
     pub fn load_jsonl(path: &Path) -> std::io::Result<Self> {
-        Self::load_jsonl_bounded(path, None)
-    }
-
-    /// [`Self::load_jsonl`] with a capacity bound applied *while
-    /// streaming*: for the id-ordered files `save_jsonl` and the journal
-    /// produce, at most `capacity` records are resident at any point.
-    pub fn load_jsonl_bounded(path: &Path, capacity: Option<usize>) -> std::io::Result<Self> {
+        let invalid = std::io::ErrorKind::InvalidData;
         let mut reader = BufReader::with_capacity(1 << 16, std::fs::File::open(path)?);
         let mut store = ResultStore::new();
-        store.capacity = capacity.map(|c| c.max(1));
         let mut line = String::new();
         loop {
             line.clear();
@@ -342,91 +294,22 @@ impl ResultStore {
             if trimmed.is_empty() {
                 continue;
             }
-            let r: RunRecord = serde_json::from_str(trimmed)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-            store.insert_loaded(r);
+            let r: RunRecord =
+                serde_json::from_str(trimmed).map_err(|e| std::io::Error::new(invalid, e))?;
+            let next = r.id.checked_add(1).ok_or_else(|| {
+                std::io::Error::new(invalid, format!("record id {} leaves no next id", r.id))
+            })?;
+            store.next_id = store.next_id.max(next);
+            // Files `save_jsonl` writes are id-ordered; a hand-edited
+            // out-of-order line is inserted by id.
+            if store.records.last().is_none_or(|b| b.id < r.id) {
+                store.records.push(r);
+            } else {
+                let pos = store.records.partition_point(|x| x.id < r.id);
+                store.records.insert(pos, r);
+            }
         }
         Ok(store)
-    }
-
-    /// Attaches a write-through journal at `path`: the current records
-    /// are written out, and every subsequent append streams one more JSON
-    /// line through a buffered writer (evictions never rewrite the file —
-    /// the journal is the append-only history). Call [`Self::flush`] to
-    /// force buffered lines to disk.
-    pub fn journal_to(&mut self, path: &Path) -> std::io::Result<()> {
-        let mut w = BufWriter::new(std::fs::File::create(path)?);
-        for r in &self.records {
-            let line = serde_json::to_string(r).expect("records serialize");
-            writeln!(w, "{line}")?;
-        }
-        self.journal = Some(w);
-        self.journal_error = None;
-        Ok(())
-    }
-
-    /// Flushes the journal, surfacing any write error since the last
-    /// flush (write-through stops on the first error).
-    pub fn flush(&mut self) -> std::io::Result<()> {
-        if let Some(e) = self.journal_error.take() {
-            return Err(e);
-        }
-        match &mut self.journal {
-            Some(w) => w.flush(),
-            None => Ok(()),
-        }
-    }
-
-    fn journal_write(&mut self, record: &RunRecord) {
-        if let Some(w) = &mut self.journal {
-            let line = serde_json::to_string(record).expect("records serialize");
-            if let Err(e) = writeln!(w, "{line}") {
-                self.journal_error = Some(e);
-                self.journal = None; // stop write-through after an error
-            }
-        }
-    }
-
-    /// Appends an already-id'd record, keeping the deque id-ordered even
-    /// for hand-edited (out-of-order) files.
-    fn insert_loaded(&mut self, r: RunRecord) {
-        self.next_id = self.next_id.max(r.id + 1);
-        if self.records.back().is_none_or(|b| b.id < r.id) {
-            self.push_indexed(r);
-        } else {
-            // Rare path: an out-of-order line. Insert by id.
-            let pos = self.records.partition_point(|x| x.id < r.id);
-            let ids = self.by_exp.entry(r.experiment.clone()).or_default();
-            let exp_pos = ids.partition_point(|&id| id < r.id);
-            ids.insert(exp_pos, r.id);
-            self.records.insert(pos, r);
-        }
-        self.enforce_capacity();
-    }
-
-    fn push_indexed(&mut self, record: RunRecord) {
-        self.by_exp
-            .entry(record.experiment.clone())
-            .or_default()
-            .push_back(record.id);
-        self.records.push_back(record);
-    }
-
-    fn enforce_capacity(&mut self) {
-        let Some(cap) = self.capacity else { return };
-        while self.records.len() > cap {
-            let old = self.records.pop_front().expect("len > cap >= 1");
-            let ids = self
-                .by_exp
-                .get_mut(&old.experiment)
-                .expect("evicted record was indexed");
-            let front = ids.pop_front();
-            debug_assert_eq!(front, Some(old.id), "index front is the oldest");
-            if ids.is_empty() {
-                self.by_exp.remove(&old.experiment);
-            }
-            self.evicted += 1;
-        }
     }
 }
 
@@ -444,13 +327,6 @@ impl SharedStore {
     /// A fresh shared store.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A shared store with a capacity bound (oldest-first eviction).
-    pub fn with_capacity(capacity: usize) -> Self {
-        SharedStore {
-            inner: Arc::new(RwLock::new(ResultStore::with_capacity(capacity))),
-        }
     }
 
     /// Appends a record (takes the write lock — the contended path the
@@ -477,12 +353,6 @@ impl SharedStore {
     /// Runs `f` over the locked store (read access).
     pub fn with<R>(&self, f: impl FnOnce(&ResultStore) -> R) -> R {
         f(&self.inner.read())
-    }
-
-    /// Runs `f` over the locked store (write access) — capacity changes,
-    /// journal attachment, flushes.
-    pub fn with_mut<R>(&self, f: impl FnOnce(&mut ResultStore) -> R) -> R {
-        f(&mut self.inner.write())
     }
 
     /// Extracts a full copy of the records.
@@ -710,9 +580,9 @@ mod tests {
 
     #[test]
     fn get_handles_id_gaps_after_load() {
-        // Eviction (or hand-pruning a JSONL file) leaves gaps in the id
-        // sequence; `get` must still resolve ids on both sides of a gap
-        // and miss cleanly inside it.
+        // Hand-pruning a JSONL file leaves gaps in the id sequence;
+        // `get` must still resolve ids on both sides of a gap and miss
+        // cleanly inside it.
         let mut s = ResultStore::new();
         for i in 0..6 {
             s.append(rec("gap", i as f64, "R", 0.9));
@@ -767,65 +637,22 @@ mod tests {
     }
 
     #[test]
-    fn capacity_evicts_oldest_and_keeps_indexes_consistent() {
-        let mut s = ResultStore::with_capacity(3);
-        for i in 0..7 {
-            let exp = if i % 2 == 0 { "even" } else { "odd" };
-            s.append(rec(exp, i as f64, "R", 0.9));
-        }
-        assert_eq!(s.len(), 3);
-        assert_eq!(s.evicted(), 4);
-        // Ids 0..=3 evicted, 4..=6 remain.
-        for id in 0..4u64 {
-            assert!(s.get(id).is_none(), "id {id} should be evicted");
-        }
-        let ids: Vec<u64> = s.records().map(|r| r.id).collect();
-        assert_eq!(ids, vec![4, 5, 6]);
-        // The experiment index agrees exactly with a scan.
-        let even: Vec<u64> = s.by_experiment("even").iter().map(|r| r.id).collect();
-        assert_eq!(even, vec![4, 6]);
-        let odd: Vec<u64> = s.by_experiment("odd").iter().map(|r| r.id).collect();
-        assert_eq!(odd, vec![5]);
-        // New appends keep ids monotone past the evicted range.
-        assert_eq!(s.append(rec("even", 9.0, "R", 0.9)), 7);
-        assert_eq!(s.len(), 3);
-    }
-
-    #[test]
-    fn bounded_load_keeps_only_newest() {
-        let mut s = ResultStore::new();
-        for i in 0..10 {
-            s.append(rec("big", i as f64, "R", 0.9));
-        }
-        let dir = std::env::temp_dir().join("wt-store-test-bounded");
+    fn load_rejects_an_id_that_leaves_no_next_id() {
+        // The next append takes the loaded maximum + 1, which does not
+        // exist past u64::MAX: an InvalidData error, not an overflow.
+        let dir = std::env::temp_dir().join("wt-store-test-max-id");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("big.jsonl");
-        s.save_jsonl(&path).unwrap();
-        let loaded = ResultStore::load_jsonl_bounded(&path, Some(4)).unwrap();
-        let ids: Vec<u64> = loaded.records().map(|r| r.id).collect();
-        assert_eq!(ids, vec![6, 7, 8, 9]);
-        assert_eq!(loaded.capacity(), Some(4));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn journal_writes_through_on_append() {
-        let dir = std::env::temp_dir().join("wt-store-test-journal");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("journal.jsonl");
-        let mut s = ResultStore::new();
-        s.append(rec("j", 0.0, "R", 0.9)); // before the journal attaches
-        s.journal_to(&path).unwrap();
-        s.append(rec("j", 1.0, "R", 0.9));
-        s.append(rec("j", 2.0, "R", 0.9));
-        s.flush().unwrap();
-        let replayed = ResultStore::load_jsonl(&path).unwrap();
-        assert_eq!(replayed.snapshot(), s.snapshot());
-        // Eviction does not rewrite the journal: history is append-only.
-        s.set_capacity(Some(1));
-        s.flush().unwrap();
-        assert_eq!(s.len(), 1);
-        assert_eq!(ResultStore::load_jsonl(&path).unwrap().len(), 3);
+        let path = dir.join("max-id.jsonl");
+        let mut r = rec("max", 1.0, "R", 0.9);
+        r.id = u64::MAX;
+        std::fs::write(&path, serde_json::to_string(&r).unwrap()).unwrap();
+        let err = ResultStore::load_jsonl(&path).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("18446744073709551615"), "{err}");
+        // One below is the largest id a file may hold.
+        r.id = u64::MAX - 1;
+        std::fs::write(&path, serde_json::to_string(&r).unwrap()).unwrap();
+        assert_eq!(ResultStore::load_jsonl(&path).unwrap().len(), 1);
         std::fs::remove_file(&path).ok();
     }
 

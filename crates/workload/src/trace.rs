@@ -126,131 +126,10 @@ impl Trace {
         Ok(())
     }
 
-    /// Loads from JSON lines, in parallel: a reader thread pulls the file
-    /// in ~256 KiB chunks cut at newline boundaries and fans them over a
-    /// bounded channel to a pool of parser workers, one per available
-    /// core up to 8; chunks are tagged with their file position and the
-    /// merge restores file order, so the result is exactly what a
-    /// line-at-a-time loader produces, whatever the pool size, which the
-    /// tests assert against a single-threaded oracle. The EXPERIMENTS.md
-    /// trace-ingestion note has its measured speedup over that oracle.
+    /// Loads from JSON lines, one line at a time. Blank lines are
+    /// skipped; a malformed line is an
+    /// [`std::io::ErrorKind::InvalidData`] error.
     pub fn load_jsonl(path: &std::path::Path) -> std::io::Result<Trace> {
-        use std::io::Read as _;
-        const CHUNK: usize = 256 * 1024;
-        // Open here so a missing file fails before any thread is spawned.
-        let mut f = std::fs::File::open(path)?;
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(8);
-
-        // Chunks travel as (index, text); the index is the merge key and
-        // the error-priority key. Bounded: if parsing falls behind, the
-        // reader blocks instead of buffering the whole file in memory.
-        type Tagged = (usize, std::io::Result<String>);
-        let (chunk_tx, chunk_rx) = std::sync::mpsc::sync_channel::<Tagged>(workers * 2);
-        let chunk_rx = std::sync::Mutex::new(chunk_rx);
-        let (out_tx, out_rx) =
-            std::sync::mpsc::channel::<(usize, std::io::Result<Vec<TraceEntry>>)>();
-
-        std::thread::scope(|scope| {
-            scope.spawn(move || {
-                let invalid = |e: std::string::FromUtf8Error| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidData, e)
-                };
-                let mut idx = 0usize;
-                let mut carry: Vec<u8> = Vec::new();
-                let mut buf = vec![0u8; CHUNK];
-                loop {
-                    match f.read(&mut buf) {
-                        Ok(0) => break,
-                        Ok(n) => {
-                            carry.extend_from_slice(&buf[..n]);
-                            // Ship everything up to the last complete line;
-                            // the tail carries into the next chunk.
-                            if let Some(pos) = carry.iter().rposition(|&b| b == b'\n') {
-                                let rest = carry.split_off(pos + 1);
-                                let whole = std::mem::replace(&mut carry, rest);
-                                let msg = String::from_utf8(whole).map_err(invalid);
-                                let fatal = msg.is_err();
-                                if chunk_tx.send((idx, msg)).is_err() || fatal {
-                                    return;
-                                }
-                                idx += 1;
-                            }
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                        Err(e) => {
-                            let _ = chunk_tx.send((idx, Err(e)));
-                            return;
-                        }
-                    }
-                }
-                // Final line without a trailing newline.
-                if !carry.is_empty() {
-                    let _ = chunk_tx.send((idx, String::from_utf8(carry).map_err(invalid)));
-                }
-            });
-
-            for _ in 0..workers {
-                let out_tx = out_tx.clone();
-                let chunk_rx = &chunk_rx;
-                scope.spawn(move || loop {
-                    // Lock only to receive; parsing runs unlocked so the
-                    // pool actually fans out.
-                    let msg = chunk_rx.lock().expect("receiver lock").recv();
-                    let Ok((idx, chunk)) = msg else { break };
-                    let parsed = chunk.and_then(|text| {
-                        let mut out = Vec::new();
-                        for line in text.lines() {
-                            if line.trim().is_empty() {
-                                continue;
-                            }
-                            out.push(serde_json::from_str(line).map_err(|e| {
-                                std::io::Error::new(std::io::ErrorKind::InvalidData, e)
-                            })?);
-                        }
-                        Ok(out)
-                    });
-                    if out_tx.send((idx, parsed)).is_err() {
-                        break;
-                    }
-                });
-            }
-            drop(out_tx);
-        });
-
-        // All threads have exited; merge in chunk order. On failure,
-        // report the error of the earliest chunk — each chunk parses
-        // sequentially and stops at its first bad line, so this is the
-        // same error the sync loader would have hit first.
-        let mut parts: Vec<(usize, Vec<TraceEntry>)> = Vec::new();
-        let mut failure: Option<(usize, std::io::Error)> = None;
-        for (idx, res) in out_rx {
-            match res {
-                Ok(v) => parts.push((idx, v)),
-                Err(e) => {
-                    if failure.as_ref().is_none_or(|(i, _)| idx < *i) {
-                        failure = Some((idx, e));
-                    }
-                }
-            }
-        }
-        if let Some((_, e)) = failure {
-            return Err(e);
-        }
-        parts.sort_unstable_by_key(|&(idx, _)| idx);
-        let mut entries = Vec::with_capacity(parts.iter().map(|(_, v)| v.len()).sum());
-        for (_, v) in parts {
-            entries.extend(v);
-        }
-        Ok(Trace::from_entries(entries))
-    }
-
-    /// Loads from JSON lines on the calling thread, one line at a time:
-    /// the test oracle [`load_jsonl`](Self::load_jsonl) must agree with.
-    #[cfg(test)]
-    fn load_jsonl_sync(path: &std::path::Path) -> std::io::Result<Trace> {
         use std::io::BufRead as _;
         let f = std::fs::File::open(path)?;
         let mut entries = Vec::new();
@@ -445,30 +324,8 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// A file bigger than one 256 KiB reader chunk, so the streaming path
-    /// exercises chunk splitting and tail carry; the streaming and sync
-    /// loaders must agree entry for entry.
-    #[test]
-    fn jsonl_streaming_matches_sync_across_chunks() {
-        let tenant = TenantWorkload::oltp("bulk", 400.0, 5_000);
-        let trace = Trace::record(&tenant, 60.0, 9);
-        let dir = std::env::temp_dir().join("wt-trace-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("trace-bulk.jsonl");
-        trace.save_jsonl(&path).unwrap();
-        assert!(
-            std::fs::metadata(&path).unwrap().len() > 512 * 1024,
-            "trace file must span multiple reader chunks"
-        );
-        let streamed = Trace::load_jsonl(&path).unwrap();
-        let synced = Trace::load_jsonl_sync(&path).unwrap();
-        assert_eq!(streamed, synced);
-        assert_eq!(streamed, trace);
-        std::fs::remove_file(&path).ok();
-    }
-
-    /// No trailing newline and interior blank lines: the reader's final
-    /// carry flush and the blank-line skip both still apply.
+    /// No trailing newline and interior blank lines: the last line still
+    /// loads and the blank line is skipped.
     #[test]
     fn jsonl_streaming_handles_ragged_files() {
         let tenant = TenantWorkload::oltp("ragged", 50.0, 100);
@@ -486,62 +343,20 @@ mod tests {
             text.pop();
         }
         std::fs::write(&path, &text).unwrap();
-        let streamed = Trace::load_jsonl(&path).unwrap();
-        assert_eq!(streamed, trace);
+        assert_eq!(Trace::load_jsonl(&path).unwrap(), trace);
         std::fs::remove_file(&path).ok();
     }
 
-    /// Not a correctness test — prints streaming vs sync ingest
-    /// throughput (the EXPERIMENTS.md trace-ingestion numbers). Run with
-    /// `cargo test --release -p wt-workload jsonl_throughput -- --ignored --nocapture`.
+    /// A malformed last line after many good ones: the loader returns
+    /// the error, not the trace truncated before it.
     #[test]
-    #[ignore]
-    fn jsonl_throughput() {
-        let tenant = TenantWorkload::oltp("big", 2_000.0, 50_000);
-        let trace = Trace::record(&tenant, 300.0, 13);
-        let dir = std::env::temp_dir().join("wt-trace-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("trace-throughput.jsonl");
-        trace.save_jsonl(&path).unwrap();
-        let bytes = std::fs::metadata(&path).unwrap().len() as f64;
-        let time = |f: &dyn Fn() -> Trace| {
-            let mut best = f64::INFINITY;
-            for _ in 0..5 {
-                let t0 = std::time::Instant::now();
-                let loaded = f();
-                best = best.min(t0.elapsed().as_secs_f64());
-                assert_eq!(loaded.len(), trace.len());
-            }
-            best
-        };
-        let sync_s = time(&|| Trace::load_jsonl_sync(&path).unwrap());
-        let stream_s = time(&|| Trace::load_jsonl(&path).unwrap());
-        println!(
-            "trace ingest: {} entries, {:.1} MiB; sync {:.1} MiB/s, streaming {:.1} MiB/s ({:.2}x)",
-            trace.len(),
-            bytes / (1024.0 * 1024.0),
-            bytes / (1024.0 * 1024.0) / sync_s,
-            bytes / (1024.0 * 1024.0) / stream_s,
-            sync_s / stream_s
-        );
-        std::fs::remove_file(&path).ok();
-    }
-
-    /// A malformed line in a *late* chunk of a multi-chunk file: the
-    /// earlier chunks parse fine on other workers, but the failure still
-    /// surfaces (and the loader returns an error, not a truncated trace).
-    #[test]
-    fn jsonl_parallel_surfaces_late_chunk_errors() {
-        let tenant = TenantWorkload::oltp("late-err", 400.0, 5_000);
-        let trace = Trace::record(&tenant, 60.0, 21);
+    fn jsonl_surfaces_an_error_on_the_last_line() {
+        let tenant = TenantWorkload::oltp("late-err", 50.0, 100);
+        let trace = Trace::record(&tenant, 10.0, 21);
         let dir = std::env::temp_dir().join("wt-trace-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("trace-late-err.jsonl");
         trace.save_jsonl(&path).unwrap();
-        assert!(
-            std::fs::metadata(&path).unwrap().len() > 512 * 1024,
-            "file must span multiple parser chunks"
-        );
         use std::io::Write as _;
         let mut f = std::fs::OpenOptions::new()
             .append(true)
@@ -551,11 +366,6 @@ mod tests {
         drop(f);
         let err = Trace::load_jsonl(&path).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert_eq!(
-            Trace::load_jsonl_sync(&path).unwrap_err().kind(),
-            std::io::ErrorKind::InvalidData,
-            "oracle agrees the file is bad"
-        );
         std::fs::remove_file(&path).ok();
     }
 

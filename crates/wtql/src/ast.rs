@@ -144,9 +144,9 @@ pub struct Query {
 }
 
 /// One statement in a WTQL script: a full query, or an introspection
-/// command. `STATS` reports on the result store (record count, capacity,
-/// evictions, per-experiment counts) and is always safe — it runs no
-/// simulation and is a no-op on an empty store.
+/// command. `STATS` reports on the result store (record count,
+/// per-experiment counts, sketch quantiles) and is always safe — it runs
+/// no simulation and is a no-op on an empty store.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Statement {
     /// A simulation query.

@@ -79,7 +79,7 @@ pub fn apply_assignment(
     };
     match axis {
         "replication" => {
-            let n = num(value)? as usize;
+            let n = whole(axis, value, 0)?;
             if n == 0 {
                 return Err(WtqlError::Semantic(
                     "replication needs at least one replica".into(),
@@ -88,7 +88,7 @@ pub fn apply_assignment(
             scenario.redundancy = RedundancyScheme::replication(n);
         }
         "erasure_k" => {
-            let k = num(value)? as usize;
+            let k = whole(axis, value, 0)?;
             let m = match scenario.redundancy {
                 RedundancyScheme::Erasure(s) => s.m,
                 _ => 2,
@@ -96,7 +96,7 @@ pub fn apply_assignment(
             scenario.redundancy = erasure(k, m)?;
         }
         "erasure_m" => {
-            let m = num(value)? as usize;
+            let m = whole(axis, value, 0)?;
             let k = match scenario.redundancy {
                 RedundancyScheme::Erasure(s) => s.k,
                 _ => 6,
@@ -138,7 +138,7 @@ pub fn apply_assignment(
             };
         }
         "repair_parallel" => {
-            scenario.repair.max_parallel = num(value)?.max(1.0) as usize;
+            scenario.repair.max_parallel = whole(axis, value, 1)?;
         }
         "detection_delay_s" => {
             scenario.repair.detection_delay_s = num(value)?;
@@ -147,16 +147,16 @@ pub fn apply_assignment(
             scenario.topology.node.mem = catalog::mem_ddr3(num(value)?);
         }
         "racks" => {
-            scenario.topology.racks = num(value)? as usize;
+            scenario.topology.racks = whole(axis, value, 0)?;
         }
         "nodes_per_rack" => {
-            scenario.topology.nodes_per_rack = num(value)? as usize;
+            scenario.topology.nodes_per_rack = whole(axis, value, 0)?;
         }
         "oversubscription" => {
             scenario.topology.oversubscription = num(value)?;
         }
         "objects" => {
-            scenario.objects = num(value)? as u64;
+            scenario.objects = whole(axis, value, 0)?;
         }
         "object_gb" => {
             scenario.object_bytes = (num(value)? * (1u64 << 30) as f64) as u64;
@@ -170,13 +170,33 @@ pub fn apply_assignment(
             }
         },
         "seed" => {
-            scenario.seed = num(value)? as u64;
+            scenario.seed = whole(axis, value, 0)?;
         }
         other => {
             return Err(WtqlError::Semantic(format!("unknown sweep axis '{other}'")));
         }
     }
     Ok(())
+}
+
+/// The value of an integer axis: a whole number of at least `min` that
+/// fits `T`, or the error naming the axis and the value. A fraction, a
+/// negative or a value past the type is rejected rather than cast, so a
+/// point never runs a configuration other than the one its row prints.
+fn whole<T: TryFrom<u64>>(axis: &str, value: &ParamValue, min: u64) -> Result<T, WtqlError> {
+    // 2^64: the first f64 past u64::MAX.
+    const U64_END: f64 = 18_446_744_073_709_551_616.0;
+    if let Some(x) = value.as_num() {
+        if x.fract() == 0.0 && x >= min as f64 && x < U64_END {
+            if let Ok(n) = T::try_from(x as u64) {
+                return Ok(n);
+            }
+        }
+    }
+    Err(WtqlError::Semantic(format!(
+        "axis '{axis}' needs a whole number from {min} to {}, got {value}",
+        u64::MAX
+    )))
 }
 
 /// An erasure scheme, or the stripe-shape error its constructor would
@@ -441,6 +461,35 @@ mod tests {
         assert_eq!(s.object_bytes, 2 << 30);
         apply_assignment(&mut s, "seed", &ParamValue::Num(77.0)).unwrap();
         assert_eq!(s.seed, 77);
+    }
+
+    #[test]
+    fn integer_axes_take_only_whole_numbers_in_range() {
+        let axes = [
+            "replication",
+            "erasure_k",
+            "erasure_m",
+            "repair_parallel",
+            "racks",
+            "nodes_per_rack",
+            "objects",
+            "seed",
+        ];
+        for axis in axes {
+            for bad in [2.5, -1.0, 1e300, f64::INFINITY, f64::NAN] {
+                let e = apply_assignment(&mut base(), axis, &ParamValue::Num(bad)).unwrap_err();
+                assert!(
+                    e.to_string()
+                        .contains(&format!("axis '{axis}' needs a whole number")),
+                    "{axis} = {bad}: {e}"
+                );
+            }
+        }
+        let e = apply_assignment(&mut base(), "repair_parallel", &ParamValue::Num(0.0));
+        assert!(e.unwrap_err().to_string().contains("from 1 to"));
+        let mut s = base();
+        apply_assignment(&mut s, "seed", &ParamValue::Num(9_007_199_254_740_992.0)).unwrap();
+        assert_eq!(s.seed, 1 << 53);
     }
 
     #[test]

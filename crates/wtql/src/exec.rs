@@ -52,6 +52,10 @@ use wt_store::{ParamValue, RecordSink};
 /// simulation, so a larger count is a typo rather than a design study.
 pub const MAX_REPLICATIONS: usize = 10_000;
 
+/// The most worker threads a query may ask for: the farm starts one OS
+/// thread per worker, up to the point count.
+pub const MAX_THREADS: usize = 1_024;
+
 /// Execution knobs (overridable from the query's OPTIONS clause).
 #[derive(Debug, Clone)]
 pub struct ExecOptions {
@@ -155,28 +159,38 @@ impl ExecOptions {
             ParamValue::Bool(b) => Ok(*b),
             _ => Err(format!("option '{key}' needs TRUE or FALSE, got '{value}'")),
         };
-        // A count: a whole number of at least 1, and at most `max` if given.
-        let count = |max: Option<usize>| {
+        // A count: a whole number from 1 to `max`.
+        let count = |max: usize| {
             let v = num()?;
-            if v.fract() == 0.0 && v >= 1.0 && max.is_none_or(|m| v <= m as f64) {
+            if v.fract() == 0.0 && v >= 1.0 && v <= max as f64 {
                 return Ok(v as usize);
             }
-            let range = match max {
-                Some(m) => format!("from 1 to {m}"),
-                None => "of at least 1".to_string(),
+            Err(format!(
+                "option '{key}' needs a whole number from 1 to {max}, got '{value}'"
+            ))
+        };
+        // A number in `lo..=hi`; NaN is in no range.
+        let within = |lo: f64, hi: f64| {
+            let v = num()?;
+            if (lo..=hi).contains(&v) {
+                return Ok(v);
+            }
+            let range = if hi.is_finite() {
+                format!("from {lo} to {hi}")
+            } else {
+                format!("of at least {lo}")
             };
             Err(format!(
-                "option '{key}' needs a whole number {range}, got '{value}'"
+                "option '{key}' needs a number {range}, got '{value}'"
             ))
         };
         match key {
-            // The farm never starts more workers than there are points.
-            "threads" => self.threads = count(None)?,
+            "threads" => self.threads = count(MAX_THREADS)?,
             "prune" => self.prune = flag()?,
             "early_abort" => self.early_abort = flag()?,
-            "probe_fraction" => self.probe_fraction = num()?.clamp(0.01, 0.9),
-            "abort_margin" => self.abort_margin = num()?.max(0.0),
-            "replications" => self.replications = count(Some(MAX_REPLICATIONS))?,
+            "probe_fraction" => self.probe_fraction = within(0.01, 0.9)?,
+            "abort_margin" => self.abort_margin = within(0.0, f64::INFINITY)?,
+            "replications" => self.replications = count(MAX_REPLICATIONS)?,
             // The master switch mirrors the GUIDED clause: it arms every
             // stage. Options apply in source order, so a later
             // `screen = FALSE` can still disable one stage.
@@ -185,8 +199,8 @@ impl ExecOptions {
             "rank" => self.rank = flag()?,
             "early_stop" => self.early_stop = flag()?,
             "sketch_abort" => self.sketch_abort = flag()?,
-            "screen_guard" => self.screen_guard = num()?.max(0.0),
-            "screen_min_failures" => self.screen_min_failures = num()?.max(0.0),
+            "screen_guard" => self.screen_guard = within(0.0, f64::INFINITY)?,
+            "screen_min_failures" => self.screen_min_failures = within(0.0, f64::INFINITY)?,
             _ => return Err(format!("unknown option '{key}'")),
         }
         Ok(())
@@ -323,8 +337,8 @@ fn validate_metrics(query: &Query) -> Result<(), WtqlError> {
 }
 
 /// Renders the result-store report behind the `STATS` statement (and the
-/// interactive `.stats` command): record count, capacity, evictions,
-/// per-experiment counts, and the store's sketch-derived distributions —
+/// interactive `.stats` command): record count, per-experiment counts,
+/// and the store's sketch-derived distributions —
 /// p50/p95/p99/p999 of every quantile summary in the store's
 /// [`MetricsSnapshot`](wt_store::ResultStore::metrics_snapshot) (scalar
 /// metrics across runs as `metric_<name>`, plus per-run telemetry
@@ -333,15 +347,7 @@ fn validate_metrics(query: &Query) -> Result<(), WtqlError> {
 /// store — safe anywhere in a script.
 pub fn store_stats(store: &wt_store::SharedStore) -> String {
     store.with(|s| {
-        let capacity = s
-            .capacity()
-            .map(|c| c.to_string())
-            .unwrap_or_else(|| "unbounded".into());
-        let mut out = format!(
-            "store: {} record(s), capacity {capacity}, {} evicted\n",
-            s.len(),
-            s.evicted()
-        );
+        let mut out = format!("store: {} record(s)\n", s.len());
         let counts = s.experiment_counts();
         if counts.is_empty() {
             out.push_str("  (no experiments recorded)\n");
@@ -1563,9 +1569,8 @@ mod tests {
         let q = parse("EXPLORE availability SWEEP replication IN [1, 3]").unwrap();
         run_query(&q, &base(), &tunnel, &ExecOptions::default()).unwrap();
         let report = store_stats(tunnel.store());
-        assert!(report.contains("2 record(s)"), "{report}");
+        assert!(report.starts_with("store: 2 record(s)\n"), "{report}");
         assert!(report.contains("availability: 2 run(s)"), "{report}");
-        assert!(report.contains("unbounded"), "{report}");
         // The sketch view: recorded metrics summarize as quantiles.
         assert!(
             report.contains("sketch quantiles (p50 / p95 / p99 / p999)"),
@@ -1676,7 +1681,7 @@ mod tests {
         );
         assert_eq!(
             option_rejection(&options_query("threads = 0")),
-            "option 'threads' needs a whole number of at least 1, got '0'"
+            "option 'threads' needs a whole number from 1 to 1024, got '0'"
         );
     }
 
@@ -1703,7 +1708,7 @@ mod tests {
         );
         assert_eq!(
             option_rejection(&options_query("threads = 1.5")),
-            "option 'threads' needs a whole number of at least 1, got '1.5'"
+            "option 'threads' needs a whole number from 1 to 1024, got '1.5'"
         );
     }
 
@@ -1724,6 +1729,41 @@ mod tests {
             ExecOptions::from_query(&at_ceiling).replications,
             MAX_REPLICATIONS
         );
+    }
+
+    #[test]
+    fn threads_above_the_ceiling_are_rejected() {
+        // A one-point query: were the check to regress, the farm would
+        // still start one worker, not 1,025.
+        assert_eq!(
+            option_rejection(&options_query("threads = 1025")),
+            "option 'threads' needs a whole number from 1 to 1024, got '1025'"
+        );
+        let at_ceiling = options_query("threads = 1024");
+        assert_eq!(validate_options(&at_ceiling), Ok(()));
+        assert_eq!(ExecOptions::from_query(&at_ceiling).threads, MAX_THREADS);
+    }
+
+    #[test]
+    fn out_of_range_numeric_options_are_rejected_not_clamped() {
+        for bad in ["0.001", "0.95"] {
+            assert_eq!(
+                option_rejection(&options_query(&format!("probe_fraction = {bad}"))),
+                format!("option 'probe_fraction' needs a number from 0.01 to 0.9, got '{bad}'")
+            );
+        }
+        // WTQL text cannot spell a negative number; a query built in code can.
+        for key in ["abort_margin", "screen_guard", "screen_min_failures"] {
+            let mut q = options_query("prune = FALSE");
+            q.options.push((key.to_string(), ParamValue::Num(-0.5)));
+            assert_eq!(
+                option_rejection(&q),
+                format!("option '{key}' needs a number of at least 0, got '-0.5'")
+            );
+        }
+        // The range ends themselves are valid.
+        let q = options_query("probe_fraction = 0.9, abort_margin = 0, screen_guard = 0");
+        assert_eq!(validate_options(&q), Ok(()));
     }
 
     #[test]

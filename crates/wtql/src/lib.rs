@@ -22,9 +22,6 @@
 //!   (the paper's "if the SLA fails on a 10 Gb network it will fail on
 //!   1 Gb" example), runs configurations on the shared `windtunnel::farm`
 //!   executor, and **aborts hopeless runs early** on a short probe horizon.
-//! * **Model interactions** ([`interact`]): the declarative interaction
-//!   graph that tells the engine which component models are independent —
-//!   the paper's modularity/parallelization hook.
 //!
 //! Every executed run lands in the shared result store (`wt-store`).
 
@@ -32,7 +29,6 @@ pub mod ast;
 pub mod bind;
 pub mod error;
 pub mod exec;
-pub mod interact;
 pub mod lexer;
 pub mod parser;
 pub mod plan;
@@ -41,6 +37,5 @@ pub use ast::{Comparison, Constraint, Objective, Query, Statement, SweepAxis};
 pub use bind::apply_assignment;
 pub use error::WtqlError;
 pub use exec::{run_query, store_stats, ExecOptions, QueryOutcome, RunRow};
-pub use interact::ModelGraph;
 pub use parser::{parse, parse_script};
 pub use plan::{Assignment, Plan};

@@ -100,3 +100,96 @@ fn best_by_finds_cheapest_meeting_availability() {
         assert_eq!(cheapest.params["racks"], ParamValue::Num(1.0));
     });
 }
+
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::io::ErrorKind;
+    use std::path::Path;
+    use wt_workload::Trace;
+
+    /// Number literals that overflow, wrap or saturate the integer and
+    /// float fields a record or trace line deserializes into.
+    const HOSTILE: &[&str] = &[
+        "-9223372036854775808",
+        "-9223372036854775809",
+        "-18446744073709551615",
+        "18446744073709551615",
+        "18446744073709551616",
+        "4294967296",
+        "1e400",
+        "-1e400",
+        "-1",
+        "0.5",
+    ];
+
+    /// `text` with its `at`-th number literal (modulo the count; string
+    /// contents are skipped) replaced by `token`.
+    fn splice(text: &str, at: usize, token: &str) -> String {
+        let b = text.as_bytes();
+        let mut spans = Vec::new();
+        let mut i = 0;
+        while i < b.len() {
+            if b[i] == b'"' {
+                i += 1;
+                while b[i] != b'"' {
+                    i += if b[i] == b'\\' { 2 } else { 1 };
+                }
+            } else if b[i] == b'-' || b[i].is_ascii_digit() {
+                let start = i;
+                while i < b.len() && matches!(b[i], b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
+                {
+                    i += 1;
+                }
+                spans.push(start..i);
+                continue;
+            }
+            i += 1;
+        }
+        let mut out = text.to_string();
+        out.replace_range(spans[at % spans.len()].clone(), token);
+        out
+    }
+
+    /// Writes `text` to `path` and loads it: the load must succeed or
+    /// fail with `InvalidData`, never panic.
+    fn assert_ok_or_invalid<T>(path: &Path, text: &str, load: fn(&Path) -> std::io::Result<T>) {
+        std::fs::write(path, text).expect("writes");
+        if let Err(e) = load(path) {
+            assert_eq!(e.kind(), ErrorKind::InvalidData, "{e}\n{text}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn jsonl_loaders_never_panic_on_hostile_numbers(
+            at in 0usize..10_000,
+            token in 0usize..HOSTILE.len(),
+        ) {
+            let dir = std::env::temp_dir().join("windtunnel-hostile-jsonl");
+            std::fs::create_dir_all(&dir).expect("tempdir");
+
+            // A real record, with telemetry and sketches, as a run writes it.
+            let tunnel = WindTunnel::new();
+            let sc = ScenarioBuilder::new("hostile")
+                .racks(1)
+                .nodes_per_rack(6)
+                .objects(50)
+                .horizon_years(0.05)
+                .seed(8)
+                .build();
+            tunnel.run_availability_observed_into(&sc, tunnel.store(), None);
+            let record = serde_json::to_string(&tunnel.store().snapshot()[0]).expect("serializes");
+            let path = dir.join("records.jsonl");
+            assert_ok_or_invalid(&path, &splice(&record, at, HOSTILE[token]), ResultStore::load_jsonl);
+
+            let path = dir.join("trace.jsonl");
+            let tenant = TenantWorkload::oltp("hostile", 20.0, 100);
+            Trace::record(&tenant, 1.0, 8).save_jsonl(&path).expect("saves");
+            let trace = std::fs::read_to_string(&path).expect("reads");
+            assert_ok_or_invalid(&path, &splice(&trace, at, HOSTILE[token]), Trace::load_jsonl);
+        }
+    }
+}

@@ -1,11 +1,10 @@
 //! Integration: sharded recording is deterministic — the merged store's
 //! bytes (record ids, order, contents) are identical for any worker
-//! count — and the capacity bound evicts oldest-first while keeping the
-//! indexes consistent with a scan.
+//! count.
 
 use windtunnel::farm::Farm;
 use windtunnel::prelude::*;
-use wt_store::{RecordSink, ResultStore, RunRecord, SharedStore};
+use wt_store::SharedStore;
 use wt_wtql::{parse, run_query, ExecOptions};
 
 /// The merged store as JSONL bytes — the strictest equality we can ask
@@ -103,38 +102,4 @@ fn wtql_store_bytes_identical_across_thread_counts() {
             "wtql-recorded store diverged at {threads} threads"
         );
     }
-}
-
-#[test]
-fn bounded_store_evicts_oldest_under_sharded_merge() {
-    let store = SharedStore::with_capacity(10);
-    let items: Vec<u64> = (0..25).collect();
-    Farm::new(4).run_recorded(3, &items, &store, |&x, ctx, shard| {
-        shard.record(
-            RunRecord::new(if x % 2 == 0 { "even" } else { "odd" }, ctx.seed)
-                .param("x", x as f64)
-                .metric("m", x as f64),
-        );
-    });
-    store.with(|s: &ResultStore| {
-        assert_eq!(s.len(), 10);
-        assert_eq!(s.evicted(), 15);
-        // The newest 10 survive, in id order (ids == item index here,
-        // because the merge is deterministic).
-        let ids: Vec<u64> = s.records().map(|r| r.id).collect();
-        assert_eq!(ids, (15..25).collect::<Vec<_>>());
-        for id in 0..15 {
-            assert!(s.get(id).is_none(), "id {id} should be evicted");
-        }
-        // Index-backed lookups agree exactly with a predicate scan.
-        for exp in ["even", "odd"] {
-            let indexed: Vec<u64> = s.by_experiment(exp).iter().map(|r| r.id).collect();
-            let scanned: Vec<u64> = s
-                .query(|r| r.experiment == exp)
-                .iter()
-                .map(|r| r.id)
-                .collect();
-            assert_eq!(indexed, scanned, "{exp} index diverged from scan");
-        }
-    });
 }

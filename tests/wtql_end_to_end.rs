@@ -201,6 +201,27 @@ fn zero_replication_is_a_rejected_row_not_a_panic() {
 }
 
 #[test]
+fn fractional_replication_is_a_rejected_row_not_a_coerced_one() {
+    // Truncated, this point would run and print 2-way replication as 2.5.
+    let reason = rejection("EXPLORE availability SWEEP replication IN [2.5]");
+    assert!(
+        reason.contains("axis 'replication' needs a whole number") && reason.contains("2.5"),
+        "{reason}"
+    );
+}
+
+#[test]
+fn zero_repair_parallel_is_a_rejected_row_not_a_coerced_one() {
+    // Clamped, this point would run with a cap of 1 and print 0.
+    let reason = rejection("EXPLORE availability SWEEP repair_parallel IN [0]");
+    assert!(
+        reason.contains("axis 'repair_parallel' needs a whole number from 1")
+            && reason.contains("got 0"),
+        "{reason}"
+    );
+}
+
+#[test]
 fn zero_erasure_k_is_a_rejected_row_not_a_panic() {
     let reason = rejection("EXPLORE availability SWEEP erasure_k IN [0]");
     assert!(reason.contains("at least one data shard"), "{reason}");
@@ -281,8 +302,8 @@ fn node_count_overflow_is_a_rejected_row_not_a_panic() {
     // than overflow (a panic in debug builds, a wrapped count in release).
     for metric in ["tco_usd_per_year", "availability"] {
         for sweep in [
-            "racks IN [1e300], nodes_per_rack IN [2]",
-            "racks IN [2], nodes_per_rack IN [1e300]",
+            "racks IN [8589934592], nodes_per_rack IN [2147483648]",
+            "racks IN [2147483648], nodes_per_rack IN [8589934592]",
         ] {
             let reason = rejection(&format!("EXPLORE {metric} SWEEP {sweep}"));
             assert!(reason.contains("overflow the node count"), "{reason}");
