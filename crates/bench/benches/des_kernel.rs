@@ -55,7 +55,7 @@ fn bench_server_pool(c: &mut Criterion) {
                     let _ = p.depart(SimTime::from_secs(t));
                 }
             }
-            black_box(p.completions())
+            black_box(p.queue_len())
         });
     });
 }

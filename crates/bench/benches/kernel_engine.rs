@@ -107,6 +107,7 @@ struct Mmc {
     service: Dist,
     pool: ServerPool<()>,
     rng: wt_des::rng::Stream,
+    completions: u64,
 }
 
 impl Model for Mmc {
@@ -123,6 +124,7 @@ impl Model for Mmc {
                 }
             }
             MmcEv::Departure => {
+                self.completions += 1;
                 if self.pool.depart(now).is_some() {
                     let s = SimDuration::from_secs(self.service.sample(&mut self.rng));
                     ctx.schedule_in(s, MmcEv::Departure);
@@ -145,16 +147,13 @@ fn run_mmc(seed: u64) -> (u64, SimTime, u64) {
         service: Dist::exponential_mean(3.6), // rho = 0.9 at c = 4
         pool: ServerPool::new(4, SimTime::ZERO),
         rng: factory.stream("mmc"),
+        completions: 0,
     };
     let mut sim = Simulation::new(model);
     sim.schedule_at(SimTime::ZERO, MmcEv::Arrival);
     sim.set_event_budget(MMC_EVENTS);
     sim.run_until(SimTime::MAX, &mut NoProbe);
-    (
-        sim.events_executed(),
-        sim.now(),
-        sim.model().pool.completions(),
-    )
+    (sim.events_executed(), sim.now(), sim.model().completions)
 }
 
 // --- avail scale: the availability engine at 100k / 1M components --------

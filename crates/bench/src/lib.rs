@@ -27,7 +27,8 @@ pub fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a String> {
 }
 
 /// The value of count flag `name` in `args` (see [`knobs`]), `None` when
-/// absent. Exits with a usage error on a zero or non-numeric value.
+/// absent. Exits with a usage error on a zero, non-numeric or
+/// over-the-cap value.
 fn count_flag(args: &[String], name: &str) -> Option<usize> {
     let flag = flag_value(args, name).map(String::as_str);
     knobs::parse_count(name, flag).unwrap_or_else(|reason| {
@@ -39,7 +40,7 @@ fn count_flag(args: &[String], name: &str) -> Option<usize> {
 /// The shared `--workers N` flag: an explicit pool size when given,
 /// otherwise host cores ([`Farm::from_env`]). Either way `WT_PROGRESS`
 /// sets the heartbeat ([`Farm::with_env_heartbeat`]). Exits with a usage
-/// error on a zero or non-numeric value.
+/// error on a zero, non-numeric or over-the-cap value.
 pub fn farm_from_args(args: &[String]) -> Farm {
     count_flag(args, "--workers").map_or_else(Farm::from_env, |workers| {
         Farm::new(workers).with_env_heartbeat()

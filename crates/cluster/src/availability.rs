@@ -279,7 +279,7 @@ impl AvailabilityModel {
         let node_ttf = self.node_ttf.screened(end_s);
         for node in 0..self.n_nodes {
             let ttf = SimDuration::from_secs(node_ttf.sample(&mut rng));
-            sim.schedule_at(SimTime::ZERO + ttf, Ev::NodeFail(node));
+            sim.schedule_at(SimTime::ZERO + ttf, Ev::NodeFail(node as u32));
         }
         if let Some(sw) = &self.switches {
             assert!(
@@ -291,16 +291,20 @@ impl AvailabilityModel {
             let switch_ttf = sw.ttf.screened(end_s);
             for rack in 0..racks {
                 let ttf = SimDuration::from_secs(switch_ttf.sample(&mut sw_rng));
-                sim.schedule_at(SimTime::ZERO + ttf, Ev::SwitchFail(rack));
+                sim.schedule_at(SimTime::ZERO + ttf, Ev::SwitchFail(rack as u32));
             }
         }
         if let Some(dm) = &self.disks {
-            assert!(dm.per_node >= 1, "need at least one disk per node");
+            assert!(
+                (1..=u32::MAX as usize).contains(&dm.per_node),
+                "need from one to u32::MAX disks per node"
+            );
             let mut disk_rng = factory.stream("initial-disk-failures");
             let disk_ttf = dm.ttf.screened(end_s);
             for node in 0..self.n_nodes {
                 for slot in 0..dm.per_node {
                     let ttf = SimDuration::from_secs(disk_ttf.sample(&mut disk_rng));
+                    let (node, slot) = (node as u32, slot as u32);
                     sim.schedule_at(SimTime::ZERO + ttf, Ev::DiskFail { node, slot });
                 }
             }
@@ -313,20 +317,22 @@ impl AvailabilityModel {
             let at_s = sim.model().chaos_faults[i].at_s;
             sim.schedule_at(
                 SimTime::ZERO + SimDuration::from_secs(at_s),
-                Ev::ChaosStart(i),
+                Ev::ChaosStart(i as u32),
             );
         }
         sim
     }
 }
 
-/// Event alphabet of the availability simulation.
+/// Event alphabet of the availability simulation. Every id is a `u32`
+/// (node ids are below [`MAX_NODES`], racks fewer), so an event is 16
+/// bytes and a heap run 40.
 #[derive(Debug, Clone, Copy)]
 enum Ev {
     /// A node dies, destroying its replicas.
-    NodeFail(usize),
+    NodeFail(u32),
     /// A replaced node returns to service (empty).
-    NodeBack(usize),
+    NodeBack(u32),
     /// Detection delay elapsed: the replica `object` lost on the failed
     /// node becomes a rebuild task.
     EnqueueRebuild { object: u32 },
@@ -337,17 +343,17 @@ enum Ev {
     /// not flood the event queue with retries).
     RetryPlace { object: u32, delay_s: f64 },
     /// A top-of-rack switch dies: the rack becomes unreachable.
-    SwitchFail(usize),
+    SwitchFail(u32),
     /// A switch is repaired: the rack is reachable again.
-    SwitchBack(usize),
+    SwitchBack(u32),
     /// One disk dies, destroying the replicas in its slot.
-    DiskFail { node: usize, slot: usize },
+    DiskFail { node: u32, slot: u32 },
     /// The replaced disk is back in service (empty).
-    DiskBack { node: usize, slot: usize },
+    DiskBack { node: u32, slot: u32 },
     /// Compiled chaos fault `i` fires.
-    ChaosStart(usize),
+    ChaosStart(u32),
     /// Compiled chaos fault `i` restores/heals.
-    ChaosEnd(usize),
+    ChaosEnd(u32),
 }
 
 /// The availability engine's run state, laid out struct-of-arrays for
@@ -757,7 +763,8 @@ impl Model for AvailState<'_> {
     fn handle(&mut self, ev: Ev, ctx: &mut Ctx<'_, Ev>) {
         let now = ctx.now();
         match ev {
-            Ev::NodeFail(node) => {
+            Ev::NodeFail(id) => {
+                let node = id as usize;
                 if !self.node_up[node] {
                     return; // already down (stale event)
                 }
@@ -784,14 +791,15 @@ impl Model for AvailState<'_> {
                 self.scratch_hosted = hosted;
                 // Machine replacement.
                 let back = SimDuration::from_secs(self.node_replace_sample());
-                ctx.schedule_in(back, Ev::NodeBack(node));
+                ctx.schedule_in(back, Ev::NodeBack(id));
             }
-            Ev::NodeBack(node) => {
+            Ev::NodeBack(id) => {
+                let node = id as usize;
                 self.node_up[node] = true;
                 self.refresh_reachable(node);
                 // Next failure of the (fresh) machine.
                 let ttf = SimDuration::from_secs(self.cfg.node_ttf.sample(&mut self.rng));
-                ctx.schedule_in(ttf, Ev::NodeFail(node));
+                ctx.schedule_in(ttf, Ev::NodeFail(id));
             }
             Ev::EnqueueRebuild { object } => {
                 if self.lost[object as usize] {
@@ -855,7 +863,8 @@ impl Model for AvailState<'_> {
                     }
                 }
             }
-            Ev::SwitchFail(rack) => {
+            Ev::SwitchFail(id) => {
+                let rack = id as usize;
                 if !self.rack_up[rack] {
                     return;
                 }
@@ -871,9 +880,10 @@ impl Model for AvailState<'_> {
                 let cfg = self.cfg;
                 let sw = cfg.switches.as_ref().expect("switch event without model");
                 let back = SimDuration::from_secs(sw.repair.sample(&mut self.rng));
-                ctx.schedule_in(back, Ev::SwitchBack(rack));
+                ctx.schedule_in(back, Ev::SwitchBack(id));
             }
-            Ev::SwitchBack(rack) => {
+            Ev::SwitchBack(id) => {
+                let rack = id as usize;
                 self.rack_up[rack] = true;
                 let span = rack * self.switch_npr..(rack + 1) * self.switch_npr;
                 for n in span.clone() {
@@ -883,9 +893,10 @@ impl Model for AvailState<'_> {
                 let cfg = self.cfg;
                 let sw = cfg.switches.as_ref().expect("switch event without model");
                 let ttf = SimDuration::from_secs(sw.ttf.sample(&mut self.rng));
-                ctx.schedule_in(ttf, Ev::SwitchFail(rack));
+                ctx.schedule_in(ttf, Ev::SwitchFail(id));
             }
-            Ev::DiskFail { node, slot } => {
+            Ev::DiskFail { node: id, slot } => {
+                let node = id as usize;
                 self.disk_failures += 1;
                 let per_node = self
                     .cfg
@@ -906,7 +917,7 @@ impl Model for AvailState<'_> {
                     let mut n_hit = 0;
                     for i in 0..hosted.len() {
                         let obj = hosted[i];
-                        if slot_of(obj, node, per_node) == slot {
+                        if slot_of(obj, node, per_node) == slot as usize {
                             hosted[n_hit] = obj;
                             n_hit += 1;
                         } else {
@@ -931,7 +942,7 @@ impl Model for AvailState<'_> {
                 let cfg = self.cfg;
                 let dm = cfg.disks.as_ref().expect("checked above");
                 let back = SimDuration::from_secs(dm.replace.sample(&mut self.rng));
-                ctx.schedule_in(back, Ev::DiskBack { node, slot });
+                ctx.schedule_in(back, Ev::DiskBack { node: id, slot });
             }
             Ev::DiskBack { node, slot } => {
                 // The fresh disk carries no data; just arm its next failure.
@@ -940,7 +951,8 @@ impl Model for AvailState<'_> {
                 let ttf = SimDuration::from_secs(dm.ttf.sample(&mut self.rng));
                 ctx.schedule_in(ttf, Ev::DiskFail { node, slot });
             }
-            Ev::ChaosStart(i) => {
+            Ev::ChaosStart(id) => {
+                let i = id as usize;
                 ctx.mark(self.chaos_faults[i].mark);
                 let until = self.chaos_faults[i].until_s;
                 // Take the schedule out of `self` so the effect can be
@@ -985,10 +997,11 @@ impl Model for AvailState<'_> {
                 self.chaos_faults = faults;
                 ctx.schedule_at(
                     SimTime::ZERO + SimDuration::from_secs(until.max(now.as_secs())),
-                    Ev::ChaosEnd(i),
+                    Ev::ChaosEnd(id),
                 );
             }
-            Ev::ChaosEnd(i) => {
+            Ev::ChaosEnd(id) => {
+                let i = id as usize;
                 ctx.mark("chaos_restore");
                 let faults = std::mem::take(&mut self.chaos_faults);
                 match &faults[i].effect {
@@ -1068,6 +1081,13 @@ mod tests {
 
     const DAY: f64 = 86_400.0;
     const YEAR: f64 = 365.0 * DAY;
+
+    #[test]
+    fn events_are_at_most_sixteen_bytes() {
+        // A heap run is a 16-byte key, the event and a 4-byte overflow
+        // link: 40 bytes with a 16-byte event, 48 with a `usize` id.
+        assert!(size_of::<Ev>() <= 16, "{}", size_of::<Ev>());
+    }
 
     fn base_model() -> AvailabilityModel {
         AvailabilityModel {

@@ -30,6 +30,7 @@
 //! are opaque — nothing sorts, hashes or prints them — so which slot a
 //! request gets cannot change any output.
 
+use crate::availability::MAX_NODES;
 use crate::chaos::{ChaosConfig, CompiledFault, FaultEffect};
 use crate::results::{PerfResult, TenantPerf};
 use wt_des::prelude::*;
@@ -136,13 +137,13 @@ impl PerfModel {
             let at_s = sim.model().chaos_faults[i].at_s;
             sim.schedule_at(
                 SimTime::ZERO + SimDuration::from_secs(at_s),
-                Ev::ChaosStart { fault: i },
+                Ev::ChaosStart { fault: i as u32 },
             );
         }
         // First arrival per tenant.
         for t in 0..self.tenants.len() {
             let gap = sim.model_mut().next_arrival_gap(t);
-            sim.schedule_in(gap, Ev::Arrival { tenant: t });
+            sim.schedule_in(gap, Ev::Arrival { tenant: t as u32 });
         }
         // First failure per node, if enabled.
         if self.inject_failures {
@@ -154,30 +155,32 @@ impl PerfModel {
             let mut rng = factory.stream("perf-failures");
             for node in 0..self.topology.node_count() {
                 let ttf = SimDuration::from_secs(ttf_dist.sample(&mut rng));
-                sim.schedule_in(ttf, Ev::NodeFail { node });
+                sim.schedule_in(ttf, Ev::NodeFail { node: node as u32 });
             }
         }
         sim
     }
 }
 
-/// Event alphabet of the performance simulation.
+/// Event alphabet of the performance simulation. Every id is a `u32`
+/// (node ids are below [`MAX_NODES`]), so an event is 12 bytes and a heap
+/// run 32.
 #[derive(Debug, Clone, Copy)]
 enum Ev {
     /// Tenant issues its next request.
-    Arrival { tenant: usize },
+    Arrival { tenant: u32 },
     /// A disk service completed at `node` for request `rid`.
-    DiskDone { node: usize, rid: u32 },
+    DiskDone { node: u32, rid: u32 },
     /// A NIC transfer completed at `node` for request `rid`.
-    NicDone { node: usize, rid: u32 },
+    NicDone { node: u32, rid: u32 },
     /// Node failure (removes replicas from service, spawns repair traffic).
-    NodeFail { node: usize },
+    NodeFail { node: u32 },
     /// Node returns to service.
-    NodeBack { node: usize },
+    NodeBack { node: u32 },
     /// A compiled chaos fault fires (index into the compiled schedule).
-    ChaosStart { fault: usize },
+    ChaosStart { fault: u32 },
     /// A compiled chaos fault's effect is lifted.
-    ChaosEnd { fault: usize },
+    ChaosEnd { fault: u32 },
 }
 
 /// Per-request runtime state.
@@ -399,6 +402,10 @@ impl<'a> PerfState<'a> {
     fn new(cfg: &'a PerfModel, seed: u64, chaos_faults: Vec<CompiledFault>) -> Self {
         let topo = cfg.topology.build();
         let n = topo.node_count();
+        assert!(
+            n <= MAX_NODES,
+            "node ids are u32: nodes must be ≤ {MAX_NODES}"
+        );
         let factory = RngFactory::new(seed);
         let width = cfg.redundancy.width();
 
@@ -574,7 +581,13 @@ impl<'a> PerfState<'a> {
     fn submit_disk(&mut self, node: usize, rid: u32, ctx: &mut Ctx<'_, Ev>) {
         if let Some(started) = self.disk_pools[node].arrive(ctx.now(), rid) {
             let dur = self.disk_service(node, started);
-            ctx.schedule_in(dur, Ev::DiskDone { node, rid: started });
+            ctx.schedule_in(
+                dur,
+                Ev::DiskDone {
+                    node: node as u32,
+                    rid: started,
+                },
+            );
         }
     }
 
@@ -585,7 +598,7 @@ impl<'a> PerfState<'a> {
             ctx.schedule_in(
                 dur,
                 Ev::NicDone {
-                    node: src,
+                    node: src as u32,
                     rid: started,
                 },
             );
@@ -797,16 +810,23 @@ impl Model for PerfState<'_> {
         match ev {
             Ev::Arrival { tenant } => {
                 // Schedule the next arrival first (open loop).
-                let gap = self.next_arrival_gap(tenant);
+                let gap = self.next_arrival_gap(tenant as usize);
                 ctx.schedule_in(gap, Ev::Arrival { tenant });
-                self.handle_arrival(tenant, now, ctx);
+                self.handle_arrival(tenant as usize, now, ctx);
             }
 
-            Ev::DiskDone { node, rid } => {
+            Ev::DiskDone { node: id, rid } => {
+                let node = id as usize;
                 // Free the disk and start the next queued job.
                 if let Some(next) = self.disk_pools[node].depart(now) {
                     let dur = self.disk_service(node, next);
-                    ctx.schedule_in(dur, Ev::DiskDone { node, rid: next });
+                    ctx.schedule_in(
+                        dur,
+                        Ev::DiskDone {
+                            node: id,
+                            rid: next,
+                        },
+                    );
                 }
                 let req = self.reqs.get_mut(rid);
                 req.pending_disks = req.pending_disks.saturating_sub(1);
@@ -821,10 +841,17 @@ impl Model for PerfState<'_> {
                 }
             }
 
-            Ev::NicDone { node, rid } => {
+            Ev::NicDone { node: id, rid } => {
+                let node = id as usize;
                 if let Some(next) = self.nic_pools[node].depart(now) {
                     let dur = self.nic_service(node, next);
-                    ctx.schedule_in(dur, Ev::NicDone { node, rid: next });
+                    ctx.schedule_in(
+                        dur,
+                        Ev::NicDone {
+                            node: id,
+                            rid: next,
+                        },
+                    );
                 }
                 let req = self.reqs.get(rid);
                 if req.tenant == REPAIR_TENANT {
@@ -844,10 +871,10 @@ impl Model for PerfState<'_> {
             }
 
             Ev::NodeFail { node } => {
-                if !self.node_up[node] {
+                if !self.node_up[node as usize] {
                     return;
                 }
-                self.node_up[node] = false;
+                self.node_up[node as usize] = false;
                 self.node_failures += 1;
                 self.spawn_repair_traffic(now, ctx);
                 let back = self.cfg.topology.node.repair.sample(&mut self.rng);
@@ -855,14 +882,15 @@ impl Model for PerfState<'_> {
             }
 
             Ev::NodeBack { node } => {
-                self.node_up[node] = true;
+                self.node_up[node as usize] = true;
                 let cfg = self.cfg;
                 let ttf_dist = cfg.node_ttf.as_ref().unwrap_or(&cfg.topology.node.ttf);
                 let ttf = ttf_dist.sample(&mut self.rng);
                 ctx.schedule_in(SimDuration::from_secs(ttf), Ev::NodeFail { node });
             }
 
-            Ev::ChaosStart { fault } => {
+            Ev::ChaosStart { fault: id } => {
+                let fault = id as usize;
                 ctx.mark(self.chaos_faults[fault].mark);
                 let until = self.chaos_faults[fault].until_s;
                 // Borrow the effect in place (it lives in `chaos_faults`,
@@ -899,11 +927,12 @@ impl Model for PerfState<'_> {
                 }
                 ctx.schedule_at(
                     SimTime::ZERO + SimDuration::from_secs(until.max(now.as_secs())),
-                    Ev::ChaosEnd { fault },
+                    Ev::ChaosEnd { fault: id },
                 );
             }
 
-            Ev::ChaosEnd { fault } => {
+            Ev::ChaosEnd { fault: id } => {
+                let fault = id as usize;
                 ctx.mark("chaos_restore");
                 let npr = self.cfg.topology.nodes_per_rack.max(1);
                 let count = self.chaos_down.len();
@@ -963,6 +992,13 @@ mod tests {
             horizon_s: 120.0,
             chaos: None,
         }
+    }
+
+    #[test]
+    fn events_are_at_most_twelve_bytes() {
+        // A heap run is a 16-byte key, the event and a 4-byte overflow
+        // link: 32 bytes with a 12-byte event, 40 with a `usize` id.
+        assert!(size_of::<Ev>() <= 12, "{}", size_of::<Ev>());
     }
 
     #[test]

@@ -16,6 +16,17 @@
 //! time closes it into the heap. A pop takes from whichever of it and
 //! the heap top has the smaller key.
 //!
+//! # The run key
+//!
+//! A run's key is one integer, compared as a `u128`: the first push's
+//! time as order-preserving bits (the sign bit flipped for a positive
+//! time, every bit for a negative one, so unsigned order is `f64` order)
+//! over its `seq << 1`. `-0.0` is folded into `+0.0`, which it equals as
+//! an `f64`, and bit 0 records it, so the pop returns the time bit for
+//! bit as it was pushed. Sequence numbers are unique, so bit 0 never
+//! decides an order. The heap stores no `SimTime`, and a sift step is two
+//! integer compares with no float compare or NaN check.
+//!
 //! # The `(time, seq)` contract
 //!
 //! Determinism rests on one rule: **events pop in ascending `(time, seq)`
@@ -63,14 +74,33 @@ use std::collections::BinaryHeap;
 /// Null index into the overflow arena.
 const NONE: u32 = u32::MAX;
 
+/// The `f64` sign bit.
+const SIGN: u64 = 1 << 63;
+
+/// `time`'s order-preserving bits, with `-0.0` folded into `+0.0`, and
+/// whether it was `-0.0`. Unsigned order of the bits is the times' `f64`
+/// order (NaN never reaches a `SimTime`).
+#[inline]
+fn time_key(time: SimTime) -> (u64, bool) {
+    let bits = time.as_secs().to_bits();
+    let neg_zero = bits == SIGN;
+    let bits = if neg_zero { 0 } else { bits };
+    // Flip every bit of a negative time, only the sign bit of a positive.
+    let flip = ((bits as i64 >> 63) as u64) | SIGN;
+    (bits ^ flip, neg_zero)
+}
+
 /// A run of equal-time events, keyed by its first push's `(time, seq)`.
 ///
 /// Only the key orders the heap. The next event and the overflow link
 /// sit in `Cell`s, so the run at the heap top drains through a shared
-/// reference and the heap never re-sifts it.
+/// reference and the heap never re-sifts it. The key is two `u64`s, not
+/// a `u128`, so a run aligns to 8 bytes, not 16.
 struct Run<E> {
-    time: SimTime,
-    seq: u64,
+    /// The first push's time, as [`time_key`] bits.
+    time_bits: u64,
+    /// The first push's `seq << 1`; bit 0 is set when its time is `-0.0`.
+    seq_bits: u64,
     /// The run's next event to pop.
     head: Cell<E>,
     /// The overflow slot holding the event after `head`, or `NONE`.
@@ -78,19 +108,46 @@ struct Run<E> {
 }
 
 impl<E> Run<E> {
-    fn new(time: SimTime, seq: u64, event: E) -> Self {
+    fn new((time_bits, neg_zero): (u64, bool), seq: u64, event: E) -> Self {
+        // `seq` counts pushes, so it never reaches 2^63 and the shift
+        // loses nothing.
         Run {
-            time,
-            seq,
+            time_bits,
+            seq_bits: seq << 1 | u64::from(neg_zero),
             head: Cell::new(event),
             rest: Cell::new(NONE),
         }
+    }
+
+    /// The heap key: time bits over sequence bits.
+    #[inline]
+    fn key(&self) -> u128 {
+        u128::from(self.time_bits) << 64 | u128::from(self.seq_bits)
+    }
+
+    /// True when a push at `time` (as [`time_key`] returns it) is at
+    /// this run's time, bit for bit.
+    #[inline]
+    fn at(&self, (time_bits, neg_zero): (u64, bool)) -> bool {
+        self.time_bits == time_bits && self.seq_bits & 1 == u64::from(neg_zero)
+    }
+
+    /// The first push's time, bit for bit.
+    #[inline]
+    fn time(&self) -> SimTime {
+        let bits = if self.seq_bits & 1 == 1 {
+            SIGN
+        } else {
+            // Undo `time_key`'s flip: the sign bit is set for a positive time.
+            self.time_bits ^ (!((self.time_bits as i64 >> 63) as u64) | SIGN)
+        };
+        SimTime::from_secs(f64::from_bits(bits))
     }
 }
 
 impl<E> PartialEq for Run<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.key() == other.key()
     }
 }
 impl<E> Eq for Run<E> {}
@@ -102,12 +159,10 @@ impl<E> PartialOrd for Run<E> {
 }
 
 impl<E> Ord for Run<E> {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
+        other.key().cmp(&self.key())
     }
 }
 
@@ -211,12 +266,9 @@ impl<E> EventQueue<E> {
             return seq;
         }
         self.stored += 1;
-        let joins = self
-            .open
-            .as_ref()
-            .is_some_and(|run| run.time.as_secs().to_bits() == time.as_secs().to_bits());
-        if !joins {
-            if let Some(closed) = self.open.replace(Run::new(time, seq, event)) {
+        let key = time_key(time);
+        if !self.open.as_ref().is_some_and(|run| run.at(key)) {
+            if let Some(closed) = self.open.replace(Run::new(key, seq, event)) {
                 self.heap.push(closed);
             }
             self.open_tail = NONE;
@@ -257,10 +309,10 @@ impl<E> EventQueue<E> {
 
     /// True when the open run, not the heap top, holds the earliest
     /// stored event. Every closed run started before the open one, so a
-    /// tie in time goes to the heap.
+    /// closed run wins a tie in time on its smaller sequence number.
     fn open_first(&self) -> bool {
         match (&self.open, self.heap.peek()) {
-            (Some(open), Some(top)) => open.time < top.time,
+            (Some(open), Some(top)) => open.key() < top.key(),
             (open, _) => open.is_some(),
         }
     }
@@ -287,14 +339,14 @@ impl<E> EventQueue<E> {
             if from_open && run.rest.get() == NONE {
                 self.open_tail = NONE;
             }
-            return Some((run.time, run.head.replace(next)));
+            return Some((run.time(), run.head.replace(next)));
         }
         let run = if from_open {
             self.open.take()
         } else {
             self.heap.pop()
         };
-        run.map(|r| (r.time, r.head.into_inner()))
+        run.map(|r| (r.time(), r.head.into_inner()))
     }
 
     /// The firing time of the earliest pending event: the earliest stored
@@ -305,7 +357,7 @@ impl<E> EventQueue<E> {
         } else {
             self.heap.peek()
         };
-        front.map(|r| r.time).or(self.earliest_parked)
+        front.map(Run::time).or(self.earliest_parked)
     }
 
     /// Number of pending events, parked ones included.
@@ -445,6 +497,44 @@ mod tests {
     }
 
     #[test]
+    fn extreme_times_pop_bit_for_bit_in_time_seq_order() {
+        let sub = f64::from_bits(1); // the smallest positive subnormal
+        let pushes = [
+            f64::MAX,
+            -0.0,
+            -0.0,
+            f64::INFINITY,
+            -sub,
+            0.0,
+            f64::NEG_INFINITY,
+            sub,
+            -f64::MAX,
+            -0.0,
+            0.0,
+        ];
+        let mut q = EventQueue::new();
+        for (seq, &secs) in pushes.iter().enumerate() {
+            assert_eq!(q.push(t(secs), seq), seq as u64);
+        }
+        // +inf lies past the undeclared horizon (`SimTime::MAX`): parked.
+        assert_eq!((q.len(), q.parked()), (pushes.len(), 1));
+        let mut want: Vec<(f64, usize)> = pushes
+            .iter()
+            .copied()
+            .zip(0..)
+            .filter(|&(secs, _)| secs != f64::INFINITY)
+            .collect();
+        // `-0.0 == 0.0`, so the zeros keep push order among themselves.
+        want.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
+        for (secs, seq) in want {
+            let (time, got) = q.pop().expect("a stored event");
+            assert_eq!((time.as_secs().to_bits(), got), (secs.to_bits(), seq));
+        }
+        assert_eq!(q.pop(), None);
+        assert_eq!(q.peek_time(), Some(t(f64::INFINITY)));
+    }
+
+    #[test]
     #[should_panic(expected = "declare the horizon before the first event")]
     fn declaring_a_horizon_after_scheduling_panics() {
         let mut q = EventQueue::new();
@@ -459,8 +549,9 @@ mod proptests {
     use proptest::prelude::*;
 
     /// Push times for the reference model: few, so ties are common, with
-    /// both signed zeros and times past every horizon it declares.
-    const TIMES: [f64; 6] = [0.0, -0.0, 1.0, 2.0, 3.0, 7.0];
+    /// both signed zeros, negative times, the smallest subnormal and
+    /// times past every horizon it declares.
+    const TIMES: [f64; 9] = [0.0, -0.0, 1.0, 2.0, 3.0, 7.0, -2.5, -1.0, 5e-324];
 
     /// One step of the reference-model check.
     #[derive(Debug, Clone)]

@@ -1,12 +1,19 @@
 //! A multi-server FIFO resource, the workhorse of queueing models.
 //!
 //! [`ServerPool`] does the bookkeeping every queueing station needs — busy
-//! servers, waiting jobs, waiting-time and queue-length statistics — while
-//! leaving event scheduling to the caller: when `arrive` or `depart` hands a
-//! job back, the caller draws a service time and schedules the completion
-//! event. This keeps the pool reusable across every model event alphabet.
+//! servers, waiting jobs, and the time-weighted busy level behind
+//! [`utilization`](ServerPool::utilization) — while leaving event
+//! scheduling to the caller: when `arrive` or `depart` hands a job back,
+//! the caller draws a service time and schedules the completion event.
+//! This keeps the pool reusable across every model event alphabet.
+//!
+//! The pool keeps no other statistic, since the perf engine runs one per
+//! disk array and NIC and reads only utilization. A model that wants
+//! waiting times or queue length (`wt_bench::queuesim`) makes its job the
+//! enqueue time and keeps its own tally and gauge, updated where
+//! `arrive` and `depart` return.
 
-use crate::stats::{Tally, TimeWeighted};
+use crate::stats::TimeWeighted;
 use crate::time::SimTime;
 use std::collections::VecDeque;
 
@@ -15,12 +22,8 @@ use std::collections::VecDeque;
 pub struct ServerPool<T> {
     servers: usize,
     busy: usize,
-    queue: VecDeque<(SimTime, T)>,
-    queue_len: TimeWeighted,
+    queue: VecDeque<T>,
     busy_level: TimeWeighted,
-    waits: Tally,
-    arrivals: u64,
-    completions: u64,
 }
 
 impl<T> ServerPool<T> {
@@ -31,42 +34,32 @@ impl<T> ServerPool<T> {
             servers,
             busy: 0,
             queue: VecDeque::new(),
-            queue_len: TimeWeighted::new(start, 0.0),
             busy_level: TimeWeighted::new(start, 0.0),
-            waits: Tally::new(),
-            arrivals: 0,
-            completions: 0,
         }
     }
 
     /// A job arrives at `now`. If a server is free the job starts service
-    /// immediately and is returned (wait = 0); otherwise it queues and `None`
-    /// is returned.
+    /// immediately and is returned; otherwise it queues and `None` is
+    /// returned.
     #[must_use = "a returned job must have its completion scheduled"]
     pub fn arrive(&mut self, now: SimTime, job: T) -> Option<T> {
-        self.arrivals += 1;
         if self.busy < self.servers {
             self.busy += 1;
             self.busy_level.set(now, self.busy as f64);
-            self.waits.record(0.0);
             Some(job)
         } else {
-            self.queue.push_back((now, job));
-            self.queue_len.set(now, self.queue.len() as f64);
+            self.queue.push_back(job);
             None
         }
     }
 
     /// A job finishes service at `now`, freeing its server. If a job was
-    /// waiting, it starts service and is returned (its wait is recorded);
-    /// otherwise the server idles and `None` is returned.
+    /// waiting, it starts service and is returned; otherwise the server
+    /// idles and `None` is returned.
     #[must_use = "a returned job must have its completion scheduled"]
     pub fn depart(&mut self, now: SimTime) -> Option<T> {
         assert!(self.busy > 0, "depart with no busy server");
-        self.completions += 1;
-        if let Some((enq, job)) = self.queue.pop_front() {
-            self.queue_len.set(now, self.queue.len() as f64);
-            self.waits.record(now.since(enq).as_secs());
+        if let Some(job) = self.queue.pop_front() {
             // Server stays busy with the next job.
             Some(job)
         } else {
@@ -89,26 +82,6 @@ impl<T> ServerPool<T> {
     /// Total configured servers.
     pub fn servers(&self) -> usize {
         self.servers
-    }
-
-    /// Total arrivals seen.
-    pub fn arrivals(&self) -> u64 {
-        self.arrivals
-    }
-
-    /// Total completions seen.
-    pub fn completions(&self) -> u64 {
-        self.completions
-    }
-
-    /// Waiting-time statistics (time in queue, excluding service).
-    pub fn waits(&self) -> &Tally {
-        &self.waits
-    }
-
-    /// Time-averaged queue length over `[start, now]`.
-    pub fn avg_queue_len(&self, now: SimTime) -> f64 {
-        self.queue_len.average(now)
     }
 
     /// Time-averaged number of busy servers (utilization × servers).
@@ -139,16 +112,15 @@ mod tests {
         assert_eq!(p.arrive(t(1.0), 2), None);
         assert_eq!(p.arrive(t(2.0), 3), None);
         assert_eq!(p.queue_len(), 2);
-        // Job 1 departs at t=5; job 2 starts having waited 4s.
+        // Job 1 departs at t=5; job 2 starts.
         assert_eq!(p.depart(t(5.0)), Some(2));
-        // Job 2 departs at t=7; job 3 waited 5s.
+        assert_eq!(p.queue_len(), 1);
+        // Job 2 departs at t=7; job 3 starts.
         assert_eq!(p.depart(t(7.0)), Some(3));
         assert_eq!(p.depart(t(8.0)), None);
         assert_eq!(p.busy(), 0);
-        // Waits: 0 (job1), 4 (job2), 5 (job3).
-        assert!((p.waits().mean() - 3.0).abs() < 1e-12);
-        assert_eq!(p.completions(), 3);
-        assert_eq!(p.arrivals(), 3);
+        // One server busy from 0 to 8 of 10 observed seconds.
+        assert!((p.utilization(t(10.0)) - 0.8).abs() < 1e-12);
     }
 
     #[test]
@@ -177,16 +149,5 @@ mod tests {
     fn depart_on_idle_pool_panics() {
         let mut p: ServerPool<()> = ServerPool::new(1, t(0.0));
         let _ = p.depart(t(1.0));
-    }
-
-    #[test]
-    fn avg_queue_len() {
-        let mut p: ServerPool<u8> = ServerPool::new(1, t(0.0));
-        let _ = p.arrive(t(0.0), 0);
-        let _ = p.arrive(t(0.0), 1); // queued at t=0
-        let _ = p.depart(t(10.0)); // queue empties at t=10
-        let _ = p.depart(t(20.0));
-        // Queue length 1 for 10s over 20s = 0.5.
-        assert!((p.avg_queue_len(t(20.0)) - 0.5).abs() < 1e-12);
     }
 }

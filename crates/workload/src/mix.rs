@@ -82,6 +82,30 @@ impl Mix {
         }
     }
 
+    /// Checks what [`make_zipf`](Self::make_zipf) and
+    /// [`draw_kind`](Self::draw_kind) assert on: at least one key, a
+    /// finite `key_skew` in [0, 1), and finite, non-negative weights with
+    /// a positive, finite sum.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.keys == 0 {
+            return Err("a mix needs at least one key".into());
+        }
+        if !(0.0..1.0).contains(&self.key_skew) {
+            return Err(format!("key_skew must be in [0, 1), got {}", self.key_skew));
+        }
+        let weights = [self.read_weight, self.write_weight, self.scan_weight];
+        let total: f64 = weights.iter().sum();
+        if weights.iter().any(|w| !w.is_finite() || *w < 0.0) || !(total > 0.0 && total.is_finite())
+        {
+            return Err(format!(
+                "mix weights must be finite and non-negative with a positive sum, \
+                 got read {}, write {}, scan {}",
+                self.read_weight, self.write_weight, self.scan_weight
+            ));
+        }
+        Ok(())
+    }
+
     /// Draws the next operation kind.
     pub fn draw_kind(&self, rng: &mut Stream) -> OpKind {
         let total = self.read_weight + self.write_weight + self.scan_weight;
@@ -171,6 +195,33 @@ mod tests {
             .sum::<f64>()
             / scans as f64;
         assert!(avg_scan > 10.0 * 1024.0 * 1024.0, "avg scan {avg_scan}");
+    }
+
+    #[test]
+    fn validate_names_what_the_sampler_would_assert_on() {
+        assert_eq!(Mix::ycsb_a(10).validate(), Ok(()));
+        assert_eq!(Mix::scan_heavy(1).validate(), Ok(()));
+        let bad = |edit: fn(&mut Mix)| {
+            let mut mix = Mix::ycsb_a(10);
+            edit(&mut mix);
+            mix.validate().unwrap_err()
+        };
+        assert!(bad(|m| m.keys = 0).contains("at least one key"));
+        for skew in [1.0, -0.5, f64::NAN, f64::INFINITY] {
+            let mut mix = Mix::ycsb_a(10);
+            mix.key_skew = skew;
+            let err = mix.validate().unwrap_err();
+            assert!(err.contains("key_skew must be in [0, 1)"), "{err}");
+        }
+        for edit in [
+            (|m: &mut Mix| m.read_weight = -1.0) as fn(&mut Mix),
+            |m| m.write_weight = f64::NAN,
+            |m| m.scan_weight = f64::INFINITY,
+            |m| (m.read_weight, m.write_weight) = (0.0, 0.0),
+            |m| (m.read_weight, m.write_weight) = (f64::MAX, f64::MAX),
+        ] {
+            assert!(bad(edit).contains("mix weights must be finite"));
+        }
     }
 
     #[test]

@@ -5,19 +5,27 @@
 //! databases", SIGMOD'94) constant-time Zipf sampler that YCSB popularized,
 //! for exponent `theta ∈ [0, 1)`, plus a scrambled variant that decouples
 //! popularity rank from key locality.
+//!
+//! Building a sampler needs ζ(n, θ), a sum of up to 10⁶ `powf` terms,
+//! and a sweep builds one sampler per tenant and run. Each `(n, θ)` is
+//! summed once per process and memoised, so every later sampler over the
+//! same keyspace reuses the identical `f64`. The draw itself does no
+//! `powf` for the two hottest ranks.
 
-use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
+use std::sync::{Mutex, OnceLock, PoisonError};
 use wt_des::rng::Stream;
 
 /// A Zipf(θ) sampler over `{0, 1, …, n−1}` where rank 0 is the hottest key.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Zipf {
     n: u64,
     theta: f64,
     alpha: f64,
     zetan: f64,
     eta: f64,
-    zeta2: f64,
+    /// `1 + 0.5^θ`: a scaled draw below it (and at least 1) is rank 1.
+    rank1_below: f64,
 }
 
 impl Zipf {
@@ -26,7 +34,7 @@ impl Zipf {
     pub fn new(n: u64, theta: f64) -> Self {
         assert!(n >= 1, "need at least one item");
         assert!((0.0..1.0).contains(&theta), "theta must be in [0, 1)");
-        let zetan = zeta(n, theta);
+        let zetan = memo_zeta(n, theta);
         let zeta2 = zeta(2.min(n), theta);
         let alpha = 1.0 / (1.0 - theta);
         let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan);
@@ -36,7 +44,7 @@ impl Zipf {
             alpha,
             zetan,
             eta,
-            zeta2,
+            rank1_below: 1.0 + 0.5f64.powf(theta),
         }
     }
 
@@ -60,7 +68,7 @@ impl Zipf {
         if uz < 1.0 {
             return 0;
         }
-        if uz < 1.0 + 0.5f64.powf(self.theta) {
+        if uz < self.rank1_below {
             return 1;
         }
         let rank = (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
@@ -80,12 +88,20 @@ impl Zipf {
         assert!(i < self.n);
         1.0 / ((i + 1) as f64).powf(self.theta) / self.zetan
     }
+}
 
-    /// Internal consistency value (exposed for tests).
-    #[doc(hidden)]
-    pub fn zeta2(&self) -> f64 {
-        self.zeta2
-    }
+/// [`zeta`], summed once per `(n, θ)` bit pattern in this process. The
+/// lock is held while a new sum runs, so threads that want the same
+/// keyspace at once wait for one sum instead of each doing it.
+fn memo_zeta(n: u64, theta: f64) -> f64 {
+    static MEMO: OnceLock<Mutex<HashMap<(u64, u64), f64>>> = OnceLock::new();
+    let mut memo = MEMO
+        .get_or_init(Mutex::default)
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    *memo
+        .entry((n, theta.to_bits()))
+        .or_insert_with(|| zeta(n, theta))
 }
 
 /// Generalized harmonic number Σ_{i=1..n} i^{−θ}.
@@ -197,6 +213,22 @@ mod tests {
         assert_ne!(hot, 0);
         let frac = hits as f64 / 100_000.0;
         assert!((frac - z.prob(0)).abs() < 0.02);
+    }
+
+    #[test]
+    fn memoised_zeta_is_the_direct_sum() {
+        // The last keyspace takes the tail path. Four threads build each
+        // sampler at once, so they race for the same memo entry.
+        for (n, theta) in [(1_000_000, 0.99), (1_000_000, 0.0), (2_000_000, 0.5)] {
+            let built: Vec<Zipf> = std::thread::scope(|s| {
+                let threads: Vec<_> = (0..4).map(|_| s.spawn(|| Zipf::new(n, theta))).collect();
+                threads.into_iter().map(|t| t.join().unwrap()).collect()
+            });
+            let direct = zeta(n, theta).to_bits();
+            for z in built {
+                assert_eq!(z.zetan.to_bits(), direct, "n {n}, theta {theta}");
+            }
+        }
     }
 
     #[test]

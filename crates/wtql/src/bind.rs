@@ -184,19 +184,26 @@ pub fn apply_assignment(
 /// negative or a value past the type is rejected rather than cast, so a
 /// point never runs a configuration other than the one its row prints.
 fn whole<T: TryFrom<u64>>(axis: &str, value: &ParamValue, min: u64) -> Result<T, WtqlError> {
+    value
+        .as_num()
+        .and_then(|x| whole_number(x, min))
+        .ok_or_else(|| {
+            WtqlError::Semantic(format!(
+                "axis '{axis}' needs a whole number from {min} to {}, got {value}",
+                u64::MAX
+            ))
+        })
+}
+
+/// `x` as a `T` when it is a whole number of at least `min` that fits.
+fn whole_number<T: TryFrom<u64>>(x: f64, min: u64) -> Option<T> {
     // 2^64: the first f64 past u64::MAX.
     const U64_END: f64 = 18_446_744_073_709_551_616.0;
-    if let Some(x) = value.as_num() {
-        if x.fract() == 0.0 && x >= min as f64 && x < U64_END {
-            if let Ok(n) = T::try_from(x as u64) {
-                return Ok(n);
-            }
-        }
+    if x.fract() == 0.0 && x >= min as f64 && x < U64_END {
+        T::try_from(x as u64).ok()
+    } else {
+        None
     }
-    Err(WtqlError::Semantic(format!(
-        "axis '{axis}' needs a whole number from {min} to {}, got {value}",
-        u64::MAX
-    )))
 }
 
 /// An erasure scheme, or the stripe-shape error its constructor would
@@ -308,6 +315,19 @@ pub fn resolve_injection(
                 ))
             })
     };
+    // Rack, node and count arguments: whole numbers, checked as integer
+    // axes are, so a point never runs a fault other than the one its row
+    // prints.
+    let count = |key: &str| -> Result<usize, WtqlError> {
+        let x = num(key)?;
+        whole_number(x, 0).ok_or_else(|| {
+            WtqlError::Semantic(format!(
+                "INJECT {} argument '{key}' needs a whole number from 0 to {}, got {x}",
+                inj.kind,
+                u64::MAX
+            ))
+        })
+    };
     let at_s = resolved
         .iter()
         .find(|(k, _)| k == "at")
@@ -315,17 +335,17 @@ pub fn resolve_injection(
         .unwrap_or(0.0);
     let fault = match inj.kind.as_str() {
         "power_loss" => FaultKind::PowerDomainLoss {
-            first_rack: num("first_rack")? as usize,
-            racks: num("racks")? as usize,
+            first_rack: count("first_rack")?,
+            racks: count("racks")?,
             restore_s: num("restore")?,
         },
         "tor_death" => FaultKind::TorDeath {
-            rack: num("rack")? as usize,
+            rack: count("rack")?,
             repair_s: num("repair")?,
         },
         "agg_partition" => FaultKind::AggPartition {
-            first_rack: num("first_rack")? as usize,
-            racks: num("racks")? as usize,
+            first_rack: count("first_rack")?,
+            racks: count("racks")?,
             heal_s: num("heal")?,
         },
         "gray_storm" => {
@@ -352,20 +372,20 @@ pub fn resolve_injection(
                     probability: num("probability")?,
                     slowdown: Dist::deterministic(num("slowdown")?),
                 },
-                center_rack: num("center_rack")? as usize,
-                radius_racks: num("radius")? as usize,
+                center_rack: count("center_rack")?,
+                radius_racks: count("radius")?,
                 duration_s: num("duration")?,
             }
         }
         "maintenance" => FaultKind::MaintenanceWindow {
-            first_node: num("first_node")? as usize,
-            nodes: num("nodes")? as usize,
+            first_node: count("first_node")?,
+            nodes: count("nodes")?,
             duration_s: num("duration")?,
         },
         "repair_throttle" => FaultKind::RepairThrottle {
-            max_parallel: num("max_parallel")? as usize,
+            max_parallel: count("max_parallel")?,
             duration_s: num("duration")?,
-            breaker_pending: num("breaker_pending")? as usize,
+            breaker_pending: count("breaker_pending")?,
         },
         other => {
             return Err(WtqlError::Semantic(format!(

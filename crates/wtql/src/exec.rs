@@ -792,10 +792,11 @@ fn screen_constraint(c: &Constraint, scenario: &Scenario, opts: &ExecOptions) ->
 /// schedule, and the assignment itself as the scenario name. A node
 /// count that overflows is a semantic error for every query, since every
 /// row prices the hardware; so is a point an engine the query needs
-/// would assert on: a placement the placer cannot build or a node
-/// without disks (either engine), a topology that does not build (the
-/// perf engine), or more nodes, a wider redundancy scheme or more
-/// objects than the availability engine can model.
+/// would assert on: a placement the placer cannot build, a node without
+/// disks or more nodes than `u32` ids hold (either engine), a topology
+/// that does not build or a tenant mix the sampler rejects (the perf
+/// engine), or a wider redundancy scheme or more objects than the
+/// availability engine can model.
 fn build_scenario(
     query: &Query,
     base: &Scenario,
@@ -827,6 +828,12 @@ fn build_scenario(
     let runs_perf = needs_perf && !scenario.tenants.is_empty();
     if runs_perf {
         scenario.topology.validate().map_err(WtqlError::Semantic)?;
+        for tenant in &scenario.tenants {
+            tenant
+                .mix
+                .validate()
+                .map_err(|e| WtqlError::Semantic(format!("tenant '{}': {e}", tenant.name)))?;
+        }
     }
     let width = scenario.redundancy.width();
     if needs_avail || runs_perf {
@@ -835,9 +842,10 @@ fn build_scenario(
             return Err(WtqlError::Semantic("a node needs at least one disk".into()));
         }
     }
-    if needs_avail && nodes > MAX_NODES {
+    if (needs_avail || runs_perf) && nodes > MAX_NODES {
+        let engine = if needs_avail { "availability" } else { "perf" };
         return Err(WtqlError::Semantic(format!(
-            "{nodes} nodes exceed the availability engine's cap of {MAX_NODES}"
+            "{nodes} nodes exceed the {engine} engine's cap of {MAX_NODES}"
         )));
     }
     if needs_avail && width > MAX_WIDTH {

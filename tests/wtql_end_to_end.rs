@@ -335,6 +335,93 @@ fn objects_past_u32_ids_only_stop_the_availability_engine() {
 }
 
 #[test]
+fn oversized_perf_point_is_a_rejected_row_not_a_panic() {
+    // The perf engine's event ids are u32 too: 5,368,709,120 nodes (40
+    // per rack fits the ToR) would wrap them.
+    let reason = rejection("EXPLORE shop_p95_s SWEEP racks IN [134217728], nodes_per_rack IN [40]");
+    assert!(
+        reason.contains("5368709120 nodes exceed the perf engine's cap of 4294967295"),
+        "{reason}"
+    );
+}
+
+#[test]
+fn skew_of_one_is_a_rejected_row_not_a_panic() {
+    // The Zipf sampler asserts a skew below 1.
+    let mut base = tenant_base();
+    base.tenants[0].mix.key_skew = 1.0;
+    let reason = rejection_on(&base, "EXPLORE shop_p95_s SWEEP replication IN [3]");
+    assert!(
+        reason.contains("tenant 'shop': key_skew must be in [0, 1), got 1"),
+        "{reason}"
+    );
+}
+
+#[test]
+fn empty_keyspace_is_a_rejected_row_not_a_panic() {
+    // The Zipf sampler asserts at least one key.
+    let mut base = tenant_base();
+    base.tenants[0].mix.keys = 0;
+    let reason = rejection_on(&base, "EXPLORE shop_p95_s SWEEP replication IN [3]");
+    assert!(
+        reason.contains("tenant 'shop': a mix needs at least one key"),
+        "{reason}"
+    );
+}
+
+#[test]
+fn fractional_inject_count_is_a_rejected_row_not_a_truncated_one() {
+    // Truncated, `racks = 1.9` would cut power to one rack and print 1.9.
+    // The base is the `wtql` binary's default; whole counts keep their
+    // numbers.
+    let base = ScenarioBuilder::new("wtql-base")
+        .racks(3)
+        .nodes_per_rack(10)
+        .objects(1_000)
+        .object_gb(4.0)
+        .horizon_years(0.25)
+        .seed(42)
+        .build();
+    let query = parse(
+        "EXPLORE availability, unavailability_events
+         SWEEP blast IN [1, 2, 1.9]
+         INJECT power_loss(at = 1000000, first_rack = 0, racks = blast, restore = 86400)",
+    )
+    .expect("parses");
+    let out = run_query(&query, &base, &WindTunnel::new(), &ExecOptions::default()).expect("runs");
+    let row = |blast: f64| {
+        out.rows
+            .iter()
+            .find(|r| r.assignment[0].1.as_num() == Some(blast))
+            .expect("one row per value")
+    };
+    let fractional = row(1.9);
+    assert!(
+        fractional.metrics.is_empty() && fractional.sim_events_executed == 0,
+        "{fractional:?}"
+    );
+    let reason = fractional
+        .rejected
+        .as_deref()
+        .expect("rejected with a reason");
+    assert!(
+        reason.contains("INJECT power_loss argument 'racks' needs a whole number")
+            && reason.contains("got 1.9"),
+        "{reason}"
+    );
+    for (blast, availability, events) in [(1.0, "0.997282", 248.0), (2.0, "0.992033", 727.0)] {
+        let whole = row(blast);
+        assert!(whole.rejected.is_none(), "{whole:?}");
+        assert_eq!(
+            format!("{:.6}", whole.metrics["availability"]),
+            availability
+        );
+        assert_eq!(whole.metrics["unavailability_events"], events);
+    }
+    assert_eq!(out.executed, 2);
+}
+
+#[test]
 fn points_are_rejected_only_for_engines_the_query_needs() {
     let run = |text: &str| {
         let query = parse(text).expect("parses");
