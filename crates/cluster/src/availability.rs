@@ -273,7 +273,8 @@ impl AvailabilityModel {
         let mut sim = Simulation::new(AvailState::new(self, seed, chaos_faults));
         sim.declare_horizon(end);
         let end_s = end.as_secs();
-        // Seed each node's first failure.
+        // Seed each node's first failure. `AvailState::new` checked that
+        // node ids, and so rack ids, fit in u32.
         let factory = RngFactory::new(seed);
         let mut rng = factory.stream("initial-failures");
         let node_ttf = self.node_ttf.screened(end_s);
@@ -317,7 +318,7 @@ impl AvailabilityModel {
             let at_s = sim.model().chaos_faults[i].at_s;
             sim.schedule_at(
                 SimTime::ZERO + SimDuration::from_secs(at_s),
-                Ev::ChaosStart(i as u32),
+                Ev::ChaosStart(u32::try_from(i).expect("fault ids fit in u32")),
             );
         }
         sim

@@ -137,15 +137,19 @@ impl PerfModel {
             let at_s = sim.model().chaos_faults[i].at_s;
             sim.schedule_at(
                 SimTime::ZERO + SimDuration::from_secs(at_s),
-                Ev::ChaosStart { fault: i as u32 },
+                Ev::ChaosStart {
+                    fault: u32::try_from(i).expect("fault ids fit in u32"),
+                },
             );
         }
         // First arrival per tenant.
         for t in 0..self.tenants.len() {
             let gap = sim.model_mut().next_arrival_gap(t);
-            sim.schedule_in(gap, Ev::Arrival { tenant: t as u32 });
+            let tenant = u32::try_from(t).expect("tenant ids fit in u32");
+            sim.schedule_in(gap, Ev::Arrival { tenant });
         }
-        // First failure per node, if enabled.
+        // First failure per node, if enabled. `PerfState::new` checked
+        // that node ids fit in u32.
         if self.inject_failures {
             let ttf_dist = self
                 .node_ttf

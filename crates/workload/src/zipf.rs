@@ -95,6 +95,8 @@ impl Zipf {
 /// keyspace at once wait for one sum instead of each doing it.
 fn memo_zeta(n: u64, theta: f64) -> f64 {
     static MEMO: OnceLock<Mutex<HashMap<(u64, u64), f64>>> = OnceLock::new();
+    // A panic cannot leave the map half-updated: `or_insert_with` inserts
+    // only after the sum returns, so a poisoned lock still holds valid sums.
     let mut memo = MEMO
         .get_or_init(Mutex::default)
         .lock()
@@ -217,11 +219,20 @@ mod tests {
 
     #[test]
     fn memoised_zeta_is_the_direct_sum() {
-        // The last keyspace takes the tail path. Four threads build each
-        // sampler at once, so they race for the same memo entry.
+        // The last keyspace takes the tail path. Four threads leave a
+        // barrier together and build each sampler, so they race for the
+        // same memo entry.
         for (n, theta) in [(1_000_000, 0.99), (1_000_000, 0.0), (2_000_000, 0.5)] {
+            let start = std::sync::Barrier::new(4);
             let built: Vec<Zipf> = std::thread::scope(|s| {
-                let threads: Vec<_> = (0..4).map(|_| s.spawn(|| Zipf::new(n, theta))).collect();
+                let threads: Vec<_> = (0..4)
+                    .map(|_| {
+                        s.spawn(|| {
+                            start.wait();
+                            Zipf::new(n, theta)
+                        })
+                    })
+                    .collect();
                 threads.into_iter().map(|t| t.join().unwrap()).collect()
             });
             let direct = zeta(n, theta).to_bits();
