@@ -22,7 +22,8 @@
 //! * `--explain` prints the optimizer plan and exits without simulating,
 //! * `--csv` exports every recorded run for external plotting,
 //! * `--workers N` (alias `--threads`) sizes the farm pool `run_query`'s
-//!   [`windtunnel::sweep::SweepRunner`] dispatches onto.
+//!   [`windtunnel::sweep::SweepRunner`] dispatches onto, from 1 to
+//!   `MAX_THREADS` (1,024); any other value exits 2.
 //!   stdout is byte-identical for any worker count (with `prune = FALSE`);
 //!   wall-clock timing goes to stderr.
 //!
